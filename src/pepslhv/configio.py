@@ -57,7 +57,10 @@ def parse_state(spec, dim: Optional[int] = None) -> np.ndarray:
         return linalg.state_from_json(_load_json(spec[1:]))
     parts = spec.split(":")
     name = parts[0]
-    arg = int(parts[1]) if len(parts) == 2 else None
+    try:
+        arg = int(parts[1]) if len(parts) == 2 else None
+    except ValueError as exc:
+        raise UsageError(f"bad state spec '{spec}': {exc}") from exc
     if name == "zero":
         d = arg or dim
         if d is None:
@@ -178,6 +181,8 @@ def build_instance(config: dict) -> PepsInstance:
                 derive_seed(seed, f"recipe1:v{v}"),
             )
         elif recipe == "custom":
+            if "kraus" not in site_spec:
+                raise UsageError("recipe 'custom' needs 'kraus'")
             kraus = linalg.matrix_from_json(site_spec["kraus"])
             m = custom_site_map(kraus, v, op_basis.D, d)
         else:

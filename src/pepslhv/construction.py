@@ -246,10 +246,6 @@ class PepsInstance:
     def D(self) -> int:
         return self.basis.D
 
-    def site_flags(self, s: int) -> tuple:
-        """Per incident edge: True if the site is the head (untransposed) end."""
-        return tuple(ishead for _, ishead in self.lattice.incident_edges(s))
-
     def physical_dims(self) -> list:
         return [m.d for m in self.site_maps]
 

@@ -8,12 +8,17 @@ outputs stay inside the measurement dual, the PEPS is a convex mixture of
 products of dual members, which is the local hidden variable model.  When
 the trace tensors factorize, the joint distribution over edge indices is a
 product of per-edge categoricals and can be sampled efficiently.
+
+`site_operator_family` is the one place the outputs are computed, all
+(D^2)^v of them per (site map, flags) in one stack; the certificate, trace
+tables, sampler CDF tables and mixture enumerator all read these stacks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import string
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -54,30 +59,66 @@ def site_output_operator(
     return out
 
 
-def _site_transposed_flags(instance: PepsInstance, s: int):
-    # head end keeps C; tail end gets the transpose
-    return tuple(not ishead for _, ishead in instance.lattice.incident_edges(s))
-
-
 def site_operator_family(
     site_map: SiteMap, op_basis: OperatorBasis, transposed_flags: Sequence[bool]
-):
-    """All (D^2)^v output operators in C-order over the index tuples."""
-    n = op_basis.D**2
-    ops = []
-    for tup in itertools.product(range(n), repeat=site_map.v):
-        ops.append(site_output_operator(site_map, op_basis, tup, transposed_flags))
-    return ops
+) -> np.ndarray:
+    """All (D^2)^v output operators in C-order over the index tuples, ((D^2)^v, d, d)."""
+    v = site_map.v
+    flags = tuple(transposed_flags)
+    if len(flags) != v:
+        raise UsageError(f"need {v} flags")
+    C = np.stack(op_basis.elements)
+    # row k_1..k_v of the einsum is C~_{k_1} (x) ... (x) C~_{k_v}
+    k, i, j = (string.ascii_letters[p * v:(p + 1) * v] for p in range(3))
+    spec = ",".join(k[p] + i[p] + j[p] for p in range(v)) + "->" + k + i + j
+    prod = np.einsum(spec, *(C.transpose(0, 2, 1) if t else C for t in flags))
+    prod = prod.reshape(C.shape[0] ** v, site_map.virtual_dim, site_map.virtual_dim)
+    return sum(K @ prod @ K.conj().T for K in site_map.kraus)
+
+
+def overlaps(ops: np.ndarray, elements) -> np.ndarray:
+    """Real tr(O X) for every O in ops and X in elements, (len(ops), len(elements))."""
+    X = np.asarray(elements)
+    return np.real(ops.reshape(len(ops), -1) @ X.transpose(0, 2, 1).reshape(len(X), -1).T)
+
+
+def operator_traces(ops: np.ndarray) -> np.ndarray:
+    return np.real(np.trace(ops, axis1=1, axis2=2))
+
+
+def normalized_overlaps(ops: np.ndarray, elements):
+    """(tr(O), mask tr(O) >= TRACE_FLOOR, tr(O X) / tr(O)); masked-out rows are not divided."""
+    traces = operator_traces(ops)
+    ok = traces >= TRACE_FLOOR
+    return traces, ok, overlaps(ops, elements) / np.where(ok, traces, 1.0)[:, None]
+
+
+def site_families(instance: PepsInstance):
+    """(distinct output stacks, family index per site).
+
+    Sites with the same site map (by identity) and transposed flags share
+    one stack.
+    """
+    index: dict = {}
+    families = []
+    site_family = []
+    for s, m in enumerate(instance.site_maps):
+        # head end keeps C; tail end gets the transpose
+        flags = tuple(not ishead for _, ishead in instance.lattice.incident_edges(s))
+        key = (id(m), flags)
+        if key not in index:
+            index[key] = len(families)
+            families.append(site_operator_family(m, instance.basis, flags))
+        site_family.append(index[key])
+    return families, site_family
 
 
 def site_trace_table(
     site_map: SiteMap, op_basis: OperatorBasis, transposed_flags: Sequence[bool]
 ) -> np.ndarray:
     """Real tensor of tr(O) over index tuples, shape (D^2,) * v."""
-    n = op_basis.D**2
     ops = site_operator_family(site_map, op_basis, transposed_flags)
-    traces = np.array([float(np.real(np.trace(o))) for o in ops])
-    return traces.reshape((n,) * site_map.v)
+    return operator_traces(ops).reshape((op_basis.D**2,) * site_map.v)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +170,25 @@ def _element_stack(mset: MeasurementSet):
     return np.stack(mats), where
 
 
+def _scan_family(ops: np.ndarray, stack, where):
+    """(slack, min trace, first witness row in C-order or None) of one stack."""
+    traces, ok, normed = normalized_overlaps(ops, stack)
+    slacks = np.minimum(normed, 1.0 - normed)
+    worst = np.argmin(slacks, axis=1)
+    worst_slack = slacks[np.arange(len(ops)), worst]
+    slack = float(worst_slack[ok].min()) if ok.any() else math.inf
+    bad = ~ok | (worst_slack < -DUAL_ATOL)
+    witness = None
+    if bad.any():
+        r = int(np.argmax(bad))
+        if not ok[r]:
+            witness = (r, "trace", None, None, float(traces[r]))
+        else:
+            i, j = where[int(worst[r])]
+            witness = (r, "dual", i, j, float(normed[r, worst[r]]))
+    return slack, float(traces.min()), witness
+
+
 def rv_positivity_check(instance: PepsInstance) -> PositivityReport:
     """Scan all extreme index tuples at every site.
 
@@ -137,53 +197,23 @@ def rv_positivity_check(instance: PepsInstance) -> PositivityReport:
     slack is the worst min(tr(sigma X), 1 - tr(sigma X)) over the scan.
     """
     stack, where = _element_stack(instance.measurement_set)
-    n = instance.D**2
-    per_site_slack = []
-    overall_slack = math.inf
-    min_trace = math.inf
+    families, site_family = site_families(instance)
+    scans = [_scan_family(ops, stack, where) for ops in families]
+    per_site_slack = tuple(scans[f][0] for f in site_family)
     witness = None
-    cache: dict = {}
-    for s in range(instance.lattice.n_sites):
-        m = instance.site_maps[s]
-        flags = _site_transposed_flags(instance, s)
-        key = (id(m), flags)
-        if key in cache:
-            site_slack, site_min_trace, site_witness = cache[key]
-        else:
-            site_slack = math.inf
-            site_min_trace = math.inf
-            site_witness = None
-            for tup in itertools.product(range(n), repeat=m.v):
-                O = site_output_operator(m, instance.basis, tup, flags)
-                tr = float(np.real(np.trace(O)))
-                site_min_trace = min(site_min_trace, tr)
-                if tr < TRACE_FLOOR:
-                    if site_witness is None:
-                        site_witness = ("trace", tup, None, None, tr)
-                    continue
-                overlaps = np.real(np.einsum("ab,eba->e", O / tr, stack))
-                slacks = np.minimum(overlaps, 1.0 - overlaps)
-                worst = int(np.argmin(slacks))
-                site_slack = min(site_slack, float(slacks[worst]))
-                if slacks[worst] < -DUAL_ATOL and site_witness is None:
-                    i, j = where[worst]
-                    site_witness = ("dual", tup, i, j, float(overlaps[worst]))
-            cache[key] = (site_slack, site_min_trace, site_witness)
-        per_site_slack.append(site_slack)
-        overall_slack = min(overall_slack, site_slack)
-        min_trace = min(min_trace, site_min_trace)
-        if site_witness is not None and witness is None:
-            kind, tup, i, j, value = site_witness
-            witness = PositivityWitness(
-                site=s, indices=tup, kind=kind, povm_index=i, element_index=j, value=value
-            )
-    passed = witness is None and overall_slack >= -DUAL_ATOL
+    for s, f in enumerate(site_family):
+        if scans[f][2] is not None:
+            r, kind, i, j, value = scans[f][2]
+            tup = np.unravel_index(r, (instance.D**2,) * instance.site_maps[s].v)
+            witness = PositivityWitness(s, tuple(int(k) for k in tup), kind, i, j, value)
+            break
+    slack = min(per_site_slack)
     return PositivityReport(
-        passed=passed,
-        slack=overall_slack,
-        min_trace=min_trace,
+        passed=witness is None and slack >= -DUAL_ATOL,
+        slack=slack,
+        min_trace=min(scan[1] for scan in scans),
         witness=witness,
-        per_site_slack=tuple(per_site_slack),
+        per_site_slack=per_site_slack,
     )
 
 
@@ -256,23 +286,21 @@ def edge_distribution(instance: PepsInstance) -> EdgeDistributions:
     """
     lat = instance.lattice
     n = instance.D**2
-    site_factors = []
-    fac_cache: dict = {}
-    for s in range(lat.n_sites):
-        m = instance.site_maps[s]
-        flags = _site_transposed_flags(instance, s)
-        key = (id(m), flags)
-        if key not in fac_cache:
-            table = site_trace_table(m, instance.basis, flags)
-            if np.any(table <= 0):
-                raise NotFactorizableError(f"site {s}: non-positive output trace")
-            res = trace_factorization(table, m.v)
-            if not res.factorizable:
-                raise NotFactorizableError(
-                    f"site {s}: trace tensor not rank-1 (residual {res.residual:.3e})"
-                )
-            fac_cache[key] = res.factors
-        site_factors.append(fac_cache[key])
+    families, site_family = site_families(instance)
+    factors = []
+    for f, ops in enumerate(families):
+        s = site_family.index(f)
+        v = instance.site_maps[s].v
+        table = operator_traces(ops).reshape((n,) * v)
+        if np.any(table <= 0):
+            raise NotFactorizableError(f"site {s}: non-positive output trace")
+        res = trace_factorization(table, v)
+        if not res.factorizable:
+            raise NotFactorizableError(
+                f"site {s}: trace tensor not rank-1 (residual {res.residual:.3e})"
+            )
+        factors.append(res.factors)
+    site_factors = [factors[f] for f in site_family]
 
     # locate the factor vector each edge end contributes
     position = {}
@@ -303,45 +331,33 @@ def _enumeration_guard(instance: PepsInstance):
         raise UsageError("physical dimension too large for enumeration")
 
 
-def _site_tuple(instance: PepsInstance, s: int, assignment) -> tuple:
-    return tuple(assignment[e] for e, _ in instance.lattice.incident_edges(s))
-
-
 def enumerate_mixture_terms(instance: PepsInstance):
-    """Yield (weight-numerator, [normalized site operators]) per assignment.
+    """Yield (assignment, weight-numerator, [normalized site operators]) per assignment.
 
     Weight numerators are prod_s tr(O); divide by T * D^(2E) to get the
-    probabilities.
+    probabilities.  Assignments run in C-order over the edges.
     """
     _enumeration_guard(instance)
     n = instance.D**2
     lat = instance.lattice
-    ops_cache = []
-    for s in range(lat.n_sites):
-        flags = _site_transposed_flags(instance, s)
-        family = site_operator_family(instance.site_maps[s], instance.basis, flags)
-        ops_cache.append(
-            {
-                tup: family[int(np.ravel_multi_index(tup, (n,) * instance.site_maps[s].v))]
-                for tup in itertools.product(range(n), repeat=instance.site_maps[s].v)
-            }
-        )
-    for assignment in itertools.product(range(n), repeat=lat.n_edges):
-        weight = 1.0
-        sigmas = []
-        for s in range(lat.n_sites):
-            O = ops_cache[s][_site_tuple(instance, s, assignment)]
-            tr = float(np.real(np.trace(O)))
-            weight *= tr
-            sigmas.append(O / tr)
-        yield assignment, weight, sigmas
+    families, site_family = site_families(instance)
+    traces = [operator_traces(ops) for ops in families]
+    sigmas = [ops / t[:, None, None] for ops, t in zip(families, traces)]
+    # rows[s][a] is the output row site s reads under assignment a
+    grid = np.indices((n,) * lat.n_edges).reshape(lat.n_edges, -1)
+    rows = [
+        np.ravel_multi_index(grid[[e for e, _ in lat.incident_edges(s)]], (n,) * m.v)
+        for s, m in enumerate(instance.site_maps)
+    ]
+    weights = np.prod([traces[f][rows[s]] for s, f in enumerate(site_family)], axis=0)
+    for a, assignment in enumerate(itertools.product(range(n), repeat=lat.n_edges)):
+        site_sigmas = [sigmas[f][rows[s][a]] for s, f in enumerate(site_family)]
+        yield assignment, float(weights[a]), site_sigmas
 
 
 def mixture_normalization(instance: PepsInstance) -> float:
     """T computed by brute-force enumeration of all edge assignments."""
-    total = 0.0
-    for _, weight, _ in enumerate_mixture_terms(instance):
-        total += weight
+    total = sum(weight for _, weight, _ in enumerate_mixture_terms(instance))
     return total / (instance.D ** (2 * instance.lattice.n_edges))
 
 
@@ -350,16 +366,11 @@ def reconstruct_mixture(instance: PepsInstance):
     dim = int(np.prod(instance.physical_dims()))
     rho = np.zeros((dim, dim), dtype=complex)
     weights = []
-    numerators = []
-    terms = []
     for _, weight, sigmas in enumerate_mixture_terms(instance):
-        numerators.append(weight)
-        terms.append(sigmas)
-    total = float(np.sum(numerators))
-    for weight, sigmas in zip(numerators, terms):
-        rho += (weight / total) * linalg.tensor_product(sigmas)
-        weights.append(weight / total)
-    return rho, np.array(weights)
+        rho += weight * linalg.tensor_product(sigmas)
+        weights.append(weight)
+    total = float(np.sum(weights))
+    return rho / total, np.array(weights) / total
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ class Lattice:
         if not edges:
             raise UsageError("lattice needs at least one edge")
         seen = set()
-        for h, t in edges:
+        incidence = [[] for _ in range(self.n_sites)]
+        for e, (h, t) in enumerate(edges):
             if h == t:
                 raise UsageError(f"self-loop at site {h}")
             if not (0 <= h < self.n_sites and 0 <= t < self.n_sites):
@@ -35,7 +36,10 @@ class Lattice:
             if key in seen:
                 raise UsageError(f"parallel edge between {h} and {t}")
             seen.add(key)
+            incidence[h].append((e, True))
+            incidence[t].append((e, False))
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_incidence", tuple(tuple(x) for x in incidence))
         if min(self.site_degrees()) < 1:
             raise UsageError("every site must touch at least one edge")
 
@@ -44,21 +48,11 @@ class Lattice:
         return len(self.edges)
 
     def site_degrees(self) -> List[int]:
-        deg = [0] * self.n_sites
-        for h, t in self.edges:
-            deg[h] += 1
-            deg[t] += 1
-        return deg
+        return [len(x) for x in self._incidence]
 
     def incident_edges(self, site: int) -> List[Tuple[int, bool]]:
         """(edge index, site-is-head) pairs, ordered by edge index."""
-        out = []
-        for e, (h, t) in enumerate(self.edges):
-            if h == site:
-                out.append((e, True))
-            elif t == site:
-                out.append((e, False))
-        return out
+        return list(self._incidence[site])
 
 
 def build_chain(N: int) -> Lattice:

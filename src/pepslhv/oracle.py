@@ -79,13 +79,8 @@ def mixture_joint_distribution(instance: PepsInstance, plan: MeasurementPlan) ->
         raise UsageError("joint outcome space too large")
     stacks = [np.stack(p.elements) for p in povms]
     acc = np.zeros(arities)
-    numerators = []
-    terms = []
+    # the final normalization divides out sum_lambda weight
     for _, weight, sigmas in enumerate_mixture_terms(instance):
-        numerators.append(weight)
-        terms.append(sigmas)
-    total = float(np.sum(numerators))
-    for weight, sigmas in zip(numerators, terms):
         local = [
             np.real(np.einsum("ab,eba->e", sigma, stack))
             for sigma, stack in zip(sigmas, stacks)
@@ -93,7 +88,7 @@ def mixture_joint_distribution(instance: PepsInstance, plan: MeasurementPlan) ->
         joint = local[0]
         for loc in local[1:]:
             joint = np.multiply.outer(joint, loc)
-        acc += (weight / total) * joint
+        acc += weight * joint
     acc = np.clip(acc, 0.0, None)
     return JointDistribution(arities=tuple(arities), probs=acc / acc.sum())
 

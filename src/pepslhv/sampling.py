@@ -20,13 +20,12 @@ import numpy as np
 from pepslhv.construction import PepsInstance
 from pepslhv.decomposition import (
     DUAL_ATOL,
-    TRACE_FLOOR,
     EdgeDistributions,
-    _site_transposed_flags,
-    site_operator_family,
+    edge_distribution,
+    normalized_overlaps,
+    site_families,
 )
 from pepslhv.errors import PositivityViolationError, UsageError
-from pepslhv.measurements import Povm
 
 DEFAULT_CHUNK = 1 << 16
 
@@ -123,79 +122,80 @@ def shot_uniforms(
     return np.ascontiguousarray(u[:, :n_slots])
 
 
+def _edge_cdfs(probs) -> list:
+    cdfs = []
+    for p in probs:
+        cdf = np.cumsum(p)
+        cdf[-1] = 1.0
+        cdfs.append(cdf)
+    return cdfs
+
+
+def _draw_edges(edge_cdfs: list, seed: int, start: int, count: int) -> np.ndarray:
+    """Edge indices for shots start..start+count-1, shape (count, E)."""
+    U = shot_uniforms(seed, start, count, len(edge_cdfs), label="edges")
+    lam = np.empty(U.shape, dtype=np.int64)
+    for e, cdf in enumerate(edge_cdfs):
+        lam[:, e] = np.minimum(np.searchsorted(cdf, U[:, e], side="right"), cdf.size - 1)
+    return lam
+
+
+def _draw_sites(
+    instance: PepsInstance, site_tables: list, lam: np.ndarray, seed: int, start: int
+) -> np.ndarray:
+    """Outcomes given the edge indices lam of shots start.., shape (len(lam), N)."""
+    lat = instance.lattice
+    n = instance.D**2
+    U = shot_uniforms(seed, start, len(lam), lat.n_sites, label="sites")
+    outcomes = np.empty((len(lam), lat.n_sites), dtype=np.int64)
+    for s, table in enumerate(site_tables):
+        flat = np.zeros(len(lam), dtype=np.int64)
+        for e, _ in lat.incident_edges(s):
+            flat = flat * n + lam[:, e]
+        rows = table[flat]
+        idx = np.sum(rows <= U[:, s][:, None], axis=1)
+        outcomes[:, s] = np.minimum(idx, table.shape[1] - 1)
+    return outcomes
+
+
 def sample_hidden(edge_dists, seed: int, shot: int) -> np.ndarray:
     """Edge assignment for one shot; deterministic in (seed, shot)."""
     probs = edge_dists.probs if isinstance(edge_dists, EdgeDistributions) else tuple(edge_dists)
-    E = len(probs)
-    u = shot_uniforms(seed, shot, 1, E, label="edges")[0]
-    out = np.empty(E, dtype=np.int64)
-    for e, p in enumerate(probs):
-        cdf = np.cumsum(p)
-        cdf[-1] = 1.0
-        out[e] = min(int(np.searchsorted(cdf, u[e], side="right")), p.size - 1)
-    return out
+    return _draw_edges(_edge_cdfs(probs), seed, shot, 1)[0]
 
 
-def _site_cdf_table(instance: PepsInstance, s: int, povm: Povm, cache: dict) -> np.ndarray:
-    """Cumulative Born probabilities per extreme index tuple, ((D^2)^v, K)."""
-    m = instance.site_maps[s]
-    flags = _site_transposed_flags(instance, s)
-    key = (id(m), flags, id(povm))
-    if key in cache:
-        return cache[key]
-    stack = np.stack(povm.elements)
-    family = site_operator_family(m, instance.basis, flags)
-    rows = np.empty((len(family), povm.n_outcomes))
-    for r, O in enumerate(family):
-        tr = float(np.real(np.trace(O)))
-        if tr < TRACE_FLOOR:
-            raise PositivityViolationError(
-                f"site {s}: output trace {tr:.3e} at tuple {r} (certificate stale or absent)",
-                witness=(s, r, None, tr),
-            )
-        probs = np.real(np.einsum("ab,eba->e", O / tr, stack))
-        bad = int(np.argmin(probs))
-        if probs[bad] < -DUAL_ATOL:
-            raise PositivityViolationError(
-                f"site {s}: tr(sigma X_{bad}) = {probs[bad]:.3e} at tuple {r}",
-                witness=(s, r, bad, float(probs[bad])),
-            )
-        probs = np.clip(probs, 0.0, 1.0)
-        cdf = np.cumsum(probs)
-        rows[r] = cdf / cdf[-1]
-    cache[key] = rows
-    return rows
+def _site_cdf_tables(instance: PepsInstance, povms: list) -> list:
+    """Per site, cumulative Born probabilities per extreme index tuple, ((D^2)^v, K).
 
-
-def _run_chunk(
-    instance: PepsInstance,
-    plan_povms: list,
-    edge_cdfs: list,
-    site_tables: list,
-    seed: int,
-    start: int,
-    count: int,
-) -> tuple:
-    lat = instance.lattice
-    E, N = lat.n_edges, lat.n_sites
-    n = instance.D**2
-    U_edge = shot_uniforms(seed, start, count, E, label="edges")
-    U_site = shot_uniforms(seed, start, count, N, label="sites")
-    lam = np.empty((count, E), dtype=np.int64)
-    for e in range(E):
-        lam[:, e] = np.minimum(
-            np.searchsorted(edge_cdfs[e], U_edge[:, e], side="right"), n - 1
-        )
-    outcomes = np.empty((count, N), dtype=np.int64)
-    for s in range(N):
-        flat = np.zeros(count, dtype=np.int64)
-        for e, _ in lat.incident_edges(s):
-            flat = flat * n + lam[:, e]
-        rows = site_tables[s][flat]
-        u = U_site[:, s][:, None]
-        idx = np.sum(rows <= u, axis=1)
-        outcomes[:, s] = np.minimum(idx, plan_povms[s].n_outcomes - 1)
-    return lam, outcomes
+    Sites sharing (site map, flags, POVM) share one table.  The first row,
+    in site then C-order, with a trace below TRACE_FLOOR or an overlap below
+    -DUAL_ATOL raises PositivityViolationError.
+    """
+    families, site_family = site_families(instance)
+    cache: dict = {}
+    tables = []
+    for s, f in enumerate(site_family):
+        key = (f, id(povms[s]))
+        if key not in cache:
+            traces, ok, probs = normalized_overlaps(families[f], povms[s].elements)
+            bad = ~ok | (probs.min(axis=1) < -DUAL_ATOL)
+            if bad.any():
+                r = int(np.argmax(bad))
+                if not ok[r]:
+                    raise PositivityViolationError(
+                        f"site {s}: output trace {traces[r]:.3e} at tuple {r} "
+                        "(certificate stale or absent)",
+                        witness=(s, r, None, float(traces[r])),
+                    )
+                j = int(np.argmin(probs[r]))
+                raise PositivityViolationError(
+                    f"site {s}: tr(sigma X_{j}) = {probs[r, j]:.3e} at tuple {r}",
+                    witness=(s, r, j, float(probs[r, j])),
+                )
+            cdf = np.cumsum(np.clip(probs, 0.0, 1.0), axis=1)
+            cache[key] = cdf / cdf[:, -1:]
+        tables.append(cache[key])
+    return tables
 
 
 def sample_outcomes(
@@ -213,20 +213,9 @@ def sample_outcomes(
     n = instance.D**2
     if np.any(assignment < 0) or np.any(assignment >= n):
         raise UsageError("edge index out of range")
-    povms = plan.povms(instance)
-    cache: dict = {}
-    U = shot_uniforms(seed, shot, 1, lat.n_sites, label="sites")[0]
-    outcomes = []
-    for s in range(lat.n_sites):
-        table = _site_cdf_table(instance, s, povms[s], cache)
-        flat = 0
-        for e, _ in lat.incident_edges(s):
-            flat = flat * n + int(assignment[e])
-        row = table[flat]
-        u = U[s]
-        idx = min(int(np.sum(row <= u)), povms[s].n_outcomes - 1)
-        outcomes.append(idx)
-    return ShotRecord(shot=shot, outcomes=tuple(outcomes), hidden=tuple(int(x) for x in assignment))
+    site_tables = _site_cdf_tables(instance, plan.povms(instance))
+    outcomes = _draw_sites(instance, site_tables, assignment[None, :], seed, shot)[0].tolist()
+    return ShotRecord(shot=shot, outcomes=tuple(outcomes), hidden=tuple(assignment.tolist()))
 
 
 def run_shots(
@@ -243,20 +232,11 @@ def run_shots(
     """Sample n_shots records; deterministic per shot regardless of chunking."""
     if n_shots < 0:
         raise UsageError("n_shots must be >= 0")
-    from pepslhv.decomposition import edge_distribution
-
     if edge_dists is None:
         edge_dists = edge_distribution(instance)
     lat = instance.lattice
-    povms = plan.povms(instance)
-    n = instance.D**2
-    edge_cdfs = []
-    for p in edge_dists.probs:
-        cdf = np.cumsum(p)
-        cdf[-1] = 1.0
-        edge_cdfs.append(cdf)
-    cache: dict = {}
-    site_tables = [_site_cdf_table(instance, s, povms[s], cache) for s in range(lat.n_sites)]
+    edge_cdfs = _edge_cdfs(edge_dists.probs)
+    site_tables = _site_cdf_tables(instance, plan.povms(instance))
 
     spans = [
         (start_shot + off, min(chunk, n_shots - off))
@@ -264,7 +244,8 @@ def run_shots(
     ] or []
 
     def work(span):
-        return _run_chunk(instance, povms, edge_cdfs, site_tables, seed, span[0], span[1])
+        lam = _draw_edges(edge_cdfs, seed, *span)
+        return lam, _draw_sites(instance, site_tables, lam, seed, span[0])
 
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

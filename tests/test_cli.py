@@ -139,6 +139,31 @@ class TestPepsCommands:
         )
         assert code == 2
 
+    def test_malformed_psi_exit_2(self, tmp_path, capsys):
+        code = run(
+            "peps", "build",
+            "--lattice", "cycle:3",
+            "--basis", "aligned:2:zero",
+            "--measurements", "noisy-pauli:2:0.5",
+            "--recipe", "2",
+            "--psi", "zero:abc",
+            "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_custom_recipe_without_kraus_exit_2(self, tmp_path, capsys):
+        code = run(
+            "peps", "build",
+            "--lattice", "cycle:3",
+            "--basis", "aligned:2:zero",
+            "--measurements", "noisy-pauli:2:0.5",
+            "--recipe", "custom",
+            "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestSampleAndVerify:
     def test_sample_deterministic_jsonl(self, instance_file, tmp_path):

@@ -45,6 +45,18 @@ class TestSiteOutputOperator:
         with pytest.raises(UsageError):
             dec.site_output_operator(m, phase_point_basis(), [4], [False])
 
+    def test_family_rows_match_per_tuple_operator(self):
+        rng = np.random.default_rng(5)
+        kraus = [rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8)) for _ in range(2)]
+        m = con.SiteMap(v=3, D=2, d=3, kraus=tuple(kraus))
+        b = build_aligned_basis(2, KET0)
+        flags = [False, True, False]
+        family = dec.site_operator_family(m, b, flags)
+        assert family.shape == (64, 3, 3)
+        for r, tup in enumerate(itertools.product(range(4), repeat=3)):
+            expected = dec.site_output_operator(m, b, tup, flags)
+            assert np.allclose(family[r], expected, atol=1e-12)
+
 
 class TestPositivityCheck:
     def test_epsilon_zero_slack_equals_interior_margin(self):
@@ -73,6 +85,11 @@ class TestPositivityCheck:
         assert report.witness is not None
         assert report.witness.kind == "dual"
         assert report.witness.value < -1e-9 or report.witness.value > 1 + 1e-9
+        # the first failing tuple in site then C-order, as the per-tuple scan found it
+        assert report.witness.site == 0
+        assert report.witness.indices == (0, 2)
+        assert report.witness.povm_index == 5
+        assert report.witness.element_index == 3
 
     def test_report_serializes(self):
         inst = build(recipe2_config(epsilon=0.0))

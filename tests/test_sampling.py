@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pepslhv import cli, sampling
 from pepslhv import decomposition as dec
-from pepslhv import sampling
 from pepslhv.errors import PositivityViolationError, UsageError
 
 from conftest import build, recipe2_config
@@ -156,3 +157,35 @@ class TestDeterministicGivenLambda:
             for shot in range(1, 6):
                 again = sampling.sample_outcomes(inst, assignment, plan, seed=shot, shot=shot)
                 assert again.outcomes == first.outcomes
+
+
+class TestGoldenDigest:
+    # sha256 of the `pepslhv sample` JSONL at seed 0; any change to the
+    # kernel, the CDF tables or the record format that moves a byte fails here
+    @pytest.mark.parametrize(
+        "lattice, qubits, epsilon, plan, hidden, digest",
+        [
+            ("cycle:6", 2, 0.2, "all:ZZ~0.5", True,
+             "a2a64a2bea562b446571c63eeab83318adec2dde5f438707402b11c06c9aa60f"),
+            ("torus:3x3", 4, 0.1, "all:ZZZZ~0.5", False,
+             "2e61a5a3663be6f2bc9b717b8f6e18e45540cf73c0e1fc00825178785eb47ff9"),
+        ],
+        ids=["cycle6-hidden", "torus3x3-d16"],
+    )
+    def test_sample_jsonl_digest(self, tmp_path, lattice, qubits, epsilon, plan, hidden, digest):
+        inst = tmp_path / "inst.json"
+        assert cli.main([
+            "peps", "build",
+            "--lattice", lattice,
+            "--basis", "aligned:2:zero",
+            "--measurements", f"noisy-pauli:{qubits}:0.5",
+            "--recipe", "2",
+            "--psi", f"plus-diag:{qubits}",
+            "--epsilon", str(epsilon),
+            "--out", str(inst),
+        ]) == 0
+        out = tmp_path / "shots.jsonl"
+        argv = ["sample", str(inst), "--plan", plan, "--shots", "2000", "--seed", "0",
+                "--out", str(out)]
+        assert cli.main(argv + (["--emit-hidden"] if hidden else [])) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
