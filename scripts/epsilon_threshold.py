@@ -6,10 +6,9 @@ set and brackets the first positivity failure along increasing epsilon.
 """
 
 import argparse
-import json
 
 from pepslhv import decomposition
-from pepslhv.configio import build_instance
+from pepslhv.configio import instance_factory
 
 
 def main():
@@ -28,11 +27,7 @@ def main():
         "site_map": {"recipe": 2, "epsilon": 0.0},
     }
 
-    def make(eps):
-        cfg = json.loads(json.dumps(config))
-        cfg["site_map"]["epsilon"] = eps
-        return build_instance(cfg)
-
+    make = instance_factory(config)
     slack0 = decomposition.rv_positivity_check(make(0.0)).slack
     print(f"slack at epsilon=0: {slack0:.6f}")
     lo, hi = decomposition.max_epsilon_search(make, args.eps_hi)

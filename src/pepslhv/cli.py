@@ -20,6 +20,8 @@ from pepslhv import configio, decomposition, linalg, oracle, sampling
 from pepslhv import lattice as lattice_mod
 from pepslhv.construction import assemble_exact_state, choi_check
 from pepslhv.errors import (
+    ConstructionError,
+    DegenerateNormError,
     NotFactorizableError,
     PositivityViolationError,
     StrictInteriorError,
@@ -41,8 +43,15 @@ def _print(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _default_workers() -> int:
-    return int(os.environ.get("RSEP_WORKERS", "1"))
+def _workers(args) -> int:
+    """--workers if given, else $RSEP_WORKERS, else 1."""
+    if args.workers is not None:
+        return args.workers
+    raw = os.environ.get("RSEP_WORKERS", "1")
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise UsageError(f"RSEP_WORKERS must be an integer, got {raw!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +141,7 @@ def cmd_peps_check(args) -> int:
 
 
 def cmd_peps_epsilon_max(args) -> int:
-    config = configio._load_json(args.instance)
-
-    def make(eps: float):
-        cfg = json.loads(json.dumps(config))
-        cfg["site_map"]["epsilon"] = eps
-        return configio.build_instance(cfg)
-
+    make = configio.instance_factory(configio._load_json(args.instance))
     lo, hi = decomposition.max_epsilon_search(make, args.eps_hi)
     out = {"eps_pass": lo, "eps_fail": None if hi == float("inf") else hi}
     if args.out:
@@ -158,7 +161,7 @@ def cmd_sample(args) -> int:
         args.seed,
         edge_dists=dists,
         emit_hidden=args.emit_hidden,
-        workers=args.workers,
+        workers=_workers(args),
     )
     with open(args.out, "w") as fh:
         for record in batch.records():
@@ -178,7 +181,7 @@ def cmd_verify(args) -> int:
     else:
         dists = decomposition.edge_distribution(instance)
         batch = sampling.run_shots(
-            instance, plan, args.shots, args.seed, edge_dists=dists, workers=args.workers
+            instance, plan, args.shots, args.seed, edge_dists=dists, workers=_workers(args)
         )
         report = oracle.frequency_test(batch, exact, confidence_k=args.confidence_k)
         out = {"mode": "shots", **report.to_json()}
@@ -190,19 +193,27 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     config = configio._load_json(args.instance)
-    sizes = [int(x) for x in args.sites.split(",")]
     rows = []
-    for n in sizes:
-        cfg = json.loads(json.dumps(config))
-        cfg["lattice"] = f"cycle:{n}"
-        instance = configio.build_instance(cfg)
+    for spec in (x.strip() for x in args.sites.split(",")):
+        spec = f"cycle:{spec}" if spec.isdigit() else spec
+        instance = configio.build_instance(dict(config, lattice=spec))
         plan = configio.parse_plan(args.plan, instance)
         dists = decomposition.edge_distribution(instance)
         t0 = time.perf_counter()
         sampling.run_shots(
-            instance, plan, args.shots, args.seed, edge_dists=dists, workers=args.workers
+            instance, plan, args.shots, args.seed, edge_dists=dists, workers=_workers(args)
         )
-        rows.append({"sites": n, "shots": args.shots, "seconds": time.perf_counter() - t0})
+        seconds = time.perf_counter() - t0
+        n_sites = instance.lattice.n_sites
+        rows.append(
+            {
+                "lattice": spec,
+                "sites": n_sites,
+                "shots": args.shots,
+                "seconds": seconds,
+                "site_outcomes_per_s": args.shots * n_sites / seconds,
+            }
+        )
     out = {"timings": rows}
     if args.out:
         _write_json(args.out, out)
@@ -275,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--shots", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--emit-hidden", action="store_true")
-    s.add_argument("--workers", type=int, default=_default_workers())
+    s.add_argument("--workers", type=int, help="default: $RSEP_WORKERS or 1")
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_sample)
 
@@ -286,17 +297,19 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--shots", type=int, default=100_000)
     vf.add_argument("--seed", type=int, default=0)
     vf.add_argument("--confidence-k", type=float, default=4.0)
-    vf.add_argument("--workers", type=int, default=_default_workers())
+    vf.add_argument("--workers", type=int, help="default: $RSEP_WORKERS or 1")
     vf.add_argument("--out")
     vf.set_defaults(func=cmd_verify)
 
     bn = sub.add_parser("bench", help="sampling throughput across lattice sizes")
     bn.add_argument("instance")
-    bn.add_argument("--sites", required=True)
+    bn.add_argument(
+        "--sites", required=True, help="comma-separated lattice specs; a bare N means cycle:N"
+    )
     bn.add_argument("--plan", required=True)
     bn.add_argument("--shots", type=int, default=10_000)
     bn.add_argument("--seed", type=int, default=0)
-    bn.add_argument("--workers", type=int, default=_default_workers())
+    bn.add_argument("--workers", type=int, help="default: $RSEP_WORKERS or 1")
     bn.add_argument("--out")
     bn.set_defaults(func=cmd_bench)
 
@@ -314,7 +327,13 @@ def main(argv=None) -> int:
     except PositivityViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_POSITIVITY
-    except (UsageError, StrictInteriorError, np.linalg.LinAlgError) as exc:
+    except (
+        UsageError,
+        StrictInteriorError,
+        ConstructionError,
+        DegenerateNormError,
+        np.linalg.LinAlgError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -100,7 +100,10 @@ def parse_basis(spec) -> basis_mod.OperatorBasis:
         return basis_mod.phase_point_basis()
     parts = spec.split(":", 2)
     if parts[0] == "aligned" and len(parts) == 3:
-        D = int(parts[1])
+        try:
+            D = int(parts[1])
+        except ValueError as exc:
+            raise UsageError(f"bad basis spec '{spec}': {exc}") from exc
         return basis_mod.build_aligned_basis(D, parse_state(parts[2], dim=D))
     raise UsageError(f"unknown basis spec '{spec}'")
 
@@ -128,8 +131,14 @@ def parse_lattice(spec) -> lattice_mod.Lattice:
 # ---------------------------------------------------------------------------
 # Instances
 
-def build_instance(config: dict) -> PepsInstance:
-    """Resolve a config/instance dict into a fully validated PepsInstance."""
+def instance_factory(config: dict) -> Callable[[float], PepsInstance]:
+    """Resolve everything in a config/instance dict that does not depend on epsilon.
+
+    The lattice, basis, measurement set and psi are parsed, and every
+    epsilon-independent check (the strict-interior test among them) runs,
+    once, here.  The returned function builds only the site maps for the
+    epsilon it is given; the config's own "epsilon" is not read.
+    """
     try:
         lat = parse_lattice(config["lattice"])
         op_basis = parse_basis(config["basis"])
@@ -142,7 +151,6 @@ def build_instance(config: dict) -> PepsInstance:
     recipe = site_spec.get("recipe")
     if isinstance(recipe, str) and recipe.isdigit():
         recipe = int(recipe)
-    epsilon = float(site_spec.get("epsilon", 0.0))
     seed = int(site_spec.get("seed", 0))
     d = mset.dim
 
@@ -150,48 +158,57 @@ def build_instance(config: dict) -> PepsInstance:
     if "psi" in config:
         psi = parse_state(config["psi"], dim=d)
 
-    maps_by_degree: dict = {}
-
-    def site_map_for(v: int) -> SiteMap:
-        if v in maps_by_degree:
-            return maps_by_degree[v]
+    def site_map_maker(v: int) -> Callable[[float], SiteMap]:
         if recipe == "identity":
             m = identity_site_map(v)
-        elif recipe == 2:
+            return lambda epsilon: m
+        if recipe == 2:
             if psi is None:
                 raise UsageError("recipe 2 needs 'psi'")
             if d < 2**v:
                 raise ConstraintError(f"physical dimension d={d} < 2^v = {2**v}")
             _require_strict_interior(psi, mset)
             states = recipe2_states_from_interior(psi, v)
-            m = recipe2_site_map(v, d, states, epsilon)
-        elif recipe == 1:
+            return lambda epsilon: recipe2_site_map(v, d, states, epsilon)
+        if recipe == 1:
             if psi is None:
                 raise UsageError("recipe 1 needs 'psi'")
             if op_basis.anchor is None:
                 raise UsageError("recipe 1 needs an anchored basis")
             _require_strict_interior(psi, mset)
-            m = recipe1_site_map(
-                v,
-                op_basis.D,
-                d,
-                psi,
-                [op_basis.anchor] * v,
-                epsilon,
-                derive_seed(seed, f"recipe1:v{v}"),
+            anchors = [op_basis.anchor] * v
+            map_seed = derive_seed(seed, f"recipe1:v{v}")
+            return lambda epsilon: recipe1_site_map(
+                v, op_basis.D, d, psi, anchors, epsilon, map_seed
             )
-        elif recipe == "custom":
+        if recipe == "custom":
             if "kraus" not in site_spec:
                 raise UsageError("recipe 'custom' needs 'kraus'")
             kraus = linalg.matrix_from_json(site_spec["kraus"])
             m = custom_site_map(kraus, v, op_basis.D, d)
-        else:
-            raise UsageError(f"unknown recipe {recipe!r}")
-        maps_by_degree[v] = m
-        return m
+            return lambda epsilon: m
+        raise UsageError(f"unknown recipe {recipe!r}")
 
-    site_maps = tuple(site_map_for(v) for v in degrees)
-    return PepsInstance(lattice=lat, site_maps=site_maps, basis=op_basis, measurement_set=mset)
+    # distinct degrees in order of first appearance, as sites are scanned
+    makers = {v: site_map_maker(v) for v in dict.fromkeys(degrees)}
+
+    def make(epsilon: float) -> PepsInstance:
+        eps = float(epsilon)
+        maps = {v: make_map(eps) for v, make_map in makers.items()}
+        return PepsInstance(
+            lattice=lat,
+            site_maps=tuple(maps[v] for v in degrees),
+            basis=op_basis,
+            measurement_set=mset,
+        )
+
+    return make
+
+
+def build_instance(config: dict) -> PepsInstance:
+    """Resolve a config/instance dict into a fully validated PepsInstance."""
+    make = instance_factory(config)
+    return make(config["site_map"].get("epsilon", 0.0))
 
 
 def _require_strict_interior(psi, mset):

@@ -28,7 +28,7 @@ from pepslhv import linalg
 from pepslhv.basis import OperatorBasis
 from pepslhv.construction import PepsInstance, SiteMap
 from pepslhv.errors import NotFactorizableError, UsageError
-from pepslhv.measurements import MeasurementSet
+from pepslhv.measurements import overlaps
 
 TRACE_FLOOR = 1e-10
 DUAL_ATOL = 1e-9
@@ -74,12 +74,6 @@ def site_operator_family(
     prod = np.einsum(spec, *(C.transpose(0, 2, 1) if t else C for t in flags))
     prod = prod.reshape(C.shape[0] ** v, site_map.virtual_dim, site_map.virtual_dim)
     return sum(K @ prod @ K.conj().T for K in site_map.kraus)
-
-
-def overlaps(ops: np.ndarray, elements) -> np.ndarray:
-    """Real tr(O X) for every O in ops and X in elements, (len(ops), len(elements))."""
-    X = np.asarray(elements)
-    return np.real(ops.reshape(len(ops), -1) @ X.transpose(0, 2, 1).reshape(len(X), -1).T)
 
 
 def operator_traces(ops: np.ndarray) -> np.ndarray:
@@ -161,15 +155,6 @@ class PositivityReport:
         return obj
 
 
-def _element_stack(mset: MeasurementSet):
-    """Stacked POVM elements plus (povm, element) bookkeeping."""
-    mats, where = [], []
-    for i, j, x in mset.iter_elements():
-        mats.append(x)
-        where.append((i, j))
-    return np.stack(mats), where
-
-
 def _scan_family(ops: np.ndarray, stack, where):
     """(slack, min trace, first witness row in C-order or None) of one stack."""
     traces, ok, normed = normalized_overlaps(ops, stack)
@@ -196,7 +181,7 @@ def rv_positivity_check(instance: PepsInstance) -> PositivityReport:
     has overlaps inside [-1e-9, 1 + 1e-9] for every POVM element.  The
     slack is the worst min(tr(sigma X), 1 - tr(sigma X)) over the scan.
     """
-    stack, where = _element_stack(instance.measurement_set)
+    stack, where = instance.measurement_set.element_stack()
     families, site_family = site_families(instance)
     scans = [_scan_family(ops, stack, where) for ops in families]
     per_site_slack = tuple(scans[f][0] for f in site_family)

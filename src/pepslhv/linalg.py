@@ -109,16 +109,6 @@ def min_eigenvalue(op) -> float:
     return float(np.linalg.eigvalsh(mat)[0])
 
 
-def psd_sqrt(op, atol: float = 1e-12) -> np.ndarray:
-    """Hermitian square root of a PSD operator (small negatives clipped)."""
-    mat = check_hermitian(op)
-    w, v = np.linalg.eigh(mat)
-    if w[0] < -1e-9:
-        raise UsageError(f"operator is not PSD (min eigenvalue {w[0]:.3e})")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
 def schmidt_probabilities(state, dims: Sequence[int], cut: Iterable[int]) -> np.ndarray:
     """Squared Schmidt coefficients across the given bipartition."""
     vec = as_state(state)

@@ -24,32 +24,54 @@ STRICT_MARGIN_FLOOR = 1e-8
 ADMISSIBLE_ATOL = 1e-9
 
 
+def _povm_stack(elements, label: str) -> np.ndarray:
+    """Validate POVM elements as one (K, d, d) stack.
+
+    One pass each over the stack: finite entries, hermiticity defect,
+    eigvalsh for PSD, and the sum to the identity.
+    """
+    try:
+        stack = np.asarray(elements, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"POVM '{label}' elements are not equal-shape matrices: {exc}") from exc
+    if stack.ndim == 0 or len(stack) == 0:
+        raise UsageError("POVM needs at least one element")
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+        raise UsageError(f"POVM '{label}' elements must be square matrices, got {stack.shape}")
+    if not np.all(np.isfinite(stack)):
+        raise UsageError(f"POVM '{label}' has non-finite entries")
+    defect = float(np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))))
+    if defect > linalg.HERMITIAN_ATOL:
+        raise UsageError(
+            f"POVM '{label}' element is not hermitian "
+            f"(defect {defect:.3e} > {linalg.HERMITIAN_ATOL:.1e})"
+        )
+    min_eigs = np.linalg.eigvalsh(stack)[:, 0]
+    if min_eigs.min() < -POVM_PSD_ATOL:
+        raise UsageError(f"POVM element {int(np.argmin(min_eigs))} not PSD in '{label}'")
+    dim = stack.shape[1]
+    if float(np.max(np.abs(stack.sum(axis=0) - np.eye(dim)))) > POVM_SUM_ATOL:
+        raise UsageError(f"POVM '{label}' does not sum to identity")
+    return stack
+
+
 @dataclass(frozen=True)
 class Povm:
-    """A full POVM: PSD elements summing to the identity."""
+    """A full POVM: PSD elements summing to the identity.
 
-    elements: tuple
+    Any sequence of equal-shape matrices is accepted; ``elements`` is
+    stored as the validated (K, d, d) array.
+    """
+
+    elements: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        elements = tuple(linalg.check_hermitian(x) for x in self.elements)
-        if not elements:
-            raise UsageError("POVM needs at least one element")
-        dim = elements[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for x in elements:
-            if x.shape != (dim, dim):
-                raise UsageError("POVM elements have mixed dimensions")
-            if linalg.min_eigenvalue(x) < -POVM_PSD_ATOL:
-                raise UsageError(f"POVM element not PSD in '{self.label}'")
-            total += x
-        if float(np.max(np.abs(total - np.eye(dim)))) > POVM_SUM_ATOL:
-            raise UsageError(f"POVM '{self.label}' does not sum to identity")
-        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "elements", _povm_stack(self.elements, self.label))
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     @property
     def n_outcomes(self) -> int:
@@ -81,10 +103,15 @@ class MeasurementSet:
                 return i, p
         raise UsageError(f"no POVM labelled '{label}' in measurement set")
 
-    def iter_elements(self):
-        for i, povm in enumerate(self.povms):
-            for j, x in enumerate(povm.elements):
-                yield i, j, x
+    def element_stack(self):
+        """(every element of every POVM as one (n, d, d) array, (POVM, element) per row).
+
+        Built per call, so a set that is only sampled from does not hold a
+        second copy of its elements.
+        """
+        stack = np.concatenate([p.elements for p in self.povms])
+        where = [(i, j) for i, p in enumerate(self.povms) for j in range(p.n_outcomes)]
+        return stack, where
 
 
 @dataclass(frozen=True)
@@ -104,22 +131,30 @@ class DualMargin:
         return self.margin >= STRICT_MARGIN_FLOOR
 
 
+def overlaps(ops: np.ndarray, elements) -> np.ndarray:
+    """Real tr(O X) for every O in ops and X in elements, (len(ops), len(elements))."""
+    X = np.asarray(elements)
+    return np.real(ops.reshape(len(ops), -1) @ X.transpose(0, 2, 1).reshape(len(X), -1).T)
+
+
 def dual_margin(O, mset: MeasurementSet) -> DualMargin:
-    """Min/max of tr(OX) over M and the strict margin min(tr, 1 - tr)."""
+    """Min/max of tr(OX) over M and the strict margin min(tr, 1 - tr).
+
+    The worst element is the first (i, j) attaining the margin.
+    """
     op = linalg.check_hermitian(O)
     if op.shape[0] != mset.dim:
         raise UsageError(f"operator dim {op.shape[0]} != measurement dim {mset.dim}")
-    min_o, max_o, margin = np.inf, -np.inf, np.inf
-    worst = (0, 0)
-    for i, j, x in mset.iter_elements():
-        t = float(np.real(np.trace(op @ x)))
-        min_o = min(min_o, t)
-        max_o = max(max_o, t)
-        slack = min(t, 1.0 - t)
-        if slack < margin:
-            margin = slack
-            worst = (i, j)
-    return DualMargin(min_overlap=min_o, max_overlap=max_o, margin=margin, worst_element=worst)
+    stack, where = mset.element_stack()
+    t = overlaps(op[None], stack)[0]
+    slack = np.minimum(t, 1.0 - t)
+    k = int(np.argmin(slack))
+    return DualMargin(
+        min_overlap=float(t.min()),
+        max_overlap=float(t.max()),
+        margin=float(slack[k]),
+        worst_element=where[k],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -132,18 +167,33 @@ _AXIS_STATES = {
 }
 
 
+def pauli_product_elements(n_qubits: int) -> np.ndarray:
+    """(3^n, 2^n, 2^n, 2^n) stack of product projectors, by axes then outcome bits.
+
+    Row a, column o is |v><v| with v = v_{a_1 o_1} (x) ... (x) v_{a_n o_n},
+    both in itertools.product order.  The factors are multiplied left to
+    right, as kron_vectors and np.outer do, so every element is
+    bit-identical to the one-at-a-time construction.
+    """
+    states = np.array([_AXIS_STATES[a] for a in "XYZ"])  # (axis, outcome, component)
+    vecs = states
+    for _ in range(n_qubits - 1):
+        A, O, C = vecs.shape
+        vecs = vecs[:, None, :, None, :, None] * states[None, :, None, :, None, :]
+        vecs = vecs.reshape(3 * A, 2 * O, 2 * C)
+    return vecs[..., :, None] * vecs.conj()[..., None, :]
+
+
 def pauli_product_measurements(n_qubits: int) -> MeasurementSet:
     """All 3^n products of single-qubit X/Y/Z eigenbasis projectors."""
     if n_qubits < 1:
         raise UsageError("need at least one qubit")
-    povms = []
-    for axes in itertools.product("XYZ", repeat=n_qubits):
-        elements = []
-        for outcome in itertools.product((0, 1), repeat=n_qubits):
-            vec = linalg.kron_vectors([_AXIS_STATES[a][o] for a, o in zip(axes, outcome)])
-            elements.append(np.outer(vec, vec.conj()))
-        povms.append(Povm(elements=tuple(elements), label="".join(axes)))
-    return MeasurementSet(povms=tuple(povms))
+    labels = ("".join(axes) for axes in itertools.product("XYZ", repeat=n_qubits))
+    povms = tuple(
+        Povm(elements=x, label=label)
+        for x, label in zip(pauli_product_elements(n_qubits), labels)
+    )
+    return MeasurementSet(povms=povms)
 
 
 def depolarize_povm(povm: Povm, eta: float) -> Povm:
@@ -152,9 +202,8 @@ def depolarize_povm(povm: Povm, eta: float) -> Povm:
         raise UsageError(f"eta must be in [0, 1], got {eta}")
     d = povm.dim
     eye = np.eye(d, dtype=complex)
-    elements = tuple(
-        eta * x + (1.0 - eta) * (np.real(np.trace(x)) / d) * eye for x in povm.elements
-    )
+    traces = np.real(np.trace(povm.elements, axis1=1, axis2=2))
+    elements = eta * povm.elements + ((1.0 - eta) * (traces / d))[:, None, None] * eye
     return Povm(elements=elements, label=f"{povm.label}~{eta:g}")
 
 

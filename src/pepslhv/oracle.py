@@ -47,7 +47,13 @@ class JointDistribution:
 
 
 def exact_joint_distribution(state, plan_povms: Sequence) -> JointDistribution:
-    """p(j_1..j_N) = <Psi| X_{j_1} (x) ... (x) X_{j_N} |Psi> via PSD square roots."""
+    """p(j_1..j_N) = <Psi| X_{j_1} (x) ... (x) X_{j_N} |Psi>, contracted site by site.
+
+    After measuring sites 1..s, R[j_1..j_s] is the operator
+    <Psi| X_{j_1} (x) ... (x) X_{j_s} (x) . |Psi> on the unmeasured sites;
+    measuring site s+1 traces its factor against each X_{j_{s+1}}.  The
+    largest array is K_1 * (d_2 ... d_N)^2, not (K d)^N.
+    """
     vec = linalg.as_state(state)
     dims = [p.dim for p in plan_povms]
     arities = [p.n_outcomes for p in plan_povms]
@@ -55,15 +61,16 @@ def exact_joint_distribution(state, plan_povms: Sequence) -> JointDistribution:
         raise UsageError("joint outcome space too large")
     if int(np.prod(dims)) != vec.size:
         raise UsageError("plan dimensions do not match the state")
-    tensor = vec.reshape(dims)
-    # after processing site s the tensor axes are (j_1, b_1, ..., j_s, b_s, rest)
-    for s, povm in enumerate(plan_povms):
-        roots = np.stack([linalg.psd_sqrt(x) for x in povm.elements])  # (K, d, d)
-        tensor = np.tensordot(roots, tensor, axes=([2], [2 * s]))  # (K, d, ...)
-        tensor = np.moveaxis(tensor, (0, 1), (2 * s, 2 * s + 1))
-    amp2 = np.abs(tensor) ** 2
-    probs = amp2.sum(axis=tuple(range(1, amp2.ndim, 2)))
-    return JointDistribution(arities=tuple(arities), probs=probs)
+    psi = vec.reshape(dims[0], -1)
+    # R[j, u, w] = sum_ab conj(Psi[a, u]) X_j[a, b] Psi[b, w]
+    R = psi.conj().T @ (plan_povms[0].elements @ psi)
+    for d, povm in zip(dims[1:], plan_povms[1:]):
+        # group the bra and ket indices of the next site, then one matmul over them
+        rest = R.shape[1] // d
+        R = R.reshape(-1, d, rest, d, rest).transpose(0, 1, 3, 2, 4)
+        R = povm.elements.reshape(povm.n_outcomes, -1) @ R.reshape(-1, d * d, rest * rest)
+        R = R.reshape(-1, rest, rest)
+    return JointDistribution(arities=tuple(arities), probs=np.real(R).reshape(arities))
 
 
 def born_joint_for_instance(instance: PepsInstance, plan: MeasurementPlan) -> JointDistribution:
@@ -77,13 +84,12 @@ def mixture_joint_distribution(instance: PepsInstance, plan: MeasurementPlan) ->
     arities = [p.n_outcomes for p in povms]
     if int(np.prod(arities)) > MAX_OUTCOME_SPACE:
         raise UsageError("joint outcome space too large")
-    stacks = [np.stack(p.elements) for p in povms]
     acc = np.zeros(arities)
     # the final normalization divides out sum_lambda weight
     for _, weight, sigmas in enumerate_mixture_terms(instance):
         local = [
-            np.real(np.einsum("ab,eba->e", sigma, stack))
-            for sigma, stack in zip(sigmas, stacks)
+            np.real(np.einsum("ab,eba->e", sigma, p.elements))
+            for sigma, p in zip(sigmas, povms)
         ]
         joint = local[0]
         for loc in local[1:]:

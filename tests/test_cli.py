@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from pepslhv import cli, linalg
+from pepslhv import cli, configio, linalg
+from pepslhv.errors import ConstructionError, DegenerateNormError
 
 
 def run(*argv):
@@ -111,9 +112,70 @@ class TestPepsCommands:
         capsys.readouterr()
         assert run("peps", "epsilon-max", str(path), "--eps-hi", "0.5") == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["eps_fail"] is not None
-        assert 0 < report["eps_pass"] < report["eps_fail"]
-        assert report["eps_fail"] - report["eps_pass"] <= 1e-4
+        # the bracket recorded before the instance factory existed
+        assert report == {"eps_pass": 0.112060546875, "eps_fail": 0.11212158203125}
+
+    @pytest.mark.parametrize(
+        "site_map",
+        [
+            {"recipe": 2, "seed": 0},
+            {"recipe": "1", "seed": 7},
+            {"recipe": "identity"},
+        ],
+    )
+    def test_instance_factory_matches_build_instance(self, site_map):
+        config = {
+            "lattice": "chain:3",
+            "basis": "aligned:2:zero",
+            "measurements": "noisy-pauli:2:0.5",
+            "psi": "plus-diag:2",
+            "site_map": site_map,
+        }
+        if site_map["recipe"] == "identity":
+            config["basis"], config["measurements"] = "phase-point", "bell"
+            config["lattice"] = "cycle:3"
+            del config["psi"]
+        make = configio.instance_factory(config)
+        for eps in (0.0, 0.05, 0.2):
+            built = configio.build_instance(
+                dict(config, site_map=dict(site_map, epsilon=eps))
+            )
+            made = make(eps)
+            assert len(made.site_maps) == len(built.site_maps)
+            for a, b in zip(made.site_maps, built.site_maps):
+                assert len(a.kraus) == len(b.kraus)
+                assert all(np.array_equal(x, y) for x, y in zip(a.kraus, b.kraus))
+
+    def test_malformed_basis_dimension_exit_2(self, tmp_path, capsys):
+        code = run(
+            "peps", "build",
+            "--lattice", "cycle:3",
+            "--basis", "aligned:abc:zero",
+            "--measurements", "noisy-pauli:2:0.5",
+            "--recipe", "2",
+            "--psi", "plus-diag:2",
+            "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_construction_error_exit_2(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise ConstructionError("could not reach full rank within retry budget")
+
+        monkeypatch.setattr(configio, "recipe1_site_map", exhausted)
+        code = run(
+            "peps", "build",
+            "--lattice", "cycle:3",
+            "--basis", "aligned:2:zero",
+            "--measurements", "noisy-pauli:2:0.5",
+            "--recipe", "1",
+            "--psi", "plus-diag:2",
+            "--epsilon", "0.1",
+            "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        assert "error: could not reach full rank" in capsys.readouterr().err
 
     def test_non_strict_psi_exit_2(self, tmp_path):
         code = run(
@@ -201,6 +263,25 @@ class TestSampleAndVerify:
         report = json.loads(out.read_text())
         assert report["pass"] is True
 
+    def test_malformed_workers_env_exit_2(self, instance_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("RSEP_WORKERS", "abc")
+        code = run(
+            "sample", str(instance_file),
+            "--plan", "all:ZZ~0.5",
+            "--shots", "10",
+            "--out", str(tmp_path / "s.jsonl"),
+        )
+        assert code == 2
+        assert "RSEP_WORKERS" in capsys.readouterr().err
+
+    def test_degenerate_norm_exit_2(self, instance_file, capsys, monkeypatch):
+        def zero_norm(instance):
+            raise DegenerateNormError("assembled state has squared norm 0.000e+00")
+
+        monkeypatch.setattr(cli.oracle, "assemble_exact_state", zero_norm)
+        assert run("verify", str(instance_file), "--plan", "all:XY~0.5") == 2
+        assert "error: assembled state has squared norm" in capsys.readouterr().err
+
     def test_non_factorizable_exit_4(self, instance_file, tmp_path):
         kraus_file = tmp_path / "k.json"
         kraus_file.write_text(
@@ -239,4 +320,29 @@ class TestBench:
         assert code == 0
         rows = json.loads(out.read_text())["timings"]
         assert [r["sites"] for r in rows] == [10, 20]
+        assert [r["lattice"] for r in rows] == ["cycle:10", "cycle:20"]
         assert all(r["seconds"] > 0 for r in rows)
+
+    def test_lattice_specs(self, tmp_path, capsys):
+        inst = tmp_path / "torus.json"
+        assert run(
+            "peps", "build",
+            "--lattice", "torus:3x3",
+            "--basis", "aligned:2:zero",
+            "--measurements", "noisy-pauli:4:0.5",
+            "--recipe", "2",
+            "--psi", "plus-diag:4",
+            "--epsilon", "0.1",
+            "--out", str(inst),
+        ) == 0
+        capsys.readouterr()
+        code = run(
+            "bench", str(inst),
+            "--sites", "torus:3x3,torus:3x4",
+            "--plan", "all:ZZZZ~0.5",
+            "--shots", "100",
+        )
+        assert code == 0
+        rows = json.loads(capsys.readouterr().out)["timings"]
+        assert [(r["lattice"], r["sites"]) for r in rows] == [("torus:3x3", 9), ("torus:3x4", 12)]
+        assert all(r["site_outcomes_per_s"] > 0 for r in rows)

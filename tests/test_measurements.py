@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from pepslhv import measurements as meas
 from pepslhv.basis import VirtualSpaceTag, bloch_diag_state, phase_point_basis
 from pepslhv.errors import UsageError
-from pepslhv.linalg import projector
+from pepslhv.linalg import kron_vectors, projector
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +32,58 @@ class TestPovmInvariants:
         with pytest.raises(UsageError):
             meas.MeasurementSet(povms=())
 
+    @pytest.mark.parametrize(
+        "elements",
+        [
+            pytest.param((np.array([[0.5, 0.5], [0.0, 0.5]]), np.array([[0.5, -0.5], [0.0, 0.5]])),
+                         id="non-hermitian"),
+            pytest.param((np.diag([1.5, -0.5]), np.diag([-0.5, 1.5])), id="non-psd"),
+            pytest.param((np.eye(2) / 2,), id="incomplete"),
+            pytest.param((np.diag([np.nan, 0.0]), np.eye(2)), id="non-finite"),
+            pytest.param((np.eye(2), np.zeros((3, 3))), id="mixed-dims"),
+        ],
+    )
+    def test_batched_validation_rejects_with_label(self, elements):
+        with pytest.raises(UsageError, match="probe"):
+            meas.Povm(elements=elements, label="probe")
+
+    def test_elements_stored_as_one_array(self):
+        elements = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        povm = meas.Povm(elements=elements, label="z")
+        assert povm.elements.shape == (2, 2, 2)
+        assert povm.elements.dtype == complex
+        assert all(np.array_equal(x, y) for x, y in zip(povm.elements, elements))
+
+
+def _loop_dual_margin(O, mset):
+    """Per-element reference: first (i, j) attaining the smallest slack."""
+    min_o, max_o, margin, worst = np.inf, -np.inf, np.inf, (0, 0)
+    for i, povm in enumerate(mset.povms):
+        for j, x in enumerate(povm.elements):
+            t = float(np.real(np.trace(O @ x)))
+            min_o, max_o = min(min_o, t), max(max_o, t)
+            if min(t, 1.0 - t) < margin:
+                margin, worst = min(t, 1.0 - t), (i, j)
+    return min_o, max_o, margin, worst
+
 
 class TestDualMargin:
+    @pytest.mark.parametrize("name", ["pauli:1", "pauli:2", "noisy-pauli:2:0.5", "bell"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batched_matches_loop(self, name, seed):
+        mset = meas.measurement_set_from_name(name)
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(mset.dim,) * 2) + 1j * rng.normal(size=(mset.dim,) * 2)
+        ops = [m @ m.conj().T / np.trace(m @ m.conj().T).real, m + m.conj().T, np.eye(mset.dim)]
+        ops.append(np.diag(np.eye(mset.dim)[0]))  # exact ties between elements
+        for O in ops:
+            got = meas.dual_margin(O, mset)
+            min_o, max_o, margin, worst = _loop_dual_margin(O, mset)
+            assert got.min_overlap == pytest.approx(min_o, abs=1e-12)
+            assert got.max_overlap == pytest.approx(max_o, abs=1e-12)
+            assert got.margin == pytest.approx(margin, abs=1e-12)
+            assert got.worst_element == worst
+
     def test_z_eigenstate_not_strict(self, pauli1):
         m = meas.dual_margin(np.diag([1.0, 0.0]), pauli1)
         assert m.margin == pytest.approx(0.0, abs=1e-12)
@@ -74,7 +126,41 @@ class TestDualMargin:
             assert total == pytest.approx(1.0, abs=1e-10)
 
 
+_AXES = {
+    "X": (np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)),
+    "Y": (np.array([1, 1j]) / np.sqrt(2), np.array([1, -1j]) / np.sqrt(2)),
+    "Z": (np.array([1, 0]), np.array([0, 1])),
+}
+
+
+def _reference_povm_elements(axes, eta=None):
+    """One element at a time: kron_vectors, np.outer, then depolarize."""
+    d = 2 ** len(axes)
+    out = []
+    for outcome in itertools.product((0, 1), repeat=len(axes)):
+        vec = kron_vectors([_AXES[a][o] for a, o in zip(axes, outcome)])
+        x = np.outer(vec, vec.conj())
+        if eta is not None:
+            x = eta * x + (1.0 - eta) * (np.real(np.trace(x)) / d) * np.eye(d, dtype=complex)
+        out.append(x)
+    return out
+
+
 class TestPauliFamilies:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("eta", [None, 0.5])
+    def test_batched_elements_bit_identical(self, n, eta):
+        if eta is None:
+            mset = meas.pauli_product_measurements(n)
+        else:
+            mset = meas.noisy_pauli_product_measurements(n, eta)
+        all_axes = list(itertools.product("XYZ", repeat=n))
+        assert len(mset.povms) == len(all_axes)
+        for axes, povm in zip(all_axes, mset.povms):
+            ref = _reference_povm_elements(axes, eta)
+            assert len(povm.elements) == len(ref)
+            assert all(np.array_equal(x, y) for x, y in zip(povm.elements, ref))
+
     def test_single_qubit_count(self, pauli1):
         assert len(pauli1.povms) == 3
         assert all(p.n_outcomes == 2 for p in pauli1.povms)
