@@ -61,8 +61,7 @@ class OperatorBasis:
             object.__setattr__(self, "anchor", anchor)
 
     def anchor_overlaps_of(self, state) -> np.ndarray:
-        vec = linalg.as_state(state)
-        return np.array([float(np.real(vec.conj() @ c @ vec)) for c in self.elements])
+        return linalg.overlaps(self.elements, linalg.projector(state)[None])[:, 0]
 
     def anchor_overlaps(self) -> np.ndarray:
         if self.anchor is None:
@@ -86,12 +85,8 @@ class VirtualSpaceTag:
 
 
 def gram_matrix(elements: Sequence[np.ndarray]) -> np.ndarray:
-    n = len(elements)
-    gram = np.empty((n, n))
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            gram[i, j] = float(np.real(np.trace(a @ b)))
-    return gram
+    """tr(C_k C_l) for Hermitian elements."""
+    return linalg.overlaps(elements, elements)
 
 
 def max_ent_state(D: int) -> np.ndarray:
@@ -215,9 +210,8 @@ def verify_decomposition(basis_or_elements, D: Optional[int] = None) -> float:
         elements = [linalg.as_matrix(c) for c in basis_or_elements]
         if D is None:
             D = elements[0].shape[0]
-    acc = np.zeros((D * D, D * D), dtype=complex)
-    for c in elements:
-        acc += np.kron(c, c.T)
+    # kron(C, C^T)[(a, b), (e, f)] = C[a, e] C[f, b], summed over the elements
+    acc = np.einsum("kae,kfb->abef", elements, elements).reshape(D * D, D * D)
     target = linalg.projector(max_ent_state(D))
     return float(np.max(np.abs(acc / D**2 - target)))
 
@@ -240,7 +234,7 @@ def basis_from_json(obj: dict) -> OperatorBasis:
     try:
         D = int(obj["D"])
         elements = tuple(linalg.matrix_from_json(m) for m in obj["elements"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed basis file: {exc}") from exc
     anchor = linalg.state_from_json(obj["anchor"]) if "anchor" in obj else None
     return OperatorBasis(

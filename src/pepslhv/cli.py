@@ -18,7 +18,7 @@ import numpy as np
 from pepslhv import basis as basis_mod
 from pepslhv import configio, decomposition, linalg, oracle, sampling
 from pepslhv import lattice as lattice_mod
-from pepslhv.construction import assemble_exact_state, choi_check
+from pepslhv.construction import choi_check
 from pepslhv.errors import (
     ConstructionError,
     DegenerateNormError,
@@ -153,13 +153,11 @@ def cmd_peps_epsilon_max(args) -> int:
 def cmd_sample(args) -> int:
     instance = configio.load_instance(args.instance)
     plan = configio.parse_plan(args.plan, instance)
-    dists = decomposition.edge_distribution(instance)
     batch = sampling.run_shots(
         instance,
         plan,
         args.shots,
         args.seed,
-        edge_dists=dists,
         emit_hidden=args.emit_hidden,
         workers=_workers(args),
     )
@@ -179,10 +177,7 @@ def cmd_verify(args) -> int:
         tv = oracle.tv_distance(mix, exact)
         out = {"mode": "mixture", "tv": tv, "threshold": 1e-10, "pass": tv <= 1e-10}
     else:
-        dists = decomposition.edge_distribution(instance)
-        batch = sampling.run_shots(
-            instance, plan, args.shots, args.seed, edge_dists=dists, workers=_workers(args)
-        )
+        batch = sampling.run_shots(instance, plan, args.shots, args.seed, workers=_workers(args))
         report = oracle.frequency_test(batch, exact, confidence_k=args.confidence_k)
         out = {"mode": "shots", **report.to_json()}
     if args.out:

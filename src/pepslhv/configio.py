@@ -35,9 +35,12 @@ from pepslhv.sampling import MeasurementPlan, derive_seed
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise UsageError(f"{path}: top-level value must be a JSON object")
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -61,17 +64,12 @@ def parse_state(spec, dim: Optional[int] = None) -> np.ndarray:
         arg = int(parts[1]) if len(parts) == 2 else None
     except ValueError as exc:
         raise UsageError(f"bad state spec '{spec}': {exc}") from exc
-    if name == "zero":
+    if name in ("zero", "uniform"):
         d = arg or dim
-        if d is None:
-            raise UsageError("state 'zero' needs a dimension")
-        vec = np.zeros(d, dtype=complex)
-        vec[0] = 1.0
-        return vec
-    if name == "uniform":
-        d = arg or dim
-        if d is None:
-            raise UsageError("state 'uniform' needs a dimension")
+        if d is None or d < 1:
+            raise UsageError(f"state '{spec}' needs a positive dimension, got {d}")
+        if name == "zero":
+            return np.eye(1, d, dtype=complex)[0]
         return np.full(d, 1.0 / np.sqrt(d), dtype=complex)
     if name == "plus-diag":
         n = arg
@@ -146,12 +144,14 @@ def instance_factory(config: dict) -> Callable[[float], PepsInstance]:
         site_spec = config["site_map"]
     except KeyError as exc:
         raise UsageError(f"instance config missing key {exc}") from exc
+    if not isinstance(site_spec, dict):
+        raise UsageError(f"'site_map' must be an object, got {site_spec!r}")
 
     degrees = lat.site_degrees()
     recipe = site_spec.get("recipe")
     if isinstance(recipe, str) and recipe.isdigit():
         recipe = int(recipe)
-    seed = int(site_spec.get("seed", 0))
+    seed = _number(int, site_spec.get("seed", 0), "seed")
     d = mset.dim
 
     psi = None
@@ -193,7 +193,9 @@ def instance_factory(config: dict) -> Callable[[float], PepsInstance]:
     makers = {v: site_map_maker(v) for v in dict.fromkeys(degrees)}
 
     def make(epsilon: float) -> PepsInstance:
-        eps = float(epsilon)
+        eps = _number(float, epsilon, "epsilon")
+        if not math.isfinite(eps):
+            raise UsageError(f"epsilon must be finite, got {eps}")
         maps = {v: make_map(eps) for v, make_map in makers.items()}
         return PepsInstance(
             lattice=lat,
@@ -203,6 +205,13 @@ def instance_factory(config: dict) -> Callable[[float], PepsInstance]:
         )
 
     return make
+
+
+def _number(kind, value, name: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"'{name}' must be a number, got {value!r}") from exc
 
 
 def build_instance(config: dict) -> PepsInstance:

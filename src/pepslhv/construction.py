@@ -117,8 +117,11 @@ def recipe2_site_map(v: int, d: int, psi_y: Sequence[np.ndarray], epsilon: float
         raise UsageError("psi_y dimension mismatch")
     _check_orthonormal(states)
     K = np.zeros((d, 2**v), dtype=complex)
-    for y in range(2**v):
-        K[:, y] = epsilon ** bin(y).count("1") * states[y]
+    try:
+        for y in range(2**v):
+            K[:, y] = epsilon ** bin(y).count("1") * states[y]
+    except OverflowError as exc:
+        raise UsageError(f"epsilon = {epsilon:g} overflows epsilon^{v}") from exc
     return SiteMap(
         v=v, D=2, d=d, kraus=(K,), label="recipe2", epsilon=float(epsilon), psi_y=tuple(states)
     )

@@ -11,12 +11,12 @@ product of per-edge categoricals and can be sampled efficiently.
 
 `site_operator_family` is the one place the outputs are computed, all
 (D^2)^v of them per (site map, flags) in one stack; the certificate, trace
-tables, sampler CDF tables and mixture enumerator all read these stacks.
+tables, sampler CDF tables and exact mixture all read these stacks, and
+`contract_mixture` is the one sum over edge assignments of the exact mixture.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import string
 from dataclasses import dataclass
@@ -28,7 +28,6 @@ from pepslhv import linalg
 from pepslhv.basis import OperatorBasis
 from pepslhv.construction import PepsInstance, SiteMap
 from pepslhv.errors import NotFactorizableError, UsageError
-from pepslhv.measurements import overlaps
 
 TRACE_FLOOR = 1e-10
 DUAL_ATOL = 1e-9
@@ -84,7 +83,7 @@ def normalized_overlaps(ops: np.ndarray, elements):
     """(tr(O), mask tr(O) >= TRACE_FLOOR, tr(O X) / tr(O)); masked-out rows are not divided."""
     traces = operator_traces(ops)
     ok = traces >= TRACE_FLOOR
-    return traces, ok, overlaps(ops, elements) / np.where(ok, traces, 1.0)[:, None]
+    return traces, ok, linalg.overlaps(ops, elements) / np.where(ok, traces, 1.0)[:, None]
 
 
 def site_families(instance: PepsInstance):
@@ -302,7 +301,6 @@ def edge_distribution(instance: PepsInstance) -> EdgeDistributions:
         probs.append(weights / Z)
         log_T += math.log(Z)
     T = math.exp(log_T - 2.0 * lat.n_edges * math.log(instance.D))
-    assert all(p.size == n for p in probs)
     return EdgeDistributions(probs=tuple(probs), T=T, site_factors=tuple(site_factors))
 
 
@@ -316,46 +314,48 @@ def _enumeration_guard(instance: PepsInstance):
         raise UsageError("physical dimension too large for enumeration")
 
 
-def enumerate_mixture_terms(instance: PepsInstance):
-    """Yield (assignment, weight-numerator, [normalized site operators]) per assignment.
+def contract_mixture(instance: PepsInstance, site_rows, extra_axes=0, keep_edges=False):
+    """Sum over all edge assignments of the product of one row per site, as one einsum.
 
-    Weight numerators are prod_s tr(O); divide by T * D^(2E) to get the
-    probabilities.  Assignments run in C-order over the edges.
+    site_rows[s] is ((D^2)^v, ...) with ``extra_axes`` trailing axes, its
+    rows in C-order over the site's incident edges; each edge is one label
+    shared by its two ends.  The result has the edge axes if
+    ``keep_edges``, then extra axis 0 of every site, then axis 1, and so on.
     """
     _enumeration_guard(instance)
-    n = instance.D**2
     lat = instance.lattice
+    E, N = lat.n_edges, lat.n_sites
+    operands = []
+    for s, rows in enumerate(site_rows):
+        edges = [e for e, _ in lat.incident_edges(s)]
+        extra = [E + x * N + s for x in range(extra_axes)]
+        operands += [rows.reshape((instance.D**2,) * len(edges) + rows.shape[1:]), edges + extra]
+    out = list(range(E if keep_edges else 0)) + list(range(E, E + extra_axes * N))
+    return np.einsum(*operands, out, optimize=True)
+
+
+def mixture_weights(instance: PepsInstance) -> np.ndarray:
+    """prod_s tr(O_s) per edge assignment, shape (D^2,) * E; divide by T D^(2E) for p."""
     families, site_family = site_families(instance)
     traces = [operator_traces(ops) for ops in families]
-    sigmas = [ops / t[:, None, None] for ops, t in zip(families, traces)]
-    # rows[s][a] is the output row site s reads under assignment a
-    grid = np.indices((n,) * lat.n_edges).reshape(lat.n_edges, -1)
-    rows = [
-        np.ravel_multi_index(grid[[e for e, _ in lat.incident_edges(s)]], (n,) * m.v)
-        for s, m in enumerate(instance.site_maps)
-    ]
-    weights = np.prod([traces[f][rows[s]] for s, f in enumerate(site_family)], axis=0)
-    for a, assignment in enumerate(itertools.product(range(n), repeat=lat.n_edges)):
-        site_sigmas = [sigmas[f][rows[s][a]] for s, f in enumerate(site_family)]
-        yield assignment, float(weights[a]), site_sigmas
+    return contract_mixture(instance, [traces[f] for f in site_family], keep_edges=True)
 
 
 def mixture_normalization(instance: PepsInstance) -> float:
-    """T computed by brute-force enumeration of all edge assignments."""
-    total = sum(weight for _, weight, _ in enumerate_mixture_terms(instance))
-    return total / (instance.D ** (2 * instance.lattice.n_edges))
+    """T as the exact sum over all edge assignments."""
+    return float(np.sum(mixture_weights(instance))) / instance.D ** (2 * instance.lattice.n_edges)
 
 
 def reconstruct_mixture(instance: PepsInstance):
-    """Sum the separable mixture exactly; returns (density matrix, weights)."""
-    dim = int(np.prod(instance.physical_dims()))
-    rho = np.zeros((dim, dim), dtype=complex)
-    weights = []
-    for _, weight, sigmas in enumerate_mixture_terms(instance):
-        rho += weight * linalg.tensor_product(sigmas)
-        weights.append(weight)
-    total = float(np.sum(weights))
-    return rho / total, np.array(weights) / total
+    """Sum the separable mixture exactly; returns (density matrix, weights).
+
+    Term lambda, prod_s tr(O_s) (x)_s O_s / tr(O_s), is just (x)_s O_s.
+    """
+    families, site_family = site_families(instance)
+    weights = mixture_weights(instance).ravel()
+    rho = contract_mixture(instance, [families[f] for f in site_family], extra_axes=2)
+    dim, total = int(np.prod(instance.physical_dims())), weights.sum()
+    return rho.reshape(dim, dim) / total, weights / total
 
 
 # ---------------------------------------------------------------------------

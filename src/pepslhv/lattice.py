@@ -108,5 +108,5 @@ def lattice_to_json(lat: Lattice) -> dict:
 def lattice_from_json(obj: dict) -> Lattice:
     try:
         return Lattice(n_sites=int(obj["n_sites"]), edges=tuple((e[0], e[1]) for e in obj["edges"]))
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed lattice file: {exc}") from exc

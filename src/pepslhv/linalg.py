@@ -59,6 +59,19 @@ def projector(state) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
+def overlaps(A, B) -> np.ndarray:
+    """tr(A_i B_j) for every pair from two stacks, shape (len(A), len(B)).
+
+    One real matrix product over the (re, im) views gives Re tr(A B^dag),
+    which is Re tr(A B) whenever either side is Hermitian.  Every caller
+    passes Hermitian operators: site output families, projectors, and
+    validated POVM and basis elements.
+    """
+    a = np.ascontiguousarray(A, dtype=complex)
+    b = np.ascontiguousarray(B, dtype=complex)
+    return a.reshape(len(a), -1).view(float) @ b.reshape(len(b), -1).view(float).T
+
+
 def tensor_product(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of the factors in list order."""
     mats = [as_matrix(f) for f in factors]

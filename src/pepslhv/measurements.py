@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from pepslhv import linalg
-from pepslhv.basis import PAULI_X, PAULI_Y, PAULI_Z, OperatorBasis, VirtualSpaceTag, max_ent_state
+from pepslhv.basis import PAULI_X, PAULI_Y, PAULI_Z, VirtualSpaceTag, max_ent_state
 from pepslhv.errors import UsageError
 
 POVM_PSD_ATOL = 1e-9
@@ -131,12 +131,6 @@ class DualMargin:
         return self.margin >= STRICT_MARGIN_FLOOR
 
 
-def overlaps(ops: np.ndarray, elements) -> np.ndarray:
-    """Real tr(O X) for every O in ops and X in elements, (len(ops), len(elements))."""
-    X = np.asarray(elements)
-    return np.real(ops.reshape(len(ops), -1) @ X.transpose(0, 2, 1).reshape(len(X), -1).T)
-
-
 def dual_margin(O, mset: MeasurementSet) -> DualMargin:
     """Min/max of tr(OX) over M and the strict margin min(tr, 1 - tr).
 
@@ -146,7 +140,7 @@ def dual_margin(O, mset: MeasurementSet) -> DualMargin:
     if op.shape[0] != mset.dim:
         raise UsageError(f"operator dim {op.shape[0]} != measurement dim {mset.dim}")
     stack, where = mset.element_stack()
-    t = overlaps(op[None], stack)[0]
+    t = linalg.overlaps(op[None], stack)[0]
     slack = np.minimum(t, 1.0 - t)
     k = int(np.argmin(slack))
     return DualMargin(
@@ -257,7 +251,8 @@ def admissible_povm(povm: Povm, site_spaces: Sequence[VirtualSpaceTag]) -> Admis
     """Scan tr(V X) over products of extreme points V of the tagged spaces.
 
     Linearity in V makes checking the extreme points sufficient for the
-    whole convex hulls.
+    whole convex hulls.  The worst entry is the first, in C-order over
+    (tuple, element), furthest outside [0, 1].
     """
     spaces = list(site_spaces)
     if not spaces:
@@ -265,19 +260,20 @@ def admissible_povm(povm: Povm, site_spaces: Sequence[VirtualSpaceTag]) -> Admis
     dim = int(np.prod([t.basis.D for t in spaces]))
     if povm.dim != dim:
         raise UsageError(f"POVM dim {povm.dim} != product virtual dim {dim}")
-    ranges = [range(t.basis.D**2) for t in spaces]
-    min_v, max_v = np.inf, -np.inf
+    # V[k_1..k_v] = C~_{k_1} (x) ... (x) C~_{k_v}, multiplied left to right like tensor_product
+    V = np.ones((1, 1, 1))
+    for t in spaces:
+        F = np.stack([t.element(k) for k in range(t.basis.D**2)])
+        (n, a, _), (m, b, _) = V.shape, F.shape
+        V = V[:, None, :, None, :, None] * F[None, :, None, :, None, :]
+        V = V.reshape(n * m, a * b, a * b)
+    vals = linalg.overlaps(V, povm.elements).reshape([t.basis.D**2 for t in spaces] + [-1])
+    excess = np.maximum(-vals, vals - 1.0)
+    k = np.unravel_index(int(np.argmax(excess)), vals.shape)
     worst = ((0,) * len(spaces), 0, 0.0)
-    for tup in itertools.product(*ranges):
-        V = linalg.tensor_product([t.element(k) for t, k in zip(spaces, tup)])
-        for j, x in enumerate(povm.elements):
-            val = float(np.real(np.trace(V @ x)))
-            min_v = min(min_v, val)
-            max_v = max(max_v, val)
-            # track the entry furthest outside [0, 1]
-            excess = max(-val, val - 1.0)
-            if excess > max(-worst[2], worst[2] - 1.0):
-                worst = (tup, j, val)
+    if excess[k] > 0.0:
+        worst = (tuple(int(i) for i in k[:-1]), int(k[-1]), float(vals[k]))
+    min_v, max_v = float(vals.min()), float(vals.max())
     admissible = min_v >= -ADMISSIBLE_ATOL and max_v <= 1.0 + ADMISSIBLE_ATOL
     return AdmissibilityReport(admissible=admissible, min_value=min_v, max_value=max_v, worst=worst)
 
@@ -304,9 +300,10 @@ def measurement_set_from_json(obj: dict) -> MeasurementSet:
             )
             for p in obj["povms"]
         )
-    except (KeyError, TypeError) as exc:
+        dim = int(obj["dim"]) if "dim" in obj else None
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed measurement-set file: {exc}") from exc
     mset = MeasurementSet(povms=povms)
-    if "dim" in obj and mset.dim != int(obj["dim"]):
+    if dim is not None and mset.dim != dim:
         raise UsageError("measurement-set file dim disagrees with elements")
     return mset

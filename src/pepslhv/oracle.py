@@ -1,8 +1,8 @@
 """Brute-force ground truth for desk-scale instances.
 
 Exact Born-rule joint distributions from the assembled state, exact
-distributions from the enumerated separable mixture, and total-variation
-comparison of sampler output against either.
+distributions from the separable mixture (one edge contraction), and
+total-variation comparison of sampler output against either.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from pepslhv import linalg
 from pepslhv.construction import PepsInstance, assemble_exact_state
-from pepslhv.decomposition import enumerate_mixture_terms
+from pepslhv.decomposition import contract_mixture, site_families
 from pepslhv.errors import UsageError
 from pepslhv.sampling import MeasurementPlan, ShotBatch
 
@@ -79,23 +79,14 @@ def born_joint_for_instance(instance: PepsInstance, plan: MeasurementPlan) -> Jo
 
 
 def mixture_joint_distribution(instance: PepsInstance, plan: MeasurementPlan) -> JointDistribution:
-    """sum_lambda p(lambda) prod_s tr(sigma_s X_{j_s}) over all edge assignments."""
+    """sum_lambda p(lambda) prod_s tr(sigma_s X_{j_s}), i.e. prod_s tr(O_s X_{j_s}) normalized."""
     povms = plan.povms(instance)
     arities = [p.n_outcomes for p in povms]
     if int(np.prod(arities)) > MAX_OUTCOME_SPACE:
         raise UsageError("joint outcome space too large")
-    acc = np.zeros(arities)
-    # the final normalization divides out sum_lambda weight
-    for _, weight, sigmas in enumerate_mixture_terms(instance):
-        local = [
-            np.real(np.einsum("ab,eba->e", sigma, p.elements))
-            for sigma, p in zip(sigmas, povms)
-        ]
-        joint = local[0]
-        for loc in local[1:]:
-            joint = np.multiply.outer(joint, loc)
-        acc += weight * joint
-    acc = np.clip(acc, 0.0, None)
+    families, site_family = site_families(instance)
+    tables = [linalg.overlaps(families[f], p.elements) for f, p in zip(site_family, povms)]
+    acc = np.clip(contract_mixture(instance, tables, extra_axes=1), 0.0, None)
     return JointDistribution(arities=tuple(arities), probs=acc / acc.sum())
 
 

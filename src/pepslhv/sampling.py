@@ -87,13 +87,10 @@ class ShotBatch:
         return self.outcomes.shape[0]
 
     def records(self) -> Iterator[ShotRecord]:
-        for i in range(self.n_shots):
-            hidden = tuple(int(x) for x in self.hidden[i]) if self.hidden is not None else None
-            yield ShotRecord(
-                shot=self.start_shot + i,
-                outcomes=tuple(int(x) for x in self.outcomes[i]),
-                hidden=hidden,
-            )
+        # row by row, so the batch is never held a second time as Python lists
+        for i, row in enumerate(self.outcomes):
+            hidden = tuple(self.hidden[i].tolist()) if self.hidden is not None else None
+            yield ShotRecord(shot=self.start_shot + i, outcomes=tuple(row.tolist()), hidden=hidden)
 
 
 def derive_seed(seed: int, label: str) -> int:

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pepslhv import cli, configio, linalg
+from pepslhv import cli, configio, linalg, measurements
 from pepslhv.errors import ConstructionError, DegenerateNormError
 
 
@@ -225,6 +227,99 @@ class TestPepsCommands:
         )
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+
+def with_field(config, where, value):
+    """A deep copy of config with the field at the key path `where` set to value."""
+    config = json.loads(json.dumps(config))
+    parent = config
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    return config
+
+
+PAULI2_JSON = measurements.measurement_set_to_json(measurements.pauli_product_measurements(2))
+MALFORMED_FIELDS = [
+    (("site_map", "epsilon"), "abc"),
+    (("site_map", "epsilon"), [0.2]),
+    (("site_map", "epsilon"), None),
+    (("site_map", "epsilon"), 1e308),
+    (("site_map", "seed"), "x"),
+    (("site_map",), "recipe-2"),
+    (("lattice",), {"n_sites": "x", "edges": [[0, 1], [1, 2], [2, 0]]}),
+    (("basis",), {"D": "x", "elements": []}),
+    (("measurements",), dict(PAULI2_JSON, dim="x")),
+    (("psi",), "zero:-1"),
+    (("psi",), "uniform:-2"),
+    (("basis",), "aligned:-2:zero"),
+]
+
+
+class TestMalformedInstanceFiles:
+    @pytest.mark.parametrize(
+        "where, value",
+        MALFORMED_FIELDS,
+        ids=[
+            "epsilon-string", "epsilon-list", "epsilon-null", "epsilon-overflow",
+            "seed-string", "site_map-string", "lattice-n_sites-string", "basis-D-string",
+            "measurements-dim-string", "psi-zero-negative", "psi-uniform-negative",
+            "basis-aligned-negative",
+        ],
+    )
+    def test_field_exit_2(self, instance_file, capsys, where, value):
+        config = with_field(json.loads(instance_file.read_text()), where, value)
+        instance_file.write_text(json.dumps(config))
+        assert run("peps", "check", str(instance_file)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_top_level_not_object_exit_2(self, instance_file, capsys):
+        instance_file.write_text(json.dumps([json.loads(instance_file.read_text())]))
+        assert run("peps", "check", str(instance_file)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+# what `peps build` writes for the instance_file fixture
+CYCLE3_INSTANCE = {
+    "lattice": "cycle:3",
+    "basis": "aligned:2:zero",
+    "measurements": "noisy-pauli:2:0.5",
+    "psi": "plus-diag:2",
+    "site_map": {"recipe": "2", "epsilon": 0.2, "seed": 0},
+}
+FUZZ_FIELDS = [(key,) for key in CYCLE3_INSTANCE] + [
+    ("site_map", key) for key in ("recipe", "epsilon", "seed", "kraus")
+]
+SPEC_NAMES = [
+    "chain", "cycle", "torus", "pauli", "noisy-pauli", "bell", "aligned", "phase-point",
+    "zero", "uniform", "plus-diag", "identity", "custom",
+]
+# small integers only: pauli:n allocates 3^n * 2^n elements
+SMALL_INT = st.integers(-3, 4).map(str)
+SPEC_STRINGS = st.lists(
+    st.one_of(
+        st.sampled_from(SPEC_NAMES),
+        SMALL_INT,
+        st.tuples(SMALL_INT, SMALL_INT).map("x".join),
+    ),
+    min_size=1,
+    max_size=4,
+).map(":".join)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestFuzzInstanceFile:
+    @given(field=st.sampled_from(FUZZ_FIELDS), value=st.one_of(SPEC_STRINGS, JSON_VALUES))
+    @settings(max_examples=100, deadline=None)
+    def test_check_exit_code_in_contract(self, tmp_path_factory, field, value):
+        path = tmp_path_factory.mktemp("fuzz") / "inst.json"
+        path.write_text(json.dumps(with_field(CYCLE3_INSTANCE, field, value)))
+        assert cli.main(["peps", "check", str(path)]) in range(5)
 
 
 class TestSampleAndVerify:

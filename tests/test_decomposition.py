@@ -170,11 +170,9 @@ class TestEdgeDistribution:
 
     def test_joint_matches_brute_force(self, cycle3_instance):
         dists = dec.edge_distribution(cycle3_instance)
-        numerators = {}
-        for assignment, weight, _ in dec.enumerate_mixture_terms(cycle3_instance):
-            numerators[assignment] = weight
-        total = sum(numerators.values())
-        for assignment, weight in numerators.items():
+        numerators = dec.mixture_weights(cycle3_instance)
+        total = numerators.sum()
+        for assignment, weight in np.ndenumerate(numerators):
             product = np.prod([dists.probs[e][k] for e, k in enumerate(assignment)])
             assert product == pytest.approx(weight / total, abs=1e-12)
 
@@ -207,8 +205,36 @@ class TestMixtureReconstruction:
 
     def test_chain2_four_terms(self):
         inst = build(recipe2_config(lattice="chain:2"))
-        terms = list(dec.enumerate_mixture_terms(inst))
-        assert len(terms) == 4
+        terms = dec.mixture_weights(inst)
+        assert terms.size == 4
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            recipe2_config(lattice="chain:3"),
+            recipe2_config(),
+            {
+                "lattice": "cycle:3",
+                "basis": "phase-point",
+                "measurements": "bell",
+                "site_map": {"recipe": "identity"},
+            },
+        ],
+        ids=["chain3", "cycle3", "cycle3-identity"],
+    )
+    def test_mixture_weights_match_enumeration(self, config):
+        inst = build(config)
+        lat = inst.lattice
+        n = inst.D**2
+        weights = dec.mixture_weights(inst)
+        assert weights.shape == (n,) * lat.n_edges
+        for assignment in itertools.product(range(n), repeat=lat.n_edges):
+            expected = 1.0
+            for s, m in enumerate(inst.site_maps):
+                tup = [assignment[e] for e, _ in lat.incident_edges(s)]
+                flags = [not ishead for _, ishead in lat.incident_edges(s)]
+                expected *= np.trace(dec.site_output_operator(m, inst.basis, tup, flags)).real
+            assert weights[assignment] == pytest.approx(expected, abs=1e-12)
 
     def test_T_consistency_three_ways(self, cycle3_instance):
         dists = dec.edge_distribution(cycle3_instance)

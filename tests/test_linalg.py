@@ -55,6 +55,22 @@ class TestTensorProduct:
         assert np.array_equal(left, right)
 
 
+class TestOverlaps:
+    @pytest.mark.parametrize("hermitian_side", ["right", "left"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_trace_loop(self, hermitian_side, seed):
+        rng = np.random.default_rng(seed)
+        d = 3
+        general = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+        herm = np.stack([random_hermitian(rng, d) for _ in range(4)])
+        A, B = (general, herm) if hermitian_side == "right" else (herm, general)
+        got = linalg.overlaps(A, B)
+        assert got.shape == (len(A), len(B))
+        for i, a in enumerate(A):
+            for j, b in enumerate(B):
+                assert got[i, j] == pytest.approx(np.trace(a @ b).real, abs=1e-12)
+
+
 class TestPartialTrace:
     def test_bell_marginal_is_maximally_mixed(self):
         phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pepslhv import measurements as meas
-from pepslhv.basis import VirtualSpaceTag, bloch_diag_state, phase_point_basis
+from pepslhv.basis import VirtualSpaceTag, bloch_diag_state, build_aligned_basis, phase_point_basis
 from pepslhv.errors import UsageError
-from pepslhv.linalg import kron_vectors, projector
+from pepslhv.linalg import kron_vectors, projector, tensor_product
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +210,53 @@ class TestAdmissibility:
         assert not report.admissible
         assert report.min_value == pytest.approx(-0.5, abs=1e-10)
         assert report.worst[2] == pytest.approx(-0.5, abs=1e-10)
+
+    # the reports of the per-tuple loop this scan replaced
+    HALF = 0.4999999999999999
+    HEAD_HEAD = (False, -HALF, HALF, ((0, 0), 2, -HALF))
+
+    @pytest.mark.parametrize(
+        "pattern, expected",
+        [
+            ((False, True), (True, 0.0, 0.9999999999999998, ((0, 0), 0, 0.0))),
+            ((False, False), HEAD_HEAD),
+            ((True, True), HEAD_HEAD),
+        ],
+        ids=["head-tail", "head-head", "tail-tail"],
+    )
+    def test_bell_reports_pinned(self, pattern, expected):
+        b = phase_point_basis()
+        tags = [VirtualSpaceTag(basis=b, transposed=t) for t in pattern]
+        report = meas.admissible_povm(meas.bell_povm(), tags)
+        admissible, min_value, max_value, (tup, j, value) = expected
+        assert report.admissible is admissible
+        assert report.min_value == pytest.approx(min_value, abs=1e-12)
+        assert report.max_value == pytest.approx(max_value, abs=1e-12)
+        assert report.worst[:2] == (tup, j)
+        assert report.worst[2] == pytest.approx(value, abs=1e-12)
+
+    def test_three_spaces_match_tensor_product_loop(self):
+        aligned = build_aligned_basis(2, np.array([1, 0]))
+        tags = [
+            VirtualSpaceTag(basis=aligned, transposed=False),
+            VirtualSpaceTag(basis=phase_point_basis(), transposed=True),
+            VirtualSpaceTag(basis=aligned, transposed=True),
+        ]
+        _, povm = meas.pauli_product_measurements(3).by_label("XYZ")
+        report = meas.admissible_povm(povm, tags)
+        min_v, max_v, worst = np.inf, -np.inf, ((0, 0, 0), 0, 0.0)
+        for tup in itertools.product(range(4), repeat=3):
+            V = tensor_product([t.element(k) for t, k in zip(tags, tup)])
+            for j, x in enumerate(povm.elements):
+                val = float(np.trace(V @ x).real)
+                min_v, max_v = min(min_v, val), max(max_v, val)
+                if max(-val, val - 1.0) > max(-worst[2], worst[2] - 1.0):
+                    worst = (tup, j, val)
+        assert not report.admissible
+        assert report.min_value == pytest.approx(min_v, abs=1e-12)
+        assert report.max_value == pytest.approx(max_v, abs=1e-12)
+        assert report.worst[:2] == worst[:2]
+        assert report.worst[2] == pytest.approx(worst[2], abs=1e-12)
 
     def test_computational_basis_vs_phase_points(self):
         b = phase_point_basis()

@@ -65,6 +65,14 @@ class TestMixtureJointDistribution:
         exact = oracle.born_joint_for_instance(inst, plan)
         assert np.max(np.abs(mix.probs - exact.probs)) <= 1e-10
 
+    def test_desk_oracle_instance_matches_born(self):
+        inst = build(recipe2_config(lattice="cycle:6"))
+        plan = sampling.MeasurementPlan.uniform(inst, "ZZ~0.5")
+        mix = oracle.mixture_joint_distribution(inst, plan)
+        exact = oracle.born_joint_for_instance(inst, plan)
+        assert mix.arities == (4,) * 6
+        assert np.max(np.abs(mix.probs - exact.probs)) <= 1e-10
+
     def test_identity_bell_cycle(self, identity_bell_config):
         inst = build(identity_bell_config)
         plan = sampling.MeasurementPlan.uniform(inst, "bell")

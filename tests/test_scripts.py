@@ -1,0 +1,42 @@
+"""Smoke tests: the experiment scripts run end to end and print their findings."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_bell_identity_demo():
+    lines = run_script("bell_identity_demo.py", "--shots", "2000")
+    assert lines[0] == "head-tail pair : admissible=True values in [+0.000, +1.000]"
+    assert lines[1] == "head-head pair : admissible=False worst value -0.500 at tuple (0, 0)"
+    match = re.fullmatch(
+        r"sampler vs oracle: TV = (\S+) \(bound (\S+)\) over 64 joint outcomes, 2000 shots",
+        lines[2],
+    )
+    assert match and float(match[1]) <= float(match[2])
+
+
+def test_epsilon_threshold():
+    lines = run_script("epsilon_threshold.py")
+    assert lines == [
+        "slack at epsilon=0: 0.044658",
+        "threshold bracket: (0.112060546875, 0.112121582031), width 6.1e-05",
+    ]
