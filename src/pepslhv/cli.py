@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -41,17 +40,6 @@ def _write_json(path, obj) -> None:
 
 def _print(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
-
-
-def _workers(args) -> int:
-    """--workers if given, else $RSEP_WORKERS, else 1."""
-    if args.workers is not None:
-        return args.workers
-    raw = os.environ.get("RSEP_WORKERS", "1")
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise UsageError(f"RSEP_WORKERS must be an integer, got {raw!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +147,7 @@ def cmd_sample(args) -> int:
         args.shots,
         args.seed,
         emit_hidden=args.emit_hidden,
-        workers=_workers(args),
+        workers=args.workers,
     )
     with open(args.out, "w") as fh:
         for record in batch.records():
@@ -177,7 +165,7 @@ def cmd_verify(args) -> int:
         tv = oracle.tv_distance(mix, exact)
         out = {"mode": "mixture", "tv": tv, "threshold": 1e-10, "pass": tv <= 1e-10}
     else:
-        batch = sampling.run_shots(instance, plan, args.shots, args.seed, workers=_workers(args))
+        batch = sampling.run_shots(instance, plan, args.shots, args.seed, workers=args.workers)
         report = oracle.frequency_test(batch, exact, confidence_k=args.confidence_k)
         out = {"mode": "shots", **report.to_json()}
     if args.out:
@@ -196,7 +184,7 @@ def cmd_bench(args) -> int:
         dists = decomposition.edge_distribution(instance)
         t0 = time.perf_counter()
         sampling.run_shots(
-            instance, plan, args.shots, args.seed, edge_dists=dists, workers=_workers(args)
+            instance, plan, args.shots, args.seed, edge_dists=dists, workers=args.workers
         )
         seconds = time.perf_counter() - t0
         n_sites = instance.lattice.n_sites
@@ -281,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--shots", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--emit-hidden", action="store_true")
-    s.add_argument("--workers", type=int, help="default: $RSEP_WORKERS or 1")
+    s.add_argument("--workers", type=int, default=1)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_sample)
 
@@ -292,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--shots", type=int, default=100_000)
     vf.add_argument("--seed", type=int, default=0)
     vf.add_argument("--confidence-k", type=float, default=4.0)
-    vf.add_argument("--workers", type=int, help="default: $RSEP_WORKERS or 1")
+    vf.add_argument("--workers", type=int, default=1)
     vf.add_argument("--out")
     vf.set_defaults(func=cmd_verify)
 
@@ -304,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--plan", required=True)
     bn.add_argument("--shots", type=int, default=10_000)
     bn.add_argument("--seed", type=int, default=0)
-    bn.add_argument("--workers", type=int, help="default: $RSEP_WORKERS or 1")
+    bn.add_argument("--workers", type=int, default=1)
     bn.add_argument("--out")
     bn.set_defaults(func=cmd_bench)
 

@@ -257,16 +257,21 @@ def trace_factorization(table, v: int) -> FactorizationResult:
 
 @dataclass(frozen=True)
 class EdgeDistributions:
-    probs: tuple  # one categorical of length D^2 per edge
-    T: float
-    site_factors: tuple  # per site, factors in incidence order
+    probs: np.ndarray  # (E, D^2), row e the categorical of edge e
+    log_T: float
+
+    @property
+    def T(self) -> float:
+        return math.exp(self.log_T)
 
 
 def edge_distribution(instance: PepsInstance) -> EdgeDistributions:
-    """Per-edge categorical distributions p_e and the normalization T.
+    """Per-edge categorical distributions p_e and the log normalization log T.
 
     p_e(k) is proportional to the head factor times the tail factor of
-    edge e; T is prod_e Z_e / D^(2E) with Z_e the unnormalized mass.
+    edge e.  T = prod_e Z_e / D^(2E), with Z_e the unnormalized mass, runs
+    about 2^-E and underflows to 0.0 beyond about a thousand edges, so it is
+    kept as log T = sum_e log Z_e - 2E ln D; `T` is its exponential.
     """
     lat = instance.lattice
     n = instance.D**2
@@ -284,24 +289,15 @@ def edge_distribution(instance: PepsInstance) -> EdgeDistributions:
                 f"site {s}: trace tensor not rank-1 (residual {res.residual:.3e})"
             )
         factors.append(res.factors)
-    site_factors = [factors[f] for f in site_family]
 
-    # locate the factor vector each edge end contributes
-    position = {}
-    for s in range(lat.n_sites):
-        for pos, (e, ishead) in enumerate(lat.incident_edges(s)):
-            position[(e, ishead)] = (s, pos)
-    probs = []
-    log_T = 0.0
-    for e in range(lat.n_edges):
-        hs, hp = position[(e, True)]
-        ts, tp = position[(e, False)]
-        weights = site_factors[hs][hp] * site_factors[ts][tp]
-        Z = float(np.sum(weights))
-        probs.append(weights / Z)
-        log_T += math.log(Z)
-    T = math.exp(log_T - 2.0 * lat.n_edges * math.log(instance.D))
-    return EdgeDistributions(probs=tuple(probs), T=T, site_factors=tuple(site_factors))
+    # each edge's row collects the factor of its head end and of its tail end
+    weights = np.ones((lat.n_edges, n))
+    for s, f in enumerate(site_family):
+        for (e, _), factor in zip(lat.incident_edges(s), factors[f]):
+            weights[e] *= factor
+    Z = weights.sum(axis=1)
+    log_T = float(np.log(Z).sum()) - 2.0 * lat.n_edges * math.log(instance.D)
+    return EdgeDistributions(probs=weights / Z[:, None], log_T=log_T)
 
 
 # ---------------------------------------------------------------------------

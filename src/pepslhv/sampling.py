@@ -119,32 +119,37 @@ def shot_uniforms(
     return np.ascontiguousarray(u[:, :n_slots])
 
 
-def _edge_cdfs(probs) -> list:
-    cdfs = []
-    for p in probs:
-        cdf = np.cumsum(p)
-        cdf[-1] = 1.0
-        cdfs.append(cdf)
-    return cdfs
+def _edge_cdfs(probs) -> np.ndarray:
+    """Cumulative edge categoricals, (E, D^2), each row ending at exactly 1.0."""
+    cdf = np.cumsum(probs, axis=1)
+    cdf[:, -1] = 1.0
+    return cdf
 
 
-def _draw_edges(edge_cdfs: list, seed: int, start: int, count: int) -> np.ndarray:
-    """Edge indices for shots start..start+count-1, shape (count, E)."""
-    U = shot_uniforms(seed, start, count, len(edge_cdfs), label="edges")
-    lam = np.empty(U.shape, dtype=np.int64)
-    for e, cdf in enumerate(edge_cdfs):
-        lam[:, e] = np.minimum(np.searchsorted(cdf, U[:, e], side="right"), cdf.size - 1)
-    return lam
+def _draw_edges(edge_cdfs: np.ndarray, seed: int, start: int, lam: np.ndarray) -> None:
+    """Write the edge indices of shots start..start+len(lam)-1 into lam, (count, E).
+
+    Index = number of CDF bins k < D^2 - 1 with cdf[k] <= u; each row is
+    non-decreasing and ends at 1.0 > u, so this is searchsorted(side="right").
+    """
+    U = shot_uniforms(seed, start, len(lam), len(edge_cdfs), label="edges")
+    lam[:] = 0
+    for k in range(edge_cdfs.shape[1] - 1):
+        lam += U >= edge_cdfs[:, k]
 
 
 def _draw_sites(
-    instance: PepsInstance, site_tables: list, lam: np.ndarray, seed: int, start: int
-) -> np.ndarray:
-    """Outcomes given the edge indices lam of shots start.., shape (len(lam), N)."""
+    instance: PepsInstance,
+    site_tables: list,
+    lam: np.ndarray,
+    seed: int,
+    start: int,
+    outcomes: np.ndarray,
+) -> None:
+    """Outcomes of shots start.. given their edge indices lam, written into outcomes (len(lam), N)."""
     lat = instance.lattice
     n = instance.D**2
     U = shot_uniforms(seed, start, len(lam), lat.n_sites, label="sites")
-    outcomes = np.empty((len(lam), lat.n_sites), dtype=np.int64)
     for s, table in enumerate(site_tables):
         flat = np.zeros(len(lam), dtype=np.int64)
         for e, _ in lat.incident_edges(s):
@@ -152,13 +157,15 @@ def _draw_sites(
         rows = table[flat]
         idx = np.sum(rows <= U[:, s][:, None], axis=1)
         outcomes[:, s] = np.minimum(idx, table.shape[1] - 1)
-    return outcomes
 
 
 def sample_hidden(edge_dists, seed: int, shot: int) -> np.ndarray:
     """Edge assignment for one shot; deterministic in (seed, shot)."""
-    probs = edge_dists.probs if isinstance(edge_dists, EdgeDistributions) else tuple(edge_dists)
-    return _draw_edges(_edge_cdfs(probs), seed, shot, 1)[0]
+    probs = edge_dists.probs if isinstance(edge_dists, EdgeDistributions) else edge_dists
+    cdfs = _edge_cdfs(probs)
+    lam = np.empty((1, len(cdfs)), dtype=np.int64)
+    _draw_edges(cdfs, seed, shot, lam)
+    return lam[0]
 
 
 def _site_cdf_tables(instance: PepsInstance, povms: list) -> list:
@@ -211,8 +218,11 @@ def sample_outcomes(
     if np.any(assignment < 0) or np.any(assignment >= n):
         raise UsageError("edge index out of range")
     site_tables = _site_cdf_tables(instance, plan.povms(instance))
-    outcomes = _draw_sites(instance, site_tables, assignment[None, :], seed, shot)[0].tolist()
-    return ShotRecord(shot=shot, outcomes=tuple(outcomes), hidden=tuple(assignment.tolist()))
+    outcomes = np.empty((1, lat.n_sites), dtype=np.int64)
+    _draw_sites(instance, site_tables, assignment[None, :], seed, shot, outcomes)
+    return ShotRecord(
+        shot=shot, outcomes=tuple(outcomes[0].tolist()), hidden=tuple(assignment.tolist())
+    )
 
 
 def run_shots(
@@ -229,33 +239,29 @@ def run_shots(
     """Sample n_shots records; deterministic per shot regardless of chunking."""
     if n_shots < 0:
         raise UsageError("n_shots must be >= 0")
+    if workers < 1:
+        raise UsageError(f"workers must be >= 1, got {workers}")
     if edge_dists is None:
         edge_dists = edge_distribution(instance)
     lat = instance.lattice
     edge_cdfs = _edge_cdfs(edge_dists.probs)
     site_tables = _site_cdf_tables(instance, plan.povms(instance))
+    lam = np.empty((n_shots, lat.n_edges), dtype=np.int64)
+    outcomes = np.empty((n_shots, lat.n_sites), dtype=np.int64)
 
-    spans = [
-        (start_shot + off, min(chunk, n_shots - off))
-        for off in range(0, n_shots, chunk)
-    ] or []
+    def work(off):
+        # each chunk writes only its own rows, so chunks may run in any order
+        part = slice(off, off + chunk)
+        _draw_edges(edge_cdfs, seed, start_shot + off, lam[part])
+        _draw_sites(instance, site_tables, lam[part], seed, start_shot + off, outcomes[part])
 
-    def work(span):
-        lam = _draw_edges(edge_cdfs, seed, *span)
-        return lam, _draw_sites(instance, site_tables, lam, seed, span[0])
-
-    if workers > 1 and len(spans) > 1:
+    offsets = range(0, n_shots, chunk)
+    if workers > 1 and len(offsets) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, spans))
+            list(pool.map(work, offsets))
     else:
-        parts = [work(sp) for sp in spans]
-
-    if parts:
-        lam = np.concatenate([p[0] for p in parts])
-        outcomes = np.concatenate([p[1] for p in parts])
-    else:
-        lam = np.empty((0, lat.n_edges), dtype=np.int64)
-        outcomes = np.empty((0, lat.n_sites), dtype=np.int64)
+        for off in offsets:
+            work(off)
     return ShotBatch(
         start_shot=start_shot,
         outcomes=outcomes,

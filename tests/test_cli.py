@@ -358,16 +358,17 @@ class TestSampleAndVerify:
         report = json.loads(out.read_text())
         assert report["pass"] is True
 
-    def test_malformed_workers_env_exit_2(self, instance_file, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("RSEP_WORKERS", "abc")
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, instance_file, tmp_path, capsys, workers):
         code = run(
             "sample", str(instance_file),
             "--plan", "all:ZZ~0.5",
             "--shots", "10",
+            "--workers", workers,
             "--out", str(tmp_path / "s.jsonl"),
         )
         assert code == 2
-        assert "RSEP_WORKERS" in capsys.readouterr().err
+        assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_degenerate_norm_exit_2(self, instance_file, capsys, monkeypatch):
         def zero_norm(instance):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -162,6 +163,35 @@ class TestEdgeDistribution:
         )
         dists = dec.edge_distribution(inst)
         assert dists.T == pytest.approx(0.53125, abs=1e-10)
+
+    def test_log_T_matches_mixture_normalization(self):
+        inst = build(recipe2_config(lattice="cycle:6"))
+        dists = dec.edge_distribution(inst)
+        assert dists.log_T == pytest.approx(math.log(dec.mixture_normalization(inst)), abs=1e-12)
+        assert dists.T == math.exp(dists.log_T)
+
+    @pytest.mark.parametrize(
+        "lattice, T", [("cycle:6", 0.015775601281537033), ("chain:2", 0.5008)]
+    )
+    def test_T_pinned(self, lattice, T):
+        # prod_e Z_e / D^(2E); exp(log_T) must keep it to 1e-12
+        assert dec.edge_distribution(build(recipe2_config(lattice=lattice))).T == pytest.approx(
+            T, rel=1e-12
+        )
+
+    def test_log_T_finite_where_T_underflows(self):
+        # log T is additive over identical edges; T itself is below the
+        # smallest double at 1200 edges
+        log_T6 = dec.edge_distribution(build(recipe2_config(lattice="cycle:6"))).log_T
+        dists = dec.edge_distribution(build(recipe2_config(lattice="cycle:1200")))
+        assert math.isfinite(dists.log_T)
+        assert dists.log_T == pytest.approx(200 * log_T6, rel=1e-9)
+        assert dists.T == 0.0
+
+    def test_probs_one_row_per_edge(self, cycle3_instance):
+        dists = dec.edge_distribution(cycle3_instance)
+        assert isinstance(dists.probs, np.ndarray)
+        assert dists.probs.shape == (cycle3_instance.lattice.n_edges, cycle3_instance.D**2)
 
     def test_probabilities_normalized(self, cycle3_instance):
         dists = dec.edge_distribution(cycle3_instance)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -82,17 +83,33 @@ class TestSampleHidden:
         sigma = np.sqrt(n * 0.25 * 0.75)
         assert np.all(np.abs(counts - n / 4) < 4 * sigma)
 
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_matches_batched_run(self, shot):
-        probs = [np.array([0.1, 0.2, 0.3, 0.4]), np.full(4, 0.25)]
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda D: st.lists(
+                st.lists(
+                    st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                    min_size=D * D,
+                    max_size=D * D,
+                ).filter(any),
+                min_size=1,
+                max_size=5,
+            )
+        ),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_matches_batched_run(self, rows, shot):
+        # rows of length 4 (D = 2) or 9 (D = 3), zero bins allowed
+        probs = [np.array(r) / sum(r) for r in rows]
+        n = len(rows[0])
         single = sampling.sample_hidden(probs, seed=11, shot=shot)
         # the batched sampler must agree with the one-shot path
-        u = sampling.shot_uniforms(11, shot, 1, 2, label="edges")[0]
+        u = sampling.shot_uniforms(11, shot, 1, len(probs), label="edges")[0]
         for e, p in enumerate(probs):
             cdf = np.cumsum(p)
             cdf[-1] = 1.0
-            assert single[e] == min(int(np.searchsorted(cdf, u[e], side="right")), 3)
+            assert single[e] == min(int(np.searchsorted(cdf, u[e], side="right")), n - 1)
+            assert p[single[e]] > 0
 
 
 class TestRunShots:
@@ -113,9 +130,26 @@ class TestRunShots:
 
     def test_worker_count_does_not_change_output(self, chain4, chain4_dists):
         plan = uniform_plan(chain4)
-        a = sampling.run_shots(chain4, plan, 4000, 1, edge_dists=chain4_dists, workers=1, chunk=512)
-        b = sampling.run_shots(chain4, plan, 4000, 1, edge_dists=chain4_dists, workers=4, chunk=512)
+        kw = dict(edge_dists=chain4_dists, emit_hidden=True)
+        a = sampling.run_shots(chain4, plan, 4000, 1, workers=1, chunk=512, **kw)
+        b = sampling.run_shots(chain4, plan, 4000, 1, workers=4, chunk=512, **kw)
         assert np.array_equal(a.outcomes, b.outcomes)
+        assert np.array_equal(a.hidden, b.hidden)
+        # an offset start and a chunk that leaves a short last chunk; threads
+        # switch often so that chunks writing the shared batch interleave
+        whole = sampling.run_shots(chain4, plan, 4000, 1, start_shot=7, chunk=4000, **kw)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ragged = sampling.run_shots(
+                chain4, plan, 4000, 1, start_shot=7, workers=4, chunk=384, **kw
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert ragged.start_shot == 7
+        assert np.array_equal(whole.outcomes, ragged.outcomes)
+        assert np.array_equal(whole.hidden, ragged.hidden)
+        assert np.array_equal(whole.outcomes[:-7], a.outcomes[7:])
 
     def test_single_shot_path_agrees(self, chain4, chain4_dists):
         plan = uniform_plan(chain4)
@@ -169,8 +203,11 @@ class TestGoldenDigest:
              "a2a64a2bea562b446571c63eeab83318adec2dde5f438707402b11c06c9aa60f"),
             ("torus:3x3", 4, 0.1, "all:ZZZZ~0.5", False,
              "2e61a5a3663be6f2bc9b717b8f6e18e45540cf73c0e1fc00825178785eb47ff9"),
+            # mixed degree (1 at the ends, 2 inside) and a different POVM per site
+            ("chain:5", 2, 0.2, {"sites": ["ZZ~0.5", "XY~0.5", "ZZ~0.5", "YX~0.5", "ZZ~0.5"]},
+             True, "52120d5b0eecab97442b1563836124a26103e31f25f7a98c55e99d4c23a97861"),
         ],
-        ids=["cycle6-hidden", "torus3x3-d16"],
+        ids=["cycle6-hidden", "torus3x3-d16", "chain5-sites-hidden"],
     )
     def test_sample_jsonl_digest(self, tmp_path, lattice, qubits, epsilon, plan, hidden, digest):
         inst = tmp_path / "inst.json"
@@ -184,6 +221,10 @@ class TestGoldenDigest:
             "--epsilon", str(epsilon),
             "--out", str(inst),
         ]) == 0
+        if isinstance(plan, dict):
+            plan_file = tmp_path / "plan.json"
+            plan_file.write_text(json.dumps(plan))
+            plan = f"@{plan_file}"
         out = tmp_path / "shots.jsonl"
         argv = ["sample", str(inst), "--plan", plan, "--shots", "2000", "--seed", "0",
                 "--out", str(out)]
