@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -150,8 +152,7 @@ def cmd_sample(args) -> int:
         workers=args.workers,
     )
     with open(args.out, "w") as fh:
-        for record in batch.records():
-            fh.write(record.to_json() + "\n")
+        batch.write_jsonl(fh)
     print(f"wrote {batch.n_shots} shots to {args.out}")
     return EXIT_OK
 
@@ -172,6 +173,25 @@ def cmd_verify(args) -> int:
         _write_json(args.out, out)
     _print(out)
     return EXIT_OK if out["pass"] else EXIT_POSITIVITY
+
+
+def _bench_env() -> dict:
+    """The machine and versions a bench record was measured with."""
+    cpu = ""
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {
+        "nproc": nproc,
+        "cpu": cpu or platform.processor(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
 
 
 def cmd_bench(args) -> int:
@@ -197,7 +217,7 @@ def cmd_bench(args) -> int:
                 "site_outcomes_per_s": args.shots * n_sites / seconds,
             }
         )
-    out = {"timings": rows}
+    out = {"env": _bench_env(), "timings": rows}
     if args.out:
         _write_json(args.out, out)
     _print(out)

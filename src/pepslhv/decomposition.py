@@ -273,9 +273,15 @@ def edge_distribution(instance: PepsInstance) -> EdgeDistributions:
     about 2^-E and underflows to 0.0 beyond about a thousand edges, so it is
     kept as log T = sum_e log Z_e - 2E ln D; `T` is its exponential.
     """
+    return _edge_distribution(instance, *site_families(instance))
+
+
+def _edge_distribution(
+    instance: PepsInstance, families: list, site_family: list
+) -> EdgeDistributions:
+    """edge_distribution, given site_families(instance)."""
     lat = instance.lattice
     n = instance.D**2
-    families, site_family = site_families(instance)
     factors = []
     for f, ops in enumerate(families):
         s = site_family.index(f)

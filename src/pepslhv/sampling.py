@@ -21,13 +21,16 @@ from pepslhv.construction import PepsInstance
 from pepslhv.decomposition import (
     DUAL_ATOL,
     EdgeDistributions,
-    edge_distribution,
+    _edge_distribution,
     normalized_overlaps,
     site_families,
 )
 from pepslhv.errors import PositivityViolationError, UsageError
 
 DEFAULT_CHUNK = 1 << 16
+_TRANSPOSE_BLOCK = 256  # shots per block in _slot_major_uniforms
+_JSONL_BLOCK = 512  # shots per write in ShotBatch.write_jsonl
+_DECIMAL = [str(v) for v in range(256)]
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,8 @@ class ShotRecord:
 @dataclass(frozen=True)
 class ShotBatch:
     start_shot: int
+    # rows are shots; run_shots hands out transposed views of site- and
+    # edge-major arrays
     outcomes: np.ndarray  # (n_shots, n_sites) int
     hidden: Optional[np.ndarray]  # (n_shots, n_edges) int, if emitted
 
@@ -91,6 +96,32 @@ class ShotBatch:
         for i, row in enumerate(self.outcomes):
             hidden = tuple(self.hidden[i].tolist()) if self.hidden is not None else None
             yield ShotRecord(shot=self.start_shot + i, outcomes=tuple(row.tolist()), hidden=hidden)
+
+    def write_jsonl(self, fh) -> None:
+        """Write one ShotRecord.to_json line per shot to fh, a block of shots per write.
+
+        Only one block is held as text at a time, so the whole batch is never
+        held a second time.
+        """
+        for lo in range(0, self.n_shots, _JSONL_BLOCK):
+            part = slice(lo, lo + _JSONL_BLOCK)
+            shots = range(self.start_shot + lo, self.start_shot + lo + _JSONL_BLOCK)
+            outcomes = _joined_rows(self.outcomes[part])
+            if self.hidden is None:
+                lines = [f'{{"shot":{i},"outcomes":[{o}]}}\n' for i, o in zip(shots, outcomes)]
+            else:
+                hidden = _joined_rows(self.hidden[part])
+                lines = [
+                    f'{{"shot":{i},"outcomes":[{o}],"hidden":[{h}]}}\n'
+                    for i, o, h in zip(shots, outcomes, hidden)
+                ]
+            fh.write("".join(lines))
+
+
+def _joined_rows(block: np.ndarray) -> list:
+    """Each row of an integer block as its comma-joined decimal values."""
+    name = _DECIMAL.__getitem__ if block.dtype == np.uint8 else str
+    return [",".join(map(name, row)) for row in block.tolist()]
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -119,23 +150,61 @@ def shot_uniforms(
     return np.ascontiguousarray(u[:, :n_slots])
 
 
+def _padded(cdf: np.ndarray) -> np.ndarray:
+    """CDF rows padded with 2.0 to a power-of-two width, for _draw."""
+    width = 1 << (cdf.shape[1] - 1).bit_length()
+    out = np.full((len(cdf), width), 2.0)
+    out[:, : cdf.shape[1]] = cdf
+    return out
+
+
+def _slot_major_uniforms(
+    seed: int, start: int, count: int, n_slots: int, label: str
+) -> np.ndarray:
+    """shot_uniforms(seed, start, count, n_slots, label).T, C-contiguous (n_slots, count).
+
+    Drawn and transposed a block of shots at a time, which keeps each
+    transpose in cache and never holds the shot-major block whole.
+    """
+    U = np.empty((n_slots, count))
+    for i in range(0, count, _TRANSPOSE_BLOCK):
+        n = min(_TRANSPOSE_BLOCK, count - i)
+        U[:, i : i + n] = shot_uniforms(seed, start + i, n, n_slots, label).T
+    return U
+
+
 def _edge_cdfs(probs) -> np.ndarray:
-    """Cumulative edge categoricals, (E, D^2), each row ending at exactly 1.0."""
+    """Padded cumulative edge categoricals, each row reaching exactly 1.0."""
     cdf = np.cumsum(probs, axis=1)
     cdf[:, -1] = 1.0
-    return cdf
+    return _padded(cdf)
+
+
+def _draw(table: np.ndarray, idx: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
+    """Categorical draws by branchless bisection over the rows of a padded CDF table.
+
+    Draw i reads row idx[i] of table and writes to out[i] the number of
+    entries <= u[i]; idx is overwritten.  Each row is non-decreasing until it
+    first reaches 1.0, its last real entry is exactly 1.0 and its padding is
+    2.0, so for u < 1.0 the entries <= u are a prefix shorter than the row:
+    bisection finds its length, which is searchsorted(row, u, side="right").
+    """
+    width = table.shape[1]
+    flat = table.ravel()
+    idx *= width
+    # steps width/2 .. 1 as narrow scalars, so that each (entry <= u) * step
+    # stays narrow; flat[step - 1:][idx] is flat[idx + step - 1]
+    steps = width >> np.arange(1, width.bit_length())
+    for step in steps.astype(np.min_scalar_type(width >> 1)):
+        idx += (flat[step - 1 :][idx] <= u) * step
+    np.bitwise_and(idx, width - 1, out=out, casting="unsafe")
 
 
 def _draw_edges(edge_cdfs: np.ndarray, seed: int, start: int, lam: np.ndarray) -> None:
-    """Write the edge indices of shots start..start+len(lam)-1 into lam, (count, E).
-
-    Index = number of CDF bins k < D^2 - 1 with cdf[k] <= u; each row is
-    non-decreasing and ends at 1.0 > u, so this is searchsorted(side="right").
-    """
-    U = shot_uniforms(seed, start, len(lam), len(edge_cdfs), label="edges")
-    lam[:] = 0
-    for k in range(edge_cdfs.shape[1] - 1):
-        lam += U >= edge_cdfs[:, k]
+    """Write the edge indices of shots start..start+count-1 into lam, (E, count)."""
+    U = _slot_major_uniforms(seed, start, lam.shape[1], len(edge_cdfs), "edges")
+    for e, u in enumerate(U):
+        _draw(edge_cdfs[e : e + 1], np.zeros(len(u), dtype=np.intp), u, lam[e])
 
 
 def _draw_sites(
@@ -146,36 +215,28 @@ def _draw_sites(
     start: int,
     outcomes: np.ndarray,
 ) -> None:
-    """Outcomes of shots start.. given their edge indices lam, written into outcomes (len(lam), N)."""
+    """Outcomes of shots start.. given edge indices lam (E, count), into outcomes (N, count)."""
     lat = instance.lattice
     n = instance.D**2
-    U = shot_uniforms(seed, start, len(lam), lat.n_sites, label="sites")
+    U = _slot_major_uniforms(seed, start, lam.shape[1], lat.n_sites, "sites")
     for s, table in enumerate(site_tables):
-        flat = np.zeros(len(lam), dtype=np.int64)
+        row = np.zeros(lam.shape[1], dtype=np.intp)
         for e, _ in lat.incident_edges(s):
-            flat = flat * n + lam[:, e]
-        rows = table[flat]
-        idx = np.sum(rows <= U[:, s][:, None], axis=1)
-        outcomes[:, s] = np.minimum(idx, table.shape[1] - 1)
+            row *= n
+            row += lam[e]
+        _draw(table, row, U[s], outcomes[s])
 
 
-def sample_hidden(edge_dists, seed: int, shot: int) -> np.ndarray:
-    """Edge assignment for one shot; deterministic in (seed, shot)."""
-    probs = edge_dists.probs if isinstance(edge_dists, EdgeDistributions) else edge_dists
-    cdfs = _edge_cdfs(probs)
-    lam = np.empty((1, len(cdfs)), dtype=np.int64)
-    _draw_edges(cdfs, seed, shot, lam)
-    return lam[0]
+def _site_cdf_tables(
+    instance: PepsInstance, povms: list, families: list, site_family: list
+) -> list:
+    """Per site, padded cumulative Born probabilities per extreme index tuple, ((D^2)^v, W).
 
-
-def _site_cdf_tables(instance: PepsInstance, povms: list) -> list:
-    """Per site, cumulative Born probabilities per extreme index tuple, ((D^2)^v, K).
-
-    Sites sharing (site map, flags, POVM) share one table.  The first row,
-    in site then C-order, with a trace below TRACE_FLOOR or an overlap below
-    -DUAL_ATOL raises PositivityViolationError.
+    families and site_family are site_families(instance).  Sites sharing
+    (site map, flags, POVM) share one table.  The first row, in site then
+    C-order, with a trace below TRACE_FLOOR or an overlap below -DUAL_ATOL
+    raises PositivityViolationError.
     """
-    families, site_family = site_families(instance)
     cache: dict = {}
     tables = []
     for s, f in enumerate(site_family):
@@ -197,7 +258,7 @@ def _site_cdf_tables(instance: PepsInstance, povms: list) -> list:
                     witness=(s, r, j, float(probs[r, j])),
                 )
             cdf = np.cumsum(np.clip(probs, 0.0, 1.0), axis=1)
-            cache[key] = cdf / cdf[:, -1:]
+            cache[key] = _padded(cdf / cdf[:, -1:])
         tables.append(cache[key])
     return tables
 
@@ -217,11 +278,11 @@ def sample_outcomes(
     n = instance.D**2
     if np.any(assignment < 0) or np.any(assignment >= n):
         raise UsageError("edge index out of range")
-    site_tables = _site_cdf_tables(instance, plan.povms(instance))
-    outcomes = np.empty((1, lat.n_sites), dtype=np.int64)
-    _draw_sites(instance, site_tables, assignment[None, :], seed, shot, outcomes)
+    site_tables = _site_cdf_tables(instance, plan.povms(instance), *site_families(instance))
+    outcomes = np.empty((lat.n_sites, 1), dtype=np.int64)
+    _draw_sites(instance, site_tables, assignment[:, None], seed, shot, outcomes)
     return ShotRecord(
-        shot=shot, outcomes=tuple(outcomes[0].tolist()), hidden=tuple(assignment.tolist())
+        shot=shot, outcomes=tuple(outcomes[:, 0].tolist()), hidden=tuple(assignment.tolist())
     )
 
 
@@ -241,19 +302,23 @@ def run_shots(
         raise UsageError("n_shots must be >= 0")
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
+    families = site_families(instance)
     if edge_dists is None:
-        edge_dists = edge_distribution(instance)
+        edge_dists = _edge_distribution(instance, *families)
     lat = instance.lattice
+    povms = plan.povms(instance)
     edge_cdfs = _edge_cdfs(edge_dists.probs)
-    site_tables = _site_cdf_tables(instance, plan.povms(instance))
-    lam = np.empty((n_shots, lat.n_edges), dtype=np.int64)
-    outcomes = np.empty((n_shots, lat.n_sites), dtype=np.int64)
+    site_tables = _site_cdf_tables(instance, povms, *families)
+    # hidden indices and outcomes share the narrowest dtype that holds both
+    dtype = np.min_scalar_type(max([instance.D**2] + [p.n_outcomes for p in povms]) - 1)
+    lam = np.empty((lat.n_edges, n_shots), dtype=dtype)
+    outcomes = np.empty((lat.n_sites, n_shots), dtype=dtype)
 
     def work(off):
-        # each chunk writes only its own rows, so chunks may run in any order
+        # each chunk writes only its own columns, so chunks may run in any order
         part = slice(off, off + chunk)
-        _draw_edges(edge_cdfs, seed, start_shot + off, lam[part])
-        _draw_sites(instance, site_tables, lam[part], seed, start_shot + off, outcomes[part])
+        _draw_edges(edge_cdfs, seed, start_shot + off, lam[:, part])
+        _draw_sites(instance, site_tables, lam[:, part], seed, start_shot + off, outcomes[:, part])
 
     offsets = range(0, n_shots, chunk)
     if workers > 1 and len(offsets) > 1:
@@ -264,6 +329,6 @@ def run_shots(
             work(off)
     return ShotBatch(
         start_shot=start_shot,
-        outcomes=outcomes,
-        hidden=lam if emit_hidden else None,
+        outcomes=outcomes.T,
+        hidden=lam.T if emit_hidden else None,
     )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pepslhv import cli, configio, linalg, measurements
+from pepslhv import cli, configio, linalg, measurements, sampling
 from pepslhv.errors import ConstructionError, DegenerateNormError
 
 
@@ -358,6 +358,36 @@ class TestSampleAndVerify:
         report = json.loads(out.read_text())
         assert report["pass"] is True
 
+    def test_workers_do_not_change_bytes(self, tmp_path):
+        # two chunks, the last one short, drawn by two threads
+        inst = tmp_path / "torus.json"
+        assert run(
+            "peps", "build",
+            "--lattice", "torus:3x3",
+            "--basis", "aligned:2:zero",
+            "--measurements", "noisy-pauli:4:0.5",
+            "--recipe", "2",
+            "--psi", "plus-diag:4",
+            "--epsilon", "0.1",
+            "--out", str(inst),
+        ) == 0
+        shots = str(sampling.DEFAULT_CHUNK + 1000)
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.jsonl"
+            assert run(
+                "sample", str(inst),
+                "--plan", "all:ZZZZ~0.5",
+                "--shots", shots,
+                "--seed", "3",
+                "--emit-hidden",
+                "--workers", workers,
+                "--out", str(out),
+            ) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") == int(shots)
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_2(self, instance_file, tmp_path, capsys, workers):
         code = run(
@@ -414,7 +444,10 @@ class TestBench:
             "--out", str(out),
         )
         assert code == 0
-        rows = json.loads(out.read_text())["timings"]
+        report = json.loads(out.read_text())
+        assert set(report["env"]) == {"nproc", "cpu", "python", "numpy"}
+        assert report["env"]["numpy"] == np.__version__
+        rows = report["timings"]
         assert [r["sites"] for r in rows] == [10, 20]
         assert [r["lattice"] for r in rows] == ["cycle:10", "cycle:20"]
         assert all(r["seconds"] > 0 for r in rows)

@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import io
 import json
 import sys
 
@@ -6,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from pepslhv import cli, sampling
+from pepslhv import cli, linalg, sampling
 from pepslhv import decomposition as dec
 from pepslhv.errors import PositivityViolationError, UsageError
 
@@ -60,26 +63,47 @@ class TestCounterStreams:
         assert sampling.derive_seed(3, "edges") != sampling.derive_seed(4, "edges")
 
 
+@functools.cache
+def chain_instance(n_edges, D):
+    """A chain with n_edges edges: recipe 2 for D = 2, recipe 1 at epsilon 0 otherwise."""
+    config = recipe2_config(lattice=f"chain:{n_edges + 1}")
+    if D != 2:
+        config.update(basis=f"aligned:{D}:zero", site_map={"recipe": 1, "epsilon": 0.0})
+    return build(config)
+
+
+def hidden_indices(probs, n_shots, seed, start_shot=0):
+    """run_shots' hidden indices, (n_shots, E), for the edge rows probs (E, D^2)."""
+    probs = np.asarray(probs, dtype=float)
+    inst = chain_instance(len(probs), int(round(np.sqrt(probs.shape[1]))))
+    batch = sampling.run_shots(
+        inst,
+        uniform_plan(inst),
+        n_shots,
+        seed,
+        edge_dists=dec.EdgeDistributions(probs=probs, log_T=0.0),
+        emit_hidden=True,
+        start_shot=start_shot,
+    )
+    return batch.hidden
+
+
 class TestSampleHidden:
     def test_degenerate_distribution(self):
         probs = [np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 1.0])]
-        for shot in range(20):
-            out = sampling.sample_hidden(probs, seed=1, shot=shot)
+        for out in hidden_indices(probs, n_shots=20, seed=1):
             assert out[0] == 0 and out[1] == 3
 
     def test_deterministic(self):
         probs = [np.full(4, 0.25)]
-        a = sampling.sample_hidden(probs, seed=5, shot=9)
-        b = sampling.sample_hidden(probs, seed=5, shot=9)
+        a = hidden_indices(probs, n_shots=1, seed=5, start_shot=9)
+        b = hidden_indices(probs, n_shots=1, seed=5, start_shot=9)
         assert np.array_equal(a, b)
 
     def test_uniform_frequencies(self):
         probs = [np.full(4, 0.25)]
         n = 100_000
-        counts = np.zeros(4)
-        draws = sampling.shot_uniforms(3, 0, n, 1, label="edges")[:, 0]
-        idx = np.minimum((draws * 4).astype(int), 3)
-        counts = np.bincount(idx, minlength=4)
+        counts = np.bincount(hidden_indices(probs, n_shots=n, seed=3)[:, 0], minlength=4)
         sigma = np.sqrt(n * 0.25 * 0.75)
         assert np.all(np.abs(counts - n / 4) < 4 * sigma)
 
@@ -102,14 +126,139 @@ class TestSampleHidden:
         # rows of length 4 (D = 2) or 9 (D = 3), zero bins allowed
         probs = [np.array(r) / sum(r) for r in rows]
         n = len(rows[0])
-        single = sampling.sample_hidden(probs, seed=11, shot=shot)
-        # the batched sampler must agree with the one-shot path
+        single = hidden_indices(probs, n_shots=1, seed=11, start_shot=shot)[0]
+        # the batched sampler must agree with searchsorted on the edge stream
         u = sampling.shot_uniforms(11, shot, 1, len(probs), label="edges")[0]
         for e, p in enumerate(probs):
             cdf = np.cumsum(p)
             cdf[-1] = 1.0
             assert single[e] == min(int(np.searchsorted(cdf, u[e], side="right")), n - 1)
             assert p[single[e]] > 0
+
+
+class TestBisectionDraw:
+    # _draw against searchsorted(side="right") on the tables each stream builds
+
+    @staticmethod
+    def _tables(stream, probs):
+        """(padded table for _draw, unpadded reference CDF) of one stream."""
+        if stream == "edges":
+            ref = np.cumsum(probs, axis=1)
+            ref[:, -1] = 1.0
+            return sampling._edge_cdfs(probs), ref
+        # as _site_cdf_tables normalizes its Born rows
+        ref = np.cumsum(probs, axis=1)
+        ref = ref / ref[:, -1:]
+        return sampling._padded(ref), ref
+
+    def _check(self, stream, probs, rows, u):
+        table, ref = self._tables(stream, probs)
+        width = probs.shape[1]
+        assert table.shape[1] >= width and table.shape[1] & (table.shape[1] - 1) == 0
+        out = np.empty(len(u), dtype=np.min_scalar_type(width - 1))
+        sampling._draw(table, np.array(rows, dtype=np.intp), np.array(u), out)
+        for r, x, k in zip(rows, u, out.tolist()):
+            assert k == int(np.searchsorted(ref[r], x, side="right"))
+            # a bin after the last one with mass can be drawn only for u in
+            # [float sum of the row, 1.0), where the edge stream forces 1.0
+            assert probs[r, k] > 0 or (stream == "edges" and x >= np.cumsum(probs[r])[-1])
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_searchsorted(self, data):
+        width = data.draw(st.sampled_from([1, 2, 3, 4, 5, 9, 16, 17, 256]))
+        raw = data.draw(
+            arrays(
+                np.float64,
+                (data.draw(st.integers(1, 3)), width),
+                elements=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+            ).filter(lambda a: a.any(axis=1).all())
+        )
+        probs = raw / raw.sum(axis=1, keepdims=True)
+        stream = data.draw(st.sampled_from(["edges", "sites"]))
+        _, ref = self._tables(stream, probs)
+        # u anywhere in [0, 1), or exactly on a CDF value of its row
+        on_cdf = [(r, c) for r in range(len(ref)) for c in ref[r].tolist() if c < 1.0]
+        anywhere = st.tuples(
+            st.integers(0, len(probs) - 1), st.floats(0.0, 1.0, exclude_max=True)
+        )
+        draws = data.draw(
+            st.lists(
+                st.one_of(anywhere, st.sampled_from(on_cdf)) if on_cdf else anywhere,
+                min_size=1,
+                max_size=40,
+            )
+        )
+        rows, u = zip(*draws)
+        self._check(stream, probs, rows, u)
+
+    @pytest.mark.parametrize("stream", ["edges", "sites"])
+    @pytest.mark.parametrize(
+        "row",
+        [[0.0, 0.0, 0.5, 0.5], [0.5, 0.0, 0.0, 0.5], [0.5, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0],
+         [1.0]],
+        ids=["zero-start", "zero-middle", "zero-end", "one-bin-of-three", "width-1"],
+    )
+    def test_zero_mass_bins(self, stream, row):
+        probs = np.array([row])
+        _, ref = self._tables(stream, probs)
+        u = [0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)] + [c for c in ref[0] if c < 1.0]
+        self._check(stream, probs, [0] * len(u), u)
+
+
+class TestWideOutcomes:
+    def test_more_than_256_outcomes(self):
+        # 300 copies of I/300: outcome indices up to 299 must not wrap mod 256
+        flat = linalg.matrix_to_json(np.eye(2) / 300)
+        mset = {"povms": [{"label": "flat", "elements": [flat] * 300}]}
+        inst = build(dict(recipe2_config(lattice="chain:2"), measurements=mset, psi="plus-diag:1"))
+        plan = sampling.MeasurementPlan.uniform(inst, "flat")
+        batch = sampling.run_shots(inst, plan, 3000, 4, emit_hidden=True)
+        assert batch.outcomes.max() >= 256
+        tables = sampling._site_cdf_tables(inst, plan.povms(inst), *dec.site_families(inst))
+        u = sampling.shot_uniforms(4, 0, 3000, inst.lattice.n_sites, label="sites")
+        for s, table in enumerate(tables):
+            # one edge per site, so the hidden index is the table row
+            (e, _), = inst.lattice.incident_edges(s)
+            expect = [
+                np.searchsorted(table[r, :300], x, side="right")
+                for r, x in zip(batch.hidden[:, e].tolist(), u[:, s])
+            ]
+            assert batch.outcomes[:, s].tolist() == expect
+        fh = io.StringIO()
+        batch.write_jsonl(fh)
+        assert fh.getvalue() == "".join(r.to_json() + "\n" for r in batch.records())
+
+
+class TestWriteJsonl:
+    @given(
+        n_shots=st.sampled_from([0, 1, 2, 511, 512, 513, 1100]),
+        start_shot=st.one_of(st.sampled_from([0, 95, 999]), st.integers(0, 10**9)),
+        n_sites=st.integers(1, 5),
+        n_edges=st.one_of(st.none(), st.integers(1, 6)),
+        dtype=st.sampled_from([np.uint8, np.uint16, np.int64]),
+        transposed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_records(self, n_shots, start_shot, n_sites, n_edges, dtype, transposed, seed):
+        # start_shot 95 and 999 put shot numbers across 99/100 and 999/1000
+        rng = np.random.default_rng(seed)
+        top = 256 if dtype == np.uint8 else 1000
+
+        def block(width):
+            a = rng.integers(0, top, (n_shots, width)).astype(dtype)
+            # run_shots hands out transposed views of (slots, shots) arrays
+            return np.ascontiguousarray(a.T).T if transposed else a
+
+        batch = sampling.ShotBatch(
+            start_shot=start_shot,
+            outcomes=block(n_sites),
+            hidden=None if n_edges is None else block(n_edges),
+        )
+        fh = io.StringIO()
+        batch.write_jsonl(fh)
+        assert fh.getvalue() == "".join(r.to_json() + "\n" for r in batch.records())
 
 
 class TestRunShots:
