@@ -22,7 +22,6 @@ from pepslhv import measurements as meas_mod
 from pepslhv.construction import (
     PepsInstance,
     SiteMap,
-    custom_site_map,
     identity_site_map,
     recipe1_site_map,
     recipe2_site_map,
@@ -184,8 +183,7 @@ def instance_factory(config: dict) -> Callable[[float], PepsInstance]:
         if recipe == "custom":
             if "kraus" not in site_spec:
                 raise UsageError("recipe 'custom' needs 'kraus'")
-            kraus = linalg.matrix_from_json(site_spec["kraus"])
-            m = custom_site_map(kraus, v, op_basis.D, d)
+            m = SiteMap(v, op_basis.D, d, linalg.matrix_from_json(site_spec["kraus"]))
             return lambda epsilon: m
         raise UsageError(f"unknown recipe {recipe!r}")
 
@@ -252,7 +250,12 @@ def parse_plan(spec, instance: PepsInstance) -> MeasurementPlan:
             raise UsageError(f"bad plan spec '{spec}'")
     if isinstance(spec, dict):
         if "all" in spec:
+            if not isinstance(spec["all"], str):
+                raise UsageError(f"plan 'all' must be a label string, got {spec['all']!r}")
             return MeasurementPlan.uniform(instance, spec["all"])
         if "sites" in spec:
-            return MeasurementPlan.from_labels(instance, spec["sites"])
+            labels = spec["sites"]
+            if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+                raise UsageError(f"plan 'sites' must be a list of label strings, got {labels!r}")
+            return MeasurementPlan.from_labels(instance, labels)
     raise UsageError(f"bad plan spec {spec!r}")

@@ -31,26 +31,21 @@ RECIPE1_MAX_RETRIES = 8
 
 @dataclass(frozen=True)
 class SiteMap:
-    """Linear projection from (C^D)^(x v) to C^d, given by Kraus operators."""
+    """Linear projection from (C^D)^(x v) to C^d, given by one Kraus operator K."""
 
     v: int
     D: int
     d: int
-    kraus: tuple  # of (d x D^v) matrices
-    label: str = "custom"
-    epsilon: float = 0.0
+    K: np.ndarray  # (d x D^v)
     psi_y: Optional[tuple] = None
 
     def __post_init__(self):
         if self.v < 1 or self.D < 2 or self.d < 1:
             raise UsageError(f"bad site map dimensions v={self.v}, D={self.D}, d={self.d}")
-        kraus = tuple(linalg.as_matrix(k) for k in self.kraus)
-        if not kraus:
-            raise UsageError("site map needs at least one Kraus operator")
-        for k in kraus:
-            if k.shape != (self.d, self.D**self.v):
-                raise UsageError(f"Kraus shape {k.shape} != ({self.d}, {self.D**self.v})")
-        object.__setattr__(self, "kraus", kraus)
+        K = linalg.as_matrix(self.K)
+        if K.shape != (self.d, self.D**self.v):
+            raise UsageError(f"Kraus shape {K.shape} != ({self.d}, {self.D**self.v})")
+        object.__setattr__(self, "K", K)
         if self.psi_y is not None:
             object.__setattr__(self, "psi_y", tuple(linalg.as_state(p) for p in self.psi_y))
 
@@ -58,14 +53,8 @@ class SiteMap:
     def virtual_dim(self) -> int:
         return self.D**self.v
 
-    @property
-    def single_kraus(self) -> np.ndarray:
-        if len(self.kraus) != 1:
-            raise UsageError("site map is not single-Kraus")
-        return self.kraus[0]
-
     def rank(self, rtol: float = 1e-12) -> int:
-        sv = np.linalg.svd(np.vstack(self.kraus), compute_uv=False)
+        sv = np.linalg.svd(self.K, compute_uv=False)
         return int(np.sum(sv > rtol * max(sv[0], 1.0)))
 
 
@@ -122,9 +111,7 @@ def recipe2_site_map(v: int, d: int, psi_y: Sequence[np.ndarray], epsilon: float
             K[:, y] = epsilon ** bin(y).count("1") * states[y]
     except OverflowError as exc:
         raise UsageError(f"epsilon = {epsilon:g} overflows epsilon^{v}") from exc
-    return SiteMap(
-        v=v, D=2, d=d, kraus=(K,), label="recipe2", epsilon=float(epsilon), psi_y=tuple(states)
-    )
+    return SiteMap(v=v, D=2, d=d, K=K, psi_y=tuple(states))
 
 
 def recipe2_states_from_interior(psi, v: int) -> list:
@@ -160,7 +147,7 @@ def recipe1_site_map(
     alpha = linalg.kron_vectors(anchors)
     base = np.outer(vec, alpha.conj())
     if epsilon == 0.0:
-        return SiteMap(v=v, D=D, d=d, kraus=(base,), label="recipe1", epsilon=0.0)
+        return SiteMap(v=v, D=D, d=d, K=base)
     full = min(d, D**v)
     for attempt in range(RECIPE1_MAX_RETRIES):
         rng = np.random.Generator(np.random.Philox(key=np.uint64(seed) + np.uint64(attempt)))
@@ -169,7 +156,7 @@ def recipe1_site_map(
         K = base + epsilon * P
         sv = np.linalg.svd(K, compute_uv=False)
         if sv[full - 1] > 1e-12 * sv[0]:
-            return SiteMap(v=v, D=D, d=d, kraus=(K,), label="recipe1", epsilon=float(epsilon))
+            return SiteMap(v=v, D=D, d=d, K=K)
     raise ConstructionError("could not reach full rank within retry budget")
 
 
@@ -177,46 +164,21 @@ def identity_site_map(v: int) -> SiteMap:
     """Trivial projector: the physical particle is the 2^v virtual qubits."""
     if v < 1:
         raise UsageError("v must be >= 1")
-    return SiteMap(v=v, D=2, d=2**v, kraus=(np.eye(2**v, dtype=complex),), label="identity")
-
-
-def custom_site_map(kraus, v: int, D: int, d: int, label: str = "custom") -> SiteMap:
-    return SiteMap(v=v, D=D, d=d, kraus=(linalg.as_matrix(kraus),), label=label)
+    return SiteMap(v=v, D=2, d=2**v, K=np.eye(2**v, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
 # Complete positivity
 
-def choi_matrix(kraus: Sequence[np.ndarray], in_dim: int) -> np.ndarray:
-    """Choi matrix of rho -> sum_K K rho K^dag (transpositions excluded)."""
-    mats = [linalg.as_matrix(k) for k in kraus]
-    out_dim = mats[0].shape[0]
-    C = np.zeros((in_dim * out_dim, in_dim * out_dim), dtype=complex)
-    for K in mats:
-        if K.shape != (out_dim, in_dim):
-            raise UsageError("Kraus operators have mixed shapes")
-        w = K.T.ravel()  # component (i, a) = K[a, i]
-        C += np.outer(w, w.conj())
-    return C
-
-
-def choi_matrix_from_apply(apply_fn, in_dim: int) -> np.ndarray:
-    """Choi matrix of an arbitrary linear map given by its action on E_ij."""
-    blocks = []
-    for i in range(in_dim):
-        row = []
-        for j in range(in_dim):
-            eij = np.zeros((in_dim, in_dim), dtype=complex)
-            eij[i, j] = 1.0
-            row.append(linalg.as_matrix(apply_fn(eij)))
-        blocks.append(row)
-    return np.block(blocks)
+def choi_matrix(K: np.ndarray) -> np.ndarray:
+    """Choi matrix of rho -> K rho K^dag (transpositions excluded)."""
+    w = K.T.ravel()  # component (i, a) = K[a, i]
+    return np.outer(w, w.conj())
 
 
 def choi_check(site_map: SiteMap) -> float:
     """Minimal Choi eigenvalue; >= -1e-9 certifies complete positivity."""
-    C = choi_matrix(site_map.kraus, site_map.virtual_dim)
-    return float(np.linalg.eigvalsh(C)[0])
+    return float(np.linalg.eigvalsh(choi_matrix(site_map.K))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +230,6 @@ def assemble_exact_state(instance: PepsInstance):
         raise UsageError("physical dimension too large for exact assembly")
     if D ** (2 * E) > MAX_VIRTUAL_DIM:
         raise UsageError("virtual dimension too large for exact assembly")
-    for m in instance.site_maps:
-        if len(m.kraus) != 1:
-            raise UsageError("exact assembly requires single-Kraus maps")
 
     phi = max_ent_state(D).reshape(D, D)
     tensor = phi
@@ -284,7 +243,7 @@ def assemble_exact_state(instance: PepsInstance):
     tensor = tensor.transpose(perm)
     tensor = tensor.reshape([m.virtual_dim for m in instance.site_maps])
     for s, m in enumerate(instance.site_maps):
-        tensor = np.tensordot(m.single_kraus, tensor, axes=([1], [s]))
+        tensor = np.tensordot(m.K, tensor, axes=([1], [s]))
         tensor = np.moveaxis(tensor, 0, s)
     vec = tensor.reshape(-1)
     T = float(np.real(vec.conj() @ vec))

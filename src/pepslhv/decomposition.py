@@ -36,28 +36,6 @@ MAX_ENUM_ASSIGNMENTS = 2**16
 MAX_ENUM_PHYS_DIM = 2**12
 
 
-def site_output_operator(
-    site_map: SiteMap,
-    op_basis: OperatorBasis,
-    indices: Sequence[int],
-    transposed_flags: Sequence[bool],
-) -> np.ndarray:
-    """O = K (C~_{k_1} (x) ... (x) C~_{k_v}) K^dag, C~ transposed at tail ends."""
-    indices = list(indices)
-    flags = list(transposed_flags)
-    if len(indices) != site_map.v or len(flags) != site_map.v:
-        raise UsageError(f"need {site_map.v} indices and flags")
-    if any(k < 0 or k >= op_basis.D**2 for k in indices):
-        raise UsageError("edge index out of range")
-    C = linalg.tensor_product(
-        [op_basis.element(k, transposed=t) for k, t in zip(indices, flags)]
-    )
-    out = np.zeros((site_map.d, site_map.d), dtype=complex)
-    for K in site_map.kraus:
-        out += K @ C @ K.conj().T
-    return out
-
-
 def site_operator_family(
     site_map: SiteMap, op_basis: OperatorBasis, transposed_flags: Sequence[bool]
 ) -> np.ndarray:
@@ -72,7 +50,8 @@ def site_operator_family(
     spec = ",".join(k[p] + i[p] + j[p] for p in range(v)) + "->" + k + i + j
     prod = np.einsum(spec, *(C.transpose(0, 2, 1) if t else C for t in flags))
     prod = prod.reshape(C.shape[0] ** v, site_map.virtual_dim, site_map.virtual_dim)
-    return sum(K @ prod @ K.conj().T for K in site_map.kraus)
+    K = site_map.K
+    return K @ prod @ K.conj().T
 
 
 def operator_traces(ops: np.ndarray) -> np.ndarray:
@@ -104,14 +83,6 @@ def site_families(instance: PepsInstance):
             families.append(site_operator_family(m, instance.basis, flags))
         site_family.append(index[key])
     return families, site_family
-
-
-def site_trace_table(
-    site_map: SiteMap, op_basis: OperatorBasis, transposed_flags: Sequence[bool]
-) -> np.ndarray:
-    """Real tensor of tr(O) over index tuples, shape (D^2,) * v."""
-    ops = site_operator_family(site_map, op_basis, transposed_flags)
-    return operator_traces(ops).reshape((op_basis.D**2,) * site_map.v)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Dense complex-matrix substrate: tensor products, traces, spectra, entropy.
+"""Dense complex-matrix substrate: overlaps, Kronecker vectors, entropy, JSON literals.
 
 Everything downstream manipulates plain ``numpy`` arrays; the functions here
 validate at the boundaries (hermiticity, normalization, finiteness) instead
@@ -72,17 +72,6 @@ def overlaps(A, B) -> np.ndarray:
     return a.reshape(len(a), -1).view(float) @ b.reshape(len(b), -1).view(float).T
 
 
-def tensor_product(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of the factors in list order."""
-    mats = [as_matrix(f) for f in factors]
-    if not mats:
-        raise UsageError("tensor_product requires at least one factor")
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
 def kron_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:
     vecs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
     if not vecs:
@@ -91,35 +80,6 @@ def kron_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:
     for v in vecs[1:]:
         out = np.kron(out, v)
     return out
-
-
-def partial_trace(op, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    """Trace out the subsystems not in ``keep``.
-
-    ``dims`` are the tensor-factor dimensions; the result is ordered by the
-    kept factors in their original order.
-    """
-    mat = as_matrix(op)
-    dims = [int(d) for d in dims]
-    total = int(np.prod(dims))
-    if mat.shape != (total, total):
-        raise UsageError(f"dims {dims} do not match operator dimension {mat.shape[0]}")
-    keep = sorted(set(int(k) for k in keep))
-    if not keep or any(k < 0 or k >= len(dims) for k in keep):
-        raise UsageError(f"keep set {keep} invalid for {len(dims)} subsystems")
-    n = len(dims)
-    tensor = mat.reshape(dims + dims)
-    traced = tensor
-    # trace highest-index dropped subsystems first so axis numbers stay valid
-    for sub in sorted(set(range(n)) - set(keep), reverse=True):
-        traced = np.trace(traced, axis1=sub, axis2=sub + traced.ndim // 2)
-    kept_dim = int(np.prod([dims[k] for k in keep]))
-    return traced.reshape(kept_dim, kept_dim)
-
-
-def min_eigenvalue(op) -> float:
-    mat = check_hermitian(op)
-    return float(np.linalg.eigvalsh(mat)[0])
 
 
 def schmidt_probabilities(state, dims: Sequence[int], cut: Iterable[int]) -> np.ndarray:

@@ -260,7 +260,7 @@ def admissible_povm(povm: Povm, site_spaces: Sequence[VirtualSpaceTag]) -> Admis
     dim = int(np.prod([t.basis.D for t in spaces]))
     if povm.dim != dim:
         raise UsageError(f"POVM dim {povm.dim} != product virtual dim {dim}")
-    # V[k_1..k_v] = C~_{k_1} (x) ... (x) C~_{k_v}, multiplied left to right like tensor_product
+    # V[k_1..k_v] = C~_{k_1} (x) ... (x) C~_{k_v}, Kronecker products taken left to right
     V = np.ones((1, 1, 1))
     for t in spaces:
         F = np.stack([t.element(k) for k in range(t.basis.D**2)])

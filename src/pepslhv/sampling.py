@@ -55,15 +55,11 @@ class MeasurementPlan:
         )
 
     def povms(self, instance: PepsInstance) -> list:
-        povms = []
-        for s, idx in enumerate(self.povm_indices):
-            if not 0 <= idx < len(instance.measurement_set.povms):
+        povms = instance.measurement_set.povms
+        for idx in self.povm_indices:
+            if not 0 <= idx < len(povms):
                 raise UsageError(f"plan references POVM {idx} which does not exist")
-            p = instance.measurement_set.povms[idx]
-            if p.dim != instance.site_maps[s].d:
-                raise UsageError(f"plan POVM dim mismatch at site {s}")
-            povms.append(p)
-        return povms
+        return [povms[idx] for idx in self.povm_indices]
 
 
 @dataclass(frozen=True)
@@ -321,6 +317,8 @@ def run_shots(
         _draw_sites(instance, site_tables, lam[:, part], seed, start_shot + off, outcomes[:, part])
 
     offsets = range(0, n_shots, chunk)
+    # one worker or one chunk runs on this thread: a pool thread gets its own
+    # allocator arena, +5 MB peak RSS (9 %) on cycle:400 at 5000 shots
     if workers > 1 and len(offsets) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, offsets))

@@ -1,0 +1,25 @@
+"""Per-tuple reference computations that the batched package code is checked against."""
+
+import numpy as np
+
+from pepslhv import linalg
+from pepslhv.errors import UsageError
+
+
+def tensor_product(factors) -> np.ndarray:
+    """Kronecker product of the factors in list order."""
+    mats = [linalg.as_matrix(f) for f in factors]
+    if not mats:
+        raise UsageError("tensor_product requires at least one factor")
+    out = mats[0]
+    for m in mats[1:]:
+        out = np.kron(out, m)
+    return out
+
+
+def site_output_operator(site_map, op_basis, indices, transposed_flags) -> np.ndarray:
+    """O = K (C~_{k_1} (x) ... (x) C~_{k_v}) K^dag for one index tuple, C~ transposed at tail ends."""
+    C = tensor_product(
+        [op_basis.element(k, transposed=t) for k, t in zip(indices, transposed_flags)]
+    )
+    return site_map.K @ C @ site_map.K.conj().T

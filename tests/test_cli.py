@@ -145,8 +145,7 @@ class TestPepsCommands:
             made = make(eps)
             assert len(made.site_maps) == len(built.site_maps)
             for a, b in zip(made.site_maps, built.site_maps):
-                assert len(a.kraus) == len(b.kraus)
-                assert all(np.array_equal(x, y) for x, y in zip(a.kraus, b.kraus))
+                assert np.array_equal(a.K, b.K)
 
     def test_malformed_basis_dimension_exit_2(self, tmp_path, capsys):
         code = run(
@@ -313,6 +312,25 @@ JSON_VALUES = st.recursive(
 )
 
 
+# one or two distinct fields, each set to a spec string or arbitrary JSON
+FAULTS = st.lists(
+    st.tuples(st.sampled_from(FUZZ_FIELDS), st.one_of(SPEC_STRINGS, JSON_VALUES)),
+    min_size=1,
+    max_size=2,
+    unique_by=lambda fault: fault[0],
+)
+
+
+def sample_and_verify(instance, plan, tmp_path):
+    """Exit codes of `sample --shots 3` and `verify --mode mixture` on one instance and plan."""
+    # --plan=<spec>, so that argparse does not read a spec starting with "-" as a flag
+    return [
+        cli.main(["sample", str(instance), f"--plan={plan}", "--shots", "3",
+                  "--out", str(tmp_path / "s.jsonl")]),
+        cli.main(["verify", str(instance), f"--plan={plan}", "--mode", "mixture"]),
+    ]
+
+
 class TestFuzzInstanceFile:
     @given(field=st.sampled_from(FUZZ_FIELDS), value=st.one_of(SPEC_STRINGS, JSON_VALUES))
     @settings(max_examples=100, deadline=None)
@@ -320,6 +338,55 @@ class TestFuzzInstanceFile:
         path = tmp_path_factory.mktemp("fuzz") / "inst.json"
         path.write_text(json.dumps(with_field(CYCLE3_INSTANCE, field, value)))
         assert cli.main(["peps", "check", str(path)]) in range(5)
+
+    @given(faults=FAULTS)
+    @settings(max_examples=40, deadline=None)
+    def test_sample_and_verify_exit_codes_in_contract(self, tmp_path_factory, faults):
+        config = CYCLE3_INSTANCE
+        # nested fields first, so that a later whole-"site_map" fault replaces them
+        for field, value in sorted(faults, key=lambda fault: -len(fault[0])):
+            config = with_field(config, field, value)
+        tmp_path = tmp_path_factory.mktemp("fuzz")
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(config))
+        for code in sample_and_verify(path, "all:ZZ~0.5", tmp_path):
+            assert code in range(5)
+
+
+PLAN_LABELS = st.sampled_from(["ZZ~0.5", "XY~0.5", "ZZZZ~0.5", "bell"]) | st.text(max_size=6)
+PLAN_SPECS = st.one_of(SPEC_STRINGS, PLAN_LABELS.map("all:".__add__))
+PLAN_FILES = st.one_of(
+    JSON_VALUES,
+    st.fixed_dictionaries({"sites": JSON_VALUES | st.lists(PLAN_LABELS, max_size=4)}),
+    st.fixed_dictionaries({"all": JSON_VALUES | PLAN_LABELS}),
+)
+
+
+class TestPlanFiles:
+    @pytest.mark.parametrize(
+        "plan",
+        [{"sites": 5}, {"sites": None}, {"sites": True}, {"sites": "ZZ~"}, {"all": 5}],
+        ids=["sites-int", "sites-null", "sites-true", "sites-string", "all-int"],
+    )
+    def test_malformed_plan_file_exit_2(self, instance_file, tmp_path, capsys, plan):
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps(plan))
+        assert sample_and_verify(instance_file, f"@{plan_file}", tmp_path) == [2, 2]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+    @given(plan=st.one_of(PLAN_SPECS.map(lambda s: (s, None)), PLAN_FILES.map(lambda o: (None, o))))
+    @settings(max_examples=40, deadline=None)
+    def test_fuzz_plan_exit_codes_in_contract(self, tmp_path_factory, plan):
+        spec, content = plan
+        tmp_path = tmp_path_factory.mktemp("plan")
+        instance = tmp_path / "inst.json"
+        instance.write_text(json.dumps(CYCLE3_INSTANCE))
+        if content is not None:
+            (tmp_path / "plan.json").write_text(json.dumps(content))
+            spec = f"@{tmp_path / 'plan.json'}"
+        for code in sample_and_verify(instance, spec, tmp_path):
+            assert code in range(5)
 
 
 class TestSampleAndVerify:

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pepslhv import construction as con
-from pepslhv import linalg
 from pepslhv.basis import build_aligned_basis, phase_point_basis
 from pepslhv.errors import ConstraintError, UsageError
 from pepslhv.lattice import build_chain, build_cycle
@@ -38,17 +37,17 @@ def identity_cycle(n):
 class TestRecipe2:
     def test_v1_kraus_formula(self):
         m = con.recipe2_site_map(1, 2, [KET0, KET1], 0.5)
-        assert np.allclose(m.single_kraus, np.diag([1.0, 0.5]), atol=1e-14)
+        assert np.allclose(m.K, np.diag([1.0, 0.5]), atol=1e-14)
 
     def test_epsilon_zero_is_rank_one(self):
         m = con.recipe2_site_map(1, 2, [KET0, KET1], 0.0)
         assert m.rank() == 1
-        assert np.allclose(m.single_kraus, np.outer(KET0, KET0), atol=1e-14)
+        assert np.allclose(m.K, np.outer(KET0, KET0), atol=1e-14)
 
     def test_singular_values_are_epsilon_powers(self):
         states = [row.astype(complex) for row in np.eye(4)]
         m = con.recipe2_site_map(2, 4, states, 0.3)
-        sv = np.sort(np.linalg.svd(m.single_kraus, compute_uv=False))
+        sv = np.sort(np.linalg.svd(m.K, compute_uv=False))
         assert np.allclose(sv, sorted([1, 0.3, 0.3, 0.09]), atol=1e-12)
 
     def test_dimension_constraint(self):
@@ -65,7 +64,7 @@ class TestRecipe2:
     def test_singular_value_property(self, eps):
         states = [row.astype(complex) for row in np.eye(4)]
         m = con.recipe2_site_map(2, 4, states, eps)
-        sv = np.sort(np.linalg.svd(m.single_kraus, compute_uv=False))
+        sv = np.sort(np.linalg.svd(m.K, compute_uv=False))
         assert np.allclose(sv, sorted([1, eps, eps, eps * eps]), atol=1e-12)
         assert m.rank() == 4
 
@@ -78,13 +77,13 @@ class TestRecipe1:
     def test_small_epsilon_full_rank(self):
         m = con.recipe1_site_map(1, 2, 2, KET0, [KET0], 1e-3, seed=7)
         assert m.rank() == 2
-        sv = np.linalg.svd(m.single_kraus, compute_uv=False)
+        sv = np.linalg.svd(m.K, compute_uv=False)
         assert sv[-1] > 0
 
     def test_deterministic_in_seed(self):
         a = con.recipe1_site_map(2, 2, 4, np.eye(4, dtype=complex)[0], [KET0, KET0], 0.01, seed=5)
         b = con.recipe1_site_map(2, 2, 4, np.eye(4, dtype=complex)[0], [KET0, KET0], 0.01, seed=5)
-        assert np.array_equal(a.single_kraus, b.single_kraus)
+        assert np.array_equal(a.K, b.K)
 
     def test_anchor_overlap_product(self):
         # <alpha|(C_k1 (x) C_k2)|alpha> = prod of per-factor overlaps = 1/D for v=2
@@ -103,7 +102,7 @@ class TestRecipe1:
 class TestIdentityMap:
     def test_v2_is_4x4_identity(self):
         m = con.identity_site_map(2)
-        assert np.array_equal(m.single_kraus, np.eye(4))
+        assert np.array_equal(m.K, np.eye(4))
         assert m.rank() == 4
 
     def test_two_site_chain_keeps_the_bond(self):
@@ -123,7 +122,7 @@ class TestIdentityMap:
 class TestChoiCheck:
     def test_identity_v1_choi(self):
         m = con.identity_site_map(1)
-        choi = con.choi_matrix(m.kraus, 2)
+        choi = con.choi_matrix(m.K)
         phi = np.array([1, 0, 0, 1], dtype=complex)
         assert np.allclose(choi, np.outer(phi, phi), atol=1e-12)
         assert con.choi_check(m) == pytest.approx(0.0, abs=1e-12)
@@ -133,10 +132,6 @@ class TestChoiCheck:
         states = [row.astype(complex) for row in np.eye(4)]
         m = con.recipe2_site_map(2, 4, states, eps)
         assert con.choi_check(m) >= -1e-12
-
-    def test_transpose_map_is_not_cp(self):
-        choi = con.choi_matrix_from_apply(lambda rho: rho.T, 2)
-        assert linalg.min_eigenvalue(choi) == pytest.approx(-1.0, abs=1e-12)
 
 
 class TestAssembleExactState:

@@ -12,23 +12,28 @@ from pepslhv.errors import NotFactorizableError, UsageError
 from pepslhv.measurements import bell_povm, dual_margin
 
 from conftest import build, recipe2_config
+from reference import site_output_operator
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
+
+
+def trace_table(m, b, flags):
+    """tr(O) over the index tuples of one site, shape (D^2,) * v."""
+    return dec.operator_traces(dec.site_operator_family(m, b, flags)).reshape((b.D**2,) * m.v)
 
 
 class TestSiteOutputOperator:
     def test_identity_map_passes_through(self):
         m = con.identity_site_map(1)
         b = phase_point_basis()
-        out = dec.site_output_operator(m, b, [0], [False])
+        out = dec.site_operator_family(m, b, [False])[0]
         assert np.allclose(out, b.elements[0], atol=1e-14)
 
     def test_rank_one_sandwich_at_epsilon_zero(self):
         m = con.recipe2_site_map(1, 2, [KET0, KET1], 0.0)
         b = build_aligned_basis(2, KET0)
-        for k in range(4):
-            out = dec.site_output_operator(m, b, [k], [False])
+        for k, out in enumerate(dec.site_operator_family(m, b, [False])):
             coeff = KET0.conj() @ b.elements[k] @ KET0
             assert np.allclose(out, coeff * np.outer(KET0, KET0.conj()), atol=1e-12)
 
@@ -36,26 +41,20 @@ class TestSiteOutputOperator:
         # Q~ dag Q~ = diag(1, eps^2), so tr(O) = <0|C|0> + eps^2 <1|C|1>
         m = con.recipe2_site_map(1, 2, [KET0, KET1], 0.5)
         b = build_aligned_basis(2, KET0)
-        for k in range(4):
-            out = dec.site_output_operator(m, b, [k], [False])
+        for k, out in enumerate(dec.site_operator_family(m, b, [False])):
             expected = b.elements[k][0, 0] + 0.25 * b.elements[k][1, 1]
             assert np.trace(out) == pytest.approx(expected.real, abs=1e-12)
 
-    def test_index_out_of_range(self):
-        m = con.identity_site_map(1)
-        with pytest.raises(UsageError):
-            dec.site_output_operator(m, phase_point_basis(), [4], [False])
-
     def test_family_rows_match_per_tuple_operator(self):
         rng = np.random.default_rng(5)
-        kraus = [rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8)) for _ in range(2)]
-        m = con.SiteMap(v=3, D=2, d=3, kraus=tuple(kraus))
+        K = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+        m = con.SiteMap(v=3, D=2, d=3, K=K)
         b = build_aligned_basis(2, KET0)
         flags = [False, True, False]
         family = dec.site_operator_family(m, b, flags)
         assert family.shape == (64, 3, 3)
         for r, tup in enumerate(itertools.product(range(4), repeat=3)):
-            expected = dec.site_output_operator(m, b, tup, flags)
+            expected = site_output_operator(m, b, tup, flags)
             assert np.allclose(family[r], expected, atol=1e-12)
 
 
@@ -73,7 +72,7 @@ class TestPositivityCheck:
         m = con.identity_site_map(2)
         b = phase_point_basis()
         worst = min(
-            (np.trace(dec.site_output_operator(m, b, tup, [False, False]) @ x).real
+            (np.trace(site_output_operator(m, b, tup, [False, False]) @ x).real
              for tup in itertools.product(range(4), repeat=2)
              for x in bell_povm().elements)
         )
@@ -102,7 +101,7 @@ class TestPositivityCheck:
 class TestTraceFactorization:
     def test_identity_v2_unit_trace_basis(self):
         m = con.identity_site_map(2)
-        table = dec.site_trace_table(m, phase_point_basis(), [False, True])
+        table = trace_table(m, phase_point_basis(), [False, True])
         res = dec.trace_factorization(table, 2)
         assert res.factorizable
         assert res.residual <= 1e-12
@@ -111,7 +110,7 @@ class TestTraceFactorization:
         states = [row.astype(complex) for row in np.eye(4)]
         m = con.recipe2_site_map(2, 4, states, 0.3)
         b = build_aligned_basis(2, KET0)
-        table = dec.site_trace_table(m, b, [False, False])
+        table = trace_table(m, b, [False, False])
         res = dec.trace_factorization(table, 2)
         assert res.factorizable
         u = np.array([(c[0, 0] + 0.09 * c[1, 1]).real for c in b.elements])
@@ -123,8 +122,8 @@ class TestTraceFactorization:
         states = [row.astype(complex) for row in np.eye(4)]
         m = con.recipe2_site_map(2, 4, states, 0.3)
         b = build_aligned_basis(2, KET0)
-        t1 = dec.site_trace_table(m, b, [False, False])
-        t2 = dec.site_trace_table(m, b, [True, True])
+        t1 = trace_table(m, b, [False, False])
+        t2 = trace_table(m, b, [True, True])
         assert np.allclose(t1, t2, atol=1e-12)
 
     def test_crafted_rank2_table_rejected(self):
@@ -208,7 +207,7 @@ class TestEdgeDistribution:
 
     def test_non_factorizable_instance_refused(self):
         kraus = np.diag([1.0, 0.5, 0.5, 0.5]).astype(complex)
-        m = con.custom_site_map(kraus, 2, 2, 4)
+        m = con.SiteMap(2, 2, 4, kraus)
         from pepslhv.lattice import build_cycle
         from pepslhv.measurements import noisy_pauli_product_measurements
 
@@ -263,7 +262,7 @@ class TestMixtureReconstruction:
             for s, m in enumerate(inst.site_maps):
                 tup = [assignment[e] for e, _ in lat.incident_edges(s)]
                 flags = [not ishead for _, ishead in lat.incident_edges(s)]
-                expected *= np.trace(dec.site_output_operator(m, inst.basis, tup, flags)).real
+                expected *= np.trace(site_output_operator(m, inst.basis, tup, flags)).real
             assert weights[assignment] == pytest.approx(expected, abs=1e-12)
 
     def test_T_consistency_three_ways(self, cycle3_instance):

@@ -8,6 +8,8 @@ from pepslhv import linalg
 from pepslhv.basis import phase_point_basis
 from pepslhv.errors import UsageError
 
+from reference import tensor_product
+
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
@@ -17,8 +19,10 @@ def random_hermitian(rng, d):
 
 
 class TestTensorProduct:
+    """The Kronecker reference that per-tuple tests compare package stacks against."""
+
     def test_identity_times_x(self):
-        out = linalg.tensor_product([np.eye(2), X])
+        out = tensor_product([np.eye(2), X])
         expected = np.zeros((4, 4))
         expected[:2, :2] = X.real
         expected[2:, 2:] = X.real
@@ -26,17 +30,17 @@ class TestTensorProduct:
 
     def test_single_factor_unchanged(self):
         a = np.arange(4).reshape(2, 2).astype(complex)
-        assert np.array_equal(linalg.tensor_product([a]), a)
+        assert np.array_equal(tensor_product([a]), a)
 
     def test_phase_point_with_transpose_has_unit_trace(self):
         # tr(A (x) A^T) = tr(A)^2 = 1 for unit-trace phase points
         a = phase_point_basis().elements[0]
-        out = linalg.tensor_product([a, a.T])
+        out = tensor_product([a, a.T])
         assert abs(np.trace(out) - 1.0) < 1e-12
 
     def test_empty_list_rejected(self):
         with pytest.raises(UsageError):
-            linalg.tensor_product([])
+            tensor_product([])
 
     @given(
         a=arrays(np.int64, (2, 2), elements=st.integers(-5, 5)).map(
@@ -50,8 +54,8 @@ class TestTensorProduct:
         ),
     )
     def test_associative_for_integer_entries(self, a, b, c):
-        left = linalg.tensor_product([linalg.tensor_product([a, b]), c])
-        right = linalg.tensor_product([a, linalg.tensor_product([b, c])])
+        left = tensor_product([tensor_product([a, b]), c])
+        right = tensor_product([a, tensor_product([b, c])])
         assert np.array_equal(left, right)
 
 
@@ -69,64 +73,6 @@ class TestOverlaps:
         for i, a in enumerate(A):
             for j, b in enumerate(B):
                 assert got[i, j] == pytest.approx(np.trace(a @ b).real, abs=1e-12)
-
-
-class TestPartialTrace:
-    def test_bell_marginal_is_maximally_mixed(self):
-        phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        red = linalg.partial_trace(np.outer(phi, phi.conj()), [2, 2], [0])
-        assert np.allclose(red, np.eye(2) / 2, atol=1e-12)
-
-    def test_product_input_factorizes(self):
-        rng = np.random.default_rng(3)
-        sigma = random_hermitian(rng, 2)
-        tau = random_hermitian(rng, 3)
-        red = linalg.partial_trace(np.kron(sigma, tau), [2, 3], [0])
-        assert np.allclose(red, sigma * np.trace(tau), atol=1e-10)
-
-    def test_phase_point_pair_sum(self):
-        # (1/4) sum_k A_k (x) A_k^T reduces to I/2 on either factor
-        elems = phase_point_basis().elements
-        total = sum(np.kron(a, a.T) for a in elems) / 4
-        for keep in ([0], [1]):
-            red = linalg.partial_trace(total, [2, 2], keep)
-            assert np.allclose(red, np.eye(2) / 2, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(UsageError):
-            linalg.partial_trace(np.eye(4), [2, 3], [0])
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=25)
-    def test_trace_preserved(self, seed):
-        rng = np.random.default_rng(seed)
-        op = random_hermitian(rng, 6)
-        red = linalg.partial_trace(op, [2, 3], [1])
-        assert abs(np.trace(red) - np.trace(op)) < 1e-12
-
-
-class TestMinEigenvalue:
-    def test_identity(self):
-        assert linalg.min_eigenvalue(np.eye(2)) == pytest.approx(1.0)
-
-    def test_phase_point_operator(self):
-        a = phase_point_basis().elements[0]
-        assert linalg.min_eigenvalue(a) == pytest.approx((1 - np.sqrt(3)) / 2, abs=1e-10)
-
-    def test_projector(self):
-        assert linalg.min_eigenvalue(np.diag([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=25)
-    def test_unitary_invariance(self, seed):
-        rng = np.random.default_rng(seed)
-        op = random_hermitian(rng, 4)
-        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        rotated = q @ op @ q.conj().T
-        rotated = (rotated + rotated.conj().T) / 2
-        assert linalg.min_eigenvalue(rotated) == pytest.approx(
-            linalg.min_eigenvalue(op), abs=1e-9
-        )
 
 
 class TestEntanglementEntropy:

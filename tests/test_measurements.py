@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from pepslhv import measurements as meas
 from pepslhv.basis import VirtualSpaceTag, bloch_diag_state, build_aligned_basis, phase_point_basis
 from pepslhv.errors import UsageError
-from pepslhv.linalg import kron_vectors, projector, tensor_product
+from pepslhv.linalg import kron_vectors, projector
+
+from reference import tensor_product
 
 
 @pytest.fixture(scope="module")
