@@ -158,6 +158,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not 0 < args.confidence_k < float("inf"):
+        raise UsageError(f"--confidence-k must be finite and > 0, got {args.confidence_k}")
     instance = configio.load_instance(args.instance)
     plan = configio.parse_plan(args.plan, instance)
     exact = oracle.born_joint_for_instance(instance, plan)
@@ -194,6 +196,16 @@ def _bench_env() -> dict:
     }
 
 
+class _CharCount:
+    """A text sink that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text: str) -> None:
+        self.chars += len(text)
+
+
 def cmd_bench(args) -> int:
     config = configio._load_json(args.instance)
     rows = []
@@ -203,10 +215,14 @@ def cmd_bench(args) -> int:
         plan = configio.parse_plan(args.plan, instance)
         dists = decomposition.edge_distribution(instance)
         t0 = time.perf_counter()
-        sampling.run_shots(
+        batch = sampling.run_shots(
             instance, plan, args.shots, args.seed, edge_dists=dists, workers=args.workers
         )
         seconds = time.perf_counter() - t0
+        sink = _CharCount()
+        t0 = time.perf_counter()
+        batch.write_jsonl(sink)
+        serialize_s = time.perf_counter() - t0
         n_sites = instance.lattice.n_sites
         rows.append(
             {
@@ -215,6 +231,8 @@ def cmd_bench(args) -> int:
                 "shots": args.shots,
                 "seconds": seconds,
                 "site_outcomes_per_s": args.shots * n_sites / seconds,
+                "serialize_s": serialize_s,
+                "output_bytes": sink.chars,
             }
         )
     out = {"env": _bench_env(), "timings": rows}

@@ -29,8 +29,7 @@ from pepslhv.errors import PositivityViolationError, UsageError
 
 DEFAULT_CHUNK = 1 << 16
 _TRANSPOSE_BLOCK = 256  # shots per block in _slot_major_uniforms
-_JSONL_BLOCK = 512  # shots per write in ShotBatch.write_jsonl
-_DECIMAL = [str(v) for v in range(256)]
+_JSONL_BLOCK_BYTES = 1 << 18  # bytes of value words per write in ShotBatch.write_jsonl
 
 
 @dataclass(frozen=True)
@@ -96,28 +95,65 @@ class ShotBatch:
     def write_jsonl(self, fh) -> None:
         """Write one ShotRecord.to_json line per shot to fh, a block of shots per write.
 
-        Only one block is held as text at a time, so the whole batch is never
-        held a second time.
+        Each value v becomes one fixed-width word, str(v) + "," padded with
+        NULs on the left, taken from a table over 0..max.  A block's words and
+        its fixed fields are laid side by side in one byte array, whose NULs
+        are then dropped.  Blocks hold about _JSONL_BLOCK_BYTES of words, so
+        narrow rows go in long blocks and the batch is never held as bytes.
         """
-        for lo in range(0, self.n_shots, _JSONL_BLOCK):
-            part = slice(lo, lo + _JSONL_BLOCK)
-            shots = range(self.start_shot + lo, self.start_shot + lo + _JSONL_BLOCK)
-            outcomes = _joined_rows(self.outcomes[part])
-            if self.hidden is None:
-                lines = [f'{{"shot":{i},"outcomes":[{o}]}}\n' for i, o in zip(shots, outcomes)]
-            else:
-                hidden = _joined_rows(self.hidden[part])
-                lines = [
-                    f'{{"shot":{i},"outcomes":[{o}],"hidden":[{h}]}}\n'
-                    for i, o, h in zip(shots, outcomes, hidden)
-                ]
-            fh.write("".join(lines))
+        if not self.n_shots:
+            return
+        arrays = [a for a in (self.outcomes, self.hidden) if a is not None]
+        words = _comma_words(max(int(a.max()) for a in arrays))
+        rows = max(1, _JSONL_BLOCK_BYTES // (words.itemsize * sum(a.shape[1] for a in arrays)))
+        shot_width = len(str(self.start_shot + self.n_shots))
+        for lo in range(0, self.n_shots, rows):
+            hi = min(lo + rows, self.n_shots)
+            n = hi - lo
+            shots = _decimal(np.arange(self.start_shot + lo, self.start_shot + hi), shot_width)
+            fields = [_fixed('{"shot":', n), shots, _fixed(',"outcomes":[', n)]
+            fields.append(_row_tokens(words, self.outcomes[lo:hi]))
+            if self.hidden is not None:
+                fields += [_fixed(',"hidden":[', n), _row_tokens(words, self.hidden[lo:hi])]
+            fields.append(_fixed("}\n", n))
+            data = np.concatenate(fields, axis=1).ravel()
+            # np.compress is branchless; data[data != 0] is 2-3x slower once
+            # token lengths vary, as they do for values 0..15
+            fh.write(np.compress(data != 0, data).tobytes().decode("ascii"))
 
 
-def _joined_rows(block: np.ndarray) -> list:
-    """Each row of an integer block as its comma-joined decimal values."""
-    name = _DECIMAL.__getitem__ if block.dtype == np.uint8 else str
-    return [",".join(map(name, row)) for row in block.tolist()]
+def _decimal(values: np.ndarray, width: int) -> np.ndarray:
+    """(len(values), width) ASCII digits of non-negative integers, NUL-padded on the left."""
+    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.uint64)
+    v = values.astype(np.uint64)[:, None]
+    digits = (v // powers % 10 + ord("0")).astype(np.uint8)
+    # leading zeros become NULs; a value of 0 keeps its last digit
+    digits[np.maximum(v, 1) < powers] = 0
+    return digits
+
+
+def _comma_words(top: int) -> np.ndarray:
+    """Word v, for v = 0..top, holds str(v) + ",", NUL-padded on the left to a power-of-two width.
+
+    The words are void scalars, so np.take moves each as one aligned copy.
+    """
+    width = 1 << len(str(top)).bit_length()
+    table = np.empty((top + 1, width), dtype=np.uint8)
+    table[:, :-1] = _decimal(np.arange(top + 1), width - 1)
+    table[:, -1] = ord(",")
+    return table.view(np.dtype((np.void, width)))[:, 0]
+
+
+def _row_tokens(words: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Each row of block, at least one column wide, as the bytes of "v,v,...,v]"."""
+    out = np.take(words, block).view(np.uint8)
+    out[:, -1] = ord("]")  # every word ends in its separator, so the row's last byte is one
+    return out
+
+
+def _fixed(text: str, rows: int) -> np.ndarray:
+    """text as a (rows, len(text)) byte array, one row repeated."""
+    return np.broadcast_to(np.frombuffer(text.encode(), dtype=np.uint8), (rows, len(text)))
 
 
 def derive_seed(seed: int, label: str) -> int:

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -467,6 +468,26 @@ class TestSampleAndVerify:
         assert code == 2
         assert "workers must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["nan", "inf", "0", "-1"])
+    def test_confidence_k_not_finite_positive_exit_2(self, instance_file, capsys, monkeypatch, k):
+        def no_shots(*args, **kwargs):
+            raise AssertionError("shots drawn before --confidence-k was checked")
+
+        monkeypatch.setattr(cli.sampling, "run_shots", no_shots)
+        code = run(
+            "verify", str(instance_file),
+            "--plan", "all:ZZ~0.5",
+            "--mode", "shots",
+            "--shots", "20000",
+            f"--confidence-k={k}",
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --confidence-k must be finite and > 0, got {float(k)}"
+        ]
+
     def test_degenerate_norm_exit_2(self, instance_file, capsys, monkeypatch):
         def zero_norm(instance):
             raise DegenerateNormError("assembled state has squared norm 0.000e+00")
@@ -518,6 +539,16 @@ class TestBench:
         assert [r["sites"] for r in rows] == [10, 20]
         assert [r["lattice"] for r in rows] == ["cycle:10", "cycle:20"]
         assert all(r["seconds"] > 0 for r in rows)
+        # serialization is timed into a counting sink: the bytes sample would write
+        assert all(r["serialize_s"] > 0 for r in rows)
+        for r in rows:
+            config = dict(configio._load_json(instance_file), lattice=r["lattice"])
+            instance = configio.build_instance(config)
+            plan = configio.parse_plan("all:ZZ~0.5", instance)
+            batch = sampling.run_shots(instance, plan, 200, 0)
+            fh = io.StringIO()
+            batch.write_jsonl(fh)
+            assert r["output_bytes"] == len(fh.getvalue().encode())
 
     def test_lattice_specs(self, tmp_path, capsys):
         inst = tmp_path / "torus.json"

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -238,13 +239,17 @@ class TestWriteJsonl:
         n_edges=st.one_of(st.none(), st.integers(1, 6)),
         dtype=st.sampled_from([np.uint8, np.uint16, np.int64]),
         transposed=st.booleans(),
+        block_bytes=st.sampled_from([1, 24, 1000, sampling._JSONL_BLOCK_BYTES]),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_records(self, n_shots, start_shot, n_sites, n_edges, dtype, transposed, seed):
-        # start_shot 95 and 999 put shot numbers across 99/100 and 999/1000
+    def test_matches_records(
+        self, n_shots, start_shot, n_sites, n_edges, dtype, transposed, block_bytes, seed
+    ):
+        # start_shot 95 and 999 put shot numbers across 99/100 and 999/1000;
+        # small block_bytes split the batch into blocks of one or a few shots
         rng = np.random.default_rng(seed)
-        top = 256 if dtype == np.uint8 else 1000
+        top = 1000 if dtype == np.int64 else int(np.iinfo(dtype).max) + 1
 
         def block(width):
             a = rng.integers(0, top, (n_shots, width)).astype(dtype)
@@ -255,6 +260,31 @@ class TestWriteJsonl:
             start_shot=start_shot,
             outcomes=block(n_sites),
             hidden=None if n_edges is None else block(n_edges),
+        )
+        fh = io.StringIO()
+        with mock.patch.object(sampling, "_JSONL_BLOCK_BYTES", block_bytes):
+            batch.write_jsonl(fh)
+        assert fh.getvalue() == "".join(r.to_json() + "\n" for r in batch.records())
+
+    BOUNDARIES = [0, 9, 10, 99, 100, 255, 999, 1000, 9999, 10000, 65535]
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int64])
+    @pytest.mark.parametrize(
+        "outcomes, hidden",
+        [
+            # one column: each row's first value is also its last
+            (np.array(BOUNDARIES)[:, None], None),
+            (np.array(BOUNDARIES)[:, None], np.array(BOUNDARIES[::-1])[:, None]),
+            (np.array([BOUNDARIES]), np.array([BOUNDARIES[::-1]])),
+            (np.array([BOUNDARIES, BOUNDARIES[::-1]]), None),
+        ],
+        ids=["column", "column-hidden", "row-hidden", "rows"],
+    )
+    def test_digit_boundaries(self, outcomes, hidden, dtype):
+        batch = sampling.ShotBatch(
+            start_shot=9,
+            outcomes=outcomes.astype(dtype),
+            hidden=None if hidden is None else hidden.astype(dtype),
         )
         fh = io.StringIO()
         batch.write_jsonl(fh)
