@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from pepslhv import decomposition, oracle, sampling
+from pepslhv import oracle, sampling
 from pepslhv.basis import VirtualSpaceTag, phase_point_basis
 from pepslhv.configio import build_instance
 from pepslhv.measurements import admissible_povm, bell_povm
@@ -44,8 +44,7 @@ def main():
         }
     )
     plan = sampling.MeasurementPlan.uniform(inst, "bell")
-    dists = decomposition.edge_distribution(inst)
-    batch = sampling.run_shots(inst, plan, args.shots, args.seed, edge_dists=dists)
+    batch = sampling.run_shots(inst, plan, args.shots, args.seed)
     exact = oracle.born_joint_for_instance(inst, plan)
     emp = oracle.empirical_distribution(batch, exact.arities)
     tv = oracle.tv_distance(emp, exact)

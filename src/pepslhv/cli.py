@@ -109,7 +109,8 @@ def _build_config_from_args(args) -> dict:
 
 
 def cmd_peps_build(args) -> int:
-    config = configio.normalize_config(_build_config_from_args(args))
+    config = _build_config_from_args(args)
+    configio.build_instance(config)
     _write_json(args.out, config)
     print(f"wrote instance config to {args.out}")
     return EXIT_OK
@@ -160,6 +161,8 @@ def cmd_sample(args) -> int:
 def cmd_verify(args) -> int:
     if not 0 < args.confidence_k < float("inf"):
         raise UsageError(f"--confidence-k must be finite and > 0, got {args.confidence_k}")
+    if args.mode == "shots" and args.shots < oracle.MIN_FREQUENCY_SHOTS:
+        raise UsageError(f"need at least {oracle.MIN_FREQUENCY_SHOTS} shots, got {args.shots}")
     instance = configio.load_instance(args.instance)
     plan = configio.parse_plan(args.plan, instance)
     exact = oracle.born_joint_for_instance(instance, plan)

@@ -230,12 +230,6 @@ def load_instance(path: str) -> PepsInstance:
     return build_instance(_load_json(path))
 
 
-def normalize_config(config: dict) -> dict:
-    """Validate by building, then return the config for storage."""
-    build_instance(config)
-    return config
-
-
 # ---------------------------------------------------------------------------
 # Plans
 

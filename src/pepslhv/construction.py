@@ -9,7 +9,7 @@ guarantees the state is entangled; strict positivity is checked elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class SiteMap:
     D: int
     d: int
     K: np.ndarray  # (d x D^v)
-    psi_y: Optional[tuple] = None
 
     def __post_init__(self):
         if self.v < 1 or self.D < 2 or self.d < 1:
@@ -46,8 +45,6 @@ class SiteMap:
         if K.shape != (self.d, self.D**self.v):
             raise UsageError(f"Kraus shape {K.shape} != ({self.d}, {self.D**self.v})")
         object.__setattr__(self, "K", K)
-        if self.psi_y is not None:
-            object.__setattr__(self, "psi_y", tuple(linalg.as_state(p) for p in self.psi_y))
 
     @property
     def virtual_dim(self) -> int:
@@ -111,7 +108,7 @@ def recipe2_site_map(v: int, d: int, psi_y: Sequence[np.ndarray], epsilon: float
             K[:, y] = epsilon ** bin(y).count("1") * states[y]
     except OverflowError as exc:
         raise UsageError(f"epsilon = {epsilon:g} overflows epsilon^{v}") from exc
-    return SiteMap(v=v, D=2, d=d, K=K, psi_y=tuple(states))
+    return SiteMap(v=v, D=2, d=d, K=K)
 
 
 def recipe2_states_from_interior(psi, v: int) -> list:

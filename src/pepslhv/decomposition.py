@@ -6,8 +6,10 @@ C_{i_a} (x) C_{i_b} (x) ... (transposed at tail ends) and outputs
 O = K (prod C) K^dag.  When every tr(O) is positive and the normalized
 outputs stay inside the measurement dual, the PEPS is a convex mixture of
 products of dual members, which is the local hidden variable model.  When
-the trace tensors factorize, the joint distribution over edge indices is a
-product of per-edge categoricals and can be sampled efficiently.
+each trace tensor is rank one, that is equal to its total times the outer
+product of its normalized marginals, the joint distribution over edge
+indices is a product of per-edge categoricals and can be sampled
+efficiently.
 
 `site_operator_family` is the one place the outputs are computed, all
 (D^2)^v of them per (site map, flags) in one stack; the certificate, trace
@@ -17,6 +19,7 @@ tables, sampler CDF tables and exact mixture all read these stacks, and
 
 from __future__ import annotations
 
+import functools
 import math
 import string
 from dataclasses import dataclass
@@ -175,55 +178,18 @@ def rv_positivity_check(instance: PepsInstance) -> PositivityReport:
 # ---------------------------------------------------------------------------
 # Trace factorization
 
-@dataclass(frozen=True)
-class FactorizationResult:
-    factorizable: bool
-    factors: Optional[tuple]  # one positive vector per incident edge position
-    residual: float
+def _rank_one_marginals(t: np.ndarray):
+    """(total S, marginals q_k per axis summing to 1, residual) of a positive tensor.
 
-
-def trace_factorization(table, v: int) -> FactorizationResult:
-    """Exact rank-1 factorization of the order-v trace tensor.
-
-    Successive unfoldings split off one positive factor per virtual
-    particle; all but the first returned vector are scaled to unit maximum
-    entry.  Residual above 1e-8 (relative, max-norm) means not
-    factorizable.
+    t factorizes exactly when it is S times the outer product of its
+    normalized marginals; residual = max|t - S (x)_k q_k| / max t, and
+    above 1e-8 means not factorizable.
     """
-    t = np.asarray(table, dtype=float)
-    if t.ndim != v:
-        raise UsageError(f"table order {t.ndim} != v = {v}")
-    if np.any(t <= 0):
-        raise UsageError("trace table must be strictly positive")
-    raw = [None] * v
-    rest = t
-    for pos in range(v - 1):
-        M = rest.reshape(rest.shape[0], -1)
-        U, sv, Vh = np.linalg.svd(M, full_matrices=False)
-        u = U[:, 0]
-        w = Vh[0]
-        if u[int(np.argmax(np.abs(u)))] < 0:
-            u, w = -u, -w
-        raw[pos] = u
-        rest = (sv[0] * w).reshape(rest.shape[1:])
-    raw[v - 1] = rest.reshape(-1).copy()
-
-    recon = raw[0]
-    for f in raw[1:]:
-        recon = np.multiply.outer(recon, f)
-    residual = float(np.max(np.abs(t - recon)) / np.max(np.abs(t)))
-    if residual > FACTOR_RESIDUAL_RTOL or any(np.any(f <= 0) for f in raw):
-        return FactorizationResult(factorizable=False, factors=None, residual=residual)
-
-    # push all scale into the first factor
-    scale = 1.0
-    factors = [raw[0]]
-    for f in raw[1:]:
-        peak = float(np.max(f))
-        factors.append(f / peak)
-        scale *= peak
-    factors[0] = factors[0] * scale
-    return FactorizationResult(factorizable=True, factors=tuple(factors), residual=residual)
+    S = t.sum()
+    axes = range(t.ndim)
+    q = [t.sum(axis=tuple(a for a in axes if a != k)) / S for k in axes]
+    recon = S * functools.reduce(np.multiply.outer, q)
+    return S, q, float(np.max(np.abs(t - recon)) / np.max(t))
 
 
 @dataclass(frozen=True)
@@ -239,10 +205,12 @@ class EdgeDistributions:
 def edge_distribution(instance: PepsInstance) -> EdgeDistributions:
     """Per-edge categorical distributions p_e and the log normalization log T.
 
-    p_e(k) is proportional to the head factor times the tail factor of
-    edge e.  T = prod_e Z_e / D^(2E), with Z_e the unnormalized mass, runs
-    about 2^-E and underflows to 0.0 beyond about a thousand edges, so it is
-    kept as log T = sum_e log Z_e - 2E ln D; `T` is its exponential.
+    p_e(k) is proportional to the head marginal times the tail marginal of
+    edge e, so no scale of the Kraus operators reaches it.  T = prod_s S_s
+    prod_e Z_e / D^(2E), with S_s site s's trace total and Z_e the
+    unnormalized mass of edge e, runs about 2^-E and underflows to 0.0
+    beyond about a thousand edges, so it is kept as
+    log T = sum_e log Z_e + sum_s log S_s - 2E ln D; `T` is its exponential.
     """
     return _edge_distribution(instance, *site_families(instance))
 
@@ -253,27 +221,33 @@ def _edge_distribution(
     """edge_distribution, given site_families(instance)."""
     lat = instance.lattice
     n = instance.D**2
-    factors = []
+    totals, marginals = [], []
     for f, ops in enumerate(families):
         s = site_family.index(f)
-        v = instance.site_maps[s].v
-        table = operator_traces(ops).reshape((n,) * v)
+        table = operator_traces(ops).reshape((n,) * instance.site_maps[s].v)
+        if not np.all(np.isfinite(table)):
+            raise UsageError(f"site {s}: non-finite output trace")
         if np.any(table <= 0):
             raise NotFactorizableError(f"site {s}: non-positive output trace")
-        res = trace_factorization(table, v)
-        if not res.factorizable:
+        S, q, residual = _rank_one_marginals(table)
+        if not residual <= FACTOR_RESIDUAL_RTOL:
             raise NotFactorizableError(
-                f"site {s}: trace tensor not rank-1 (residual {res.residual:.3e})"
+                f"site {s}: trace tensor not rank-1 (residual {residual:.3e})"
             )
-        factors.append(res.factors)
+        totals.append(S)
+        marginals.append(q)
 
-    # each edge's row collects the factor of its head end and of its tail end
+    # each edge's row collects the marginal of its head end and of its tail end
     weights = np.ones((lat.n_edges, n))
     for s, f in enumerate(site_family):
-        for (e, _), factor in zip(lat.incident_edges(s), factors[f]):
-            weights[e] *= factor
+        for (e, _), q in zip(lat.incident_edges(s), marginals[f]):
+            weights[e] *= q
     Z = weights.sum(axis=1)
-    log_T = float(np.log(Z).sum()) - 2.0 * lat.n_edges * math.log(instance.D)
+    log_T = (
+        float(np.log(Z).sum())
+        + float(np.log(totals)[site_family].sum())
+        - 2.0 * lat.n_edges * math.log(instance.D)
+    )
     return EdgeDistributions(probs=weights / Z[:, None], log_T=log_T)
 
 

@@ -14,7 +14,7 @@ import pytest
 from pepslhv import cli
 from pepslhv import construction as con
 from pepslhv import decomposition as dec
-from pepslhv import linalg, oracle, sampling
+from pepslhv import configio, linalg, oracle, sampling
 from pepslhv.basis import build_aligned_basis, phase_point_basis, verify_decomposition
 from pepslhv.lattice import build_chain
 from pepslhv.measurements import (
@@ -90,7 +90,7 @@ def test_criterion_05_positivity_machinery():
         return build(recipe2_config(epsilon=eps, measurements="pauli:2"))
 
     inst0 = make(0.0)
-    psi = inst0.site_maps[0].psi_y[0]
+    psi = configio.parse_state(recipe2_config(measurements="pauli:2")["psi"])
     margin = dual_margin(linalg.projector(psi), inst0.measurement_set).margin
     assert margin == pytest.approx(((1 - 1 / np.sqrt(3)) / 2) ** 2, abs=1e-10)
     rep = dec.rv_positivity_check(inst0)

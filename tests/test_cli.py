@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pepslhv import cli, configio, linalg, measurements, sampling
+from pepslhv import cli, configio, linalg, measurements, oracle, sampling
 from pepslhv.errors import ConstructionError, DegenerateNormError
 
 
@@ -486,6 +486,25 @@ class TestSampleAndVerify:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             f"error: --confidence-k must be finite and > 0, got {float(k)}"
+        ]
+
+    def test_too_few_shots_exit_2_before_work(self, instance_file, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before --shots was checked")
+
+        monkeypatch.setattr(cli.configio, "load_instance", no_work)
+        monkeypatch.setattr(cli.oracle, "born_joint_for_instance", no_work)
+        monkeypatch.setattr(cli.sampling, "run_shots", no_work)
+        shots = oracle.MIN_FREQUENCY_SHOTS - 1
+        code = run(
+            "verify", str(instance_file),
+            "--plan", "all:ZZ~0.5",
+            "--mode", "shots",
+            "--shots", str(shots),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: need at least {oracle.MIN_FREQUENCY_SHOTS} shots, got {shots}"
         ]
 
     def test_degenerate_norm_exit_2(self, instance_file, capsys, monkeypatch):

@@ -1,12 +1,17 @@
+import functools
+import io
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pepslhv import configio
 from pepslhv import construction as con
 from pepslhv import decomposition as dec
-from pepslhv import linalg
+from pepslhv import linalg, sampling
 from pepslhv.basis import build_aligned_basis, phase_point_basis
 from pepslhv.errors import NotFactorizableError, UsageError
 from pepslhv.measurements import bell_povm, dual_margin
@@ -60,8 +65,9 @@ class TestSiteOutputOperator:
 
 class TestPositivityCheck:
     def test_epsilon_zero_slack_equals_interior_margin(self):
-        inst = build(recipe2_config(epsilon=0.0, measurements="pauli:2"))
-        psi = inst.site_maps[0].psi_y[0]
+        config = recipe2_config(epsilon=0.0, measurements="pauli:2")
+        inst = build(config)
+        psi = configio.parse_state(config["psi"])
         margin = dual_margin(linalg.projector(psi), inst.measurement_set).margin
         report = dec.rv_positivity_check(inst)
         assert report.passed
@@ -99,22 +105,23 @@ class TestPositivityCheck:
 
 
 class TestTraceFactorization:
+    # the rank-one test _edge_distribution runs on each trace table
     def test_identity_v2_unit_trace_basis(self):
         m = con.identity_site_map(2)
         table = trace_table(m, phase_point_basis(), [False, True])
-        res = dec.trace_factorization(table, 2)
-        assert res.factorizable
-        assert res.residual <= 1e-12
+        _, _, residual = dec._rank_one_marginals(table)
+        assert residual <= dec.FACTOR_RESIDUAL_RTOL
+        assert residual <= 1e-12
 
     def test_recipe2_per_edge_factor_formula(self):
         states = [row.astype(complex) for row in np.eye(4)]
         m = con.recipe2_site_map(2, 4, states, 0.3)
         b = build_aligned_basis(2, KET0)
         table = trace_table(m, b, [False, False])
-        res = dec.trace_factorization(table, 2)
-        assert res.factorizable
+        S, q, residual = dec._rank_one_marginals(table)
+        assert residual <= dec.FACTOR_RESIDUAL_RTOL
         u = np.array([(c[0, 0] + 0.09 * c[1, 1]).real for c in b.elements])
-        recon = np.multiply.outer(res.factors[0], res.factors[1])
+        recon = S * np.multiply.outer(q[0], q[1])
         assert np.allclose(recon, np.multiply.outer(u, u), atol=1e-10)
 
     def test_head_and_tail_factors_agree(self):
@@ -127,19 +134,35 @@ class TestTraceFactorization:
         assert np.allclose(t1, t2, atol=1e-12)
 
     def test_crafted_rank2_table_rejected(self):
-        res = dec.trace_factorization(np.array([[1.0, 1.0], [1.0, 2.0]]), 2)
-        assert not res.factorizable
-        assert res.residual > 0.1
+        _, _, residual = dec._rank_one_marginals(np.array([[1.0, 1.0], [1.0, 2.0]]))
+        assert residual > dec.FACTOR_RESIDUAL_RTOL
+        assert residual > 0.1
 
-    def test_normalization_convention(self):
-        table = np.multiply.outer(np.array([2.0, 3.0]), np.array([0.5, 4.0]))
-        res = dec.trace_factorization(table, 2)
-        assert res.factorizable
-        assert np.max(res.factors[1]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_non_positive_table_rejected(self):
-        with pytest.raises(UsageError):
-            dec.trace_factorization(np.array([[1.0, 0.0], [1.0, 1.0]]), 2)
+    @given(
+        factors=st.integers(1, 4).flatmap(
+            lambda order: st.sampled_from([4, 9]).flatmap(
+                lambda width: st.lists(
+                    st.lists(st.floats(0.5, 1.0), min_size=width, max_size=width),
+                    min_size=order,
+                    max_size=order,
+                )
+            )
+        ),
+        scale=st.sampled_from([2.0**-300, 1.0, 2.0**300]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rank_one_tables_accepted_and_bumped_rejected(self, factors, scale):
+        factors = [np.array(f) for f in factors]
+        table = scale * functools.reduce(np.multiply.outer, factors)
+        _, q, residual = dec._rank_one_marginals(table)
+        assert residual <= dec.FACTOR_RESIDUAL_RTOL
+        for qk, f in zip(q, factors):
+            assert np.allclose(qk, f / f.sum(), rtol=1e-12, atol=0)
+        if len(factors) > 1:
+            # one corner raised by 1e-6 of the peak: rank two; a vector is always rank one
+            bumped = table.copy()
+            bumped[(0,) * len(factors)] += 1e-6 * table.max()
+            assert dec._rank_one_marginals(bumped)[2] > dec.FACTOR_RESIDUAL_RTOL
 
 
 class TestEdgeDistribution:
@@ -219,6 +242,74 @@ class TestEdgeDistribution:
         )
         with pytest.raises(NotFactorizableError):
             dec.edge_distribution(inst)
+
+    def test_non_positive_trace_refused(self):
+        # K = |0><0| keeps <0|C_k|0>, which is 0 for half the phase points
+        from pepslhv.lattice import build_chain
+        from pepslhv.measurements import noisy_pauli_product_measurements
+
+        m = con.SiteMap(1, 2, 2, np.diag([1.0, 0.0]).astype(complex))
+        inst = con.PepsInstance(
+            lattice=build_chain(2),
+            site_maps=(m, m),
+            basis=phase_point_basis(),
+            measurement_set=noisy_pauli_product_measurements(1, 0.5),
+        )
+        with pytest.raises(NotFactorizableError, match="non-positive output trace"):
+            dec.edge_distribution(inst)
+
+    def test_non_finite_trace_is_usage_error(self):
+        inst = scaled(build(recipe2_config(lattice="cycle:6")), 2.0**600)
+        with np.errstate(all="ignore"), pytest.raises(UsageError, match="non-finite"):
+            dec.edge_distribution(inst)
+
+
+def scaled(inst, factor):
+    """inst with every distinct site map's Kraus operator times factor, sharing kept."""
+    maps = {id(m): con.SiteMap(m.v, m.D, m.d, m.K * factor) for m in inst.site_maps}
+    return con.PepsInstance(
+        lattice=inst.lattice,
+        site_maps=tuple(maps[id(m)] for m in inst.site_maps),
+        basis=inst.basis,
+        measurement_set=inst.measurement_set,
+    )
+
+
+SCALED_CASES = pytest.mark.parametrize(
+    "lattice, qubits, epsilon", [("cycle:6", 2, 0.2), ("torus:3x3", 4, 0.1)],
+    ids=["cycle6", "torus3x3"],
+)
+
+
+def scaled_case(lattice, qubits, epsilon):
+    config = recipe2_config(lattice, epsilon, f"noisy-pauli:{qubits}:0.5")
+    config["psi"] = f"plus-diag:{qubits}"
+    return build(config)
+
+
+class TestKrausScale:
+    # powers of two scale every trace exactly, so nothing normalized may move
+    @SCALED_CASES
+    @pytest.mark.parametrize("power", [300, -300])
+    def test_edge_distribution_scale_invariant(self, lattice, qubits, epsilon, power):
+        inst = scaled_case(lattice, qubits, epsilon)
+        base = dec.edge_distribution(inst)
+        dists = dec.edge_distribution(scaled(inst, 2.0**power))
+        assert np.all(np.isfinite(dists.probs))
+        assert np.allclose(dists.probs, base.probs, rtol=1e-9, atol=0)
+        shift = 2 * inst.lattice.n_sites * power * math.log(2)
+        assert dists.log_T == pytest.approx(base.log_T + shift, rel=1e-9)
+
+    @SCALED_CASES
+    def test_shots_scale_invariant(self, lattice, qubits, epsilon):
+        inst = scaled_case(lattice, qubits, epsilon)
+        plan = sampling.MeasurementPlan.uniform(inst, "Z" * qubits + "~0.5")
+        outputs = []
+        for which in (inst, scaled(inst, 2.0**300)):
+            fh = io.StringIO()
+            sampling.run_shots(which, plan, 2000, 0, emit_hidden=True).write_jsonl(fh)
+            outputs.append(fh.getvalue())
+        assert outputs[0] == outputs[1]
 
 
 class TestMixtureReconstruction:

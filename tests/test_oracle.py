@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from pepslhv import construction as con
 from pepslhv import decomposition as dec
-from pepslhv import oracle, sampling
+from pepslhv import configio, oracle, sampling
 from pepslhv.errors import UsageError
 from pepslhv.measurements import pauli_product_measurements
 
@@ -48,10 +48,11 @@ class TestExactJointDistribution:
 
 class TestMixtureJointDistribution:
     def test_epsilon_zero_is_product(self):
-        inst = build(recipe2_config(epsilon=0.0))
+        config = recipe2_config(epsilon=0.0)
+        inst = build(config)
         plan = sampling.MeasurementPlan.uniform(inst, "ZZ~0.5")
         mix = oracle.mixture_joint_distribution(inst, plan)
-        psi = inst.site_maps[0].psi_y[0]
+        psi = configio.parse_state(config["psi"])
         _, povm = inst.measurement_set.by_label("ZZ~0.5")
         local = np.array([np.real(psi.conj() @ x @ psi) for x in povm.elements])
         expected = np.multiply.outer(np.multiply.outer(local, local), local)
