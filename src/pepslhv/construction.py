@@ -8,13 +8,14 @@ guarantees the state is entangled; strict positivity is checked elsewhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from pepslhv import linalg
-from pepslhv.basis import OperatorBasis, max_ent_state
+from pepslhv.basis import OperatorBasis
 from pepslhv.errors import (
     ConstraintError,
     ConstructionError,
@@ -44,6 +45,9 @@ class SiteMap:
         K = linalg.as_matrix(self.K)
         if K.shape != (self.d, self.D**self.v):
             raise UsageError(f"Kraus shape {K.shape} != ({self.d}, {self.D**self.v})")
+        if not np.any(K):
+            # every bound on the outputs is relative to the scale of K
+            raise UsageError("Kraus operator is all zero")
         object.__setattr__(self, "K", K)
 
     @property
@@ -174,8 +178,12 @@ def choi_matrix(K: np.ndarray) -> np.ndarray:
 
 
 def choi_check(site_map: SiteMap) -> float:
-    """Minimal Choi eigenvalue; >= -1e-9 certifies complete positivity."""
-    return float(np.linalg.eigvalsh(choi_matrix(site_map.K))[0])
+    """Least eigenvalue of the unit-trace Choi matrix; >= -1e-9 certifies complete positivity.
+
+    K is divided by its largest entry, then its norm: no scale of K reaches it.
+    """
+    K = site_map.K / np.max(np.abs(site_map.K))
+    return float(np.linalg.eigvalsh(choi_matrix(K / np.linalg.norm(K)))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -212,47 +220,51 @@ class PepsInstance:
         return [m.d for m in self.site_maps]
 
 
-def assemble_exact_state(instance: PepsInstance):
-    """Apply the site maps to the product of bond states.
+def contract_edges(lattice: Lattice, tensors, bond_dim: int, extra_axes=0, keep_edges=False):
+    """Sum over all edge assignments of the product of one row per site, as one einsum.
 
-    Returns (unnormalized state vector, squared norm T).  Virtual wires are
-    routed by incidence-list order; the head slot of each edge takes the
-    first tensor factor of the bond state.
+    tensors[s] is (bond_dim^v, ...) with ``extra_axes`` trailing axes, its
+    rows in C-order over the site's incident edges; each edge is one label
+    shared by its two ends.  The result has the edge axes if
+    ``keep_edges``, then extra axis 0 of every site, then axis 1, and so on.
+    """
+    E, N = lattice.n_edges, lattice.n_sites
+    operands = []
+    for s, rows in enumerate(tensors):
+        edges = [e for e, _ in lattice.incident_edges(s)]
+        extra = [E + x * N + s for x in range(extra_axes)]
+        operands += [rows.reshape((bond_dim,) * len(edges) + rows.shape[1:]), edges + extra]
+    out = list(range(E if keep_edges else 0)) + list(range(E, E + extra_axes * N))
+    return np.einsum(*operands, out, optimize=True)
+
+
+def assemble_exact_state(instance: PepsInstance):
+    """Apply the site maps to the product of bond states sum_j |jj>/sqrt(D).
+
+    Returns (unnormalized state vector, squared norm T).  A bond state ties
+    the two virtual indices of its edge, so the state is one contraction of
+    the transposed Kraus operators over shared edge labels.
     """
     lat = instance.lattice
     D = instance.D
     E = lat.n_edges
-    phys_dims = instance.physical_dims()
-    if int(np.prod(phys_dims)) > MAX_PHYSICAL_DIM:
+    if int(np.prod(instance.physical_dims())) > MAX_PHYSICAL_DIM:
         raise UsageError("physical dimension too large for exact assembly")
     if D ** (2 * E) > MAX_VIRTUAL_DIM:
         raise UsageError("virtual dimension too large for exact assembly")
-
-    phi = max_ent_state(D).reshape(D, D)
-    tensor = phi
-    for _ in range(E - 1):
-        tensor = np.multiply.outer(tensor, phi)
-    # edge-major axes: (e0 head, e0 tail, e1 head, e1 tail, ...)
-    perm = []
-    for s in range(lat.n_sites):
-        for e, ishead in lat.incident_edges(s):
-            perm.append(2 * e if ishead else 2 * e + 1)
-    tensor = tensor.transpose(perm)
-    tensor = tensor.reshape([m.virtual_dim for m in instance.site_maps])
-    for s, m in enumerate(instance.site_maps):
-        tensor = np.tensordot(m.K, tensor, axes=([1], [s]))
-        tensor = np.moveaxis(tensor, 0, s)
-    vec = tensor.reshape(-1)
-    T = float(np.real(vec.conj() @ vec))
-    if T <= 1e-14:
+    # a Kraus scale far from 1 overflows here, and T reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        vec = contract_edges(lat, [m.K.T for m in instance.site_maps], D, extra_axes=1)
+        vec = vec.reshape(-1) / math.sqrt(D) ** E
+        T = float(np.real(vec.conj() @ vec))
+    if not 1e-14 < T < math.inf:
         raise DegenerateNormError(f"assembled state has squared norm {T:.3e}")
     return vec, T
 
 
-def entanglement_certificate(instance: PepsInstance, state=None) -> list:
+def entanglement_certificate(instance: PepsInstance) -> list:
     """Entanglement entropy (bits) across every single-site bipartition."""
-    if state is None:
-        raw, T = assemble_exact_state(instance)
-        state = raw / np.sqrt(T)
+    raw, T = assemble_exact_state(instance)
     dims = instance.physical_dims()
+    state = raw / np.sqrt(T)
     return [linalg.entanglement_entropy(state, dims, [s]) for s in range(instance.lattice.n_sites)]

@@ -13,8 +13,9 @@ efficiently.
 
 `site_operator_family` is the one place the outputs are computed, all
 (D^2)^v of them per (site map, flags) in one stack; the certificate, trace
-tables, sampler CDF tables and exact mixture all read these stacks, and
-`contract_mixture` is the one sum over edge assignments of the exact mixture.
+tables, sampler CDF tables and exact mixture all read these stacks.
+`_scan_family` is the one positivity test, for the certificate and the
+sampler's tables alike.
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ from __future__ import annotations
 import functools
 import math
 import string
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from pepslhv import linalg
 from pepslhv.basis import OperatorBasis
-from pepslhv.construction import PepsInstance, SiteMap
+from pepslhv.construction import PepsInstance, SiteMap, contract_edges
 from pepslhv.errors import NotFactorizableError, UsageError
 
 TRACE_FLOOR = 1e-10
@@ -54,25 +55,20 @@ def site_operator_family(
     prod = np.einsum(spec, *(C.transpose(0, 2, 1) if t else C for t in flags))
     prod = prod.reshape(C.shape[0] ** v, site_map.virtual_dim, site_map.virtual_dim)
     K = site_map.K
-    return K @ prod @ K.conj().T
+    # a Kraus operator near the float range overflows; site_families rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return K @ prod @ K.conj().T
 
 
 def operator_traces(ops: np.ndarray) -> np.ndarray:
     return np.real(np.trace(ops, axis1=1, axis2=2))
 
 
-def normalized_overlaps(ops: np.ndarray, elements):
-    """(tr(O), mask tr(O) >= TRACE_FLOOR, tr(O X) / tr(O)); masked-out rows are not divided."""
-    traces = operator_traces(ops)
-    ok = traces >= TRACE_FLOOR
-    return traces, ok, linalg.overlaps(ops, elements) / np.where(ok, traces, 1.0)[:, None]
-
-
 def site_families(instance: PepsInstance):
     """(distinct output stacks, family index per site).
 
     Sites with the same site map (by identity) and transposed flags share
-    one stack.
+    one stack.  A stack with a non-finite entry raises UsageError.
     """
     index: dict = {}
     families = []
@@ -82,8 +78,11 @@ def site_families(instance: PepsInstance):
         flags = tuple(not ishead for _, ishead in instance.lattice.incident_edges(s))
         key = (id(m), flags)
         if key not in index:
+            ops = site_operator_family(m, instance.basis, flags)
+            if not np.all(np.isfinite(ops)):
+                raise UsageError(f"site {s}: non-finite output operator")
             index[key] = len(families)
-            families.append(site_operator_family(m, instance.basis, flags))
+            families.append(ops)
         site_family.append(index[key])
     return families, site_family
 
@@ -117,20 +116,21 @@ class PositivityReport:
             "per_site_slack": list(self.per_site_slack),
         }
         if self.witness is not None:
-            obj["witness"] = {
-                "site": self.witness.site,
-                "indices": list(self.witness.indices),
-                "kind": self.witness.kind,
-                "povm_index": self.witness.povm_index,
-                "element_index": self.witness.element_index,
-                "value": self.witness.value,
-            }
+            obj["witness"] = asdict(self.witness)
         return obj
 
 
-def _scan_family(ops: np.ndarray, stack, where):
-    """(slack, min trace, first witness row in C-order or None) of one stack."""
-    traces, ok, normed = normalized_overlaps(ops, stack)
+def _scan_family(instance: PepsInstance, site: int, ops: np.ndarray, stack, where):
+    """(normalized overlaps, slack, min trace, witness or None) of site's stack.
+
+    A row fails if its trace is not positive or below TRACE_FLOOR times the
+    stack's largest (such rows are not divided), or if an overlap with
+    stack, whose element k is where[k] = (POVM, element), leaves
+    [-DUAL_ATOL, 1 + DUAL_ATOL].  The witness is the first failing row.
+    """
+    traces = operator_traces(ops)
+    ok = (traces > 0) & (traces >= TRACE_FLOOR * traces.max())
+    normed = linalg.overlaps(ops, stack) / np.where(ok, traces, 1.0)[:, None]
     slacks = np.minimum(normed, 1.0 - normed)
     worst = np.argmin(slacks, axis=1)
     worst_slack = slacks[np.arange(len(ops)), worst]
@@ -139,37 +139,39 @@ def _scan_family(ops: np.ndarray, stack, where):
     witness = None
     if bad.any():
         r = int(np.argmax(bad))
+        tup = np.unravel_index(r, (instance.D**2,) * instance.site_maps[site].v)
+        tup = tuple(int(k) for k in tup)
         if not ok[r]:
-            witness = (r, "trace", None, None, float(traces[r]))
+            witness = PositivityWitness(site, tup, "trace", None, None, float(traces[r]))
         else:
             i, j = where[int(worst[r])]
-            witness = (r, "dual", i, j, float(normed[r, worst[r]]))
-    return slack, float(traces.min()), witness
+            witness = PositivityWitness(site, tup, "dual", i, j, float(normed[r, worst[r]]))
+    return normed, slack, float(traces.min()), witness
 
 
 def rv_positivity_check(instance: PepsInstance) -> PositivityReport:
     """Scan all extreme index tuples at every site.
 
-    Passes iff every output trace is >= 1e-10 and every normalized output
-    has overlaps inside [-1e-9, 1 + 1e-9] for every POVM element.  The
-    slack is the worst min(tr(sigma X), 1 - tr(sigma X)) over the scan.
+    Passes iff every output trace is positive and at least 1e-10 times the
+    largest of its site's family, and every normalized output has overlaps
+    inside [-1e-9, 1 + 1e-9] for every POVM element; no Kraus scale changes
+    either test.  The slack is the worst min(tr(sigma X), 1 - tr(sigma X))
+    over the scan; the witness is the first failing tuple of the first
+    failing site.
     """
     stack, where = instance.measurement_set.element_stack()
     families, site_family = site_families(instance)
-    scans = [_scan_family(ops, stack, where) for ops in families]
-    per_site_slack = tuple(scans[f][0] for f in site_family)
-    witness = None
-    for s, f in enumerate(site_family):
-        if scans[f][2] is not None:
-            r, kind, i, j, value = scans[f][2]
-            tup = np.unravel_index(r, (instance.D**2,) * instance.site_maps[s].v)
-            witness = PositivityWitness(s, tuple(int(k) for k in tup), kind, i, j, value)
-            break
-    slack = min(per_site_slack)
+    scans = [
+        _scan_family(instance, site_family.index(f), ops, stack, where)
+        for f, ops in enumerate(families)
+    ]
+    per_site_slack = tuple(scans[f][1] for f in site_family)
+    # a family's witness is at its first site, so the least site is the first failure
+    witness = min((sc[3] for sc in scans if sc[3] is not None), key=lambda w: w.site, default=None)
     return PositivityReport(
-        passed=witness is None and slack >= -DUAL_ATOL,
-        slack=slack,
-        min_trace=min(scan[1] for scan in scans),
+        passed=witness is None,
+        slack=min(per_site_slack),
+        min_trace=min(sc[2] for sc in scans),
         witness=witness,
         per_site_slack=per_site_slack,
     )
@@ -225,8 +227,6 @@ def _edge_distribution(
     for f, ops in enumerate(families):
         s = site_family.index(f)
         table = operator_traces(ops).reshape((n,) * instance.site_maps[s].v)
-        if not np.all(np.isfinite(table)):
-            raise UsageError(f"site {s}: non-finite output trace")
         if np.any(table <= 0):
             raise NotFactorizableError(f"site {s}: non-positive output trace")
         S, q, residual = _rank_one_marginals(table)
@@ -262,23 +262,9 @@ def _enumeration_guard(instance: PepsInstance):
 
 
 def contract_mixture(instance: PepsInstance, site_rows, extra_axes=0, keep_edges=False):
-    """Sum over all edge assignments of the product of one row per site, as one einsum.
-
-    site_rows[s] is ((D^2)^v, ...) with ``extra_axes`` trailing axes, its
-    rows in C-order over the site's incident edges; each edge is one label
-    shared by its two ends.  The result has the edge axes if
-    ``keep_edges``, then extra axis 0 of every site, then axis 1, and so on.
-    """
+    """contract_edges over D^2 indices per edge, within the enumeration limits."""
     _enumeration_guard(instance)
-    lat = instance.lattice
-    E, N = lat.n_edges, lat.n_sites
-    operands = []
-    for s, rows in enumerate(site_rows):
-        edges = [e for e, _ in lat.incident_edges(s)]
-        extra = [E + x * N + s for x in range(extra_axes)]
-        operands += [rows.reshape((instance.D**2,) * len(edges) + rows.shape[1:]), edges + extra]
-    out = list(range(E if keep_edges else 0)) + list(range(E, E + extra_axes * N))
-    return np.einsum(*operands, out, optimize=True)
+    return contract_edges(instance.lattice, site_rows, instance.D**2, extra_axes, keep_edges)
 
 
 def mixture_weights(instance: PepsInstance) -> np.ndarray:
@@ -308,17 +294,17 @@ def reconstruct_mixture(instance: PepsInstance):
 # ---------------------------------------------------------------------------
 # Maximal-epsilon search
 
-def max_epsilon_search(
-    make_instance: Callable[[float], PepsInstance],
-    eps_hi: float,
-    coarse_steps: int = 16,
-    bracket_width: float = 1e-4,
-):
+EPSILON_COARSE_STEPS = 16
+EPSILON_BRACKET_WIDTH = 1e-4
+
+
+def max_epsilon_search(make_instance: Callable[[float], PepsInstance], eps_hi: float):
     """Bracket the first positivity failure along increasing epsilon.
 
-    Coarse upward scan, then bisection of the pass/fail predicate.  The
-    returned (lo, hi) is re-verified: lo passes, hi fails.  If nothing
-    fails below eps_hi the result is (eps_hi, inf).
+    Coarse upward scan of EPSILON_COARSE_STEPS points, then bisection of the
+    pass/fail predicate down to EPSILON_BRACKET_WIDTH.  In the returned
+    (lo, hi), lo is a point this search saw pass and hi one it saw fail.  If
+    nothing fails below eps_hi the result is (eps_hi, inf).
     """
     if eps_hi <= 0:
         raise UsageError("eps_hi must be positive")
@@ -330,7 +316,7 @@ def max_epsilon_search(
         raise UsageError("epsilon = 0 instance must pass the positivity check")
     lo = 0.0
     hi = None
-    for eps in np.linspace(0.0, eps_hi, coarse_steps + 1)[1:]:
+    for eps in np.linspace(0.0, eps_hi, EPSILON_COARSE_STEPS + 1)[1:]:
         if passes(float(eps)):
             lo = float(eps)
         else:
@@ -338,12 +324,10 @@ def max_epsilon_search(
             break
     if hi is None:
         return eps_hi, math.inf
-    while hi - lo > bracket_width:
+    while hi - lo > EPSILON_BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
         if passes(mid):
             lo = mid
         else:
             hi = mid
-    if not passes(lo) or passes(hi):
-        raise UsageError("pass/fail is not monotone around the returned bracket")
     return lo, hi

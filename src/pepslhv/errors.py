@@ -22,7 +22,12 @@ class NotFactorizableError(ValueError):
 
 
 class PositivityViolationError(ValueError):
-    """A site output operator left the dual during sampling."""
+    """A site output operator failed the certificate's scan during sampling.
+
+    Its trace was not positive or below 1e-10 times the largest of its
+    family, or it left the dual of its POVM; ``witness`` is the scan's
+    PositivityWitness.
+    """
 
     def __init__(self, message, witness=None):
         super().__init__(message)

@@ -19,10 +19,9 @@ import numpy as np
 
 from pepslhv.construction import PepsInstance
 from pepslhv.decomposition import (
-    DUAL_ATOL,
     EdgeDistributions,
     _edge_distribution,
-    normalized_overlaps,
+    _scan_family,
     site_families,
 )
 from pepslhv.errors import PositivityViolationError, UsageError
@@ -260,38 +259,28 @@ def _draw_sites(
 
 
 def _site_cdf_tables(
-    instance: PepsInstance, povms: list, families: list, site_family: list
+    instance: PepsInstance, plan: MeasurementPlan, families: list, site_family: list
 ) -> list:
     """Per site, padded cumulative Born probabilities per extreme index tuple, ((D^2)^v, W).
 
     families and site_family are site_families(instance).  Sites sharing
-    (site map, flags, POVM) share one table.  The first row, in site then
-    C-order, with a trace below TRACE_FLOOR or an overlap below -DUAL_ATOL
-    raises PositivityViolationError.
+    (site map, flags, POVM) share one table.  A row failing the
+    certificate's scan against the site's POVM raises
+    PositivityViolationError with the scan's witness.
     """
+    povms = plan.povms(instance)
     cache: dict = {}
     tables = []
     for s, f in enumerate(site_family):
-        key = (f, id(povms[s]))
-        if key not in cache:
-            traces, ok, probs = normalized_overlaps(families[f], povms[s].elements)
-            bad = ~ok | (probs.min(axis=1) < -DUAL_ATOL)
-            if bad.any():
-                r = int(np.argmax(bad))
-                if not ok[r]:
-                    raise PositivityViolationError(
-                        f"site {s}: output trace {traces[r]:.3e} at tuple {r} "
-                        "(certificate stale or absent)",
-                        witness=(s, r, None, float(traces[r])),
-                    )
-                j = int(np.argmin(probs[r]))
-                raise PositivityViolationError(
-                    f"site {s}: tr(sigma X_{j}) = {probs[r, j]:.3e} at tuple {r}",
-                    witness=(s, r, j, float(probs[r, j])),
-                )
+        idx = plan.povm_indices[s]
+        if (f, idx) not in cache:
+            where = [(idx, j) for j in range(povms[s].n_outcomes)]
+            probs, _, _, witness = _scan_family(instance, s, families[f], povms[s].elements, where)
+            if witness is not None:
+                raise PositivityViolationError(f"uncertified output: {witness}", witness=witness)
             cdf = np.cumsum(np.clip(probs, 0.0, 1.0), axis=1)
-            cache[key] = _padded(cdf / cdf[:, -1:])
-        tables.append(cache[key])
+            cache[f, idx] = _padded(cdf / cdf[:, -1:])
+        tables.append(cache[f, idx])
     return tables
 
 
@@ -310,7 +299,7 @@ def sample_outcomes(
     n = instance.D**2
     if np.any(assignment < 0) or np.any(assignment >= n):
         raise UsageError("edge index out of range")
-    site_tables = _site_cdf_tables(instance, plan.povms(instance), *site_families(instance))
+    site_tables = _site_cdf_tables(instance, plan, *site_families(instance))
     outcomes = np.empty((lat.n_sites, 1), dtype=np.int64)
     _draw_sites(instance, site_tables, assignment[:, None], seed, shot, outcomes)
     return ShotRecord(
@@ -340,7 +329,7 @@ def run_shots(
     lat = instance.lattice
     povms = plan.povms(instance)
     edge_cdfs = _edge_cdfs(edge_dists.probs)
-    site_tables = _site_cdf_tables(instance, povms, *families)
+    site_tables = _site_cdf_tables(instance, plan, *families)
     # hidden indices and outcomes share the narrowest dtype that holds both
     dtype = np.min_scalar_type(max([instance.D**2] + [p.n_outcomes for p in povms]) - 1)
     lam = np.empty((lat.n_edges, n_shots), dtype=dtype)

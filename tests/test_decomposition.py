@@ -1,6 +1,7 @@
 import functools
 import io
 import itertools
+import json
 import math
 
 import numpy as np
@@ -11,10 +12,11 @@ from hypothesis import strategies as st
 from pepslhv import configio
 from pepslhv import construction as con
 from pepslhv import decomposition as dec
-from pepslhv import linalg, sampling
+from pepslhv import cli, linalg, sampling
 from pepslhv.basis import build_aligned_basis, phase_point_basis
-from pepslhv.errors import NotFactorizableError, UsageError
-from pepslhv.measurements import bell_povm, dual_margin
+from pepslhv.errors import DegenerateNormError, NotFactorizableError, UsageError
+from pepslhv.lattice import build_chain
+from pepslhv.measurements import bell_povm, dual_margin, noisy_pauli_product_measurements
 
 from conftest import build, recipe2_config
 from reference import site_output_operator
@@ -259,8 +261,9 @@ class TestEdgeDistribution:
             dec.edge_distribution(inst)
 
     def test_non_finite_trace_is_usage_error(self):
+        # no errstate here: the suite turns numpy warnings into errors
         inst = scaled(build(recipe2_config(lattice="cycle:6")), 2.0**600)
-        with np.errstate(all="ignore"), pytest.raises(UsageError, match="non-finite"):
+        with pytest.raises(UsageError, match="site 0: non-finite output operator"):
             dec.edge_distribution(inst)
 
 
@@ -281,10 +284,24 @@ SCALED_CASES = pytest.mark.parametrize(
 )
 
 
-def scaled_case(lattice, qubits, epsilon):
+def scaled_config(lattice, qubits, epsilon):
     config = recipe2_config(lattice, epsilon, f"noisy-pauli:{qubits}:0.5")
     config["psi"] = f"plus-diag:{qubits}"
-    return build(config)
+    return config
+
+
+def scaled_case(lattice, qubits, epsilon):
+    return build(scaled_config(lattice, qubits, epsilon))
+
+
+def scaled_file(tmp_path, lattice, qubits, epsilon, power):
+    """Path of the case as a `custom` instance file, its Kraus operator times 2^power."""
+    config = scaled_config(lattice, qubits, epsilon)
+    K = build(config).site_maps[0].K * 2.0**power
+    config["site_map"] = {"recipe": "custom", "kraus": linalg.matrix_to_json(K)}
+    path = tmp_path / f"scaled{power}.json"
+    path.write_text(json.dumps(config))
+    return str(path)
 
 
 class TestKrausScale:
@@ -310,6 +327,109 @@ class TestKrausScale:
             sampling.run_shots(which, plan, 2000, 0, emit_hidden=True).write_jsonl(fh)
             outputs.append(fh.getvalue())
         assert outputs[0] == outputs[1]
+
+    def test_born_state_overflow_is_degenerate_norm(self):
+        # the state's entries run about 2^(300 N), past the float range
+        inst = scaled(scaled_case("cycle:6", 2, 0.2), 2.0**300)
+        with pytest.raises(DegenerateNormError, match="squared norm (inf|nan)"):
+            con.assemble_exact_state(inst)
+
+    @pytest.mark.parametrize("power", [300, -300, 600])
+    def test_choi_check_scale_invariant(self, power):
+        m = scaled_case("cycle:6", 2, 0.2).site_maps[0]
+        base = con.choi_check(m)
+        assert math.isfinite(base) and base >= -1e-9
+        assert con.choi_check(con.SiteMap(m.v, m.D, m.d, m.K * 2.0**power)) == base
+
+    def test_all_zero_kraus_rejected(self):
+        with pytest.raises(UsageError, match="all zero"):
+            con.SiteMap(2, 2, 4, np.zeros((4, 4)))
+
+    # the same cases as `custom` instance files through the CLI
+
+    @SCALED_CASES
+    @pytest.mark.parametrize("power", [300, -300])
+    def test_cli_check_passes_with_unscaled_slack(
+        self, tmp_path, capsys, lattice, qubits, epsilon, power
+    ):
+        reports = []
+        for p in (0, power):
+            path = scaled_file(tmp_path, lattice, qubits, epsilon, p)
+            assert cli.main(["peps", "check", path]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        for key in ("passed", "slack", "per_site_slack"):
+            assert reports[1][key] == reports[0][key]
+
+    @SCALED_CASES
+    def test_cli_sample_bytes_unscaled(self, tmp_path, lattice, qubits, epsilon):
+        outputs = []
+        for p in (0, -300):
+            out = tmp_path / f"shots{p}.jsonl"
+            assert cli.main([
+                "sample", scaled_file(tmp_path, lattice, qubits, epsilon, p),
+                "--plan", "all:" + "Z" * qubits + "~0.5", "--shots", "500",
+                "--emit-hidden", "--out", str(out),
+            ]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @SCALED_CASES
+    @pytest.mark.parametrize("command", ["sample", "check", "verify"])
+    def test_cli_overflow_exit_2_one_line(
+        self, tmp_path, capsys, lattice, qubits, epsilon, command
+    ):
+        path = scaled_file(tmp_path, lattice, qubits, epsilon, 600)
+        plan = ["--plan", "all:" + "Z" * qubits + "~0.5"]
+        argv = {
+            "sample": ["sample", path, *plan, "--shots", "10", "--out", str(tmp_path / "s.jsonl")],
+            "check": ["peps", "check", path],
+            "verify": ["verify", path, *plan, "--mode", "mixture"],
+        }[command]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_cli_all_zero_kraus_exit_2(self, tmp_path, capsys):
+        config = recipe2_config()
+        config["site_map"] = {"recipe": "custom", "kraus": linalg.matrix_to_json(np.zeros((4, 4)))}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["peps", "check", str(path)]) == 2
+        assert capsys.readouterr().err == "error: Kraus operator is all zero\n"
+
+
+class TestRelativeTraceFloor:
+    # the noisy Pauli overlaps of a multiple of I are 1/2, so only the trace test decides
+    m = con.identity_site_map(1)
+    INSTANCE = con.PepsInstance(
+        lattice=build_chain(2),
+        site_maps=(m, m),
+        basis=phase_point_basis(),
+        measurement_set=noisy_pauli_product_measurements(1, 0.5),
+    )
+    STACK, WHERE = INSTANCE.measurement_set.element_stack()
+
+    def scan(self, traces):
+        ops = np.asarray(traces)[:, None, None] * np.eye(2) / 2
+        return dec._scan_family(self.INSTANCE, 1, ops, self.STACK, self.WHERE)
+
+    @pytest.mark.parametrize("power", [0, -300])
+    @pytest.mark.parametrize("low, passes", [(1e-11, False), (1e-9, True)])
+    def test_row_below_floor_of_largest_fails(self, power, low, passes):
+        _, slack, _, witness = self.scan(np.array([1.0, 0.5, low, 0.25]) * 2.0**power)
+        if passes:
+            assert witness is None and slack == pytest.approx(0.5)
+        else:
+            assert (witness.site, witness.indices, witness.kind) == (1, (2,), "trace")
+
+    @pytest.mark.parametrize(
+        "traces, row",
+        [([1.0, 0.0, 1.0, 1.0], 1), ([0.0] * 4, 0), ([-1.0, -1e-11, -2.0, -1.0], 0)],
+        ids=["one-zero", "all-zero", "all-negative"],
+    )
+    def test_non_positive_trace_fails(self, traces, row):
+        witness = self.scan(traces)[3]
+        assert (witness.indices, witness.kind, witness.value) == ((row,), "trace", traces[row])
 
 
 class TestMixtureReconstruction:

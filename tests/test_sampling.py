@@ -216,7 +216,7 @@ class TestWideOutcomes:
         plan = sampling.MeasurementPlan.uniform(inst, "flat")
         batch = sampling.run_shots(inst, plan, 3000, 4, emit_hidden=True)
         assert batch.outcomes.max() >= 256
-        tables = sampling._site_cdf_tables(inst, plan.povms(inst), *dec.site_families(inst))
+        tables = sampling._site_cdf_tables(inst, plan, *dec.site_families(inst))
         u = sampling.shot_uniforms(4, 0, 3000, inst.lattice.n_sites, label="sites")
         for s, table in enumerate(tables):
             # one edge per site, so the hidden index is the table row
@@ -357,7 +357,13 @@ class TestRunShots:
         dists = dec.edge_distribution(inst)
         with pytest.raises(PositivityViolationError) as err:
             sampling.run_shots(inst, plan, 10, 0, edge_dists=dists)
-        assert err.value.witness is not None
+        # the certificate's own witness: site, index tuple, POVM in M and element
+        witness = err.value.witness
+        assert isinstance(witness, dec.PositivityWitness)
+        assert witness.kind == "dual"
+        assert not -1e-9 <= witness.value <= 1 + 1e-9
+        assert witness.povm_index == plan.povm_indices[witness.site]
+        assert len(witness.indices) == inst.site_maps[witness.site].v
 
 
 class TestDeterministicGivenLambda:
