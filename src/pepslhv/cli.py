@@ -144,7 +144,7 @@ def cmd_peps_epsilon_max(args) -> int:
 def cmd_sample(args) -> int:
     instance = configio.load_instance(args.instance)
     plan = configio.parse_plan(args.plan, instance)
-    batch = sampling.run_shots(
+    chunks = sampling.iter_shots(
         instance,
         plan,
         args.shots,
@@ -153,8 +153,9 @@ def cmd_sample(args) -> int:
         workers=args.workers,
     )
     with open(args.out, "w") as fh:
-        batch.write_jsonl(fh)
-    print(f"wrote {batch.n_shots} shots to {args.out}")
+        for batch in chunks:
+            batch.write_jsonl(fh)
+    print(f"wrote {args.shots} shots to {args.out}")
     return EXIT_OK
 
 
@@ -171,8 +172,8 @@ def cmd_verify(args) -> int:
         tv = oracle.tv_distance(mix, exact)
         out = {"mode": "mixture", "tv": tv, "threshold": 1e-10, "pass": tv <= 1e-10}
     else:
-        batch = sampling.run_shots(instance, plan, args.shots, args.seed, workers=args.workers)
-        report = oracle.frequency_test(batch, exact, confidence_k=args.confidence_k)
+        chunks = sampling.iter_shots(instance, plan, args.shots, args.seed, workers=args.workers)
+        report = oracle.frequency_test(chunks, exact, confidence_k=args.confidence_k)
         out = {"mode": "shots", **report.to_json()}
     if args.out:
         _write_json(args.out, out)
@@ -217,15 +218,20 @@ def cmd_bench(args) -> int:
         instance = configio.build_instance(dict(config, lattice=spec))
         plan = configio.parse_plan(args.plan, instance)
         dists = decomposition.edge_distribution(instance)
-        t0 = time.perf_counter()
-        batch = sampling.run_shots(
-            instance, plan, args.shots, args.seed, edge_dists=dists, workers=args.workers
-        )
-        seconds = time.perf_counter() - t0
+        # each chunk is written as it arrives; the time waiting for the next
+        # chunk is the kernel's, the time in write_jsonl the serializer's
         sink = _CharCount()
+        seconds = serialize_s = 0.0
         t0 = time.perf_counter()
-        batch.write_jsonl(sink)
-        serialize_s = time.perf_counter() - t0
+        for batch in sampling.iter_shots(
+            instance, plan, args.shots, args.seed, edge_dists=dists, workers=args.workers
+        ):
+            t1 = time.perf_counter()
+            batch.write_jsonl(sink)
+            t2 = time.perf_counter()
+            seconds += t1 - t0
+            serialize_s += t2 - t1
+            t0 = t2
         n_sites = instance.lattice.n_sites
         rows.append(
             {

@@ -54,10 +54,6 @@ class SiteMap:
     def virtual_dim(self) -> int:
         return self.D**self.v
 
-    def rank(self, rtol: float = 1e-12) -> int:
-        sv = np.linalg.svd(self.K, compute_uv=False)
-        return int(np.sum(sv > rtol * max(sv[0], 1.0)))
-
 
 def _check_orthonormal(states: Sequence[np.ndarray], atol: float = 1e-9):
     mat = np.array([linalg.as_state(s) for s in states])

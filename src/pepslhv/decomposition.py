@@ -181,17 +181,20 @@ def rv_positivity_check(instance: PepsInstance) -> PositivityReport:
 # Trace factorization
 
 def _rank_one_marginals(t: np.ndarray):
-    """(total S, marginals q_k per axis summing to 1, residual) of a positive tensor.
+    """(log of the total S, marginals q_k per axis summing to 1, residual) of a positive tensor.
 
     t factorizes exactly when it is S times the outer product of its
     normalized marginals; residual = max|t - S (x)_k q_k| / max t, and
-    above 1e-8 means not factorizable.
+    above 1e-8 means not factorizable.  t is divided by its maximum before
+    any sum, so a finite t never overflows: log S = log max t + log sum.
     """
+    top = t.max()
+    t = t / top
     S = t.sum()
     axes = range(t.ndim)
     q = [t.sum(axis=tuple(a for a in axes if a != k)) / S for k in axes]
     recon = S * functools.reduce(np.multiply.outer, q)
-    return S, q, float(np.max(np.abs(t - recon)) / np.max(t))
+    return math.log(top) + math.log(S), q, float(np.max(np.abs(t - recon)))
 
 
 @dataclass(frozen=True)
@@ -223,18 +226,18 @@ def _edge_distribution(
     """edge_distribution, given site_families(instance)."""
     lat = instance.lattice
     n = instance.D**2
-    totals, marginals = [], []
+    log_totals, marginals = [], []
     for f, ops in enumerate(families):
         s = site_family.index(f)
         table = operator_traces(ops).reshape((n,) * instance.site_maps[s].v)
         if np.any(table <= 0):
             raise NotFactorizableError(f"site {s}: non-positive output trace")
-        S, q, residual = _rank_one_marginals(table)
+        log_S, q, residual = _rank_one_marginals(table)
         if not residual <= FACTOR_RESIDUAL_RTOL:
             raise NotFactorizableError(
                 f"site {s}: trace tensor not rank-1 (residual {residual:.3e})"
             )
-        totals.append(S)
+        log_totals.append(log_S)
         marginals.append(q)
 
     # each edge's row collects the marginal of its head end and of its tail end
@@ -245,7 +248,7 @@ def _edge_distribution(
     Z = weights.sum(axis=1)
     log_T = (
         float(np.log(Z).sum())
-        + float(np.log(totals)[site_family].sum())
+        + float(np.array(log_totals)[site_family].sum())
         - 2.0 * lat.n_edges * math.log(instance.D)
     )
     return EdgeDistributions(probs=weights / Z[:, None], log_T=log_T)

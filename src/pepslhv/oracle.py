@@ -8,7 +8,7 @@ total-variation comparison of sampler output against either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -90,13 +90,26 @@ def mixture_joint_distribution(instance: PepsInstance, plan: MeasurementPlan) ->
     return JointDistribution(arities=tuple(arities), probs=acc / acc.sum())
 
 
-def empirical_distribution(batch: ShotBatch, arities: Sequence[int]) -> JointDistribution:
-    if batch.n_shots == 0:
+def outcome_counts(batches: Iterable[ShotBatch], arities: Sequence[int]) -> np.ndarray:
+    """Shots per joint outcome, over the raveled outcome index, summed batch by batch."""
+    size = int(np.prod(arities))
+    counts = np.zeros(size, dtype=np.int64)
+    for batch in batches:
+        flat = np.ravel_multi_index(tuple(batch.outcomes.T), tuple(arities))
+        counts += np.bincount(flat, minlength=size)
+    return counts
+
+
+def _frequencies(counts: np.ndarray, arities: tuple) -> JointDistribution:
+    if not counts.any():
         raise UsageError("empty shot batch")
-    arities = tuple(int(a) for a in arities)
-    flat = np.ravel_multi_index(tuple(batch.outcomes.T), arities)
-    counts = np.bincount(flat, minlength=int(np.prod(arities))).astype(float)
+    counts = counts.astype(float)
     return JointDistribution(arities=arities, probs=(counts / counts.sum()).reshape(arities))
+
+
+def empirical_distribution(batch: ShotBatch, arities: Sequence[int]) -> JointDistribution:
+    arities = tuple(int(a) for a in arities)
+    return _frequencies(outcome_counts([batch], arities), arities)
 
 
 def tv_distance(p: JointDistribution, q: JointDistribution) -> float:
@@ -126,21 +139,26 @@ class FrequencyReport:
 
 
 def frequency_test(
-    batch: ShotBatch,
+    shots,
     exact: JointDistribution,
     confidence_k: float = DEFAULT_CONFIDENCE_K,
 ) -> FrequencyReport:
-    """Pass iff TV(empirical, exact) <= k * sqrt(K / n_shots)."""
-    if batch.n_shots < MIN_FREQUENCY_SHOTS:
-        raise UsageError(f"need at least {MIN_FREQUENCY_SHOTS} shots, got {batch.n_shots}")
-    emp = empirical_distribution(batch, exact.arities)
-    tv = tv_distance(emp, exact)
-    threshold = confidence_k * np.sqrt(exact.n_outcomes / batch.n_shots)
+    """Pass iff TV(empirical, exact) <= k * sqrt(K / n_shots).
+
+    shots is a ShotBatch or an iterable of them, such as sampling.iter_shots'
+    chunks, which are counted one at a time and never held together.
+    """
+    counts = outcome_counts([shots] if isinstance(shots, ShotBatch) else shots, exact.arities)
+    n_shots = int(counts.sum())
+    if n_shots < MIN_FREQUENCY_SHOTS:
+        raise UsageError(f"need at least {MIN_FREQUENCY_SHOTS} shots, got {n_shots}")
+    tv = tv_distance(_frequencies(counts, exact.arities), exact)
+    threshold = confidence_k * np.sqrt(exact.n_outcomes / n_shots)
     return FrequencyReport(
         passed=bool(tv <= threshold),
         tv=tv,
         threshold=float(threshold),
         n_outcomes=exact.n_outcomes,
-        n_shots=batch.n_shots,
+        n_shots=n_shots,
         confidence_k=float(confidence_k),
     )

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -26,8 +28,8 @@ from pepslhv.decomposition import (
 )
 from pepslhv.errors import PositivityViolationError, UsageError
 
-DEFAULT_CHUNK = 1 << 16
-_TRANSPOSE_BLOCK = 256  # shots per block in _slot_major_uniforms
+DEFAULT_CHUNK = 1 << 16  # output bytes (outcomes, and hidden if emitted) per chunk in iter_shots
+_BLOCK_UNIFORMS = 1 << 17  # uniforms per stream in one block of shots
 _JSONL_BLOCK_BYTES = 1 << 18  # bytes of value words per write in ShotBatch.write_jsonl
 
 
@@ -76,8 +78,8 @@ class ShotRecord:
 @dataclass(frozen=True)
 class ShotBatch:
     start_shot: int
-    # rows are shots; run_shots hands out transposed views of site- and
-    # edge-major arrays
+    # rows are shots; iter_shots hands out hidden as a view that skips the
+    # kernel's zero column
     outcomes: np.ndarray  # (n_shots, n_sites) int
     hidden: Optional[np.ndarray]  # (n_shots, n_edges) int, if emitted
 
@@ -162,13 +164,21 @@ def derive_seed(seed: int, label: str) -> int:
 
 
 def shot_uniforms(
-    seed: int, start_shot: int, n_shots: int, n_slots: int, label: str = "edges"
+    seed: int,
+    start_shot: int,
+    n_shots: int,
+    n_slots: int,
+    label: str = "edges",
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Uniform variates, row i belonging to shot start_shot + i.
 
     Implemented with a Philox counter advanced to the absolute slot
     position, so shot i's row is independent of where the batch starts.
-    Separate labels keep the edge and site streams disjoint.
+    Separate labels keep the edge and site streams disjoint.  With out, a
+    C-contiguous float64 array of at least n_shots rows of
+    4 * ceil(n_slots / 4) columns, the variates are drawn into it and a view
+    is returned.
     """
     if n_shots < 0 or n_slots < 1:
         raise UsageError("bad uniform block shape")
@@ -177,111 +187,147 @@ def shot_uniforms(
     blocks_per_shot = -(-n_slots // 4)
     bitgen = np.random.Philox(key=np.uint64(derive_seed(seed, label)))
     bitgen.advance(start_shot * blocks_per_shot)
-    u = np.random.Generator(bitgen).random((n_shots, 4 * blocks_per_shot))
-    return np.ascontiguousarray(u[:, :n_slots])
+    gen = np.random.Generator(bitgen)
+    if out is not None:
+        return gen.random(out=out[:n_shots])[:, :n_slots]
+    return np.ascontiguousarray(gen.random((n_shots, 4 * blocks_per_shot))[:, :n_slots])
 
 
-def _padded(cdf: np.ndarray) -> np.ndarray:
-    """CDF rows padded with 2.0 to a power-of-two width, for _draw."""
-    width = 1 << (cdf.shape[1] - 1).bit_length()
-    out = np.full((len(cdf), width), 2.0)
-    out[:, : cdf.shape[1]] = cdf
-    return out
+def _padded(cdfs: list) -> np.ndarray:
+    """CDF row blocks stacked into one table, padded with 2.0 to a power-of-two width, for _draw."""
+    width = 1 << (max(c.shape[1] for c in cdfs) - 1).bit_length()
+    return np.concatenate(
+        [np.pad(c, ((0, 0), (0, width - c.shape[1])), constant_values=2.0) for c in cdfs]
+    )
 
 
-def _slot_major_uniforms(
-    seed: int, start: int, count: int, n_slots: int, label: str
-) -> np.ndarray:
-    """shot_uniforms(seed, start, count, n_slots, label).T, C-contiguous (n_slots, count).
+def _count_draw(cdf_cols: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
+    """Edge draws by counting: out[i, e] = #{k : cdf_cols[k, e] <= u[i, e]}.
 
-    Drawn and transposed a block of shots at a time, which keeps each
-    transpose in cache and never holds the shot-major block whole.
+    cdf_cols (D^2 - 1, E) holds each edge's cumulative probabilities without
+    the row's last entry, which is exactly 1.0 > u and never counts.  That is
+    searchsorted(row, u, side="right") of the whole row: inversion by
+    sequential search, with no gather and no index array.
     """
-    U = np.empty((n_slots, count))
-    for i in range(0, count, _TRANSPOSE_BLOCK):
-        n = min(_TRANSPOSE_BLOCK, count - i)
-        U[:, i : i + n] = shot_uniforms(seed, start + i, n, n_slots, label).T
-    return U
+    out[...] = 0
+    for col in cdf_cols:
+        out += u >= col
 
 
-def _edge_cdfs(probs) -> np.ndarray:
-    """Padded cumulative edge categoricals, each row reaching exactly 1.0."""
-    cdf = np.cumsum(probs, axis=1)
-    cdf[:, -1] = 1.0
-    return _padded(cdf)
-
-
-def _draw(table: np.ndarray, idx: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
+def _draw(
+    table: np.ndarray,
+    row: np.ndarray,
+    u: np.ndarray,
+    out: np.ndarray,
+    idx: np.ndarray,
+    entry: np.ndarray,
+) -> None:
     """Categorical draws by branchless bisection over the rows of a padded CDF table.
 
-    Draw i reads row idx[i] of table and writes to out[i] the number of
-    entries <= u[i]; idx is overwritten.  Each row is non-decreasing until it
-    first reaches 1.0, its last real entry is exactly 1.0 and its padding is
-    2.0, so for u < 1.0 the entries <= u are a prefix shorter than the row:
-    bisection finds its length, which is searchsorted(row, u, side="right").
+    Draw i reads row row[i] of table and writes to out[i] the number of
+    entries <= u[i]; idx (intp) and entry (float64), shaped like u, are
+    work arrays.  Each row is non-decreasing until it first reaches 1.0, its
+    last real entry is exactly 1.0 and its padding is 2.0, so for u < 1.0 the
+    entries <= u are a prefix shorter than the row: bisection finds its
+    length, which is searchsorted(row, u, side="right").
     """
     width = table.shape[1]
     flat = table.ravel()
-    idx *= width
+    np.multiply(row, width, out=idx, dtype=np.intp)
     # steps width/2 .. 1 as narrow scalars, so that each (entry <= u) * step
-    # stays narrow; flat[step - 1:][idx] is flat[idx + step - 1]
+    # stays narrow; flat[step - 1:] taken at idx is flat[idx + step - 1], and
+    # mode="clip" spares take a buffered copy of out
     steps = width >> np.arange(1, width.bit_length())
     for step in steps.astype(np.min_scalar_type(width >> 1)):
-        idx += (flat[step - 1 :][idx] <= u) * step
+        np.take(flat[step - 1 :], idx, out=entry, mode="clip")
+        idx += (entry <= u) * step
     np.bitwise_and(idx, width - 1, out=out, casting="unsafe")
 
 
-def _draw_edges(edge_cdfs: np.ndarray, seed: int, start: int, lam: np.ndarray) -> None:
-    """Write the edge indices of shots start..start+count-1 into lam, (E, count)."""
-    U = _slot_major_uniforms(seed, start, lam.shape[1], len(edge_cdfs), "edges")
-    for e, u in enumerate(U):
-        _draw(edge_cdfs[e : e + 1], np.zeros(len(u), dtype=np.intp), u, lam[e])
+class _BlockArrays(threading.local):
+    """One thread's arrays for a block of at most B shots, allocated once and reused.
+
+    A fresh megabyte array in every block costs page faults each time the
+    allocator gives its pages back to the system.
+    """
+
+    def __init__(self, block: int, n_edges: int, n_sites: int):
+        self.u_edges = np.empty((block, 4 * -(-n_edges // 4)))
+        self.u_sites = np.empty((block, 4 * -(-n_sites // 4)))
+        self.idx = np.empty(block * n_sites, dtype=np.intp)
+        self.entry = np.empty(block * n_sites)
+
+
+@dataclass(frozen=True)
+class _SiteTables:
+    """Every site's Born CDF rows in one table, and where each site's rows start."""
+
+    table: np.ndarray  # the distinct sites' padded CDF tables, stacked
+    # (N,) row of each site's all-zero index tuple, in the narrowest
+    # unsigned dtype that holds every row of table
+    base: np.ndarray
+    # (vmax, N) incident edges in incidence order; sites of lower degree are
+    # padded at the front with E, the column of lam that is always 0
+    incidence: np.ndarray
+    n: int  # D^2, the radix of a site's index tuple
 
 
 def _draw_sites(
-    instance: PepsInstance,
-    site_tables: list,
+    sites: _SiteTables,
     lam: np.ndarray,
-    seed: int,
-    start: int,
-    outcomes: np.ndarray,
+    u: np.ndarray,
+    out: np.ndarray,
+    idx: np.ndarray,
+    entry: np.ndarray,
 ) -> None:
-    """Outcomes of shots start.. given edge indices lam (E, count), into outcomes (N, count)."""
-    lat = instance.lattice
-    n = instance.D**2
-    U = _slot_major_uniforms(seed, start, lam.shape[1], lat.n_sites, "sites")
-    for s, table in enumerate(site_tables):
-        row = np.zeros(lam.shape[1], dtype=np.intp)
-        for e, _ in lat.incident_edges(s):
-            row *= n
-            row += lam[e]
-        _draw(table, row, U[s], outcomes[s])
+    """Outcomes (B, N) into out, given unsigned edge indices lam (B, E + 1) with lam[:, E] == 0.
+
+    A site's row is base + its index tuple read in radix D^2 (Horner's rule,
+    one gather per incident position, in the dtype of base); then one
+    bisection over the block, with _draw's work arrays idx and entry of B * N.
+    """
+    row = lam[:, sites.incidence[0]].astype(sites.base.dtype)
+    for col in sites.incidence[1:]:
+        row *= sites.n
+        row += lam[:, col]
+    row += sites.base
+    _draw(sites.table, row.ravel(), u.ravel(), out.ravel(), idx, entry)
 
 
 def _site_cdf_tables(
     instance: PepsInstance, plan: MeasurementPlan, families: list, site_family: list
-) -> list:
-    """Per site, padded cumulative Born probabilities per extreme index tuple, ((D^2)^v, W).
+) -> _SiteTables:
+    """Cumulative Born probabilities per extreme index tuple, every site's in one table.
 
     families and site_family are site_families(instance).  Sites sharing
-    (site map, flags, POVM) share one table.  A row failing the
-    certificate's scan against the site's POVM raises
+    (site map, flags, POVM) share one block of (D^2)^v rows.  A row failing
+    the certificate's scan against the site's POVM raises
     PositivityViolationError with the scan's witness.
     """
+    lat = instance.lattice
     povms = plan.povms(instance)
-    cache: dict = {}
-    tables = []
+    first: dict = {}
+    cdfs = []
+    base = np.empty(lat.n_sites, dtype=np.intp)
     for s, f in enumerate(site_family):
         idx = plan.povm_indices[s]
-        if (f, idx) not in cache:
+        if (f, idx) not in first:
             where = [(idx, j) for j in range(povms[s].n_outcomes)]
             probs, _, _, witness = _scan_family(instance, s, families[f], povms[s].elements, where)
             if witness is not None:
                 raise PositivityViolationError(f"uncertified output: {witness}", witness=witness)
             cdf = np.cumsum(np.clip(probs, 0.0, 1.0), axis=1)
-            cache[f, idx] = _padded(cdf / cdf[:, -1:])
-        tables.append(cache[f, idx])
-    return tables
+            first[f, idx] = sum(len(c) for c in cdfs)
+            cdfs.append(cdf / cdf[:, -1:])
+        base[s] = first[f, idx]
+    table = _padded(cdfs)
+    degrees = lat.site_degrees()
+    incidence = np.full((max(degrees), lat.n_sites), lat.n_edges, dtype=np.intp)
+    for s, v in enumerate(degrees):
+        incidence[len(incidence) - v :, s] = [e for e, _ in lat.incident_edges(s)]
+    return _SiteTables(
+        table, base.astype(np.min_scalar_type(len(table) - 1)), incidence, instance.D**2
+    )
 
 
 def sample_outcomes(
@@ -299,12 +345,95 @@ def sample_outcomes(
     n = instance.D**2
     if np.any(assignment < 0) or np.any(assignment >= n):
         raise UsageError("edge index out of range")
-    site_tables = _site_cdf_tables(instance, plan, *site_families(instance))
-    outcomes = np.empty((lat.n_sites, 1), dtype=np.int64)
-    _draw_sites(instance, site_tables, assignment[:, None], seed, shot, outcomes)
+    sites = _site_cdf_tables(instance, plan, *site_families(instance))
+    lam = np.append(assignment, 0).astype(np.min_scalar_type(n - 1))[None, :]
+    outcomes = np.empty((1, lat.n_sites), dtype=np.int64)
+    u = shot_uniforms(seed, shot, 1, lat.n_sites, "sites")
+    _draw_sites(sites, lam, u, outcomes, np.empty(lat.n_sites, np.intp), np.empty(lat.n_sites))
     return ShotRecord(
-        shot=shot, outcomes=tuple(outcomes[:, 0].tolist()), hidden=tuple(assignment.tolist())
+        shot=shot, outcomes=tuple(outcomes[0].tolist()), hidden=tuple(assignment.tolist())
     )
+
+
+def iter_shots(
+    instance: PepsInstance,
+    plan: MeasurementPlan,
+    n_shots: int,
+    seed: int,
+    edge_dists: Optional[EdgeDistributions] = None,
+    emit_hidden: bool = False,
+    start_shot: int = 0,
+    workers: int = 1,
+    chunk: Optional[int] = None,
+) -> Iterator[ShotBatch]:
+    """Sample n_shots shots as one ShotBatch per chunk, in shot order.
+
+    The tables are built, and any error raised, before this returns.  A
+    chunk holds about DEFAULT_CHUNK bytes of output, in whole blocks of
+    shots; chunk sets its shot count instead.  Zero shots yield one empty
+    chunk.  Each shot depends only on (seed, shot), so the bytes are the same
+    for any chunk partition and worker count.
+    """
+    if n_shots < 0:
+        raise UsageError("n_shots must be >= 0")
+    if workers < 1:
+        raise UsageError(f"workers must be >= 1, got {workers}")
+    families = site_families(instance)
+    if edge_dists is None:
+        edge_dists = _edge_distribution(instance, *families)
+    sites = _site_cdf_tables(instance, plan, *families)
+    # each edge's CDF without its last entry, one column per edge
+    cdf_cols = np.cumsum(edge_dists.probs, axis=1)[:, :-1].T.copy()
+    n_sites, n_edges = len(sites.base), cdf_cols.shape[1]
+    # hidden indices and outcomes share the narrowest dtype that holds both
+    top = max([sites.n] + [p.n_outcomes for p in plan.povms(instance)]) - 1
+    dtype = np.min_scalar_type(top)
+    # a block's uniforms, (B, E) and (B, N) float64, stay near 1 MB each
+    block = max(1, _BLOCK_UNIFORMS // max(n_edges, n_sites))
+    if chunk is None:
+        row_bytes = dtype.itemsize * (n_sites + n_edges * emit_hidden)
+        chunk = block * max(1, DEFAULT_CHUNK // (row_bytes * block))
+
+    arrays = _BlockArrays(block, n_edges, n_sites)
+
+    def draw(off: int) -> ShotBatch:
+        count = min(chunk, n_shots - off)
+        start = start_shot + off
+        outcomes = np.empty((count, n_sites), dtype=dtype)
+        # column E is the zero that pads low-degree sites; with emit_hidden the
+        # chunk's edge indices are kept, otherwise one block's are reused
+        lam = np.empty((count if emit_hidden else min(block, count), n_edges + 1), dtype=dtype)
+        lam[:, n_edges] = 0
+        for lo in range(0, count, block):
+            hi = min(lo + block, count)
+            part = lam[lo:hi] if emit_hidden else lam[: hi - lo]
+            u = shot_uniforms(seed, start + lo, hi - lo, n_edges, "edges", arrays.u_edges)
+            _count_draw(cdf_cols, u, part[:, :n_edges])
+            u = shot_uniforms(seed, start + lo, hi - lo, n_sites, "sites", arrays.u_sites)
+            size = (hi - lo) * n_sites
+            _draw_sites(
+                sites, part, u, outcomes[lo:hi], arrays.idx[:size], arrays.entry[:size]
+            )
+        return ShotBatch(start, outcomes, lam[:, :n_edges] if emit_hidden else None)
+
+    return _in_order(draw, range(0, n_shots, chunk) if n_shots else [0], workers)
+
+
+def _in_order(fn, items, workers: int) -> Iterator:
+    """fn(item) for each item, in order, with at most 2 * workers results held ahead."""
+    # one worker or one item runs on this thread: a pool thread gets its own
+    # allocator arena, +5 MB peak RSS (9 %) on cycle:400 at 5000 shots
+    if workers == 1 or len(items) == 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ahead: deque = deque()
+        for item in items:
+            ahead.append(pool.submit(fn, item))
+            if len(ahead) > 2 * workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
 
 
 def run_shots(
@@ -316,42 +445,18 @@ def run_shots(
     emit_hidden: bool = False,
     start_shot: int = 0,
     workers: int = 1,
-    chunk: int = DEFAULT_CHUNK,
+    chunk: Optional[int] = None,
 ) -> ShotBatch:
-    """Sample n_shots records; deterministic per shot regardless of chunking."""
-    if n_shots < 0:
-        raise UsageError("n_shots must be >= 0")
-    if workers < 1:
-        raise UsageError(f"workers must be >= 1, got {workers}")
-    families = site_families(instance)
-    if edge_dists is None:
-        edge_dists = _edge_distribution(instance, *families)
-    lat = instance.lattice
-    povms = plan.povms(instance)
-    edge_cdfs = _edge_cdfs(edge_dists.probs)
-    site_tables = _site_cdf_tables(instance, plan, *families)
-    # hidden indices and outcomes share the narrowest dtype that holds both
-    dtype = np.min_scalar_type(max([instance.D**2] + [p.n_outcomes for p in povms]) - 1)
-    lam = np.empty((lat.n_edges, n_shots), dtype=dtype)
-    outcomes = np.empty((lat.n_sites, n_shots), dtype=dtype)
-
-    def work(off):
-        # each chunk writes only its own columns, so chunks may run in any order
-        part = slice(off, off + chunk)
-        _draw_edges(edge_cdfs, seed, start_shot + off, lam[:, part])
-        _draw_sites(instance, site_tables, lam[:, part], seed, start_shot + off, outcomes[:, part])
-
-    offsets = range(0, n_shots, chunk)
-    # one worker or one chunk runs on this thread: a pool thread gets its own
-    # allocator arena, +5 MB peak RSS (9 %) on cycle:400 at 5000 shots
-    if workers > 1 and len(offsets) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, offsets))
-    else:
-        for off in offsets:
-            work(off)
+    """iter_shots' chunks as one batch, held whole."""
+    parts = list(
+        iter_shots(
+            instance, plan, n_shots, seed, edge_dists, emit_hidden, start_shot, workers, chunk
+        )
+    )
+    if len(parts) == 1:
+        return parts[0]
     return ShotBatch(
         start_shot=start_shot,
-        outcomes=outcomes.T,
-        hidden=lam.T if emit_hidden else None,
+        outcomes=np.concatenate([p.outcomes for p in parts]),
+        hidden=np.concatenate([p.hidden for p in parts]) if emit_hidden else None,
     )

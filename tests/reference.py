@@ -23,3 +23,9 @@ def site_output_operator(site_map, op_basis, indices, transposed_flags) -> np.nd
         [op_basis.element(k, transposed=t) for k, t in zip(indices, transposed_flags)]
     )
     return site_map.K @ C @ site_map.K.conj().T
+
+
+def kraus_rank(site_map, rtol: float = 1e-12) -> int:
+    """Singular values of the Kraus operator above rtol times the largest: no scale moves it."""
+    sv = np.linalg.svd(site_map.K, compute_uv=False)
+    return int(np.sum(sv > rtol * sv[0]))

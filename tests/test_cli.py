@@ -473,7 +473,7 @@ class TestSampleAndVerify:
         def no_shots(*args, **kwargs):
             raise AssertionError("shots drawn before --confidence-k was checked")
 
-        monkeypatch.setattr(cli.sampling, "run_shots", no_shots)
+        monkeypatch.setattr(cli.sampling, "iter_shots", no_shots)
         code = run(
             "verify", str(instance_file),
             "--plan", "all:ZZ~0.5",
@@ -494,7 +494,7 @@ class TestSampleAndVerify:
 
         monkeypatch.setattr(cli.configio, "load_instance", no_work)
         monkeypatch.setattr(cli.oracle, "born_joint_for_instance", no_work)
-        monkeypatch.setattr(cli.sampling, "run_shots", no_work)
+        monkeypatch.setattr(cli.sampling, "iter_shots", no_work)
         shots = oracle.MIN_FREQUENCY_SHOTS - 1
         code = run(
             "verify", str(instance_file),

@@ -9,6 +9,9 @@ from pepslhv.errors import ConstraintError, UsageError
 from pepslhv.lattice import build_chain, build_cycle
 from pepslhv.measurements import bell_measurement_set, noisy_pauli_product_measurements
 
+from conftest import build, recipe2_config
+from reference import kraus_rank
+
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
 
@@ -41,7 +44,7 @@ class TestRecipe2:
 
     def test_epsilon_zero_is_rank_one(self):
         m = con.recipe2_site_map(1, 2, [KET0, KET1], 0.0)
-        assert m.rank() == 1
+        assert kraus_rank(m) == 1
         assert np.allclose(m.K, np.outer(KET0, KET0), atol=1e-14)
 
     def test_singular_values_are_epsilon_powers(self):
@@ -66,17 +69,29 @@ class TestRecipe2:
         m = con.recipe2_site_map(2, 4, states, eps)
         sv = np.sort(np.linalg.svd(m.K, compute_uv=False))
         assert np.allclose(sv, sorted([1, eps, eps, eps * eps]), atol=1e-12)
-        assert m.rank() == 4
+        assert kraus_rank(m) == 4
+
+
+class TestKrausRank:
+    # the rank floor is relative, so a tiny Kraus operator keeps its rank
+    @pytest.mark.parametrize("power", [0, -40, -300, 300])
+    def test_cycle6_recipe2_keeps_rank_4(self, power):
+        m = build(recipe2_config(lattice="cycle:6")).site_maps[0]
+        assert kraus_rank(con.SiteMap(m.v, m.D, m.d, m.K * 2.0**power)) == 4
+
+    @pytest.mark.parametrize("power", [0, -40])
+    def test_identity_keeps_rank_4(self, power):
+        assert kraus_rank(con.SiteMap(2, 2, 4, np.eye(4) * 2.0**power)) == 4
 
 
 class TestRecipe1:
     def test_epsilon_zero_rank_one(self):
         m = con.recipe1_site_map(1, 2, 2, KET0, [KET0], 0.0, seed=1)
-        assert m.rank() == 1
+        assert kraus_rank(m) == 1
 
     def test_small_epsilon_full_rank(self):
         m = con.recipe1_site_map(1, 2, 2, KET0, [KET0], 1e-3, seed=7)
-        assert m.rank() == 2
+        assert kraus_rank(m) == 2
         sv = np.linalg.svd(m.K, compute_uv=False)
         assert sv[-1] > 0
 
@@ -103,7 +118,7 @@ class TestIdentityMap:
     def test_v2_is_4x4_identity(self):
         m = con.identity_site_map(2)
         assert np.array_equal(m.K, np.eye(4))
-        assert m.rank() == 4
+        assert kraus_rank(m) == 4
 
     def test_two_site_chain_keeps_the_bond(self):
         m = con.identity_site_map(1)

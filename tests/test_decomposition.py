@@ -120,10 +120,10 @@ class TestTraceFactorization:
         m = con.recipe2_site_map(2, 4, states, 0.3)
         b = build_aligned_basis(2, KET0)
         table = trace_table(m, b, [False, False])
-        S, q, residual = dec._rank_one_marginals(table)
+        log_S, q, residual = dec._rank_one_marginals(table)
         assert residual <= dec.FACTOR_RESIDUAL_RTOL
         u = np.array([(c[0, 0] + 0.09 * c[1, 1]).real for c in b.elements])
-        recon = S * np.multiply.outer(q[0], q[1])
+        recon = np.exp(log_S) * np.multiply.outer(q[0], q[1])
         assert np.allclose(recon, np.multiply.outer(u, u), atol=1e-10)
 
     def test_head_and_tail_factors_agree(self):
@@ -372,6 +372,19 @@ class TestKrausScale:
             ]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_cli_sample_bytes_at_trace_overflow(self, tmp_path, capsys):
+        # x 2^511: every trace is finite, but a site's trace total is not
+        outputs = []
+        for p in (0, 511):
+            out = tmp_path / f"shots{p}.jsonl"
+            assert cli.main([
+                "sample", scaled_file(tmp_path, "cycle:6", 2, 0.2, p),
+                "--plan", "all:ZZ~0.5", "--shots", "500", "--emit-hidden", "--out", str(out),
+            ]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert capsys.readouterr().err == ""
 
     @SCALED_CASES
     @pytest.mark.parametrize("command", ["sample", "check", "verify"])

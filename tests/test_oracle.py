@@ -144,6 +144,14 @@ class TestFrequencyTest:
         assert not report.passed
         assert report.tv == pytest.approx(gap, abs=0.05)
 
+    def test_chunks_report_equals_batch(self, cycle3_instance):
+        # verify --mode shots counts iter_shots' chunks one at a time
+        plan = sampling.MeasurementPlan.uniform(cycle3_instance, "ZZ~0.5")
+        exact = oracle.born_joint_for_instance(cycle3_instance, plan)
+        batch = sampling.run_shots(cycle3_instance, plan, 5000, 2)
+        chunks = sampling.iter_shots(cycle3_instance, plan, 5000, 2, chunk=777)
+        assert oracle.frequency_test(chunks, exact) == oracle.frequency_test(batch, exact)
+
     def test_minimum_shot_count(self, cycle3_instance):
         plan = sampling.MeasurementPlan.uniform(cycle3_instance, "ZZ~0.5")
         dists = dec.edge_distribution(cycle3_instance)

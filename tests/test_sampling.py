@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -138,27 +139,33 @@ class TestSampleHidden:
 
 
 class TestBisectionDraw:
-    # _draw against searchsorted(side="right") on the tables each stream builds
+    # each stream's draw against searchsorted(side="right") on the rows it builds:
+    # the edge stream counts entries, the site stream bisects a padded table
 
     @staticmethod
-    def _tables(stream, probs):
-        """(padded table for _draw, unpadded reference CDF) of one stream."""
-        if stream == "edges":
-            ref = np.cumsum(probs, axis=1)
-            ref[:, -1] = 1.0
-            return sampling._edge_cdfs(probs), ref
-        # as _site_cdf_tables normalizes its Born rows
+    def _reference(stream, probs):
+        """The unpadded CDF rows of one stream."""
         ref = np.cumsum(probs, axis=1)
-        ref = ref / ref[:, -1:]
-        return sampling._padded(ref), ref
+        if stream == "edges":
+            ref[:, -1] = 1.0
+        else:
+            # as _site_cdf_tables normalizes its Born rows
+            ref = ref / ref[:, -1:]
+        return ref
 
     def _check(self, stream, probs, rows, u):
-        table, ref = self._tables(stream, probs)
+        ref = self._reference(stream, probs)
         width = probs.shape[1]
-        assert table.shape[1] >= width and table.shape[1] & (table.shape[1] - 1) == 0
+        rows, u = np.array(rows, dtype=np.intp), np.array(u)
         out = np.empty(len(u), dtype=np.min_scalar_type(width - 1))
-        sampling._draw(table, np.array(rows, dtype=np.intp), np.array(u), out)
-        for r, x, k in zip(rows, u, out.tolist()):
+        if stream == "edges":
+            # one edge per draw, each with its own row's columns
+            sampling._count_draw(ref[rows, :-1].T, u, out)
+        else:
+            table = sampling._padded([ref])
+            assert table.shape[1] >= width and table.shape[1] & (table.shape[1] - 1) == 0
+            sampling._draw(table, rows, u, out, np.empty(len(u), np.intp), np.empty(len(u)))
+        for r, x, k in zip(rows.tolist(), u, out.tolist()):
             assert k == int(np.searchsorted(ref[r], x, side="right"))
             # a bin after the last one with mass can be drawn only for u in
             # [float sum of the row, 1.0), where the edge stream forces 1.0
@@ -177,7 +184,7 @@ class TestBisectionDraw:
         )
         probs = raw / raw.sum(axis=1, keepdims=True)
         stream = data.draw(st.sampled_from(["edges", "sites"]))
-        _, ref = self._tables(stream, probs)
+        ref = self._reference(stream, probs)
         # u anywhere in [0, 1), or exactly on a CDF value of its row
         on_cdf = [(r, c) for r in range(len(ref)) for c in ref[r].tolist() if c < 1.0]
         anywhere = st.tuples(
@@ -202,9 +209,139 @@ class TestBisectionDraw:
     )
     def test_zero_mass_bins(self, stream, row):
         probs = np.array([row])
-        _, ref = self._tables(stream, probs)
+        ref = self._reference(stream, probs)
         u = [0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)] + [c for c in ref[0] if c < 1.0]
         self._check(stream, probs, [0] * len(u), u)
+
+
+class TestCountDraw:
+    # the edge draw on a block of shots, (B, E), one CDF row per edge
+    @given(
+        st.sampled_from([2, 3]).flatmap(
+            lambda D: arrays(
+                np.float64,
+                st.tuples(st.integers(1, 5), st.just(D * D)),
+                elements=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+            ).filter(lambda a: a.any(axis=1).all())
+        ),
+        st.integers(1, 40),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_searchsorted_per_edge_row(self, raw, n_shots, seed):
+        probs = raw / raw.sum(axis=1, keepdims=True)
+        cdf = np.cumsum(probs, axis=1)
+        cdf[:, -1] = 1.0
+        rng = np.random.default_rng(seed)
+        u = rng.random((n_shots, len(probs)))
+        # about half the draws sit exactly on an entry below 1.0 of their
+        # edge's row (zero-mass bins repeat an entry), the rest anywhere in [0, 1)
+        picks = cdf[np.arange(len(probs)), rng.integers(0, probs.shape[1] - 1, u.shape)]
+        on = (rng.random(u.shape) < 0.5) & (picks < 1.0)
+        u[on] = picks[on]
+        out = np.empty(u.shape, dtype=np.uint8)
+        sampling._count_draw(cdf[:, :-1].T.copy(), u, out)
+        for e, row in enumerate(cdf):
+            assert out[:, e].tolist() == np.searchsorted(row, u[:, e], side="right").tolist()
+            # a zero-mass bin only past the row's float sum, where the last entry is forced to 1.0
+            assert np.all((probs[e, out[:, e]] > 0) | (u[:, e] >= np.cumsum(probs[e])[-1]))
+
+
+class TestStackedSiteTables:
+    # mixed degrees (chain ends 1, inside 2) and a different POVM per site
+    PLANS = [
+        ["ZZ~0.5"] * 5,
+        ["ZZ~0.5", "XY~0.5", "ZZ~0.5", "YX~0.5", "XX~0.5"],
+        ["XY~0.5", "ZZ~0.5", "ZZ~0.5", "ZZ~0.5", "YX~0.5"],
+    ]
+
+    @pytest.mark.parametrize("labels", PLANS, ids=["uniform", "mixed", "mixed-ends"])
+    def test_matches_per_site_bisection(self, labels):
+        inst = chain_instance(4, 2)
+        plan = sampling.MeasurementPlan.from_labels(inst, labels)
+        batch = sampling.run_shots(inst, plan, 3000, 8, emit_hidden=True)
+        u = sampling.shot_uniforms(8, 0, 3000, inst.lattice.n_sites, label="sites")
+        families, site_family = dec.site_families(inst)
+        povms = plan.povms(inst)
+        for s in range(inst.lattice.n_sites):
+            # the site's own Born CDF rows, built for this site alone
+            where = [(plan.povm_indices[s], j) for j in range(povms[s].n_outcomes)]
+            probs = dec._scan_family(inst, s, families[site_family[s]], povms[s].elements, where)[0]
+            cdf = np.cumsum(np.clip(probs, 0.0, 1.0), axis=1)
+            cdf = cdf / cdf[:, -1:]
+            row = np.zeros(3000, dtype=np.intp)
+            for e, _ in inst.lattice.incident_edges(s):
+                row = row * 4 + batch.hidden[:, e]
+            expect = [np.searchsorted(cdf[r], x, side="right") for r, x in zip(row, u[:, s])]
+            assert batch.outcomes[:, s].tolist() == expect
+
+
+def jsonl(chunks) -> str:
+    fh = io.StringIO()
+    for batch in chunks:
+        batch.write_jsonl(fh)
+    return fh.getvalue()
+
+
+class TestStreaming:
+    @pytest.fixture(scope="class")
+    def torus(self):
+        inst = build(dict(
+            recipe2_config(lattice="torus:3x3", epsilon=0.1, measurements="noisy-pauli:4:0.5"),
+            psi="plus-diag:4",
+        ))
+        return inst, sampling.MeasurementPlan.uniform(inst, "ZZZZ~0.5"), {}
+
+    # blocks of B = 2^17 // 18 = 7281 shots, or of 3 with 64 uniforms per block;
+    # 2B + 100 and 700 shots leave a ragged last block and a ragged last chunk
+    @pytest.mark.parametrize(
+        "block_uniforms, n_shots, chunk",
+        [(1 << 17, 2 * 7281 + 100, c) for c in (None, 1000, 7281)]
+        + [(64, 700, c) for c in (None, 1, 7, 300)],
+    )
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_bytes_independent_of_workers_and_chunks(
+        self, torus, block_uniforms, n_shots, chunk, workers
+    ):
+        inst, plan, reference = torus
+        if n_shots not in reference:
+            # shots 3.. at seed 5 as ShotRecord.to_json lines, drawn as one chunk
+            batch = sampling.run_shots(
+                inst, plan, n_shots, 5, emit_hidden=True, start_shot=3, chunk=n_shots
+            )
+            reference[n_shots] = "".join(r.to_json() + "\n" for r in batch.records())
+        with mock.patch.object(sampling, "_BLOCK_UNIFORMS", block_uniforms):
+            chunks = list(sampling.iter_shots(
+                inst, plan, n_shots, 5, emit_hidden=True, start_shot=3, workers=workers,
+                chunk=chunk,
+            ))
+        assert [c.start_shot for c in chunks] == sorted({c.start_shot for c in chunks})
+        assert sum(c.n_shots for c in chunks) == n_shots
+        if chunk is None and block_uniforms == 1 << 17:
+            # whole blocks per chunk, the last one ragged
+            assert len(chunks) == 3 and chunks[-1].n_shots == 100
+        assert jsonl(chunks) == reference[n_shots]
+
+    def test_memory_flat_in_shots(self):
+        inst = build(dict(
+            recipe2_config(lattice="torus:10x10", epsilon=0.1, measurements="noisy-pauli:4:0.5"),
+            psi="plus-diag:4",
+        ))
+        plan = sampling.MeasurementPlan.uniform(inst, "ZZZZ~0.5")
+        dists = dec.edge_distribution(inst)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for n_shots in (2_000, 20_000):
+                chunks = sampling.iter_shots(inst, plan, n_shots, 0, edge_dists=dists)
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                for _ in chunks:
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
 
 
 class TestWideOutcomes:
@@ -216,13 +353,13 @@ class TestWideOutcomes:
         plan = sampling.MeasurementPlan.uniform(inst, "flat")
         batch = sampling.run_shots(inst, plan, 3000, 4, emit_hidden=True)
         assert batch.outcomes.max() >= 256
-        tables = sampling._site_cdf_tables(inst, plan, *dec.site_families(inst))
+        sites = sampling._site_cdf_tables(inst, plan, *dec.site_families(inst))
         u = sampling.shot_uniforms(4, 0, 3000, inst.lattice.n_sites, label="sites")
-        for s, table in enumerate(tables):
-            # one edge per site, so the hidden index is the table row
+        for s in range(inst.lattice.n_sites):
+            # one edge per site, so the hidden index is the row in the site's block
             (e, _), = inst.lattice.incident_edges(s)
             expect = [
-                np.searchsorted(table[r, :300], x, side="right")
+                np.searchsorted(sites.table[sites.base[s] + r, :300], x, side="right")
                 for r, x in zip(batch.hidden[:, e].tolist(), u[:, s])
             ]
             assert batch.outcomes[:, s].tolist() == expect
@@ -315,7 +452,7 @@ class TestRunShots:
         assert np.array_equal(a.outcomes, b.outcomes)
         assert np.array_equal(a.hidden, b.hidden)
         # an offset start and a chunk that leaves a short last chunk; threads
-        # switch often so that chunks writing the shared batch interleave
+        # switch often so that chunks finish out of order
         whole = sampling.run_shots(chain4, plan, 4000, 1, start_shot=7, chunk=4000, **kw)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
