@@ -164,6 +164,8 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--confidence-k must be finite and > 0, got {args.confidence_k}")
     if args.mode == "shots" and args.shots < oracle.MIN_FREQUENCY_SHOTS:
         raise UsageError(f"need at least {oracle.MIN_FREQUENCY_SHOTS} shots, got {args.shots}")
+    if args.workers < 1:
+        raise UsageError(f"workers must be >= 1, got {args.workers}")
     instance = configio.load_instance(args.instance)
     plan = configio.parse_plan(args.plan, instance)
     exact = oracle.born_joint_for_instance(instance, plan)

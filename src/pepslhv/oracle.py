@@ -7,13 +7,14 @@ total-variation comparison of sampler output against either.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from pepslhv import linalg
-from pepslhv.construction import PepsInstance, assemble_exact_state
+from pepslhv.construction import MAX_PHYSICAL_DIM, PepsInstance, assemble_exact_state
 from pepslhv.decomposition import contract_mixture, site_families
 from pepslhv.errors import UsageError
 from pepslhv.sampling import MeasurementPlan, ShotBatch
@@ -46,43 +47,61 @@ class JointDistribution:
         return int(np.prod(self.arities))
 
 
+def _check_oracle_size(povms: Sequence) -> None:
+    """Refuse plans whose outcome space or per-outcome operator is too large to build."""
+    if math.prod(p.n_outcomes for p in povms) > MAX_OUTCOME_SPACE:
+        raise UsageError("joint outcome space too large")
+    rest = math.prod(p.dim for p in povms[1:])
+    if rest * rest > MAX_PHYSICAL_DIM:
+        raise UsageError(
+            f"Born operator on sites 2..N has {rest}^2 entries, more than {MAX_PHYSICAL_DIM}"
+        )
+
+
 def exact_joint_distribution(state, plan_povms: Sequence) -> JointDistribution:
     """p(j_1..j_N) = <Psi| X_{j_1} (x) ... (x) X_{j_N} |Psi>, contracted site by site.
 
-    After measuring sites 1..s, R[j_1..j_s] is the operator
-    <Psi| X_{j_1} (x) ... (x) X_{j_s} (x) . |Psi> on the unmeasured sites;
-    measuring site s+1 traces its factor against each X_{j_{s+1}}.  The
-    largest array is K_1 * (d_2 ... d_N)^2, not (K d)^N.
+    One first-site outcome j_1 at a time: after measuring sites 1..s,
+    R[j_2..j_s] is the operator <Psi| X_{j_1} (x) ... (x) X_{j_s} (x) . |Psi>
+    on the unmeasured sites; measuring site s+1 traces its factor against
+    each X_{j_{s+1}}.  The largest array is one (d_2 ... d_N)^2 operator and
+    its regrouped copy, not (K d)^N.
     """
     vec = linalg.as_state(state)
+    _check_oracle_size(plan_povms)
     dims = [p.dim for p in plan_povms]
     arities = [p.n_outcomes for p in plan_povms]
-    if int(np.prod(arities)) > MAX_OUTCOME_SPACE:
-        raise UsageError("joint outcome space too large")
-    if int(np.prod(dims)) != vec.size:
+    if math.prod(dims) != vec.size:
         raise UsageError("plan dimensions do not match the state")
     psi = vec.reshape(dims[0], -1)
-    # R[j, u, w] = sum_ab conj(Psi[a, u]) X_j[a, b] Psi[b, w]
-    R = psi.conj().T @ (plan_povms[0].elements @ psi)
-    for d, povm in zip(dims[1:], plan_povms[1:]):
-        # group the bra and ket indices of the next site, then one matmul over them
-        rest = R.shape[1] // d
-        R = R.reshape(-1, d, rest, d, rest).transpose(0, 1, 3, 2, 4)
-        R = povm.elements.reshape(povm.n_outcomes, -1) @ R.reshape(-1, d * d, rest * rest)
-        R = R.reshape(-1, rest, rest)
-    return JointDistribution(arities=tuple(arities), probs=np.real(R).reshape(arities))
+    bra = psi.conj().T
+    probs = np.empty(arities)
+    for j, X in enumerate(plan_povms[0].elements):
+        # R[u, w] = sum_ab conj(Psi[a, u]) X_j[a, b] Psi[b, w]
+        R = bra @ (X @ psi)
+        for d, povm in zip(dims[1:], plan_povms[1:]):
+            # group the bra and ket indices of the next site, then one matmul over them
+            rest = R.shape[1] // d
+            R = R.reshape(-1, d, rest, d, rest).transpose(0, 1, 3, 2, 4)
+            R = povm.elements.reshape(povm.n_outcomes, -1) @ R.reshape(-1, d * d, rest * rest)
+            R = R.reshape(-1, rest, rest)
+        probs[j] = np.real(R).reshape(arities[1:])
+    return JointDistribution(arities=tuple(arities), probs=probs)
 
 
 def born_joint_for_instance(instance: PepsInstance, plan: MeasurementPlan) -> JointDistribution:
+    povms = plan.povms(instance)
+    # before assembly, so an oversized plan exits cleanly instead of allocating
+    _check_oracle_size(povms)
     raw, T = assemble_exact_state(instance)
-    return exact_joint_distribution(raw / np.sqrt(T), plan.povms(instance))
+    return exact_joint_distribution(raw / np.sqrt(T), povms)
 
 
 def mixture_joint_distribution(instance: PepsInstance, plan: MeasurementPlan) -> JointDistribution:
     """sum_lambda p(lambda) prod_s tr(sigma_s X_{j_s}), i.e. prod_s tr(O_s X_{j_s}) normalized."""
     povms = plan.povms(instance)
     arities = [p.n_outcomes for p in povms]
-    if int(np.prod(arities)) > MAX_OUTCOME_SPACE:
+    if math.prod(arities) > MAX_OUTCOME_SPACE:
         raise UsageError("joint outcome space too large")
     families, site_family = site_families(instance)
     tables = [linalg.overlaps(families[f], p.elements) for f, p in zip(site_family, povms)]

@@ -29,3 +29,14 @@ def kraus_rank(site_map, rtol: float = 1e-12) -> int:
     """Singular values of the Kraus operator above rtol times the largest: no scale moves it."""
     sv = np.linalg.svd(site_map.K, compute_uv=False)
     return int(np.sum(sv > rtol * sv[0]))
+
+
+def born_joint_distribution(state, povms) -> np.ndarray:
+    """p(j_1..j_N) = <psi| X_{j_1} (x) ... (x) X_{j_N} |psi>, one Kronecker product per tuple."""
+    vec = np.asarray(state, dtype=complex).ravel()
+    arities = [p.n_outcomes for p in povms]
+    probs = np.empty(arities)
+    for js in np.ndindex(*arities):
+        X = tensor_product([p.elements[j] for p, j in zip(povms, js)])
+        probs[js] = np.real(vec.conj() @ X @ vec)
+    return probs

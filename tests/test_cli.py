@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pepslhv import cli, configio, linalg, measurements, oracle, sampling
+from pepslhv import cli, configio, construction, linalg, measurements, oracle, sampling
 from pepslhv.errors import ConstructionError, DegenerateNormError
 
 
@@ -505,6 +505,50 @@ class TestSampleAndVerify:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: need at least {oracle.MIN_FREQUENCY_SHOTS} shots, got {shots}"
+        ]
+
+    @pytest.mark.parametrize("mode", ["mixture", "shots"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2_before_work(
+        self, instance_file, capsys, monkeypatch, mode, workers
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before --workers was checked")
+
+        monkeypatch.setattr(cli.configio, "load_instance", no_work)
+        monkeypatch.setattr(cli.oracle, "born_joint_for_instance", no_work)
+        monkeypatch.setattr(cli.sampling, "iter_shots", no_work)
+        code = run(
+            "verify", str(instance_file),
+            "--plan", "all:ZZ~0.5",
+            "--mode", mode,
+            "--shots", "20000",
+            "--workers", workers,
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: workers must be >= 1, got {workers}"
+        ]
+
+    def test_oversized_born_oracle_exit_2_before_assembly(self, tmp_path, capsys, monkeypatch):
+        def no_assembly(instance):
+            raise AssertionError("state assembled for an oversized oracle")
+
+        monkeypatch.setattr(cli.oracle, "assemble_exact_state", no_assembly)
+        inst = tmp_path / "cycle8.json"
+        inst.write_text(json.dumps({
+            "lattice": "cycle:8",
+            "basis": "aligned:2:zero",
+            "measurements": "noisy-pauli:2:0.5",
+            "psi": "plus-diag:2",
+            "site_map": {"recipe": "2", "epsilon": 0.2, "seed": 0},
+        }))
+        assert run("verify", str(inst), "--plan", "all:ZZ~0.5", "--mode", "mixture") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: Born operator on sites 2..N has 16384^2 entries, "
+            f"more than {construction.MAX_PHYSICAL_DIM}"
         ]
 
     def test_degenerate_norm_exit_2(self, instance_file, capsys, monkeypatch):

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +10,10 @@ from pepslhv import construction as con
 from pepslhv import decomposition as dec
 from pepslhv import configio, oracle, sampling
 from pepslhv.errors import UsageError
-from pepslhv.measurements import pauli_product_measurements
+from pepslhv.measurements import Povm, pauli_product_measurements
 
 from conftest import build, recipe2_config
+from reference import born_joint_distribution
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -17,6 +21,32 @@ BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 def pauli1(label):
     _, povm = pauli_product_measurements(1).by_label(label)
     return povm
+
+
+def random_povm(rng, dim, n_outcomes):
+    """X_k = S^(-1/2) A_k S^(-1/2) for random PSD A_k with sum S."""
+    G = rng.normal(size=(n_outcomes, dim, dim)) + 1j * rng.normal(size=(n_outcomes, dim, dim))
+    A = G @ G.conj().transpose(0, 2, 1)
+    w, V = np.linalg.eigh(A.sum(axis=0))
+    inv_sqrt = (V / np.sqrt(w)) @ V.conj().T
+    return Povm(inv_sqrt @ A @ inv_sqrt)
+
+
+def random_state(rng, size):
+    vec = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return vec / np.linalg.norm(vec)
+
+
+# the desk-oracle instance of perfbench, as `pepslhv peps build` writes it
+DESK_CYCLE6 = {
+    "basis": "aligned:2:zero",
+    "lattice": "cycle:6",
+    "measurements": "noisy-pauli:2:0.5",
+    "psi": "plus-diag:2",
+    "site_map": {"epsilon": 0.2, "recipe": "2", "seed": 0},
+}
+# sha256 of its Born probabilities under all:ZZ~0.5: any reordering of the sums moves it
+DESK_CYCLE6_SHA256 = "d385b14a0464849f4033ef44476bdf337a3330469cf6c3452bb598f66019913a"
 
 
 class TestExactJointDistribution:
@@ -38,6 +68,58 @@ class TestExactJointDistribution:
     def test_dimension_mismatch(self):
         with pytest.raises(UsageError):
             oracle.exact_joint_distribution(BELL, [pauli1("Z")])
+
+    @pytest.mark.parametrize(
+        "dims, arities",
+        [((2, 3, 2, 2), (2, 3, 4, 2)), ((3,), (4,)), ((2, 3), (3, 2)), ((4, 2), (1, 3))],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_kronecker_reference(self, dims, arities, seed):
+        rng = np.random.default_rng(seed)
+        povms = [random_povm(rng, d, k) for d, k in zip(dims, arities)]
+        state = random_state(rng, int(np.prod(dims)))
+        dist = oracle.exact_joint_distribution(state, povms)
+        assert dist.arities == arities
+        assert np.max(np.abs(dist.probs - born_joint_distribution(state, povms))) <= 1e-12
+
+    def test_desk_instance_bytes_pinned(self):
+        inst = build(DESK_CYCLE6)
+        plan = sampling.MeasurementPlan.uniform(inst, "ZZ~0.5")
+        probs = oracle.born_joint_for_instance(inst, plan).probs
+        assert hashlib.sha256(probs.tobytes()).hexdigest() == DESK_CYCLE6_SHA256
+
+    def test_desk_instance_peak_memory(self):
+        inst = build(DESK_CYCLE6)
+        povms = sampling.MeasurementPlan.uniform(inst, "ZZ~0.5").povms(inst)
+        raw, T = con.assemble_exact_state(inst)
+        state = raw / np.sqrt(T)
+        rest = state.size // povms[0].dim
+        # one operator on sites 2..N, its regrouped copy, and slack for the rest
+        bound = 3 * rest**2 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            oracle.exact_joint_distribution(state, povms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    @pytest.mark.parametrize(
+        "lattice, message",
+        [
+            ("cycle:8", r"Born operator on sites 2..N has 16384\^2 entries"),
+            ("cycle:9", "joint outcome space too large"),
+        ],
+    )
+    def test_oversized_plan_refused_before_assembly(self, monkeypatch, lattice, message):
+        def no_assembly(instance):
+            raise AssertionError("state assembled for an oversized oracle")
+
+        monkeypatch.setattr(oracle, "assemble_exact_state", no_assembly)
+        inst = build(recipe2_config(lattice=lattice))
+        plan = sampling.MeasurementPlan.uniform(inst, "ZZ~0.5")
+        with pytest.raises(UsageError, match=message):
+            oracle.born_joint_for_instance(inst, plan)
 
     def test_sums_to_one_for_every_plan(self, cycle3_instance):
         for label in ("XX~0.5", "YZ~0.5", "ZZ~0.5"):
