@@ -38,6 +38,7 @@ DUAL_ATOL = 1e-9
 FACTOR_RESIDUAL_RTOL = 1e-8
 MAX_ENUM_ASSIGNMENTS = 2**16
 MAX_ENUM_PHYS_DIM = 2**12
+SCAN_BLOCK_ENTRIES = 2**17
 
 
 def site_operator_family(
@@ -120,32 +121,60 @@ class PositivityReport:
         return obj
 
 
-def _scan_family(instance: PepsInstance, site: int, ops: np.ndarray, stack, where):
-    """(normalized overlaps, slack, min trace, witness or None) of site's stack.
+def _row_blocks(n_rows: int, width: int):
+    """Balanced [a, b) row ranges of about SCAN_BLOCK_ENTRIES entries, two rows or more each.
+
+    A row's overlaps round the same in a block as in the whole family only
+    through the same BLAS routine.  numpy hands a one-row product to gemv,
+    and OpenBLAS sums products of about a thousand entries or fewer with its
+    small-matrix kernels.  Blocks of two rows or more, each about half the
+    budget or more when the family exceeds it, avoid both.
+    """
+    n_blocks = max(1, min(-(-n_rows * width // SCAN_BLOCK_ENTRIES), n_rows // 2))
+    ends = [n_rows * k // n_blocks for k in range(n_blocks + 1)]
+    return zip(ends[:-1], ends[1:])
+
+
+def _scan_family(instance: PepsInstance, site: int, ops: np.ndarray, stack, where, keep=False):
+    """(normalized overlaps if keep else None, slack, min trace, witness or None) of site's stack.
 
     A row fails if its trace is not positive or below TRACE_FLOOR times the
     stack's largest (such rows are not divided), or if an overlap with
     stack, whose element k is where[k] = (POVM, element), leaves
-    [-DUAL_ATOL, 1 + DUAL_ATOL].  The witness is the first failing row.
+    [-DUAL_ATOL, 1 + DUAL_ATOL].  The witness is the first failing row, at
+    its first worst element.
+
+    Rows are scanned in blocks (_row_blocks), and each row keeps only its
+    least and largest overlap: dividing by a positive trace and 1 - x are
+    monotone, so min(lo / tr, 1 - hi / tr) is bit for bit the row's least
+    min(tr(sigma X), 1 - tr(sigma X)).  Memory is one block of overlaps,
+    plus every normalized overlap when keep is set (the sampler's tables).
     """
     traces = operator_traces(ops)
     ok = (traces > 0) & (traces >= TRACE_FLOOR * traces.max())
-    normed = linalg.overlaps(ops, stack) / np.where(ok, traces, 1.0)[:, None]
-    slacks = np.minimum(normed, 1.0 - normed)
-    worst = np.argmin(slacks, axis=1)
-    worst_slack = slacks[np.arange(len(ops)), worst]
-    slack = float(worst_slack[ok].min()) if ok.any() else math.inf
-    bad = ~ok | (worst_slack < -DUAL_ATOL)
+    div = np.where(ok, traces, 1.0)
+    row_slack = np.empty(len(ops))
+    normed = np.empty((len(ops), len(stack))) if keep else None
     witness = None
-    if bad.any():
-        r = int(np.argmax(bad))
-        tup = np.unravel_index(r, (instance.D**2,) * instance.site_maps[site].v)
-        tup = tuple(int(k) for k in tup)
-        if not ok[r]:
-            witness = PositivityWitness(site, tup, "trace", None, None, float(traces[r]))
-        else:
-            i, j = where[int(worst[r])]
-            witness = PositivityWitness(site, tup, "dual", i, j, float(normed[r, worst[r]]))
+    for a, b in _row_blocks(len(ops), len(stack)):
+        block = linalg.overlaps(ops[a:b], stack)
+        tr = div[a:b]
+        row_slack[a:b] = np.minimum(block.min(axis=1) / tr, 1.0 - block.max(axis=1) / tr)
+        if keep:
+            np.divide(block, tr[:, None], out=normed[a:b])
+        bad = ~ok[a:b] | (row_slack[a:b] < -DUAL_ATOL)
+        if witness is None and bad.any():
+            r = a + int(np.argmax(bad))
+            tup = np.unravel_index(r, (instance.D**2,) * instance.site_maps[site].v)
+            tup = tuple(int(k) for k in tup)
+            if not ok[r]:
+                witness = PositivityWitness(site, tup, "trace", None, None, float(traces[r]))
+            else:
+                row = block[r - a] / div[r]
+                k = int(np.argmin(np.minimum(row, 1.0 - row)))
+                i, j = where[k]
+                witness = PositivityWitness(site, tup, "dual", i, j, float(row[k]))
+    slack = float(row_slack[ok].min()) if ok.any() else math.inf
     return normed, slack, float(traces.min()), witness
 
 

@@ -9,7 +9,7 @@ a candidate POVM against products of virtual-space extreme points.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -69,6 +69,14 @@ class Povm:
     def __post_init__(self):
         object.__setattr__(self, "elements", _povm_stack(self.elements, self.label))
 
+    @classmethod
+    def _of_rows(cls, rows: np.ndarray, label: str) -> "Povm":
+        """A Povm over rows that _povm_stack has already validated, not checked again."""
+        povm = object.__new__(cls)
+        object.__setattr__(povm, "elements", rows)
+        object.__setattr__(povm, "label", label)
+        return povm
+
     @property
     def dim(self) -> int:
         return self.elements.shape[1]
@@ -80,9 +88,14 @@ class Povm:
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """The restricted set M = {M_i} of allowed local POVMs."""
+    """The restricted set M = {M_i} of allowed local POVMs.
+
+    Every element is held once, in one read-only (n, d, d) stack, and each
+    POVM's ``elements`` is its row slice of that stack.
+    """
 
     povms: tuple
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         povms = tuple(self.povms)
@@ -91,7 +104,12 @@ class MeasurementSet:
         dim = povms[0].dim
         if any(p.dim != dim for p in povms):
             raise UsageError("POVMs in a measurement set must share dimension")
-        object.__setattr__(self, "povms", povms)
+        stack = np.concatenate([p.elements for p in povms])
+        stack.flags.writeable = False
+        ends = np.cumsum([p.n_outcomes for p in povms])
+        rows = (Povm._of_rows(stack[e - p.n_outcomes : e], p.label) for p, e in zip(povms, ends))
+        object.__setattr__(self, "povms", tuple(rows))
+        object.__setattr__(self, "_stack", stack)
 
     @property
     def dim(self) -> int:
@@ -106,12 +124,11 @@ class MeasurementSet:
     def element_stack(self):
         """(every element of every POVM as one (n, d, d) array, (POVM, element) per row).
 
-        Built per call, so a set that is only sampled from does not hold a
-        second copy of its elements.
+        The array is the set's own read-only stack, not a copy: every
+        ``povm.elements`` is a slice of it.
         """
-        stack = np.concatenate([p.elements for p in self.povms])
         where = [(i, j) for i, p in enumerate(self.povms) for j in range(p.n_outcomes)]
-        return stack, where
+        return self._stack, where
 
 
 @dataclass(frozen=True)
@@ -178,32 +195,39 @@ def pauli_product_elements(n_qubits: int) -> np.ndarray:
     return vecs[..., :, None] * vecs.conj()[..., None, :]
 
 
-def pauli_product_measurements(n_qubits: int) -> MeasurementSet:
-    """All 3^n products of single-qubit X/Y/Z eigenbasis projectors."""
+def _pauli_set(n_qubits: int, eta=None) -> MeasurementSet:
+    """The 3^n Pauli product POVMs, each validated once; with eta, depolarized first.
+
+    Depolarizing maps X to eta X + (1 - eta) tr(X) I / d, in place on the
+    whole stack, by the same operations, so to the same bits, as one POVM
+    at a time.
+    """
     if n_qubits < 1:
         raise UsageError("need at least one qubit")
-    labels = ("".join(axes) for axes in itertools.product("XYZ", repeat=n_qubits))
-    povms = tuple(
-        Povm(elements=x, label=label)
-        for x, label in zip(pauli_product_elements(n_qubits), labels)
+    elements = pauli_product_elements(n_qubits)
+    suffix = ""
+    if eta is not None:
+        if not 0.0 <= eta <= 1.0:
+            raise UsageError(f"eta must be in [0, 1], got {eta}")
+        d = elements.shape[-1]
+        traces = np.real(np.trace(elements, axis1=2, axis2=3))
+        elements *= eta
+        elements += ((1.0 - eta) * (traces / d))[..., None, None] * np.eye(d, dtype=complex)
+        suffix = f"~{eta:g}"
+    labels = ("".join(axes) + suffix for axes in itertools.product("XYZ", repeat=n_qubits))
+    return MeasurementSet(
+        povms=tuple(Povm(elements=x, label=label) for x, label in zip(elements, labels))
     )
-    return MeasurementSet(povms=povms)
 
 
-def depolarize_povm(povm: Povm, eta: float) -> Povm:
-    """eta X + (1 - eta) tr(X) I / d applied elementwise; still a full POVM."""
-    if not 0.0 <= eta <= 1.0:
-        raise UsageError(f"eta must be in [0, 1], got {eta}")
-    d = povm.dim
-    eye = np.eye(d, dtype=complex)
-    traces = np.real(np.trace(povm.elements, axis1=1, axis2=2))
-    elements = eta * povm.elements + ((1.0 - eta) * (traces / d))[:, None, None] * eye
-    return Povm(elements=elements, label=f"{povm.label}~{eta:g}")
+def pauli_product_measurements(n_qubits: int) -> MeasurementSet:
+    """All 3^n products of single-qubit X/Y/Z eigenbasis projectors."""
+    return _pauli_set(n_qubits)
 
 
 def noisy_pauli_product_measurements(n_qubits: int, eta: float) -> MeasurementSet:
-    base = pauli_product_measurements(n_qubits)
-    return MeasurementSet(povms=tuple(depolarize_povm(p, eta) for p in base.povms))
+    """Every Pauli product projector X depolarized to eta X + (1 - eta) tr(X) I / d."""
+    return _pauli_set(n_qubits, eta)
 
 
 def bell_povm() -> Povm:

@@ -313,7 +313,9 @@ def _site_cdf_tables(
         idx = plan.povm_indices[s]
         if (f, idx) not in first:
             where = [(idx, j) for j in range(povms[s].n_outcomes)]
-            probs, _, _, witness = _scan_family(instance, s, families[f], povms[s].elements, where)
+            probs, _, _, witness = _scan_family(
+                instance, s, families[f], povms[s].elements, where, keep=True
+            )
             if witness is not None:
                 raise PositivityViolationError(f"uncertified output: {witness}", witness=witness)
             cdf = np.cumsum(np.clip(probs, 0.0, 1.0), axis=1)

@@ -1,8 +1,11 @@
 """Per-tuple reference computations that the batched package code is checked against."""
 
+import math
+
 import numpy as np
 
 from pepslhv import linalg
+from pepslhv.decomposition import DUAL_ATOL, TRACE_FLOOR, PositivityWitness, operator_traces
 from pepslhv.errors import UsageError
 
 
@@ -40,3 +43,26 @@ def born_joint_distribution(state, povms) -> np.ndarray:
         X = tensor_product([p.elements[j] for p, j in zip(povms, js)])
         probs[js] = np.real(vec.conj() @ X @ vec)
     return probs
+
+
+def scan_family(instance, site: int, ops: np.ndarray, stack, where):
+    """decomposition._scan_family over the full (rows, elements) matrices at once."""
+    traces = operator_traces(ops)
+    ok = (traces > 0) & (traces >= TRACE_FLOOR * traces.max())
+    normed = linalg.overlaps(ops, stack) / np.where(ok, traces, 1.0)[:, None]
+    slacks = np.minimum(normed, 1.0 - normed)
+    worst = np.argmin(slacks, axis=1)
+    worst_slack = slacks[np.arange(len(ops)), worst]
+    slack = float(worst_slack[ok].min()) if ok.any() else math.inf
+    bad = ~ok | (worst_slack < -DUAL_ATOL)
+    witness = None
+    if bad.any():
+        r = int(np.argmax(bad))
+        tup = np.unravel_index(r, (instance.D**2,) * instance.site_maps[site].v)
+        tup = tuple(int(k) for k in tup)
+        if not ok[r]:
+            witness = PositivityWitness(site, tup, "trace", None, None, float(traces[r]))
+        else:
+            i, j = where[int(worst[r])]
+            witness = PositivityWitness(site, tup, "dual", i, j, float(normed[r, worst[r]]))
+    return normed, slack, float(traces.min()), witness

@@ -1,8 +1,16 @@
-"""Dead-code guard: every public module-level name in the package has a caller.
+"""Dead-code guard: every public name in the package has a caller.
 
-A caller is a word-boundary reference to the name in a Python file under
-src/, scripts/ or perfbench/, outside the name's own definition.  Tests do
+A caller of a module-level name is a word-boundary reference to it in a
+Python file under src/, scripts/ or perfbench/, outside the name's own
+definition.  A caller of a public method or property of a class is an
+attribute read `.name` in those files, outside its definition.  Tests do
 not count: a helper that only tests call belongs in tests/reference.py.
+
+Attributes resolve at run time, so the method check goes by name alone.
+A name that two classes share (`n_outcomes`, `to_json`, `dim`, `element`)
+or that numpy arrays also have (`T`) counts as called when any of them is
+read; the check catches a method whose name no program file reads, not one
+hidden behind a shared name.
 """
 
 import ast
@@ -41,8 +49,18 @@ def program_files():
     )
 
 
-def has_caller(path, node) -> bool:
-    word = re.compile(rf"\b{re.escape(node.name)}\b")
+def public_methods():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.parse(path.read_text()).body:
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                        yield path, cls, node
+
+
+def has_caller(path, node, attribute=False) -> bool:
+    prefix = r"\." if attribute else r"\b"
+    word = re.compile(prefix + re.escape(node.name) + r"\b")
     for caller, lines in program_files():
         if caller == path:
             # drop the definition itself, decorators included
@@ -67,3 +85,14 @@ def test_allow_list_holds_only_uncalled_names():
     assert set(ALLOWED) <= set(defined)
     called = [name for name in ALLOWED if has_caller(*defined[name])]
     assert called == []
+
+
+def test_every_public_method_has_a_caller():
+    methods = [(path, cls.name, node) for path, cls, node in public_methods()]
+    assert ("MeasurementSet", "element_stack") in {(c, n.name) for _, c, n in methods}
+    orphans = [
+        f"{path.name}: {cls}.{node.name}"
+        for path, cls, node in methods
+        if not has_caller(path, node, attribute=True)
+    ]
+    assert orphans == []

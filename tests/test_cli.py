@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -83,6 +84,24 @@ class TestPepsCommands:
         assert report["passed"] is True
         assert report["slack"] > 0
         assert report["choi_min_eigenvalue"] >= -1e-9
+
+    def test_check_torus3x3_stdout_bits(self, tmp_path, capsys):
+        # sha256 of the whole report: slacks, witness and min trace, to the last digit
+        path = tmp_path / "torus3x3.json"
+        assert run(
+            "peps", "build",
+            "--lattice", "torus:3x3",
+            "--basis", "aligned:2:zero",
+            "--measurements", "noisy-pauli:4:0.5",
+            "--recipe", "2",
+            "--psi", "plus-diag:4",
+            "--epsilon", "0.1",
+            "--out", str(path),
+        ) == 0
+        capsys.readouterr()
+        assert run("peps", "check", str(path)) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "9cd888653ac76f9350aa288063db8a8c1cf163a08471fd1df30ef337fdebb148"
 
     def test_check_above_threshold_exit_3(self, tmp_path):
         path = tmp_path / "hot.json"

@@ -3,6 +3,8 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,11 +17,16 @@ from pepslhv import decomposition as dec
 from pepslhv import cli, linalg, sampling
 from pepslhv.basis import build_aligned_basis, phase_point_basis
 from pepslhv.errors import DegenerateNormError, NotFactorizableError, UsageError
-from pepslhv.lattice import build_chain
-from pepslhv.measurements import bell_povm, dual_margin, noisy_pauli_product_measurements
+from pepslhv.lattice import build_chain, lattice_from_name
+from pepslhv.measurements import (
+    MeasurementSet,
+    bell_povm,
+    dual_margin,
+    noisy_pauli_product_measurements,
+)
 
 from conftest import build, recipe2_config
-from reference import site_output_operator
+from reference import scan_family, site_output_operator
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -443,6 +450,134 @@ class TestRelativeTraceFloor:
     def test_non_positive_trace_fails(self, traces, row):
         witness = self.scan(traces)[3]
         assert (witness.indices, witness.kind, witness.value) == ((row,), "trace", traces[row])
+
+
+def torus3x3_instance():
+    # the desk-oracle certificate instance: d = 16, 256 rows per family, 1296 elements
+    config = recipe2_config(lattice="torus:3x3", epsilon=0.1, measurements="noisy-pauli:4:0.5")
+    config["psi"] = "plus-diag:4"
+    return build(config)
+
+
+def report_fields(report):
+    return report.passed, report.slack, report.min_trace, report.per_site_slack, report.witness
+
+
+class TestBlockedScan:
+    """The row-blocked scan against the full (rows, elements) matrices of tests/reference.py."""
+
+    PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+    @staticmethod
+    def full_scan_report(instance):
+        with mock.patch.object(dec, "_scan_family", scan_family):
+            return dec.rv_positivity_check(instance)
+
+    def family(self, traces, bloch):
+        """Rows tr (I + a . sigma) / 2: against eta = 0.5 Paulis, a row fails iff some |a_k| > 2."""
+        ops = np.eye(2) + np.einsum("rk,kij->rij", bloch, self.PAULI)
+        return np.asarray(traces)[:, None, None] * ops / 2
+
+    @given(
+        lattice=st.sampled_from(["chain:2", "chain:3", "cycle:3", "torus:3x3"]),
+        rows_per_block=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+        doubled=st.booleans(),
+        marks=st.lists(
+            st.tuples(
+                st.integers(0, 255),
+                st.sampled_from(["floor", "zero", "negative", "dual", "dual-tie", "edge"]),
+            ),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_full_matrix_scan(self, lattice, rows_per_block, seed, doubled, marks):
+        # doubled: every POVM twice, so each element ties with its copy and the first must win
+        mset = noisy_pauli_product_measurements(1, 0.5)
+        if doubled:
+            mset = MeasurementSet(povms=mset.povms + mset.povms)
+        lat = lattice_from_name(lattice)
+        # the maps only shape the instance: its families are patched in below
+        inst = con.PepsInstance(
+            lattice=lat,
+            site_maps=tuple(con.SiteMap(v, 2, 2, np.eye(2, 2**v)) for v in lat.site_degrees()),
+            basis=phase_point_basis(),
+            measurement_set=mset,
+        )
+        rng = np.random.default_rng(seed)
+        families, site_family = [], []
+        for v in lat.site_degrees():
+            rows = 4**v
+            traces = rng.uniform(0.1, 2.0, rows)
+            bloch = rng.uniform(-1.9, 1.9, (rows, 3))
+            for r, mark in marks:
+                r %= rows
+                traces[r] = {"floor": 1e-11, "zero": 0.0, "negative": -0.5}.get(mark, traces[r])
+                if mark.startswith("dual"):
+                    bloch[r] = (3.0, 3.0, 3.0) if mark == "dual-tie" else (0.0, -2.5, 1.0)
+                if mark == "edge":
+                    bloch[r] = (0.0, 0.0, 2.0)  # an overlap of 1: slack 0 up to rounding
+            site_family.append(len(families))
+            families.append(self.family(traces, bloch))
+        with mock.patch.object(dec, "site_families", lambda _: (families, site_family)):
+            expected = self.full_scan_report(inst)
+            n_elements = len(mset.element_stack()[0])
+            with mock.patch.object(dec, "SCAN_BLOCK_ENTRIES", rows_per_block * n_elements):
+                got = dec.rv_positivity_check(inst)
+        assert report_fields(got) == report_fields(expected)
+        if got.witness is not None and got.witness.kind == "dual":
+            assert got.witness.povm_index < 3
+
+    def test_dual_witness_in_a_later_block(self):
+        inst = TestRelativeTraceFloor.INSTANCE
+        stack, where = inst.measurement_set.element_stack()
+        ops = self.family([1.0, 0.5, 0.3, 0.7], [(0, 0, 0), (1, 0, 0), (0, 0, 0), (0, 0, -2.5)])
+        expected = scan_family(inst, 1, ops, stack, where)
+        with mock.patch.object(dec, "SCAN_BLOCK_ENTRIES", 2 * len(stack)):
+            got = dec._scan_family(inst, 1, ops, stack, where, keep=True)
+        assert got[1:] == expected[1:]
+        w = got[3]
+        assert (w.indices, w.kind, w.povm_index, w.element_index) == ((3,), "dual", 2, 0)
+        assert w.value == pytest.approx(-0.125, abs=1e-15)
+        assert got[0].tobytes() == expected[0].tobytes()
+
+    def test_torus3x3_at_the_default_block_budget(self):
+        # three blocks of 86, 86 and 84 rows per family, each far above BLAS's small-matrix sizes
+        inst = torus3x3_instance()
+        assert report_fields(dec.rv_positivity_check(inst)) == report_fields(
+            self.full_scan_report(inst)
+        )
+        families, _ = dec.site_families(inst)
+        stack, where = inst.measurement_set.element_stack()
+        normed = dec._scan_family(inst, 0, families[0], stack, where, keep=True)[0]
+        assert normed.tobytes() == scan_family(inst, 0, families[0], stack, where)[0].tobytes()
+
+    @pytest.mark.parametrize("n_rows, width", [(256, 1296), (16, 36), (5, 2**17), (1, 2**18), (4096, 16)])
+    def test_row_blocks_cover_in_order(self, n_rows, width):
+        blocks = list(dec._row_blocks(n_rows, width))
+        assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]]
+        assert blocks[-1][1] == n_rows
+        sizes = [b - a for a, b in blocks]
+        assert max(sizes) - min(sizes) <= 1
+        assert min(sizes) >= min(2, n_rows)
+        assert max(sizes) * width <= max(dec.SCAN_BLOCK_ENTRIES, 3 * width)
+
+    def test_memory_is_families_and_one_block(self):
+        # site_families peaks at its three 1 MB families plus two 1 MB einsum
+        # temporaries (5.25 MB); the scan then adds to the three families at
+        # most two blocks of SCAN_BLOCK_ENTRIES overlaps (the next block is
+        # made before the last is dropped), 1.8 MB.  The full (rows, elements)
+        # matrices and a copied element stack took 21.7 MB.
+        inst = torus3x3_instance()
+        dec.rv_positivity_check(inst)
+        tracemalloc.start()
+        try:
+            dec.rv_positivity_check(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6e6
 
 
 class TestMixtureReconstruction:

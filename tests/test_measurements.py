@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -55,6 +56,49 @@ class TestPovmInvariants:
         assert povm.elements.shape == (2, 2, 2)
         assert povm.elements.dtype == complex
         assert all(np.array_equal(x, y) for x, y in zip(povm.elements, elements))
+
+
+# sha256 of the noisy-pauli:4:0.5 element stack: the depolarized Pauli products, bit for bit
+NOISY_PAULI4_SHA256 = "f88567018c27f41ae0913c4e71e3649692b47633737924b76d261c9eec6e2880"
+
+
+class TestHeldElementStack:
+    @pytest.mark.parametrize("name", ["pauli:2", "noisy-pauli:3:0.25", "bell"])
+    def test_every_povm_is_a_slice_of_the_stack(self, name):
+        mset = meas.measurement_set_from_name(name)
+        stack, where = mset.element_stack()
+        assert stack is mset.element_stack()[0]
+        assert len(stack) == len(where) == sum(p.n_outcomes for p in mset.povms)
+        for i, p in enumerate(mset.povms):
+            assert np.shares_memory(stack, p.elements)
+            rows = [k for k, (pi, _) in enumerate(where) if pi == i]
+            assert np.array_equal(stack[rows], p.elements)
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 2.0
+
+    def test_user_built_set_keeps_its_values(self):
+        z = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        x = [np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([[0.5, -0.5], [-0.5, 0.5]])]
+        trine = [np.full((2, 2), 1 / 3), np.eye(2) / 3, np.eye(2) * 2 / 3 - np.full((2, 2), 1 / 3)]
+        given_elements = [z, x, trine]
+        povms = tuple(meas.Povm(elements=e, label=f"p{i}") for i, e in enumerate(given_elements))
+        mset = meas.MeasurementSet(povms=povms)
+        for p, q, e in zip(mset.povms, povms, given_elements):
+            assert (p.label, p.n_outcomes) == (q.label, len(e))
+            assert p.elements.tobytes() == np.asarray(e, dtype=complex).tobytes()
+        # the set holds its own copy: a later write to a given POVM leaves it as it was
+        povms[0].elements[0, 0, 0] = 0.25
+        assert mset.povms[0].elements[0, 0, 0] == 1.0
+
+    def test_noisy_pauli4_stack_bits(self):
+        stack, _ = meas.measurement_set_from_name("noisy-pauli:4:0.5").element_stack()
+        assert stack.shape == (1296, 16, 16)
+        assert hashlib.sha256(stack.tobytes()).hexdigest() == NOISY_PAULI4_SHA256
+
+    def test_noisy_pauli_rejects_eta_outside_unit_interval(self):
+        for eta in (-0.1, 1.5):
+            with pytest.raises(UsageError, match="eta"):
+                meas.noisy_pauli_product_measurements(1, eta)
 
 
 def _loop_dual_margin(O, mset):
