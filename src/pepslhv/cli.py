@@ -144,7 +144,7 @@ def cmd_peps_epsilon_max(args) -> int:
 def cmd_sample(args) -> int:
     instance = configio.load_instance(args.instance)
     plan = configio.parse_plan(args.plan, instance)
-    chunks = sampling.iter_shots(
+    batches = sampling.iter_shots(
         instance,
         plan,
         args.shots,
@@ -153,7 +153,7 @@ def cmd_sample(args) -> int:
         workers=args.workers,
     )
     with open(args.out, "w") as fh:
-        for batch in chunks:
+        for batch in batches:
             batch.write_jsonl(fh)
     print(f"wrote {args.shots} shots to {args.out}")
     return EXIT_OK
@@ -174,8 +174,8 @@ def cmd_verify(args) -> int:
         tv = oracle.tv_distance(mix, exact)
         out = {"mode": "mixture", "tv": tv, "threshold": 1e-10, "pass": tv <= 1e-10}
     else:
-        chunks = sampling.iter_shots(instance, plan, args.shots, args.seed, workers=args.workers)
-        report = oracle.frequency_test(chunks, exact, confidence_k=args.confidence_k)
+        batches = sampling.iter_shots(instance, plan, args.shots, args.seed, workers=args.workers)
+        report = oracle.frequency_test(batches, exact, confidence_k=args.confidence_k)
         out = {"mode": "shots", **report.to_json()}
     if args.out:
         _write_json(args.out, out)
@@ -219,14 +219,13 @@ def cmd_bench(args) -> int:
         spec = f"cycle:{spec}" if spec.isdigit() else spec
         instance = configio.build_instance(dict(config, lattice=spec))
         plan = configio.parse_plan(args.plan, instance)
-        dists = decomposition.edge_distribution(instance)
-        # each chunk is written as it arrives; the time waiting for the next
-        # chunk is the kernel's, the time in write_jsonl the serializer's
+        # each batch is written as it arrives; the time waiting for the next
+        # batch is the kernel's, the time in write_jsonl the serializer's
         sink = _CharCount()
         seconds = serialize_s = 0.0
         t0 = time.perf_counter()
         for batch in sampling.iter_shots(
-            instance, plan, args.shots, args.seed, edge_dists=dists, workers=args.workers
+            instance, plan, args.shots, args.seed, workers=args.workers
         ):
             t1 = time.perf_counter()
             batch.write_jsonl(sink)

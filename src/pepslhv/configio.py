@@ -57,10 +57,11 @@ def parse_state(spec, dim: Optional[int] = None) -> np.ndarray:
         raise UsageError(f"bad state spec {spec!r}")
     if spec.startswith("@"):
         return linalg.state_from_json(_load_json(spec[1:]))
-    parts = spec.split(":")
-    name = parts[0]
+    name, *args = spec.split(":")
+    if len(args) > 1:
+        raise UsageError(f"bad state spec '{spec}': at most one ':' argument")
     try:
-        arg = int(parts[1]) if len(parts) == 2 else None
+        arg = int(args[0]) if args else None
     except ValueError as exc:
         raise UsageError(f"bad state spec '{spec}': {exc}") from exc
     if name in ("zero", "uniform"):

@@ -25,6 +25,9 @@ class Lattice:
             raise UsageError("lattice needs at least two sites")
         if not edges:
             raise UsageError("lattice needs at least one edge")
+        # each edge touches two sites; refused before the per-site lists exist
+        if self.n_sites > 2 * len(edges):
+            raise UsageError("every site must touch at least one edge")
         seen = set()
         incidence = [[] for _ in range(self.n_sites)]
         for e, (h, t) in enumerate(edges):

@@ -165,7 +165,7 @@ def frequency_test(
     """Pass iff TV(empirical, exact) <= k * sqrt(K / n_shots).
 
     shots is a ShotBatch or an iterable of them, such as sampling.iter_shots'
-    chunks, which are counted one at a time and never held together.
+    batches, which are counted one at a time and never held together.
     """
     counts = outcome_counts([shots] if isinstance(shots, ShotBatch) else shots, exact.arities)
     n_shots = int(counts.sum())

@@ -28,7 +28,9 @@ from pepslhv.decomposition import (
 )
 from pepslhv.errors import PositivityViolationError, UsageError
 
-DEFAULT_CHUNK = 1 << 16  # output bytes (outcomes, and hidden if emitted) per chunk in iter_shots
+# shots per slab in perfbench's probe_rng, its only reader; it goes with the
+# benchmark change in ROADMAP item 3
+DEFAULT_CHUNK = 1 << 16
 _BLOCK_UNIFORMS = 1 << 17  # uniforms per stream in one block of shots
 _JSONL_BLOCK_BYTES = 1 << 18  # bytes of value words per write in ShotBatch.write_jsonl
 
@@ -366,15 +368,13 @@ def iter_shots(
     emit_hidden: bool = False,
     start_shot: int = 0,
     workers: int = 1,
-    chunk: Optional[int] = None,
 ) -> Iterator[ShotBatch]:
-    """Sample n_shots shots as one ShotBatch per chunk, in shot order.
+    """Sample n_shots shots as one ShotBatch per block of the kernel, in shot order.
 
     The tables are built, and any error raised, before this returns.  A
-    chunk holds about DEFAULT_CHUNK bytes of output, in whole blocks of
-    shots; chunk sets its shot count instead.  Zero shots yield one empty
-    chunk.  Each shot depends only on (seed, shot), so the bytes are the same
-    for any chunk partition and worker count.
+    block holds B shots, the last one fewer; zero shots yield one empty
+    batch.  Each shot depends only on (seed, shot), so the bytes are the same
+    for any block size and worker count.
     """
     if n_shots < 0:
         raise UsageError("n_shots must be >= 0")
@@ -392,33 +392,23 @@ def iter_shots(
     dtype = np.min_scalar_type(top)
     # a block's uniforms, (B, E) and (B, N) float64, stay near 1 MB each
     block = max(1, _BLOCK_UNIFORMS // max(n_edges, n_sites))
-    if chunk is None:
-        row_bytes = dtype.itemsize * (n_sites + n_edges * emit_hidden)
-        chunk = block * max(1, DEFAULT_CHUNK // (row_bytes * block))
-
     arrays = _BlockArrays(block, n_edges, n_sites)
 
     def draw(off: int) -> ShotBatch:
-        count = min(chunk, n_shots - off)
+        count = min(block, n_shots - off)
         start = start_shot + off
         outcomes = np.empty((count, n_sites), dtype=dtype)
-        # column E is the zero that pads low-degree sites; with emit_hidden the
-        # chunk's edge indices are kept, otherwise one block's are reused
-        lam = np.empty((count if emit_hidden else min(block, count), n_edges + 1), dtype=dtype)
+        # column E is the zero that pads low-degree sites
+        lam = np.empty((count, n_edges + 1), dtype=dtype)
         lam[:, n_edges] = 0
-        for lo in range(0, count, block):
-            hi = min(lo + block, count)
-            part = lam[lo:hi] if emit_hidden else lam[: hi - lo]
-            u = shot_uniforms(seed, start + lo, hi - lo, n_edges, "edges", arrays.u_edges)
-            _count_draw(cdf_cols, u, part[:, :n_edges])
-            u = shot_uniforms(seed, start + lo, hi - lo, n_sites, "sites", arrays.u_sites)
-            size = (hi - lo) * n_sites
-            _draw_sites(
-                sites, part, u, outcomes[lo:hi], arrays.idx[:size], arrays.entry[:size]
-            )
+        u = shot_uniforms(seed, start, count, n_edges, "edges", arrays.u_edges)
+        _count_draw(cdf_cols, u, lam[:, :n_edges])
+        u = shot_uniforms(seed, start, count, n_sites, "sites", arrays.u_sites)
+        size = count * n_sites
+        _draw_sites(sites, lam, u, outcomes, arrays.idx[:size], arrays.entry[:size])
         return ShotBatch(start, outcomes, lam[:, :n_edges] if emit_hidden else None)
 
-    return _in_order(draw, range(0, n_shots, chunk) if n_shots else [0], workers)
+    return _in_order(draw, range(0, n_shots, block) if n_shots else [0], workers)
 
 
 def _in_order(fn, items, workers: int) -> Iterator:
@@ -447,13 +437,10 @@ def run_shots(
     emit_hidden: bool = False,
     start_shot: int = 0,
     workers: int = 1,
-    chunk: Optional[int] = None,
 ) -> ShotBatch:
-    """iter_shots' chunks as one batch, held whole."""
+    """iter_shots' batches as one batch, held whole."""
     parts = list(
-        iter_shots(
-            instance, plan, n_shots, seed, edge_dists, emit_hidden, start_shot, workers, chunk
-        )
+        iter_shots(instance, plan, n_shots, seed, edge_dists, emit_hidden, start_shot, workers)
     )
     if len(parts) == 1:
         return parts[0]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pepslhv import cli, configio, construction, linalg, measurements, oracle, sampling
-from pepslhv.errors import ConstructionError, DegenerateNormError
+from pepslhv.errors import ConstructionError, DegenerateNormError, UsageError
 
 
 def run(*argv):
@@ -56,6 +56,19 @@ class TestBasisCommands:
 
     def test_missing_file_exit_1(self, tmp_path):
         assert run("basis", "verify", str(tmp_path / "nope.json")) == 1
+
+
+class TestStateSpecs:
+    @pytest.mark.parametrize("spec", ["zero:7:7", "uniform:2:2", "plus-diag:2:9"])
+    def test_extra_parts_refused(self, spec):
+        with pytest.raises(UsageError, match="bad state spec"):
+            configio.parse_state(spec, dim=4)
+
+    def test_extra_parts_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "b.json"
+        assert run("basis", "gen", "--D", "2", "--anchor", "zero:7:7", "--out", str(out)) == 2
+        assert "bad state spec" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDualCommand:
@@ -446,7 +459,8 @@ class TestSampleAndVerify:
         assert report["pass"] is True
 
     def test_workers_do_not_change_bytes(self, tmp_path):
-        # two chunks, the last one short, drawn by two threads
+        # torus:3x3 has 18 edges, so blocks of 2^17 // 18 = 7281 shots: two
+        # whole blocks and a short third, drawn by two threads
         inst = tmp_path / "torus.json"
         assert run(
             "peps", "build",
@@ -458,7 +472,7 @@ class TestSampleAndVerify:
             "--epsilon", "0.1",
             "--out", str(inst),
         ) == 0
-        shots = str(sampling.DEFAULT_CHUNK + 1000)
+        shots = str(2 * 7281 + 1000)
         outputs = []
         for workers in ("1", "2"):
             out = tmp_path / f"w{workers}.jsonl"
@@ -631,6 +645,16 @@ class TestBench:
             fh = io.StringIO()
             batch.write_jsonl(fh)
             assert r["output_bytes"] == len(fh.getvalue().encode())
+
+    def test_edge_distributions_built_once(self, instance_file, monkeypatch):
+        # bench runs what sample runs: iter_shots builds the edge distributions
+        def refuse(instance):
+            raise AssertionError("bench built the edge distributions itself")
+
+        monkeypatch.setattr(cli.decomposition, "edge_distribution", refuse)
+        assert run(
+            "bench", str(instance_file), "--sites", "5", "--plan", "all:ZZ~0.5", "--shots", "50"
+        ) == 0
 
     def test_lattice_specs(self, tmp_path, capsys):
         inst = tmp_path / "torus.json"

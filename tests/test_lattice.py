@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,6 +116,18 @@ class TestInvariants:
     def test_parallel_edge_rejected(self):
         with pytest.raises(UsageError):
             lattice.Lattice(n_sites=2, edges=((0, 1), (1, 0)))
+
+    def test_too_many_sites_refused_before_incidence(self):
+        # one edge touches two sites; the other 10^7 - 2 are refused before
+        # any per-site list is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(UsageError, match="every site must touch"):
+                lattice.lattice_from_json({"n_sites": 10**7, "edges": [[0, 1]]})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestNamesAndFiles:

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -227,12 +228,15 @@ class TestFrequencyTest:
         assert report.tv == pytest.approx(gap, abs=0.05)
 
     def test_chunks_report_equals_batch(self, cycle3_instance):
-        # verify --mode shots counts iter_shots' chunks one at a time
+        # verify --mode shots counts iter_shots' batches one at a time; blocks
+        # of 777 shots (3 edges and 3 sites) give seven batches
         plan = sampling.MeasurementPlan.uniform(cycle3_instance, "ZZ~0.5")
         exact = oracle.born_joint_for_instance(cycle3_instance, plan)
         batch = sampling.run_shots(cycle3_instance, plan, 5000, 2)
-        chunks = sampling.iter_shots(cycle3_instance, plan, 5000, 2, chunk=777)
-        assert oracle.frequency_test(chunks, exact) == oracle.frequency_test(batch, exact)
+        with mock.patch.object(sampling, "_BLOCK_UNIFORMS", 777 * 3):
+            batches = list(sampling.iter_shots(cycle3_instance, plan, 5000, 2))
+        assert len(batches) == 7
+        assert oracle.frequency_test(batches, exact) == oracle.frequency_test(batch, exact)
 
     def test_minimum_shot_count(self, cycle3_instance):
         plan = sampling.MeasurementPlan.uniform(cycle3_instance, "ZZ~0.5")

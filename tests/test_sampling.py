@@ -277,9 +277,15 @@ class TestStackedSiteTables:
             assert batch.outcomes[:, s].tolist() == expect
 
 
-def jsonl(chunks) -> str:
+def blocks_of(inst, shots: int):
+    """Patch the kernel's block size so that a block of inst holds the given shots."""
+    lat = inst.lattice
+    return mock.patch.object(sampling, "_BLOCK_UNIFORMS", shots * max(lat.n_edges, lat.n_sites))
+
+
+def jsonl(batches) -> str:
     fh = io.StringIO()
-    for batch in chunks:
+    for batch in batches:
         batch.write_jsonl(fh)
     return fh.getvalue()
 
@@ -293,35 +299,50 @@ class TestStreaming:
         ))
         return inst, sampling.MeasurementPlan.uniform(inst, "ZZZZ~0.5"), {}
 
-    # blocks of B = 2^17 // 18 = 7281 shots, or of 3 with 64 uniforms per block;
-    # 2B + 100 and 700 shots leave a ragged last block and a ragged last chunk
+    # the stream draws blocks of B = 2^17 // 18 = 7281 shots, or of 3 with 64
+    # uniforms per block, so 2B + 100 and 700 shots leave a ragged last block;
+    # the reference draws blocks of ref_block shots (None: one block) on one thread
     @pytest.mark.parametrize(
-        "block_uniforms, n_shots, chunk",
-        [(1 << 17, 2 * 7281 + 100, c) for c in (None, 1000, 7281)]
-        + [(64, 700, c) for c in (None, 1, 7, 300)],
+        "block_uniforms, n_shots, ref_block",
+        [(1 << 17, 2 * 7281 + 100, b) for b in (None, 1000, 7281)]
+        + [(64, 700, b) for b in (None, 1, 7, 300)],
     )
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_bytes_independent_of_workers_and_chunks(
-        self, torus, block_uniforms, n_shots, chunk, workers
+        self, torus, block_uniforms, n_shots, ref_block, workers
     ):
         inst, plan, reference = torus
-        if n_shots not in reference:
-            # shots 3.. at seed 5 as ShotRecord.to_json lines, drawn as one chunk
-            batch = sampling.run_shots(
-                inst, plan, n_shots, 5, emit_hidden=True, start_shot=3, chunk=n_shots
-            )
-            reference[n_shots] = "".join(r.to_json() + "\n" for r in batch.records())
+        if (n_shots, ref_block) not in reference:
+            # shots 3.. at seed 5 as ShotRecord.to_json lines
+            with blocks_of(inst, ref_block or n_shots):
+                batch = sampling.run_shots(inst, plan, n_shots, 5, emit_hidden=True, start_shot=3)
+            reference[n_shots, ref_block] = "".join(r.to_json() + "\n" for r in batch.records())
         with mock.patch.object(sampling, "_BLOCK_UNIFORMS", block_uniforms):
-            chunks = list(sampling.iter_shots(
+            batches = list(sampling.iter_shots(
                 inst, plan, n_shots, 5, emit_hidden=True, start_shot=3, workers=workers,
-                chunk=chunk,
             ))
-        assert [c.start_shot for c in chunks] == sorted({c.start_shot for c in chunks})
-        assert sum(c.n_shots for c in chunks) == n_shots
-        if chunk is None and block_uniforms == 1 << 17:
-            # whole blocks per chunk, the last one ragged
-            assert len(chunks) == 3 and chunks[-1].n_shots == 100
-        assert jsonl(chunks) == reference[n_shots]
+        block = block_uniforms // 18
+        assert [b.start_shot for b in batches] == list(range(3, 3 + n_shots, block))
+        assert [b.n_shots for b in batches[:-1]] == [block] * (len(batches) - 1)
+        assert 0 < batches[-1].n_shots < block
+        assert jsonl(batches) == reference[n_shots, ref_block]
+
+    @pytest.mark.parametrize(
+        "lattice, n",
+        [("chain:5", 2), ("cycle:6", 2), ("torus:3x3", 4)],
+    )
+    def test_one_batch_per_block(self, lattice, n):
+        inst = build(dict(
+            recipe2_config(lattice=lattice, epsilon=0.1, measurements=f"noisy-pauli:{n}:0.5"),
+            psi=f"plus-diag:{n}",
+        ))
+        plan = sampling.MeasurementPlan.uniform(inst, "Z" * n + "~0.5")
+        lat = inst.lattice
+        block = (1 << 17) // max(lat.n_edges, lat.n_sites)
+        batches = list(sampling.iter_shots(inst, plan, 2 * block + 100, 0))
+        assert [b.n_shots for b in batches] == [block, block, 100]
+        (empty,) = sampling.iter_shots(inst, plan, 0, 0)
+        assert empty.outcomes.shape == (0, lat.n_sites)
 
     def test_memory_flat_in_shots(self):
         inst = build(dict(
@@ -334,10 +355,10 @@ class TestStreaming:
         tracemalloc.start()
         try:
             for n_shots in (2_000, 20_000):
-                chunks = sampling.iter_shots(inst, plan, n_shots, 0, edge_dists=dists)
+                batches = sampling.iter_shots(inst, plan, n_shots, 0, edge_dists=dists)
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
-                for _ in chunks:
+                for _ in batches:
                     pass
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
@@ -448,19 +469,20 @@ class TestRunShots:
     def test_worker_count_does_not_change_output(self, chain4, chain4_dists):
         plan = uniform_plan(chain4)
         kw = dict(edge_dists=chain4_dists, emit_hidden=True)
-        a = sampling.run_shots(chain4, plan, 4000, 1, workers=1, chunk=512, **kw)
-        b = sampling.run_shots(chain4, plan, 4000, 1, workers=4, chunk=512, **kw)
+        with blocks_of(chain4, 512):
+            a = sampling.run_shots(chain4, plan, 4000, 1, workers=1, **kw)
+            b = sampling.run_shots(chain4, plan, 4000, 1, workers=4, **kw)
         assert np.array_equal(a.outcomes, b.outcomes)
         assert np.array_equal(a.hidden, b.hidden)
-        # an offset start and a chunk that leaves a short last chunk; threads
-        # switch often so that chunks finish out of order
-        whole = sampling.run_shots(chain4, plan, 4000, 1, start_shot=7, chunk=4000, **kw)
+        # an offset start and a block that leaves a short last block; threads
+        # switch often so that blocks finish out of order
+        with blocks_of(chain4, 4000):
+            whole = sampling.run_shots(chain4, plan, 4000, 1, start_shot=7, **kw)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            ragged = sampling.run_shots(
-                chain4, plan, 4000, 1, start_shot=7, workers=4, chunk=384, **kw
-            )
+            with blocks_of(chain4, 384):
+                ragged = sampling.run_shots(chain4, plan, 4000, 1, start_shot=7, workers=4, **kw)
         finally:
             sys.setswitchinterval(interval)
         assert ragged.start_shot == 7
