@@ -244,7 +244,7 @@ def assemble_exact_state(instance: PepsInstance):
     lat = instance.lattice
     D = instance.D
     E = lat.n_edges
-    if int(np.prod(instance.physical_dims())) > MAX_PHYSICAL_DIM:
+    if math.prod(instance.physical_dims()) > MAX_PHYSICAL_DIM:
         raise UsageError("physical dimension too large for exact assembly")
     if D ** (2 * E) > MAX_VIRTUAL_DIM:
         raise UsageError("virtual dimension too large for exact assembly")

@@ -124,10 +124,11 @@ class PositivityReport:
 def _row_blocks(n_rows: int, width: int):
     """Balanced [a, b) row ranges of about SCAN_BLOCK_ENTRIES entries, two rows or more each.
 
-    A row's overlaps round the same in a block as in the whole family only
-    through the same BLAS routine.  numpy hands a one-row product to gemv,
-    and OpenBLAS sums products of about a thousand entries or fewer with its
-    small-matrix kernels.  Blocks of two rows or more, each about half the
+    A row's products (a family's overlaps, the Born oracle's rows) round
+    the same in a block as in the whole product only through the same BLAS
+    routine.  numpy hands a one-row product to gemv, and OpenBLAS sums
+    products of about a thousand entries or fewer with its small-matrix
+    kernels.  Blocks of two rows or more, each about half the
     budget or more when the family exceeds it, avoid both.
     """
     n_blocks = max(1, min(-(-n_rows * width // SCAN_BLOCK_ENTRIES), n_rows // 2))
@@ -289,7 +290,7 @@ def _edge_distribution(
 def _enumeration_guard(instance: PepsInstance):
     if (instance.D**2) ** instance.lattice.n_edges > MAX_ENUM_ASSIGNMENTS:
         raise UsageError("edge-assignment enumeration too large")
-    if int(np.prod(instance.physical_dims())) > MAX_ENUM_PHYS_DIM:
+    if math.prod(instance.physical_dims()) > MAX_ENUM_PHYS_DIM:
         raise UsageError("physical dimension too large for enumeration")
 
 
@@ -319,7 +320,7 @@ def reconstruct_mixture(instance: PepsInstance):
     families, site_family = site_families(instance)
     weights = mixture_weights(instance).ravel()
     rho = contract_mixture(instance, [families[f] for f in site_family], extra_axes=2)
-    dim, total = int(np.prod(instance.physical_dims())), weights.sum()
+    dim, total = math.prod(instance.physical_dims()), weights.sum()
     return rho.reshape(dim, dim) / total, weights / total
 
 

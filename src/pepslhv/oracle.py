@@ -15,7 +15,7 @@ import numpy as np
 
 from pepslhv import linalg
 from pepslhv.construction import MAX_PHYSICAL_DIM, PepsInstance, assemble_exact_state
-from pepslhv.decomposition import contract_mixture, site_families
+from pepslhv.decomposition import _row_blocks, contract_mixture, site_families
 from pepslhv.errors import UsageError
 from pepslhv.sampling import MeasurementPlan, ShotBatch
 
@@ -44,11 +44,16 @@ class JointDistribution:
 
     @property
     def n_outcomes(self) -> int:
-        return int(np.prod(self.arities))
+        return math.prod(self.arities)
 
 
 def _check_oracle_size(povms: Sequence) -> None:
-    """Refuse plans whose outcome space or per-outcome operator is too large to build."""
+    """Refuse plans whose outcome space, or whose work on sites 2..N, is too large.
+
+    The (d_2 ... d_N)^2 bound caps the entries of the bra-ket products each
+    first-site outcome contracts, that is, the work; exact_joint_distribution
+    never holds an array that large.
+    """
     if math.prod(p.n_outcomes for p in povms) > MAX_OUTCOME_SPACE:
         raise UsageError("joint outcome space too large")
     rest = math.prod(p.dim for p in povms[1:])
@@ -64,8 +69,13 @@ def exact_joint_distribution(state, plan_povms: Sequence) -> JointDistribution:
     One first-site outcome j_1 at a time: after measuring sites 1..s,
     R[j_2..j_s] is the operator <Psi| X_{j_1} (x) ... (x) X_{j_s} (x) . |Psi>
     on the unmeasured sites; measuring site s+1 traces its factor against
-    each X_{j_{s+1}}.  The largest array is one (d_2 ... d_N)^2 operator and
-    its regrouped copy, not (K d)^N.
+    each X_{j_{s+1}}.  Sites 1 and 2 are measured together, in blocks of
+    rows u of sites 3..N (decomposition._row_blocks): the bra rows (a_2, u)
+    times X_{j_1} Psi, regrouped to (a_2 b_2, u w), give the block R[:, u, :]
+    of the (n_2, r, r) operator on sites 3..N, r = d_3 ... d_N.  The largest
+    arrays are that operator and its regrouped copy, never (d_2 ... d_N)^2.
+    Each probability is still a length-d_1 sum, then a length-d_2^2 sum, and
+    so on, in the same order as through the whole (d_2 ... d_N)^2 operator.
     """
     vec = linalg.as_state(state)
     _check_oracle_size(plan_povms)
@@ -74,18 +84,40 @@ def exact_joint_distribution(state, plan_povms: Sequence) -> JointDistribution:
     if math.prod(dims) != vec.size:
         raise UsageError("plan dimensions do not match the state")
     psi = vec.reshape(dims[0], -1)
-    bra = psi.conj().T
     probs = np.empty(arities)
+    if len(dims) == 1:
+        for j, X in enumerate(plan_povms[0].elements):
+            probs[j] = np.real(psi.conj().T @ (X @ psi))[0, 0]
+        return JointDistribution(arities=tuple(arities), probs=probs)
+    d2, r = dims[1], psi.shape[1] // dims[1]
+    # bra[a_2, u] = conj(Psi[:, (a_2, u)]), a view
+    bra = psi.conj().T.reshape(d2, r, dims[0])
+    site2 = plan_povms[1].elements.reshape(arities[1], d2 * d2)
+    R = np.empty((arities[1], r, r), dtype=complex)
+    # gemm computes a product's last columns, those past a multiple of its
+    # unroll (4 in OpenBLAS's x86-64 zgemm), in an edge kernel that rounds
+    # differently; blocks that start on a multiple of 16 columns (u, w) leave
+    # those columns where the whole product has them
+    unit = 16 // math.gcd(r, 16)
+    blocks = [
+        (a * unit, min(b * unit, r)) for a, b in _row_blocks(-(-r // unit), unit * d2 * d2 * r)
+    ]
     for j, X in enumerate(plan_povms[0].elements):
-        # R[u, w] = sum_ab conj(Psi[a, u]) X_j[a, b] Psi[b, w]
-        R = bra @ (X @ psi)
-        for d, povm in zip(dims[1:], plan_povms[1:]):
+        ket = X @ psi
+        for a, b in blocks:
+            # rows (a_2, u) in one matmul, so a one-row u block is not a gemv
+            block = bra[:, a:b].reshape(-1, dims[0]) @ ket
+            # (a_2, u, b_2 w) -> (a_2 b_2, u w), then one matmul over a_2 b_2
+            block = block.reshape(d2, b - a, d2, r).transpose(0, 2, 1, 3)
+            R[:, a:b] = (site2 @ block.reshape(d2 * d2, -1)).reshape(-1, b - a, r)
+        out = R
+        for d, povm in zip(dims[2:], plan_povms[2:]):
             # group the bra and ket indices of the next site, then one matmul over them
-            rest = R.shape[1] // d
-            R = R.reshape(-1, d, rest, d, rest).transpose(0, 1, 3, 2, 4)
-            R = povm.elements.reshape(povm.n_outcomes, -1) @ R.reshape(-1, d * d, rest * rest)
-            R = R.reshape(-1, rest, rest)
-        probs[j] = np.real(R).reshape(arities[1:])
+            rest = out.shape[1] // d
+            out = out.reshape(-1, d, rest, d, rest).transpose(0, 1, 3, 2, 4)
+            out = povm.elements.reshape(povm.n_outcomes, -1) @ out.reshape(-1, d * d, rest * rest)
+            out = out.reshape(-1, rest, rest)
+        probs[j] = np.real(out).reshape(arities[1:])
     return JointDistribution(arities=tuple(arities), probs=probs)
 
 
@@ -111,7 +143,7 @@ def mixture_joint_distribution(instance: PepsInstance, plan: MeasurementPlan) ->
 
 def outcome_counts(batches: Iterable[ShotBatch], arities: Sequence[int]) -> np.ndarray:
     """Shots per joint outcome, over the raveled outcome index, summed batch by batch."""
-    size = int(np.prod(arities))
+    size = math.prod(arities)
     counts = np.zeros(size, dtype=np.int64)
     for batch in batches:
         flat = np.ravel_multi_index(tuple(batch.outcomes.T), tuple(arities))

@@ -66,3 +66,22 @@ def scan_family(instance, site: int, ops: np.ndarray, stack, where):
             i, j = where[int(worst[r])]
             witness = PositivityWitness(site, tup, "dual", i, j, float(normed[r, worst[r]]))
     return normed, slack, float(traces.min()), witness
+
+
+def born_joint_full_operator(state, povms) -> np.ndarray:
+    """oracle.exact_joint_distribution through the whole (d_2 ... d_N)^2 operator per j_1."""
+    dims = [p.dim for p in povms]
+    arities = [p.n_outcomes for p in povms]
+    psi = np.asarray(state, dtype=complex).reshape(dims[0], -1)
+    bra = psi.conj().T
+    probs = np.empty(arities)
+    for j, X in enumerate(povms[0].elements):
+        # R[u, w] = sum_ab conj(Psi[a, u]) X_j[a, b] Psi[b, w]
+        R = bra @ (X @ psi)
+        for d, povm in zip(dims[1:], povms[1:]):
+            rest = R.shape[1] // d
+            R = R.reshape(-1, d, rest, d, rest).transpose(0, 1, 3, 2, 4)
+            R = povm.elements.reshape(povm.n_outcomes, -1) @ R.reshape(-1, d * d, rest * rest)
+            R = R.reshape(-1, rest, rest)
+        probs[j] = np.real(R).reshape(arities[1:])
+    return probs

@@ -1,6 +1,10 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +15,19 @@ from pepslhv import cli, configio, construction, linalg, measurements, oracle, s
 from pepslhv.errors import ConstructionError, DegenerateNormError, UsageError
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+TORUS3X3_CHECK_SHA256 = "49c6d974c4beb933e2be120de596743030531550796fcea2871a2cfa19c603f1"
+
+
 def run(*argv):
     return cli.main(list(argv))
+
+
+def check_digest(stdout: str) -> str:
+    """sha256 of a `peps check` report without its choi_min_eigenvalue, which must be >= -1e-9."""
+    report = json.loads(stdout)
+    assert report.pop("choi_min_eigenvalue") >= -1e-9
+    return hashlib.sha256(json.dumps(report, indent=2, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.fixture
@@ -99,7 +114,11 @@ class TestPepsCommands:
         assert report["choi_min_eigenvalue"] >= -1e-9
 
     def test_check_torus3x3_stdout_bits(self, tmp_path, capsys):
-        # sha256 of the whole report: slacks, witness and min trace, to the last digit
+        # sha256 of the report without choi_min_eigenvalue: slacks, witness and
+        # min trace, to the last digit.  That key is LAPACK's rounding of a
+        # rank-one matrix's zero eigenvalue, and its last digit moves with the
+        # BLAS thread count, so it is only bounded; a one-thread run must give
+        # the same digest
         path = tmp_path / "torus3x3.json"
         assert run(
             "peps", "build",
@@ -113,8 +132,15 @@ class TestPepsCommands:
         ) == 0
         capsys.readouterr()
         assert run("peps", "check", str(path)) == 0
-        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == "9cd888653ac76f9350aa288063db8a8c1cf163a08471fd1df30ef337fdebb148"
+        assert check_digest(capsys.readouterr().out) == TORUS3X3_CHECK_SHA256
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pepslhv.cli", "peps", "check", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert check_digest(proc.stdout) == TORUS3X3_CHECK_SHA256
 
     def test_check_above_threshold_exit_3(self, tmp_path):
         path = tmp_path / "hot.json"

@@ -624,6 +624,26 @@ class TestMixtureReconstruction:
                 expected *= np.trace(site_output_operator(m, inst.basis, tup, flags)).real
             assert weights[assignment] == pytest.approx(expected, abs=1e-12)
 
+    def test_physical_dimension_past_int64_refused(self, monkeypatch):
+        # 16 sites of d = 16 on an 8-edge matching: the dimension is 2^64, which
+        # an int64 product wraps to 0; both guards must refuse before contracting
+        config = recipe2_config(
+            lattice={"n_sites": 16, "edges": [[2 * k, 2 * k + 1] for k in range(8)]},
+            measurements="noisy-pauli:4:0.5",
+        )
+        config["psi"] = "plus-diag:4"
+        inst = build(config)
+
+        def no_contraction(*args, **kwargs):
+            raise AssertionError("contracted past the size guard")
+
+        monkeypatch.setattr(con, "contract_edges", no_contraction)
+        monkeypatch.setattr(dec, "contract_edges", no_contraction)
+        with pytest.raises(UsageError, match="physical dimension too large"):
+            con.assemble_exact_state(inst)
+        with pytest.raises(UsageError, match="physical dimension too large"):
+            dec.reconstruct_mixture(inst)
+
     def test_T_consistency_three_ways(self, cycle3_instance):
         dists = dec.edge_distribution(cycle3_instance)
         _, T_exact = con.assemble_exact_state(cycle3_instance)

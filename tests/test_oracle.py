@@ -1,10 +1,11 @@
 import hashlib
+import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pepslhv import construction as con
@@ -14,7 +15,7 @@ from pepslhv.errors import UsageError
 from pepslhv.measurements import Povm, pauli_product_measurements
 
 from conftest import build, recipe2_config
-from reference import born_joint_distribution
+from reference import born_joint_distribution, born_joint_full_operator
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -83,6 +84,37 @@ class TestExactJointDistribution:
         assert dist.arities == arities
         assert np.max(np.abs(dist.probs - born_joint_distribution(state, povms))) <= 1e-12
 
+    @given(
+        dims=st.lists(st.integers(1, 4), min_size=1, max_size=6).filter(
+            lambda d: math.prod(d) <= 4096
+        ),
+        data=st.data(),
+        budget=st.sampled_from([1, 100, 1000, dec.SCAN_BLOCK_ENTRIES]),
+    )
+    @example(dims=[3], data=None, budget=1)  # N = 1
+    @example(dims=[2, 3], data=None, budget=1)  # N = 2, one row of sites 3..N
+    @example(dims=[2, 2, 4, 5], data=None, budget=1)  # r = 20: blocks of 8 and 12 rows
+    @example(dims=[1, 2, 3, 3, 3, 3], data=None, budget=1000)  # r = 81: 32, 32, 17 rows
+    @settings(max_examples=40, deadline=None)
+    def test_bytes_match_full_operator(self, dims, data, budget):
+        """The row-blocked contraction against the whole (d_2 ... d_N)^2 operator of reference.py.
+
+        A small budget splits R into uneven blocks of rows; at an odd r, a
+        block not started on a multiple of 16 columns would end inside a gemm
+        unroll of the whole product's columns and round differently.
+        """
+        if data is None:
+            arities, seed = [2, 1, 3, 3, 3, 3][: len(dims)], 0  # site 2 has one outcome
+        else:
+            arities = data.draw(st.lists(st.integers(1, 4), min_size=len(dims), max_size=len(dims)))
+            seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        povms = [random_povm(rng, d, k) for d, k in zip(dims, arities)]
+        state = random_state(rng, math.prod(dims))
+        with mock.patch.object(dec, "SCAN_BLOCK_ENTRIES", budget):
+            probs = oracle.exact_joint_distribution(state, povms).probs
+        assert probs.tobytes() == born_joint_full_operator(state, povms).tobytes()
+
     def test_desk_instance_bytes_pinned(self):
         inst = build(DESK_CYCLE6)
         plan = sampling.MeasurementPlan.uniform(inst, "ZZ~0.5")
@@ -94,9 +126,11 @@ class TestExactJointDistribution:
         povms = sampling.MeasurementPlan.uniform(inst, "ZZ~0.5").povms(inst)
         raw, T = con.assemble_exact_state(inst)
         state = raw / np.sqrt(T)
-        rest = state.size // povms[0].dim
-        # one operator on sites 2..N, its regrouped copy, and slack for the rest
-        bound = 3 * rest**2 * np.dtype(complex).itemsize
+        r = state.size // (povms[0].dim * povms[1].dim)
+        # the (n_2, r, r) operator on sites 3..N, its regrouped copy, slack for
+        # the rest, and two blocks of rows; never the (d_2 ... d_N)^2 operator
+        entries = 3 * povms[1].n_outcomes * r**2 + 2 * dec.SCAN_BLOCK_ENTRIES
+        bound = entries * np.dtype(complex).itemsize
         tracemalloc.start()
         try:
             oracle.exact_joint_distribution(state, povms)
