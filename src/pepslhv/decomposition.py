@@ -302,7 +302,12 @@ def contract_mixture(instance: PepsInstance, site_rows, extra_axes=0, keep_edges
 
 def mixture_weights(instance: PepsInstance) -> np.ndarray:
     """prod_s tr(O_s) per edge assignment, shape (D^2,) * E; divide by T D^(2E) for p."""
-    families, site_family = site_families(instance)
+    _enumeration_guard(instance)
+    return _trace_weights(instance, *site_families(instance))
+
+
+def _trace_weights(instance: PepsInstance, families: list, site_family: list) -> np.ndarray:
+    """mixture_weights from site_families(instance)."""
     traces = [operator_traces(ops) for ops in families]
     return contract_mixture(instance, [traces[f] for f in site_family], keep_edges=True)
 
@@ -317,8 +322,9 @@ def reconstruct_mixture(instance: PepsInstance):
 
     Term lambda, prod_s tr(O_s) (x)_s O_s / tr(O_s), is just (x)_s O_s.
     """
+    _enumeration_guard(instance)  # before any site family is built
     families, site_family = site_families(instance)
-    weights = mixture_weights(instance).ravel()
+    weights = _trace_weights(instance, families, site_family).ravel()
     rho = contract_mixture(instance, [families[f] for f in site_family], extra_axes=2)
     dim, total = math.prod(instance.physical_dims()), weights.sum()
     return rho.reshape(dim, dim) / total, weights / total

@@ -13,7 +13,6 @@ import hashlib
 import json
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -31,8 +30,10 @@ from pepslhv.errors import PositivityViolationError, UsageError
 # shots per slab in perfbench's probe_rng, its only reader; it goes with the
 # benchmark change in ROADMAP item 3
 DEFAULT_CHUNK = 1 << 16
-_BLOCK_UNIFORMS = 1 << 17  # uniforms per stream in one block of shots
-_JSONL_BLOCK_BYTES = 1 << 18  # bytes of value words per write in ShotBatch.write_jsonl
+# float64/intp entries one block of shots holds: a row of uniforms per shot,
+# shared by the edge and site streams, and the bisection's idx and entry
+_BLOCK_SLOTS = 1 << 18
+_JSONL_BLOCK_BYTES = 1 << 16  # bytes of value words per write in ShotBatch.write_jsonl
 
 
 @dataclass(frozen=True)
@@ -184,6 +185,9 @@ def shot_uniforms(
     """
     if n_shots < 0 or n_slots < 1:
         raise UsageError("bad uniform block shape")
+    if not n_shots:
+        # no rows to fill: build no generator (and import no numpy.random)
+        return np.empty((0, n_slots)) if out is None else out[:0, :n_slots]
     # Philox advances in blocks of four 64-bit outputs; give each shot a
     # whole number of blocks so any start_shot lands on a block boundary.
     blocks_per_shot = -(-n_slots // 4)
@@ -246,18 +250,31 @@ def _draw(
     np.bitwise_and(idx, width - 1, out=out, casting="unsafe")
 
 
+def _block_shots(n_edges: int, n_sites: int) -> int:
+    """Shots per kernel block, B, so that the block's arrays hold about _BLOCK_SLOTS entries.
+
+    A shot holds one row of max(E, N) uniforms and N entries each of idx and entry.
+    """
+    return max(1, _BLOCK_SLOTS // (max(n_edges, n_sites) + 2 * n_sites))
+
+
 class _BlockArrays(threading.local):
     """One thread's arrays for a block of at most B shots, allocated once and reused.
 
     A fresh megabyte array in every block costs page faults each time the
-    allocator gives its pages back to the system.
+    allocator gives its pages back to the system.  The edge uniforms are
+    spent before the site uniforms are drawn, so both streams share one buffer.
     """
 
     def __init__(self, block: int, n_edges: int, n_sites: int):
-        self.u_edges = np.empty((block, 4 * -(-n_edges // 4)))
-        self.u_sites = np.empty((block, 4 * -(-n_sites // 4)))
+        self.buffer = np.empty(block * 4 * -(-max(n_edges, n_sites) // 4))
         self.idx = np.empty(block * n_sites, dtype=np.intp)
         self.entry = np.empty(block * n_sites)
+
+    def uniforms(self, count: int, n_slots: int) -> np.ndarray:
+        """The buffer's head as a C-contiguous (count, 4 * ceil(n_slots / 4)) out for shot_uniforms."""
+        width = 4 * -(-n_slots // 4)
+        return self.buffer[: count * width].reshape(count, width)
 
 
 @dataclass(frozen=True)
@@ -390,8 +407,7 @@ def iter_shots(
     # hidden indices and outcomes share the narrowest dtype that holds both
     top = max([sites.n] + [p.n_outcomes for p in plan.povms(instance)]) - 1
     dtype = np.min_scalar_type(top)
-    # a block's uniforms, (B, E) and (B, N) float64, stay near 1 MB each
-    block = max(1, _BLOCK_UNIFORMS // max(n_edges, n_sites))
+    block = _block_shots(n_edges, n_sites)
     arrays = _BlockArrays(block, n_edges, n_sites)
 
     def draw(off: int) -> ShotBatch:
@@ -401,9 +417,10 @@ def iter_shots(
         # column E is the zero that pads low-degree sites
         lam = np.empty((count, n_edges + 1), dtype=dtype)
         lam[:, n_edges] = 0
-        u = shot_uniforms(seed, start, count, n_edges, "edges", arrays.u_edges)
+        u = shot_uniforms(seed, start, count, n_edges, "edges", arrays.uniforms(count, n_edges))
         _count_draw(cdf_cols, u, lam[:, :n_edges])
-        u = shot_uniforms(seed, start, count, n_sites, "sites", arrays.u_sites)
+        # the site stream overwrites the edge uniforms, which lam now holds
+        u = shot_uniforms(seed, start, count, n_sites, "sites", arrays.uniforms(count, n_sites))
         size = count * n_sites
         _draw_sites(sites, lam, u, outcomes, arrays.idx[:size], arrays.entry[:size])
         return ShotBatch(start, outcomes, lam[:, :n_edges] if emit_hidden else None)
@@ -418,6 +435,9 @@ def _in_order(fn, items, workers: int) -> Iterator:
     if workers == 1 or len(items) == 1:
         yield from map(fn, items)
         return
+    # imported here: with one worker the pool module (and logging) never loads
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         ahead: deque = deque()
         for item in items:

@@ -485,7 +485,7 @@ class TestSampleAndVerify:
         assert report["pass"] is True
 
     def test_workers_do_not_change_bytes(self, tmp_path):
-        # torus:3x3 has 18 edges, so blocks of 2^17 // 18 = 7281 shots: two
+        # torus:3x3 has 18 edges and 9 sites, so blocks of 2^18 // 36 = 7281 shots: two
         # whole blocks and a short third, drawn by two threads
         inst = tmp_path / "torus.json"
         assert run(

@@ -626,7 +626,8 @@ class TestMixtureReconstruction:
 
     def test_physical_dimension_past_int64_refused(self, monkeypatch):
         # 16 sites of d = 16 on an 8-edge matching: the dimension is 2^64, which
-        # an int64 product wraps to 0; both guards must refuse before contracting
+        # an int64 product wraps to 0; both guards must refuse before contracting,
+        # and the mixture's before building any site family
         config = recipe2_config(
             lattice={"n_sites": 16, "edges": [[2 * k, 2 * k + 1] for k in range(8)]},
             measurements="noisy-pauli:4:0.5",
@@ -637,12 +638,30 @@ class TestMixtureReconstruction:
         def no_contraction(*args, **kwargs):
             raise AssertionError("contracted past the size guard")
 
+        def no_families(*args, **kwargs):
+            raise AssertionError("built site families past the size guard")
+
         monkeypatch.setattr(con, "contract_edges", no_contraction)
         monkeypatch.setattr(dec, "contract_edges", no_contraction)
+        monkeypatch.setattr(dec, "site_families", no_families)
         with pytest.raises(UsageError, match="physical dimension too large"):
             con.assemble_exact_state(inst)
         with pytest.raises(UsageError, match="physical dimension too large"):
             dec.reconstruct_mixture(inst)
+        with pytest.raises(UsageError, match="physical dimension too large"):
+            dec.mixture_weights(inst)
+
+    def test_families_built_once(self, cycle3_instance, monkeypatch):
+        build_families = dec.site_families
+        calls = []
+
+        def counted(instance):
+            calls.append(instance)
+            return build_families(instance)
+
+        monkeypatch.setattr(dec, "site_families", counted)
+        dec.reconstruct_mixture(cycle3_instance)
+        assert len(calls) == 1
 
     def test_T_consistency_three_ways(self, cycle3_instance):
         dists = dec.edge_distribution(cycle3_instance)

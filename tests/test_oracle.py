@@ -267,7 +267,7 @@ class TestFrequencyTest:
         plan = sampling.MeasurementPlan.uniform(cycle3_instance, "ZZ~0.5")
         exact = oracle.born_joint_for_instance(cycle3_instance, plan)
         batch = sampling.run_shots(cycle3_instance, plan, 5000, 2)
-        with mock.patch.object(sampling, "_BLOCK_UNIFORMS", 777 * 3):
+        with mock.patch.object(sampling, "_block_shots", lambda n_edges, n_sites: 777):
             batches = list(sampling.iter_shots(cycle3_instance, plan, 5000, 2))
         assert len(batches) == 7
         assert oracle.frequency_test(batches, exact) == oracle.frequency_test(batch, exact)

@@ -2,8 +2,11 @@ import functools
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -277,10 +280,9 @@ class TestStackedSiteTables:
             assert batch.outcomes[:, s].tolist() == expect
 
 
-def blocks_of(inst, shots: int):
-    """Patch the kernel's block size so that a block of inst holds the given shots."""
-    lat = inst.lattice
-    return mock.patch.object(sampling, "_BLOCK_UNIFORMS", shots * max(lat.n_edges, lat.n_sites))
+def blocks_of(shots: int):
+    """Patch the kernel's block size to the given shots."""
+    return mock.patch.object(sampling, "_block_shots", lambda n_edges, n_sites: shots)
 
 
 def jsonl(batches) -> str:
@@ -299,29 +301,29 @@ class TestStreaming:
         ))
         return inst, sampling.MeasurementPlan.uniform(inst, "ZZZZ~0.5"), {}
 
-    # the stream draws blocks of B = 2^17 // 18 = 7281 shots, or of 3 with 64
-    # uniforms per block, so 2B + 100 and 700 shots leave a ragged last block;
-    # the reference draws blocks of ref_block shots (None: one block) on one thread
+    # the stream draws blocks of edge_uniforms // 18 shots: 7281, torus:3x3's
+    # own B, or 3, so 2B + 100 and 700 shots leave a ragged last block; the
+    # reference draws blocks of ref_block shots (None: one block) on one thread
     @pytest.mark.parametrize(
-        "block_uniforms, n_shots, ref_block",
+        "edge_uniforms, n_shots, ref_block",
         [(1 << 17, 2 * 7281 + 100, b) for b in (None, 1000, 7281)]
         + [(64, 700, b) for b in (None, 1, 7, 300)],
     )
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_bytes_independent_of_workers_and_chunks(
-        self, torus, block_uniforms, n_shots, ref_block, workers
+        self, torus, edge_uniforms, n_shots, ref_block, workers
     ):
         inst, plan, reference = torus
         if (n_shots, ref_block) not in reference:
             # shots 3.. at seed 5 as ShotRecord.to_json lines
-            with blocks_of(inst, ref_block or n_shots):
+            with blocks_of(ref_block or n_shots):
                 batch = sampling.run_shots(inst, plan, n_shots, 5, emit_hidden=True, start_shot=3)
             reference[n_shots, ref_block] = "".join(r.to_json() + "\n" for r in batch.records())
-        with mock.patch.object(sampling, "_BLOCK_UNIFORMS", block_uniforms):
+        block = edge_uniforms // 18
+        with blocks_of(block):
             batches = list(sampling.iter_shots(
                 inst, plan, n_shots, 5, emit_hidden=True, start_shot=3, workers=workers,
             ))
-        block = block_uniforms // 18
         assert [b.start_shot for b in batches] == list(range(3, 3 + n_shots, block))
         assert [b.n_shots for b in batches[:-1]] == [block] * (len(batches) - 1)
         assert 0 < batches[-1].n_shots < block
@@ -338,11 +340,19 @@ class TestStreaming:
         ))
         plan = sampling.MeasurementPlan.uniform(inst, "Z" * n + "~0.5")
         lat = inst.lattice
-        block = (1 << 17) // max(lat.n_edges, lat.n_sites)
+        block = sampling._block_shots(lat.n_edges, lat.n_sites)
         batches = list(sampling.iter_shots(inst, plan, 2 * block + 100, 0))
         assert [b.n_shots for b in batches] == [block, block, 100]
         (empty,) = sampling.iter_shots(inst, plan, 0, 0)
         assert empty.outcomes.shape == (0, lat.n_sites)
+
+    @pytest.mark.parametrize(
+        "n_edges, n_sites, block",
+        [(1800, 900, 72), (18, 9, 7281), (400, 400, 218), (6, 6, 14563)],
+        ids=["torus:30x30", "torus:3x3", "cycle:400", "cycle:6"],
+    )
+    def test_block_size(self, n_edges, n_sites, block):
+        assert sampling._block_shots(n_edges, n_sites) == block
 
     def test_memory_flat_in_shots(self):
         inst = build(dict(
@@ -364,6 +374,56 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
+
+
+class TestWorkingSet:
+    """On cycle:400 with hidden indices, the block and the writer stay near 2 MB and 1 MB."""
+
+    @pytest.fixture(scope="class")
+    def ring(self):
+        inst = build(dict(recipe2_config(lattice="cycle:400"), psi="plus-diag:2"))
+        return inst, uniform_plan(inst)
+
+    def test_block_arrays(self, ring):
+        made = []
+
+        class Recorded(sampling._BlockArrays):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        with mock.patch.object(sampling, "_BlockArrays", Recorded):
+            for _ in sampling.iter_shots(*ring, 500, 0, emit_hidden=True):
+                pass
+        (arrays,) = made
+        assert sum(a.nbytes for a in vars(arrays).values()) <= 2.2e6
+
+    def test_writer_transient(self, ring):
+        batch = next(iter(sampling.iter_shots(*ring, 5000, 7, emit_hidden=True)))
+
+        class Discard:
+            def write(self, text):
+                pass
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            batch.write_jsonl(Discard())
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e6
+
+    def test_cli_import_loads_no_thread_pool(self):
+        # --workers 1 draws inline, so importing the CLI must not load the pool
+        src = Path(sampling.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = "import sys, pepslhv.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestWideOutcomes:
@@ -456,6 +516,14 @@ class TestRunShots:
         assert batch.n_shots == 0
         assert list(batch.records()) == []
 
+    def test_zero_shots_build_no_generator(self, chain4, monkeypatch):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a generator built for zero shots")
+
+        monkeypatch.setattr(np.random, "Philox", no_generator)
+        (empty,) = sampling.iter_shots(chain4, uniform_plan(chain4), 0, 0)
+        assert empty.outcomes.shape == (0, 4)
+
     def test_chunk_partition_determinism(self, chain4, chain4_dists):
         plan = uniform_plan(chain4)
         whole = sampling.run_shots(chain4, plan, 5000, 42, edge_dists=chain4_dists, emit_hidden=True)
@@ -469,19 +537,19 @@ class TestRunShots:
     def test_worker_count_does_not_change_output(self, chain4, chain4_dists):
         plan = uniform_plan(chain4)
         kw = dict(edge_dists=chain4_dists, emit_hidden=True)
-        with blocks_of(chain4, 512):
+        with blocks_of(512):
             a = sampling.run_shots(chain4, plan, 4000, 1, workers=1, **kw)
             b = sampling.run_shots(chain4, plan, 4000, 1, workers=4, **kw)
         assert np.array_equal(a.outcomes, b.outcomes)
         assert np.array_equal(a.hidden, b.hidden)
         # an offset start and a block that leaves a short last block; threads
         # switch often so that blocks finish out of order
-        with blocks_of(chain4, 4000):
+        with blocks_of(4000):
             whole = sampling.run_shots(chain4, plan, 4000, 1, start_shot=7, **kw)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with blocks_of(chain4, 384):
+            with blocks_of(384):
                 ragged = sampling.run_shots(chain4, plan, 4000, 1, start_shot=7, workers=4, **kw)
         finally:
             sys.setswitchinterval(interval)
