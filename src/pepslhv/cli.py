@@ -152,6 +152,9 @@ def cmd_sample(args) -> int:
         emit_hidden=args.emit_hidden,
         workers=args.workers,
     )
+    # the batches read only the sampler's tables: drop the instance and its
+    # element stack (5.3 MB for noisy-pauli:4) before the first shot is drawn
+    del instance, plan
     with open(args.out, "w") as fh:
         for batch in batches:
             batch.write_jsonl(fh)

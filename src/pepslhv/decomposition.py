@@ -56,36 +56,57 @@ def site_operator_family(
     prod = np.einsum(spec, *(C.transpose(0, 2, 1) if t else C for t in flags))
     prod = prod.reshape(C.shape[0] ** v, site_map.virtual_dim, site_map.virtual_dim)
     K = site_map.K
-    # a Kraus operator near the float range overflows; site_families rejects it
+    # a Kraus operator near the float range overflows; _family_stack rejects
+    # it.  K @ prod replaces prod before the second product is made, so at
+    # most two family-sized arrays are alive at once
     with np.errstate(over="ignore", invalid="ignore"):
-        return K @ prod @ K.conj().T
+        prod = K @ prod
+        return prod @ K.conj().T
 
 
 def operator_traces(ops: np.ndarray) -> np.ndarray:
     return np.real(np.trace(ops, axis1=1, axis2=2))
 
 
-def site_families(instance: PepsInstance):
-    """(distinct output stacks, family index per site).
+def _family_sites(instance: PepsInstance):
+    """(first site of each distinct site family, family index per site).
 
     Sites with the same site map (by identity) and transposed flags share
-    one stack.  A stack with a non-finite entry raises UsageError.
+    one family of output operators.
     """
     index: dict = {}
-    families = []
-    site_family = []
+    firsts, site_family = [], []
     for s, m in enumerate(instance.site_maps):
-        # head end keeps C; tail end gets the transpose
-        flags = tuple(not ishead for _, ishead in instance.lattice.incident_edges(s))
-        key = (id(m), flags)
+        key = (id(m), _flags(instance, s))
         if key not in index:
-            ops = site_operator_family(m, instance.basis, flags)
-            if not np.all(np.isfinite(ops)):
-                raise UsageError(f"site {s}: non-finite output operator")
-            index[key] = len(families)
-            families.append(ops)
+            index[key] = len(firsts)
+            firsts.append(s)
         site_family.append(index[key])
-    return families, site_family
+    return firsts, site_family
+
+
+def _flags(instance: PepsInstance, site: int) -> tuple:
+    # head end keeps C; tail end gets the transpose
+    return tuple(not ishead for _, ishead in instance.lattice.incident_edges(site))
+
+
+def _family_stack(instance: PepsInstance, site: int) -> np.ndarray:
+    """site_operator_family of site's map and flags; a non-finite entry raises UsageError."""
+    ops = site_operator_family(instance.site_maps[site], instance.basis, _flags(instance, site))
+    if not np.all(np.isfinite(ops)):
+        raise UsageError(f"site {site}: non-finite output operator")
+    return ops
+
+
+def site_families(instance: PepsInstance):
+    """(distinct output stacks, family index per site), every stack held at once.
+
+    A stack with a non-finite entry raises UsageError.  The desk-scale
+    mixture needs every family together; the certificate and the sampler
+    build one family at a time (_family_sites, _family_stack).
+    """
+    firsts, site_family = _family_sites(instance)
+    return [_family_stack(instance, s) for s in firsts], site_family
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +211,9 @@ def rv_positivity_check(instance: PepsInstance) -> PositivityReport:
     failing site.
     """
     stack, where = instance.measurement_set.element_stack()
-    families, site_family = site_families(instance)
-    scans = [
-        _scan_family(instance, site_family.index(f), ops, stack, where)
-        for f, ops in enumerate(families)
-    ]
+    firsts, site_family = _family_sites(instance)
+    # one family at a time: each is built, scanned and dropped before the next
+    scans = [_scan_family(instance, s, _family_stack(instance, s), stack, where) for s in firsts]
     per_site_slack = tuple(scans[f][1] for f in site_family)
     # a family's witness is at its first site, so the least site is the first failure
     witness = min((sc[3] for sc in scans if sc[3] is not None), key=lambda w: w.site, default=None)
@@ -247,38 +266,42 @@ def edge_distribution(instance: PepsInstance) -> EdgeDistributions:
     beyond about a thousand edges, so it is kept as
     log T = sum_e log Z_e + sum_s log S_s - 2E ln D; `T` is its exponential.
     """
-    return _edge_distribution(instance, *site_families(instance))
+    firsts, site_family = _family_sites(instance)
+    # every family is built, and so checked finite, before any is tested for rank one
+    families = [_family_stack(instance, s) for s in firsts]
+    marginals = [_trace_marginals(instance, s, ops) for s, ops in zip(firsts, families)]
+    return _edge_rows(instance, site_family, marginals)
 
 
-def _edge_distribution(
-    instance: PepsInstance, families: list, site_family: list
-) -> EdgeDistributions:
-    """edge_distribution, given site_families(instance)."""
+def _trace_marginals(instance: PepsInstance, site: int, ops: np.ndarray):
+    """(log of the trace total, per-position marginals) of the family ops of site.
+
+    A non-positive trace, or a trace tensor that is not rank one, raises
+    NotFactorizableError.
+    """
+    table = operator_traces(ops).reshape((instance.D**2,) * instance.site_maps[site].v)
+    if np.any(table <= 0):
+        raise NotFactorizableError(f"site {site}: non-positive output trace")
+    log_S, q, residual = _rank_one_marginals(table)
+    if not residual <= FACTOR_RESIDUAL_RTOL:
+        raise NotFactorizableError(
+            f"site {site}: trace tensor not rank-1 (residual {residual:.3e})"
+        )
+    return log_S, q
+
+
+def _edge_rows(instance: PepsInstance, site_family: list, marginals: list) -> EdgeDistributions:
+    """The edge distributions from each family's _trace_marginals."""
     lat = instance.lattice
-    n = instance.D**2
-    log_totals, marginals = [], []
-    for f, ops in enumerate(families):
-        s = site_family.index(f)
-        table = operator_traces(ops).reshape((n,) * instance.site_maps[s].v)
-        if np.any(table <= 0):
-            raise NotFactorizableError(f"site {s}: non-positive output trace")
-        log_S, q, residual = _rank_one_marginals(table)
-        if not residual <= FACTOR_RESIDUAL_RTOL:
-            raise NotFactorizableError(
-                f"site {s}: trace tensor not rank-1 (residual {residual:.3e})"
-            )
-        log_totals.append(log_S)
-        marginals.append(q)
-
     # each edge's row collects the marginal of its head end and of its tail end
-    weights = np.ones((lat.n_edges, n))
+    weights = np.ones((lat.n_edges, instance.D**2))
     for s, f in enumerate(site_family):
-        for (e, _), q in zip(lat.incident_edges(s), marginals[f]):
+        for (e, _), q in zip(lat.incident_edges(s), marginals[f][1]):
             weights[e] *= q
     Z = weights.sum(axis=1)
     log_T = (
         float(np.log(Z).sum())
-        + float(np.array(log_totals)[site_family].sum())
+        + float(np.array([marginals[f][0] for f in site_family]).sum())
         - 2.0 * lat.n_edges * math.log(instance.D)
     )
     return EdgeDistributions(probs=weights / Z[:, None], log_T=log_T)

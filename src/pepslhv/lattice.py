@@ -8,10 +8,15 @@ virtual particle at the site.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
 from pepslhv.errors import UsageError
+
+# sites in a named lattice: 2^17 holds cycle:102400 and torus:240x240, and a
+# lattice this size takes tens of MB of Python tuples to build
+MAX_NAMED_SITES = 2**17
 
 
 @dataclass(frozen=True)
@@ -89,19 +94,32 @@ def build_torus(Lx: int, Ly: int) -> Lattice:
 
 
 def lattice_from_name(name: str) -> Lattice:
-    """Shorthand generators: "chain:N", "cycle:N", "torus:LxxLy"."""
+    """Shorthand generators: "chain:N", "cycle:N", "torus:LxxLy".
+
+    A name of more than MAX_NAMED_SITES sites is refused before any edge is
+    built.
+    """
     parts = name.split(":")
     try:
         if parts[0] == "chain" and len(parts) == 2:
-            return build_chain(int(parts[1]))
+            return build_chain(_named_size(int(parts[1])))
         if parts[0] == "cycle" and len(parts) == 2:
-            return build_cycle(int(parts[1]))
+            return build_cycle(_named_size(int(parts[1])))
         if parts[0] == "torus" and len(parts) == 2:
             lx, ly = parts[1].lower().split("x")
-            return build_torus(int(lx), int(ly))
+            lx, ly = int(lx), int(ly)
+            _named_size(lx, ly)
+            return build_torus(lx, ly)
     except ValueError as exc:
         raise UsageError(f"bad lattice name '{name}': {exc}") from exc
     raise UsageError(f"unknown lattice name '{name}'")
+
+
+def _named_size(*sizes: int) -> int:
+    """The first size, once the product of positive sizes is at most MAX_NAMED_SITES."""
+    if min(sizes) > 0 and math.prod(sizes) > MAX_NAMED_SITES:
+        raise UsageError(f"{math.prod(sizes)} sites, more than {MAX_NAMED_SITES}")
+    return sizes[0]
 
 
 def lattice_to_json(lat: Lattice) -> dict:

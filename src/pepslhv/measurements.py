@@ -91,7 +91,9 @@ class MeasurementSet:
     """The restricted set M = {M_i} of allowed local POVMs.
 
     Every element is held once, in one read-only (n, d, d) stack, and each
-    POVM's ``elements`` is its row slice of that stack.
+    POVM's ``elements`` is its row slice of that stack.  A set built from
+    POVMs holds a copy of their elements; a named set holds the stack it
+    was built in.
     """
 
     povms: tuple
@@ -105,9 +107,23 @@ class MeasurementSet:
         if any(p.dim != dim for p in povms):
             raise UsageError("POVMs in a measurement set must share dimension")
         stack = np.concatenate([p.elements for p in povms])
+        self._hold(stack, [(p.label, p.n_outcomes) for p in povms])
+
+    @classmethod
+    def _of_stack(cls, stack: np.ndarray, povms: list) -> "MeasurementSet":
+        """The set over stack, not copied, whose rows _povm_stack has validated POVM by POVM.
+
+        povms lists (label, outcome count) for each POVM's rows, in order.
+        """
+        mset = object.__new__(cls)
+        mset._hold(stack, povms)
+        return mset
+
+    def _hold(self, stack: np.ndarray, povms: list) -> None:
+        """Keep stack, read-only, with one Povm over each slice of rows that povms lists."""
         stack.flags.writeable = False
-        ends = np.cumsum([p.n_outcomes for p in povms])
-        rows = (Povm._of_rows(stack[e - p.n_outcomes : e], p.label) for p, e in zip(povms, ends))
+        ends = np.cumsum([n for _, n in povms])
+        rows = (Povm._of_rows(stack[e - n : e], label) for (label, n), e in zip(povms, ends))
         object.__setattr__(self, "povms", tuple(rows))
         object.__setattr__(self, "_stack", stack)
 
@@ -198,9 +214,11 @@ def pauli_product_elements(n_qubits: int) -> np.ndarray:
 def _pauli_set(n_qubits: int, eta=None) -> MeasurementSet:
     """The 3^n Pauli product POVMs, each validated once; with eta, depolarized first.
 
-    Depolarizing maps X to eta X + (1 - eta) tr(X) I / d, in place on the
-    whole stack, by the same operations, so to the same bits, as one POVM
-    at a time.
+    Depolarizing maps X to eta X + (1 - eta) tr(X) I / d in place on the
+    whole stack, to the same bits as adding the term times the identity:
+    adding 0.0 turns every -0.0 to +0.0 as that sum does, and the term is
+    then added to the real part of each diagonal.  The set holds this
+    stack; it is never copied.
     """
     if n_qubits < 1:
         raise UsageError("need at least one qubit")
@@ -212,12 +230,13 @@ def _pauli_set(n_qubits: int, eta=None) -> MeasurementSet:
         d = elements.shape[-1]
         traces = np.real(np.trace(elements, axis1=2, axis2=3))
         elements *= eta
-        elements += ((1.0 - eta) * (traces / d))[..., None, None] * np.eye(d, dtype=complex)
+        elements += 0.0
+        diagonals = elements.reshape(*elements.shape[:2], d * d)[..., :: d + 1]
+        diagonals.real += ((1.0 - eta) * (traces / d))[..., None]
         suffix = f"~{eta:g}"
     labels = ("".join(axes) + suffix for axes in itertools.product("XYZ", repeat=n_qubits))
-    return MeasurementSet(
-        povms=tuple(Povm(elements=x, label=label) for x, label in zip(elements, labels))
-    )
+    povms = [(label, len(_povm_stack(x, label))) for x, label in zip(elements, labels)]
+    return MeasurementSet._of_stack(elements.reshape(-1, *elements.shape[2:]), povms)
 
 
 def pauli_product_measurements(n_qubits: int) -> MeasurementSet:

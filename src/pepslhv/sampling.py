@@ -9,23 +9,24 @@ workers reproduces identical records.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from pepslhv.construction import PepsInstance
 from pepslhv.decomposition import (
     EdgeDistributions,
-    _edge_distribution,
+    _edge_rows,
+    _family_sites,
+    _family_stack,
     _scan_family,
-    site_families,
+    _trace_marginals,
 )
-from pepslhv.errors import PositivityViolationError, UsageError
+from pepslhv.errors import NotFactorizableError, PositivityViolationError, UsageError
 
 # shots per slab in perfbench's probe_rng, its only reader; it goes with the
 # benchmark change in ROADMAP item 3
@@ -162,6 +163,10 @@ def _fixed(text: str, rows: int) -> np.ndarray:
 
 def derive_seed(seed: int, label: str) -> int:
     """Stable labeled sub-seed so one --seed flag drives every subsystem."""
+    # imported here: hashlib maps OpenSSL's libcrypto (+3.6 MB RSS), and a
+    # command that derives no seed never needs it
+    import hashlib
+
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -230,12 +235,13 @@ def _draw(
 ) -> None:
     """Categorical draws by branchless bisection over the rows of a padded CDF table.
 
-    Draw i reads row row[i] of table and writes to out[i] the number of
-    entries <= u[i]; idx (intp) and entry (float64), shaped like u, are
-    work arrays.  Each row is non-decreasing until it first reaches 1.0, its
-    last real entry is exactly 1.0 and its padding is 2.0, so for u < 1.0 the
-    entries <= u are a prefix shorter than the row: bisection finds its
-    length, which is searchsorted(row, u, side="right").
+    The draw at each position reads row row[...] of table and writes to
+    out[...] the number of entries <= u[...]; row, u, out and the work
+    arrays idx (intp) and entry (float64) share one shape, and u is read in
+    place, strided or not.  Each row is non-decreasing until it first
+    reaches 1.0, its last real entry is exactly 1.0 and its padding is 2.0,
+    so for u < 1.0 the entries <= u are a prefix shorter than the row:
+    bisection finds its length, which is searchsorted(row, u, side="right").
     """
     width = table.shape[1]
     flat = table.ravel()
@@ -303,52 +309,77 @@ def _draw_sites(
 
     A site's row is base + its index tuple read in radix D^2 (Horner's rule,
     one gather per incident position, in the dtype of base); then one
-    bisection over the block, with _draw's work arrays idx and entry of B * N.
+    bisection over the block, with _draw's work arrays idx and entry of B * N
+    entries.  u (B, N) may be the strided head of a wider buffer of
+    uniforms: it is read in place, never copied.
     """
     row = lam[:, sites.incidence[0]].astype(sites.base.dtype)
     for col in sites.incidence[1:]:
         row *= sites.n
         row += lam[:, col]
     row += sites.base
-    _draw(sites.table, row.ravel(), u.ravel(), out.ravel(), idx, entry)
+    shape = row.shape
+    _draw(sites.table, row, u, out, idx.reshape(shape), entry.reshape(shape))
 
 
-def _site_cdf_tables(
-    instance: PepsInstance, plan: MeasurementPlan, families: list, site_family: list
-) -> _SiteTables:
-    """Cumulative Born probabilities per extreme index tuple, every site's in one table.
+def _set_up(
+    instance: PepsInstance, plan: MeasurementPlan, with_edges: bool
+) -> Tuple[Optional[EdgeDistributions], _SiteTables]:
+    """(edge distributions if with_edges else None, every site's Born CDF rows in one table).
 
-    families and site_family are site_families(instance).  Sites sharing
-    (site map, flags, POVM) share one block of (D^2)^v rows.  A row failing
-    the certificate's scan against the site's POVM raises
-    PositivityViolationError with the scan's witness.
+    One site family at a time is built, reduced to its trace marginals and
+    to the cumulative Born probabilities of its extreme index tuples, and
+    dropped.  Sites sharing (site map, flags, POVM) share one block of
+    (D^2)^v rows.  The errors are those of building every family first: a
+    non-finite family raises UsageError, then a family whose trace tensor
+    does not factorize NotFactorizableError, then a row failing the
+    certificate's scan against its site's POVM PositivityViolationError
+    with the scan's witness, each for the least site.
     """
     lat = instance.lattice
     povms = plan.povms(instance)
-    first: dict = {}
-    cdfs = []
-    base = np.empty(lat.n_sites, dtype=np.intp)
-    for s, f in enumerate(site_family):
-        idx = plan.povm_indices[s]
-        if (f, idx) not in first:
-            where = [(idx, j) for j in range(povms[s].n_outcomes)]
-            probs, _, _, witness = _scan_family(
-                instance, s, families[f], povms[s].elements, where, keep=True
-            )
-            if witness is not None:
-                raise PositivityViolationError(f"uncertified output: {witness}", witness=witness)
-            cdf = np.cumsum(np.clip(probs, 0.0, 1.0), axis=1)
-            first[f, idx] = sum(len(c) for c in cdfs)
-            cdfs.append(cdf / cdf[:, -1:])
-        base[s] = first[f, idx]
-    table = _padded(cdfs)
+    firsts, site_family = _family_sites(instance)
+    # the first site of each (family, POVM) block, in site order
+    block_site: dict = {}
+    for s, key in enumerate(zip(site_family, plan.povm_indices)):
+        block_site.setdefault(key, s)
+    marginals, cdfs = [], {}
+    not_factorizable = witness = None
+    for f, first in enumerate(firsts):
+        ops = _family_stack(instance, first)
+        if with_edges and not_factorizable is None:
+            try:
+                marginals.append(_trace_marginals(instance, first, ops))
+            except NotFactorizableError as exc:
+                not_factorizable = exc
+        # once a family fails to factorize, the rest are built only to be checked finite
+        if not_factorizable is None:
+            for (g, idx), s in block_site.items():
+                if g != f:
+                    continue
+                where = [(idx, j) for j in range(povms[s].n_outcomes)]
+                probs, _, _, w = _scan_family(instance, s, ops, povms[s].elements, where, keep=True)
+                if w is not None and (witness is None or w.site < witness.site):
+                    witness = w
+                cdf = np.cumsum(np.clip(probs, 0.0, 1.0), axis=1)
+                cdfs[g, idx] = cdf / cdf[:, -1:]
+        del ops  # before the next family is built
+    if not_factorizable is not None:
+        raise not_factorizable
+    if witness is not None:
+        raise PositivityViolationError(f"uncertified output: {witness}", witness=witness)
+    blocks = [cdfs[key] for key in block_site]
+    offsets = dict(zip(block_site, np.cumsum([0] + [len(c) for c in blocks[:-1]]).tolist()))
+    table = _padded(blocks)
+    base = np.array([offsets[key] for key in zip(site_family, plan.povm_indices)])
     degrees = lat.site_degrees()
     incidence = np.full((max(degrees), lat.n_sites), lat.n_edges, dtype=np.intp)
     for s, v in enumerate(degrees):
         incidence[len(incidence) - v :, s] = [e for e, _ in lat.incident_edges(s)]
-    return _SiteTables(
+    sites = _SiteTables(
         table, base.astype(np.min_scalar_type(len(table) - 1)), incidence, instance.D**2
     )
+    return (_edge_rows(instance, site_family, marginals) if with_edges else None), sites
 
 
 def sample_outcomes(
@@ -366,7 +397,7 @@ def sample_outcomes(
     n = instance.D**2
     if np.any(assignment < 0) or np.any(assignment >= n):
         raise UsageError("edge index out of range")
-    sites = _site_cdf_tables(instance, plan, *site_families(instance))
+    sites = _set_up(instance, plan, with_edges=False)[1]
     lam = np.append(assignment, 0).astype(np.min_scalar_type(n - 1))[None, :]
     outcomes = np.empty((1, lat.n_sites), dtype=np.int64)
     u = shot_uniforms(seed, shot, 1, lat.n_sites, "sites")
@@ -388,8 +419,9 @@ def iter_shots(
 ) -> Iterator[ShotBatch]:
     """Sample n_shots shots as one ShotBatch per block of the kernel, in shot order.
 
-    The tables are built, and any error raised, before this returns.  A
-    block holds B shots, the last one fewer; zero shots yield one empty
+    The tables are built, and any error raised, before this returns; the
+    batches read only the tables, so the iterator holds no instance, plan
+    or site family.  A block holds B shots, the last one fewer; zero shots yield one empty
     batch.  Each shot depends only on (seed, shot), so the bytes are the same
     for any block size and worker count.
     """
@@ -397,10 +429,8 @@ def iter_shots(
         raise UsageError("n_shots must be >= 0")
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
-    families = site_families(instance)
-    if edge_dists is None:
-        edge_dists = _edge_distribution(instance, *families)
-    sites = _site_cdf_tables(instance, plan, *families)
+    built, sites = _set_up(instance, plan, with_edges=edge_dists is None)
+    edge_dists = built if edge_dists is None else edge_dists
     # each edge's CDF without its last entry, one column per edge
     cdf_cols = np.cumsum(edge_dists.probs, axis=1)[:, :-1].T.copy()
     n_sites, n_edges = len(sites.base), cdf_cols.shape[1]

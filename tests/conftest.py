@@ -1,6 +1,11 @@
 """Shared instance builders for the suite."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +45,25 @@ def identity_bell_config():
         "measurements": "bell",
         "site_map": {"recipe": "identity"},
     }
+
+
+# address space of a capped child: room for Python and numpy, and a
+# MemoryError within a second for a lattice built with 10^11 sites
+CAPPED_BYTES = 1 << 30
+
+
+def run_capped(*args, timeout=60):
+    """python *args with src on the path, its address space capped at CAPPED_BYTES."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CAPPED_BYTES, CAPPED_BYTES))
+
+    src = Path(configio.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        preexec_fn=cap,
+        timeout=timeout,
+    )

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from pepslhv import cli, configio, construction, linalg, measurements, oracle, sampling
 from pepslhv.errors import ConstructionError, DegenerateNormError, UsageError
+
+from conftest import run_capped
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -103,6 +106,14 @@ class TestLatticeCommand:
         obj = json.loads(out.read_text())
         assert obj["n_sites"] == 9
         assert len(obj["edges"]) == 18
+
+    @pytest.mark.parametrize("name", ["cycle:100000000000", "torus:1000000x1000000"])
+    def test_huge_name_exit_2(self, tmp_path, name):
+        out = tmp_path / "lat.json"
+        proc = run_capped("-m", "pepslhv.cli", "lattice", "gen", "--name", name, "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == 1 and "sites, more than" in proc.stderr
+        assert not out.exists()
 
 
 class TestPepsCommands:
@@ -464,6 +475,30 @@ class TestSampleAndVerify:
         assert a.read_bytes() == b.read_bytes()
         first = json.loads(a.read_text().splitlines()[0])
         assert set(first) == {"shot", "outcomes", "hidden"}
+
+    def test_sample_draws_with_no_instance(self, instance_file, tmp_path, monkeypatch):
+        # the batches read only the sampler's tables: the instance and its
+        # element stack are dropped before the first batch is written
+        load, write = configio.load_instance, sampling.ShotBatch.write_jsonl
+        loaded, alive = [], []
+
+        def recorded(path):
+            instance = load(path)
+            loaded.append(weakref.ref(instance.measurement_set))
+            return instance
+
+        def spy(batch, fh):
+            alive.append(loaded[0]() is not None)
+            return write(batch, fh)
+
+        monkeypatch.setattr(configio, "load_instance", recorded)
+        monkeypatch.setattr(sampling.ShotBatch, "write_jsonl", spy)
+        out = tmp_path / "s.jsonl"
+        assert run(
+            "sample", str(instance_file), "--plan", "all:ZZ~0.5", "--shots", "500",
+            "--out", str(out),
+        ) == 0
+        assert alive and not any(alive)
 
     def test_verify_mixture(self, instance_file, capsys):
         assert run("verify", str(instance_file), "--plan", "all:XY~0.5") == 0

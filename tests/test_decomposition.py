@@ -114,7 +114,7 @@ class TestPositivityCheck:
 
 
 class TestTraceFactorization:
-    # the rank-one test _edge_distribution runs on each trace table
+    # the rank-one test edge_distribution runs on each trace table
     def test_identity_v2_unit_trace_basis(self):
         m = con.identity_site_map(2)
         table = trace_table(m, phase_point_basis(), [False, True])
@@ -520,7 +520,10 @@ class TestBlockedScan:
                     bloch[r] = (0.0, 0.0, 2.0)  # an overlap of 1: slack 0 up to rounding
             site_family.append(len(families))
             families.append(self.family(traces, bloch))
-        with mock.patch.object(dec, "site_families", lambda _: (families, site_family)):
+        # the certificate builds one family at a time through these two
+        firsts = [site_family.index(f) for f in range(len(families))]
+        with mock.patch.object(dec, "_family_sites", lambda _: (firsts, site_family)), \
+                mock.patch.object(dec, "_family_stack", lambda _, s: families[site_family[s]]):
             expected = self.full_scan_report(inst)
             n_elements = len(mset.element_stack()[0])
             with mock.patch.object(dec, "SCAN_BLOCK_ENTRIES", rows_per_block * n_elements):
@@ -564,11 +567,11 @@ class TestBlockedScan:
         assert max(sizes) * width <= max(dec.SCAN_BLOCK_ENTRIES, 3 * width)
 
     def test_memory_is_families_and_one_block(self):
-        # site_families peaks at its three 1 MB families plus two 1 MB einsum
-        # temporaries (5.25 MB); the scan then adds to the three families at
-        # most two blocks of SCAN_BLOCK_ENTRIES overlaps (the next block is
-        # made before the last is dropped), 1.8 MB.  The full (rows, elements)
-        # matrices and a copied element stack took 21.7 MB.
+        # one 1 MiB family at a time: its build holds it and K @ prod, and its
+        # scan holds it and at most two blocks of SCAN_BLOCK_ENTRIES overlaps
+        # (the next block is made before the last is dropped); 2.7 MiB in all.
+        # Building the three families first took 5.0 MiB, and the full
+        # (rows, elements) matrices with a copied element stack 21.7 MB.
         inst = torus3x3_instance()
         dec.rv_positivity_check(inst)
         tracemalloc.start()
@@ -577,7 +580,7 @@ class TestBlockedScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6e6
+        assert peak <= 3.5 * 2**20
 
 
 class TestMixtureReconstruction:

@@ -7,6 +7,11 @@ from hypothesis import strategies as st
 from pepslhv import lattice
 from pepslhv.errors import UsageError
 
+from conftest import run_capped
+
+# names of 10^11 and 10^12 sites: built, they exhaust memory; refused, they cost nothing
+HUGE_NAMES = ["cycle:100000000000", "torus:1000000x1000000"]
+
 
 class TestChain:
     def test_two_sites(self):
@@ -149,3 +154,24 @@ class TestNamesAndFiles:
         lat = lattice.build_torus(3, 3)
         back = lattice.lattice_from_json(lattice.lattice_to_json(lat))
         assert back == lat
+
+    def test_bound_holds_the_scaling_series(self):
+        # cycle:102400 and torus:240x240 must still build
+        assert lattice.MAX_NAMED_SITES >= max(2**17, 102400, 240 * 240)
+        with pytest.raises(UsageError, match=f"{lattice.MAX_NAMED_SITES + 1} sites"):
+            lattice.lattice_from_name(f"cycle:{lattice.MAX_NAMED_SITES + 1}")
+
+    @pytest.mark.parametrize("name", HUGE_NAMES)
+    def test_huge_name_refused_before_any_edge(self, name):
+        # in a capped child, so a name built despite its size fails there, not here
+        code = (
+            "from pepslhv.errors import UsageError\n"
+            "from pepslhv.lattice import lattice_from_name\n"
+            "try:\n"
+            f"    lattice_from_name({name!r})\n"
+            "except UsageError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = run_capped("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert "sites, more than" in proc.stdout

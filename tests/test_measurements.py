@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,20 @@ class TestHeldElementStack:
         stack, _ = meas.measurement_set_from_name("noisy-pauli:4:0.5").element_stack()
         assert stack.shape == (1296, 16, 16)
         assert hashlib.sha256(stack.tobytes()).hexdigest() == NOISY_PAULI4_SHA256
+
+    def test_noisy_pauli4_built_in_place(self):
+        # the 5.06 MiB stack, plus the 0.33 MiB state vectors and their
+        # conjugate it is built from; a depolarizing sum and a concatenated
+        # copy of the stack took it to 10.4 MiB
+        meas.noisy_pauli_product_measurements(2, 0.5)  # first-call imports are not the build's
+        tracemalloc.start()
+        try:
+            mset = meas.noisy_pauli_product_measurements(4, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mset.element_stack()[0].nbytes == 1296 * 16 * 16 * 16
+        assert peak <= 6.5 * 2**20
 
     def test_noisy_pauli_rejects_eta_outside_unit_interval(self):
         for eta in (-0.1, 1.5):

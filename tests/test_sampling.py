@@ -152,7 +152,7 @@ class TestBisectionDraw:
         if stream == "edges":
             ref[:, -1] = 1.0
         else:
-            # as _site_cdf_tables normalizes its Born rows
+            # as _set_up normalizes its Born rows
             ref = ref / ref[:, -1:]
         return ref
 
@@ -414,6 +414,54 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert peak <= 1e6
 
+    def test_site_uniforms_read_in_place(self):
+        # on cycle:6 the site uniforms are the strided (B, 8)[:, :6] head of the
+        # block buffer; _draw reads them there instead of copying B * 6 floats
+        inst = build(dict(recipe2_config(lattice="cycle:6"), psi="plus-diag:2"))
+        made, seen = [], []
+
+        class Recorded(sampling._BlockArrays):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        def spy(table, row, u, out, idx, entry):
+            seen.append(u)
+            return draw(table, row, u, out, idx, entry)
+
+        draw = sampling._draw
+        with mock.patch.object(sampling, "_BlockArrays", Recorded), \
+                mock.patch.object(sampling, "_draw", spy):
+            for _ in sampling.iter_shots(inst, uniform_plan(inst), 1000, 0):
+                pass
+        (arrays,) = made
+        (u,) = seen
+        assert u.shape == (1000, 6) and not u.flags.c_contiguous
+        assert np.shares_memory(u, arrays.buffer)
+
+    def test_no_openssl_before_a_seed_is_derived(self):
+        # hashlib maps libcrypto (+3.6 MB RSS); the certificate derives no seed
+        src = Path(sampling.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        config = dict(
+            recipe2_config(lattice="torus:3x3", epsilon=0.1, measurements="noisy-pauli:4:0.5"),
+            psi="plus-diag:4",
+        )
+        code = (
+            "import sys, pepslhv.cli\n"
+            "from pepslhv import configio, decomposition, sampling\n"
+            f"inst = configio.build_instance({config!r})\n"
+            "assert decomposition.rv_positivity_check(inst).passed\n"
+            "print('_hashlib' in sys.modules)\n"
+            "sampling.derive_seed(0, 'edges')\n"
+            "print('_hashlib' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
+
     def test_cli_import_loads_no_thread_pool(self):
         # --workers 1 draws inline, so importing the CLI must not load the pool
         src = Path(sampling.__file__).resolve().parent.parent
@@ -435,7 +483,7 @@ class TestWideOutcomes:
         plan = sampling.MeasurementPlan.uniform(inst, "flat")
         batch = sampling.run_shots(inst, plan, 3000, 4, emit_hidden=True)
         assert batch.outcomes.max() >= 256
-        sites = sampling._site_cdf_tables(inst, plan, *dec.site_families(inst))
+        sites = sampling._set_up(inst, plan, with_edges=False)[1]
         u = sampling.shot_uniforms(4, 0, 3000, inst.lattice.n_sites, label="sites")
         for s in range(inst.lattice.n_sites):
             # one edge per site, so the hidden index is the row in the site's block
