@@ -232,7 +232,9 @@ def basis_to_json(basis: OperatorBasis) -> dict:
 
 def basis_from_json(obj: dict) -> OperatorBasis:
     try:
-        D = int(obj["D"])
+        D = obj["D"]
+        if type(D) is not int:  # a float or a string is refused, not truncated
+            raise UsageError(f"D must be an integer, got {D!r}")
         elements = tuple(linalg.matrix_from_json(m) for m in obj["elements"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed basis file: {exc}") from exc

@@ -149,9 +149,12 @@ def instance_factory(config: dict) -> Callable[[float], PepsInstance]:
 
     degrees = lat.site_degrees()
     recipe = site_spec.get("recipe")
-    if isinstance(recipe, str) and recipe.isdigit():
+    # isdecimal, not isdigit: int() refuses a digit such as "²"
+    if isinstance(recipe, str) and recipe.isdecimal():
         recipe = int(recipe)
-    seed = _number(int, site_spec.get("seed", 0), "seed")
+    seed = site_spec.get("seed", 0)
+    if type(seed) is not int:  # a float or a string is refused, not truncated
+        raise UsageError(f"'seed' must be an integer, got {seed!r}")
     d = mset.dim
 
     psi = None
@@ -192,7 +195,7 @@ def instance_factory(config: dict) -> Callable[[float], PepsInstance]:
     makers = {v: site_map_maker(v) for v in dict.fromkeys(degrees)}
 
     def make(epsilon: float) -> PepsInstance:
-        eps = _number(float, epsilon, "epsilon")
+        eps = _number(epsilon, "epsilon")
         if not math.isfinite(eps):
             raise UsageError(f"epsilon must be finite, got {eps}")
         maps = {v: make_map(eps) for v, make_map in makers.items()}
@@ -206,9 +209,9 @@ def instance_factory(config: dict) -> Callable[[float], PepsInstance]:
     return make
 
 
-def _number(kind, value, name: str):
+def _number(value, name: str) -> float:
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"'{name}' must be a number, got {value!r}") from exc
 

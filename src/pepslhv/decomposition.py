@@ -14,8 +14,9 @@ efficiently.
 `site_operator_family` is the one place the outputs are computed, all
 (D^2)^v of them per (site map, flags) in one stack; the certificate, trace
 tables, sampler CDF tables and exact mixture all read these stacks.
-`_scan_family` is the one positivity test, for the certificate and the
-sampler's tables alike.
+`_scan_family` is the one positivity test, and `_edge_rows` the one
+reduction from the families' traces to edge distributions, for the
+certificate, `edge_distribution` and the sampler alike.
 """
 
 from __future__ import annotations
@@ -267,31 +268,28 @@ def edge_distribution(instance: PepsInstance) -> EdgeDistributions:
     log T = sum_e log Z_e + sum_s log S_s - 2E ln D; `T` is its exponential.
     """
     firsts, site_family = _family_sites(instance)
-    # every family is built, and so checked finite, before any is tested for rank one
-    families = [_family_stack(instance, s) for s in firsts]
-    marginals = [_trace_marginals(instance, s, ops) for s, ops in zip(firsts, families)]
-    return _edge_rows(instance, site_family, marginals)
+    # one family at a time: each is built, so checked finite, and kept as its traces
+    traces = [operator_traces(_family_stack(instance, s)) for s in firsts]
+    return _edge_rows(instance, firsts, site_family, traces)
 
 
-def _trace_marginals(instance: PepsInstance, site: int, ops: np.ndarray):
-    """(log of the trace total, per-position marginals) of the family ops of site.
+def _edge_rows(instance: PepsInstance, firsts: list, site_family: list, traces: list):
+    """EdgeDistributions from each family's operator_traces, family f first at site firsts[f].
 
-    A non-positive trace, or a trace tensor that is not rank one, raises
-    NotFactorizableError.
+    The first family, in site order, with a non-positive trace or a trace
+    tensor that is not rank one raises NotFactorizableError.
     """
-    table = operator_traces(ops).reshape((instance.D**2,) * instance.site_maps[site].v)
-    if np.any(table <= 0):
-        raise NotFactorizableError(f"site {site}: non-positive output trace")
-    log_S, q, residual = _rank_one_marginals(table)
-    if not residual <= FACTOR_RESIDUAL_RTOL:
-        raise NotFactorizableError(
-            f"site {site}: trace tensor not rank-1 (residual {residual:.3e})"
-        )
-    return log_S, q
-
-
-def _edge_rows(instance: PepsInstance, site_family: list, marginals: list) -> EdgeDistributions:
-    """The edge distributions from each family's _trace_marginals."""
+    marginals = []
+    for s, t in zip(firsts, traces):
+        table = t.reshape((instance.D**2,) * instance.site_maps[s].v)
+        if np.any(table <= 0):
+            raise NotFactorizableError(f"site {s}: non-positive output trace")
+        log_S, q, residual = _rank_one_marginals(table)
+        if not residual <= FACTOR_RESIDUAL_RTOL:
+            raise NotFactorizableError(
+                f"site {s}: trace tensor not rank-1 (residual {residual:.3e})"
+            )
+        marginals.append((log_S, q))
     lat = instance.lattice
     # each edge's row collects the marginal of its head end and of its tail end
     weights = np.ones((lat.n_edges, instance.D**2))
@@ -368,8 +366,8 @@ def max_epsilon_search(make_instance: Callable[[float], PepsInstance], eps_hi: f
     (lo, hi), lo is a point this search saw pass and hi one it saw fail.  If
     nothing fails below eps_hi the result is (eps_hi, inf).
     """
-    if eps_hi <= 0:
-        raise UsageError("eps_hi must be positive")
+    if not 0 < eps_hi < math.inf:
+        raise UsageError(f"eps_hi must be positive and finite, got {eps_hi}")
 
     def passes(eps: float) -> bool:
         return rv_positivity_check(make_instance(eps)).passed

@@ -127,7 +127,16 @@ def lattice_to_json(lat: Lattice) -> dict:
 
 
 def lattice_from_json(obj: dict) -> Lattice:
+    """The lattice of {"n_sites": n, "edges": [[head, tail], ...]}, every number a JSON integer."""
     try:
-        return Lattice(n_sites=int(obj["n_sites"]), edges=tuple((e[0], e[1]) for e in obj["edges"]))
-    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
+        n_sites, edges = obj["n_sites"], obj["edges"]
+        # type(x) is int: a float, a string or a bool is refused, not truncated
+        if type(n_sites) is not int:
+            raise UsageError(f"n_sites must be an integer, got {n_sites!r}")
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e) for e in edges
+        ):
+            raise UsageError("every edge must be two integers [head, tail]")
+        return Lattice(n_sites=n_sites, edges=tuple(map(tuple, edges)))
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed lattice file: {exc}") from exc

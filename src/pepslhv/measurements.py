@@ -343,7 +343,9 @@ def measurement_set_from_json(obj: dict) -> MeasurementSet:
             )
             for p in obj["povms"]
         )
-        dim = int(obj["dim"]) if "dim" in obj else None
+        dim = obj.get("dim")
+        if dim is not None and type(dim) is not int:  # refused, not truncated
+            raise UsageError(f"dim must be an integer, got {dim!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed measurement-set file: {exc}") from exc
     mset = MeasurementSet(povms=povms)

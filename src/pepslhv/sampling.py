@@ -24,12 +24,12 @@ from pepslhv.decomposition import (
     _family_sites,
     _family_stack,
     _scan_family,
-    _trace_marginals,
+    operator_traces,
 )
-from pepslhv.errors import NotFactorizableError, PositivityViolationError, UsageError
+from pepslhv.errors import PositivityViolationError, UsageError
 
-# shots per slab in perfbench's probe_rng, its only reader; it goes with the
-# benchmark change in ROADMAP item 3
+# shots per slab in perfbench's probe_rng, its only reader; ROADMAP item 4
+# deletes it once the benchmark changes
 DEFAULT_CHUNK = 1 << 16
 # float64/intp entries one block of shots holds: a row of uniforms per shot,
 # shared by the edge and site streams, and the bisection's idx and entry
@@ -327,14 +327,12 @@ def _set_up(
 ) -> Tuple[Optional[EdgeDistributions], _SiteTables]:
     """(edge distributions if with_edges else None, every site's Born CDF rows in one table).
 
-    One site family at a time is built, reduced to its trace marginals and
-    to the cumulative Born probabilities of its extreme index tuples, and
-    dropped.  Sites sharing (site map, flags, POVM) share one block of
-    (D^2)^v rows.  The errors are those of building every family first: a
-    non-finite family raises UsageError, then a family whose trace tensor
-    does not factorize NotFactorizableError, then a row failing the
-    certificate's scan against its site's POVM PositivityViolationError
-    with the scan's witness, each for the least site.
+    One site family at a time is built, reduced to its traces and to the
+    cumulative Born probabilities of its extreme index tuples, and dropped.
+    Sites sharing (site map, flags, POVM) share one block of (D^2)^v rows.
+    The errors come in statement order: a non-finite family raises
+    UsageError as it is built, then _edge_rows NotFactorizableError, then
+    the scan's witness for the least site PositivityViolationError.
     """
     lat = instance.lattice
     povms = plan.povms(instance)
@@ -343,29 +341,24 @@ def _set_up(
     block_site: dict = {}
     for s, key in enumerate(zip(site_family, plan.povm_indices)):
         block_site.setdefault(key, s)
-    marginals, cdfs = [], {}
-    not_factorizable = witness = None
+    traces, cdfs, witness = [], {}, None
     for f, first in enumerate(firsts):
         ops = _family_stack(instance, first)
-        if with_edges and not_factorizable is None:
-            try:
-                marginals.append(_trace_marginals(instance, first, ops))
-            except NotFactorizableError as exc:
-                not_factorizable = exc
-        # once a family fails to factorize, the rest are built only to be checked finite
-        if not_factorizable is None:
-            for (g, idx), s in block_site.items():
-                if g != f:
-                    continue
-                where = [(idx, j) for j in range(povms[s].n_outcomes)]
-                probs, _, _, w = _scan_family(instance, s, ops, povms[s].elements, where, keep=True)
-                if w is not None and (witness is None or w.site < witness.site):
+        traces.append(operator_traces(ops))
+        for (g, idx), s in block_site.items():
+            if g != f:
+                continue
+            where = [(idx, j) for j in range(povms[s].n_outcomes)]
+            probs, _, _, w = _scan_family(instance, s, ops, povms[s].elements, where, keep=True)
+            if w is not None:
+                # a refused block is never drawn from, so its CDF is not built
+                if witness is None or w.site < witness.site:
                     witness = w
-                cdf = np.cumsum(np.clip(probs, 0.0, 1.0), axis=1)
-                cdfs[g, idx] = cdf / cdf[:, -1:]
+                continue
+            cdf = np.cumsum(np.clip(probs, 0.0, 1.0), axis=1)
+            cdfs[g, idx] = cdf / cdf[:, -1:]
         del ops  # before the next family is built
-    if not_factorizable is not None:
-        raise not_factorizable
+    edges = _edge_rows(instance, firsts, site_family, traces) if with_edges else None
     if witness is not None:
         raise PositivityViolationError(f"uncertified output: {witness}", witness=witness)
     blocks = [cdfs[key] for key in block_site]
@@ -379,7 +372,7 @@ def _set_up(
     sites = _SiteTables(
         table, base.astype(np.min_scalar_type(len(table) - 1)), incidence, instance.D**2
     )
-    return (_edge_rows(instance, site_family, marginals) if with_edges else None), sites
+    return edges, sites
 
 
 def sample_outcomes(

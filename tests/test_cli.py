@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pepslhv import basis as basis_mod
 from pepslhv import cli, configio, construction, linalg, measurements, oracle, sampling
 from pepslhv.errors import ConstructionError, DegenerateNormError, UsageError
 
@@ -187,6 +188,23 @@ class TestPepsCommands:
         # the bracket recorded before the instance factory existed
         assert report == {"eps_pass": 0.112060546875, "eps_fail": 0.11212158203125}
 
+    @pytest.mark.parametrize("eps_hi", ["inf", "nan"])
+    def test_epsilon_max_non_finite_cap_exit_2(self, instance_file, capsys, monkeypatch, eps_hi):
+        built = []
+        factory = configio.instance_factory
+
+        def spy(config):
+            make = factory(config)
+            return lambda eps: built.append(eps) or make(eps)
+
+        monkeypatch.setattr(configio, "instance_factory", spy)
+        capsys.readouterr()
+        assert run("peps", "epsilon-max", str(instance_file), "--eps-hi", eps_hi) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "eps_hi" in err
+        # refused before any probe: not even the epsilon = 0 instance is built
+        assert built == []
+
     @pytest.mark.parametrize(
         "site_map",
         [
@@ -309,6 +327,10 @@ def with_field(config, where, value):
 
 
 PAULI2_JSON = measurements.measurement_set_to_json(measurements.pauli_product_measurements(2))
+NOISY_PAULI2_JSON = measurements.measurement_set_to_json(
+    measurements.noisy_pauli_product_measurements(2, 0.5)
+)
+ALIGNED2_JSON = basis_mod.basis_to_json(configio.parse_basis("aligned:2:zero"))
 MALFORMED_FIELDS = [
     (("site_map", "epsilon"), "abc"),
     (("site_map", "epsilon"), [0.2]),
@@ -317,6 +339,15 @@ MALFORMED_FIELDS = [
     (("site_map", "seed"), "x"),
     (("site_map",), "recipe-2"),
     (("lattice",), {"n_sites": "x", "edges": [[0, 1], [1, 2], [2, 0]]}),
+    (("lattice",), {"n_sites": 3.9, "edges": [[0, 1], [1, 2], [2, 0]]}),
+    (("lattice",), {"n_sites": "3", "edges": [[0, 1], [1, 2], [2, 0]]}),
+    (("lattice",), {"n_sites": 3, "edges": [[0.5, 1.7], [1, 2], [2, 0]]}),
+    (("lattice",), {"n_sites": 3, "edges": [[0, 1, 2], [1, 2], [2, 0]]}),
+    (("site_map", "seed"), 2.9),
+    (("site_map", "seed"), "3"),
+    (("site_map", "recipe"), "\u00b2"),
+    (("basis",), dict(ALIGNED2_JSON, D=2.0)),
+    (("measurements",), dict(NOISY_PAULI2_JSON, dim=4.0)),
     (("basis",), {"D": "x", "elements": []}),
     (("measurements",), dict(PAULI2_JSON, dim="x")),
     (("psi",), "zero:-1"),
@@ -331,7 +362,10 @@ class TestMalformedInstanceFiles:
         MALFORMED_FIELDS,
         ids=[
             "epsilon-string", "epsilon-list", "epsilon-null", "epsilon-overflow",
-            "seed-string", "site_map-string", "lattice-n_sites-string", "basis-D-string",
+            "seed-string", "site_map-string", "lattice-n_sites-string",
+            "lattice-n_sites-float", "lattice-n_sites-digits", "lattice-edge-floats",
+            "lattice-edge-three-ends", "seed-float", "seed-digits", "recipe-superscript",
+            "basis-D-float", "measurements-dim-float", "basis-D-string",
             "measurements-dim-string", "psi-zero-negative", "psi-uniform-negative",
             "basis-aligned-negative",
         ],

@@ -273,6 +273,20 @@ class TestEdgeDistribution:
         with pytest.raises(UsageError, match="site 0: non-finite output operator"):
             dec.edge_distribution(inst)
 
+    def test_memory_is_one_family(self):
+        # one 1 MiB family at a time, built (with K @ prod) and kept as its
+        # 256 traces; holding the three families first took 4.0 MiB
+        inst = torus3x3_instance()
+        dec.edge_distribution(inst)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            dec.edge_distribution(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2**20
+
 
 def scaled(inst, factor):
     """inst with every distinct site map's Kraus operator times factor, sharing kept."""

@@ -155,6 +155,19 @@ class TestNamesAndFiles:
         back = lattice.lattice_from_json(lattice.lattice_to_json(lat))
         assert back == lat
 
+    @pytest.mark.parametrize(
+        "n_sites, edge",
+        [(3.9, [0, 1]), ("3", [0, 1]), (True, [0, 1]), (3, [0.5, 1.7]), (3, [0, "1"]),
+         (3, [0, 1, 2]), (3, [0]), (3, "01")],
+        ids=["n_sites-float", "n_sites-string", "n_sites-bool", "edge-floats", "edge-string",
+             "edge-three-ends", "edge-one-end", "edge-not-a-list"],
+    )
+    def test_json_integers_only(self, n_sites, edge):
+        # each was truncated or cut to two ends, and read as a 3-site cycle
+        obj = {"n_sites": n_sites, "edges": [edge, [1, 2], [2, 0]]}
+        with pytest.raises(UsageError, match="malformed lattice file"):
+            lattice.lattice_from_json(obj)
+
     def test_bound_holds_the_scaling_series(self):
         # cycle:102400 and torus:240x240 must still build
         assert lattice.MAX_NAMED_SITES >= max(2**17, 102400, 240 * 240)

@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pepslhv import cli, linalg, sampling
+from pepslhv import cli, configio, linalg, sampling
+from pepslhv import construction as con
 from pepslhv import decomposition as dec
-from pepslhv.errors import PositivityViolationError, UsageError
+from pepslhv.errors import NotFactorizableError, PositivityViolationError, UsageError
+from pepslhv.lattice import lattice_from_name
 
 from conftest import build, recipe2_config
 
@@ -640,6 +642,62 @@ class TestRunShots:
         assert not -1e-9 <= witness.value <= 1 + 1e-9
         assert witness.povm_index == plan.povm_indices[witness.site]
         assert len(witness.indices) == inst.site_maps[witness.site].v
+
+
+def exit_order_instance(scale):
+    """chain:3 failing all three set-up tests when scale overflows, the last two otherwise.
+
+    The end maps keep only K[1, 1], so their traces are the basis' (1, 1)
+    entries, down to -0.707: no factorization (exit 4) and a trace witness
+    at site 0 (exit 3).  The middle map is cycle:3's recipe-2 map at
+    epsilon 0.2 times scale; times 2^600 its family is non-finite (exit 2).
+    """
+    K = np.zeros((4, 2), dtype=complex)
+    K[1, 1] = 1.0
+    end = con.SiteMap(1, 2, 4, K)
+    middle = build(recipe2_config()).site_maps[0]
+    return con.PepsInstance(
+        lattice=lattice_from_name("chain:3"),
+        site_maps=(end, con.SiteMap(2, 2, 4, middle.K * scale), end),
+        basis=configio.parse_basis("aligned:2:zero"),
+        measurement_set=configio.parse_measurements("pauli:2"),
+    )
+
+
+def set_up(name, inst):
+    """Run the named entry point's set-up on inst."""
+    plan = configio.parse_plan("all:ZZ", inst)
+    if name == "edge_distribution":
+        return dec.edge_distribution(inst)
+    if name == "run_shots":
+        return sampling.run_shots(inst, plan, 4, 0)
+    if name == "run_shots(edge_dists)":
+        synthetic = dec.EdgeDistributions(probs=np.full((2, 4), 0.25), log_T=0.0)
+        return sampling.run_shots(inst, plan, 4, 0, edge_dists=synthetic)
+    return sampling.sample_outcomes(inst, (0, 0), plan, 0, 0)
+
+
+class TestSetUpErrorOrder:
+    # a non-finite family (exit 2) before a trace tensor that does not
+    # factorize (exit 4) before a certificate witness (exit 3)
+    @pytest.mark.parametrize(
+        "name", ["edge_distribution", "run_shots", "run_shots(edge_dists)", "sample_outcomes"]
+    )
+    def test_non_finite_first(self, name):
+        with pytest.raises(UsageError, match=r"^site 1: non-finite output operator$"):
+            set_up(name, exit_order_instance(2.0**600))
+
+    @pytest.mark.parametrize("name", ["edge_distribution", "run_shots"])
+    def test_not_factorizable_before_witness(self, name):
+        with pytest.raises(NotFactorizableError, match=r"^site 0: non-positive output trace$"):
+            set_up(name, exit_order_instance(1.0))
+
+    @pytest.mark.parametrize("name", ["run_shots(edge_dists)", "sample_outcomes"])
+    def test_witness_without_edges(self, name):
+        # edge distributions given or not needed: the scan's witness is the first error
+        with pytest.raises(PositivityViolationError) as err:
+            set_up(name, exit_order_instance(1.0))
+        assert (err.value.witness.site, err.value.witness.kind) == (0, "trace")
 
 
 class TestDeterministicGivenLambda:
