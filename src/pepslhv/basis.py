@@ -201,15 +201,12 @@ def bloch_diag_state() -> np.ndarray:
     return linalg.as_state(vec)
 
 
-def verify_decomposition(basis_or_elements, D: Optional[int] = None) -> float:
-    """Max-norm error of (1/D^2) sum_k C_k (x) C_k^T against |phi_D><phi_D|."""
+def verify_decomposition(basis_or_elements) -> float:
+    """Max-norm error of (1/D^2) sum_k C_k (x) C_k^T against |phi_D><phi_D|, D read from C_0."""
     if isinstance(basis_or_elements, OperatorBasis):
-        elements = basis_or_elements.elements
-        D = basis_or_elements.D
-    else:
-        elements = [linalg.as_matrix(c) for c in basis_or_elements]
-        if D is None:
-            D = elements[0].shape[0]
+        basis_or_elements = basis_or_elements.elements
+    elements = [linalg.as_matrix(c) for c in basis_or_elements]
+    D = elements[0].shape[0]
     # kron(C, C^T)[(a, b), (e, f)] = C[a, e] C[f, b], summed over the elements
     acc = np.einsum("kae,kfb->abef", elements, elements).reshape(D * D, D * D)
     target = linalg.projector(max_ent_state(D))

@@ -20,14 +20,7 @@ from pepslhv import basis as basis_mod
 from pepslhv import configio, decomposition, linalg, oracle, sampling
 from pepslhv import lattice as lattice_mod
 from pepslhv.construction import choi_check
-from pepslhv.errors import (
-    ConstructionError,
-    DegenerateNormError,
-    NotFactorizableError,
-    PositivityViolationError,
-    StrictInteriorError,
-    UsageError,
-)
+from pepslhv.errors import NotFactorizableError, PositivityViolationError, UsageError
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -361,13 +354,7 @@ def main(argv=None) -> int:
     except PositivityViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_POSITIVITY
-    except (
-        UsageError,
-        StrictInteriorError,
-        ConstructionError,
-        DegenerateNormError,
-        np.linalg.LinAlgError,
-    ) as exc:
+    except (UsageError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

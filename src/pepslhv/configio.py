@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -45,11 +45,13 @@ def _load_json(path: str) -> dict:
 # ---------------------------------------------------------------------------
 # States
 
-def parse_state(spec, dim: Optional[int] = None) -> np.ndarray:
-    """Named states, inline literals, or @file references.
+def parse_state(spec, dim: int) -> np.ndarray:
+    """A state of dimension dim: a name, an inline literal, or an @file reference.
 
     Names: "zero[:d]", "uniform[:d]", "plus-diag[:n]" (n-fold product of the
-    qubit state along the (1,1,1)/sqrt(3) Bloch axis).
+    qubit state along the (1,1,1)/sqrt(3) Bloch axis, of dimension 2^n).  A
+    name's argument must give dimension dim; it is checked before any array
+    is built.
     """
     if isinstance(spec, dict):
         return linalg.state_from_json(spec)
@@ -64,22 +66,19 @@ def parse_state(spec, dim: Optional[int] = None) -> np.ndarray:
         arg = int(args[0]) if args else None
     except ValueError as exc:
         raise UsageError(f"bad state spec '{spec}': {exc}") from exc
+    if dim < 1:
+        raise UsageError(f"state '{spec}' needs a positive dimension, got {dim}")
     if name in ("zero", "uniform"):
-        d = arg or dim
-        if d is None or d < 1:
-            raise UsageError(f"state '{spec}' needs a positive dimension, got {d}")
+        if arg not in (None, dim):
+            raise UsageError(f"state '{spec}' does not have dimension {dim}")
         if name == "zero":
-            return np.eye(1, d, dtype=complex)[0]
-        return np.full(d, 1.0 / np.sqrt(d), dtype=complex)
+            return np.eye(1, dim, dtype=complex)[0]
+        return np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
     if name == "plus-diag":
-        n = arg
-        if n is None:
-            n = 1 if dim is None else int(round(math.log2(dim)))
-        single = basis_mod.bloch_diag_state()
-        vec = linalg.kron_vectors([single] * n)
-        if dim is not None and vec.size != dim:
-            raise UsageError(f"plus-diag:{n} has dimension {vec.size}, expected {dim}")
-        return vec
+        n = dim.bit_length() - 1
+        if n < 1 or dim != 1 << n or arg not in (None, n):
+            raise UsageError(f"state '{spec}' does not have dimension {dim}")
+        return linalg.kron_vectors([basis_mod.bloch_diag_state()] * n)
     raise UsageError(f"unknown state spec '{spec}'")
 
 

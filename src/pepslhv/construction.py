@@ -55,10 +55,10 @@ class SiteMap:
         return self.D**self.v
 
 
-def _check_orthonormal(states: Sequence[np.ndarray], atol: float = 1e-9):
+def _check_orthonormal(states: Sequence[np.ndarray]):
     mat = np.array([linalg.as_state(s) for s in states])
     gram = mat.conj() @ mat.T
-    if float(np.max(np.abs(gram - np.eye(len(states))))) > atol:
+    if float(np.max(np.abs(gram - np.eye(len(states))))) > 1e-9:
         raise UsageError("states are not pairwise orthonormal")
 
 

@@ -2,18 +2,18 @@
 
 
 class UsageError(ValueError):
-    """Bad arguments: dimension mismatch, out-of-range index, malformed input."""
+    """Bad arguments or an instance that cannot be built; the CLI exits 2 on it."""
 
 
 class ConstraintError(UsageError):
     """The lattice/physical-dimension constraint d >= 2^v is violated."""
 
 
-class StrictInteriorError(ValueError):
+class StrictInteriorError(UsageError):
     """The chosen pure state is not strictly inside the measurement dual."""
 
 
-class DegenerateNormError(ValueError):
+class DegenerateNormError(UsageError):
     """The assembled state has (numerically) zero norm."""
 
 
@@ -34,5 +34,5 @@ class PositivityViolationError(ValueError):
         self.witness = witness
 
 
-class ConstructionError(RuntimeError):
+class ConstructionError(UsageError):
     """A randomized construction failed to reach full rank within retries."""

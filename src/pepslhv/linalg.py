@@ -43,13 +43,13 @@ def check_hermitian(m, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     return arr
 
 
-def as_state(v, atol: float = STATE_NORM_ATOL) -> np.ndarray:
+def as_state(v) -> np.ndarray:
     """Coerce to a normalized pure-state vector."""
     vec = np.asarray(v, dtype=complex).ravel()
     if vec.size < 1 or not np.all(np.isfinite(vec.real)) or not np.all(np.isfinite(vec.imag)):
         raise UsageError("state vector must be finite and non-empty")
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > atol:
+    if abs(norm - 1.0) > STATE_NORM_ATOL:
         raise UsageError(f"state vector is not normalized (|norm-1| = {abs(norm - 1.0):.3e})")
     return vec
 

@@ -22,6 +22,9 @@ POVM_PSD_ATOL = 1e-9
 POVM_SUM_ATOL = 1e-9
 STRICT_MARGIN_FLOOR = 1e-8
 ADMISSIBLE_ATOL = 1e-9
+# qubits of a Pauli product set: its stack holds 24^n complex entries, at
+# most 2^24 (8.0e6 entries, 122 MiB at n = 5; n = 6 would take 2.85 GiB)
+MAX_PAULI_QUBITS = 5
 
 
 def _povm_stack(elements, label: str) -> np.ndarray:
@@ -222,6 +225,10 @@ def _pauli_set(n_qubits: int, eta=None) -> MeasurementSet:
     """
     if n_qubits < 1:
         raise UsageError("need at least one qubit")
+    if n_qubits > MAX_PAULI_QUBITS:
+        raise UsageError(
+            f"{n_qubits} qubits, more than {MAX_PAULI_QUBITS}: a stack of 24^{n_qubits} entries"
+        )
     elements = pauli_product_elements(n_qubits)
     suffix = ""
     if eta is not None:

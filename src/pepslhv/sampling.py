@@ -3,8 +3,8 @@
 A shot draws one edge index per lattice edge from the per-edge product
 distribution, then draws each site's outcome from the Born probabilities of
 its normalized output operator.  All randomness is counter-based (Philox)
-and keyed by (seed, shot, slot), so any partition of the shot range across
-workers reproduces identical records.
+and keyed by (seed, shot, slot); every run starts at shot 0, and its records
+are the same for any block size and worker count.
 """
 
 from __future__ import annotations
@@ -407,7 +407,6 @@ def iter_shots(
     seed: int,
     edge_dists: Optional[EdgeDistributions] = None,
     emit_hidden: bool = False,
-    start_shot: int = 0,
     workers: int = 1,
 ) -> Iterator[ShotBatch]:
     """Sample n_shots shots as one ShotBatch per block of the kernel, in shot order.
@@ -435,18 +434,17 @@ def iter_shots(
 
     def draw(off: int) -> ShotBatch:
         count = min(block, n_shots - off)
-        start = start_shot + off
         outcomes = np.empty((count, n_sites), dtype=dtype)
         # column E is the zero that pads low-degree sites
         lam = np.empty((count, n_edges + 1), dtype=dtype)
         lam[:, n_edges] = 0
-        u = shot_uniforms(seed, start, count, n_edges, "edges", arrays.uniforms(count, n_edges))
+        u = shot_uniforms(seed, off, count, n_edges, "edges", arrays.uniforms(count, n_edges))
         _count_draw(cdf_cols, u, lam[:, :n_edges])
         # the site stream overwrites the edge uniforms, which lam now holds
-        u = shot_uniforms(seed, start, count, n_sites, "sites", arrays.uniforms(count, n_sites))
+        u = shot_uniforms(seed, off, count, n_sites, "sites", arrays.uniforms(count, n_sites))
         size = count * n_sites
         _draw_sites(sites, lam, u, outcomes, arrays.idx[:size], arrays.entry[:size])
-        return ShotBatch(start, outcomes, lam[:, :n_edges] if emit_hidden else None)
+        return ShotBatch(off, outcomes, lam[:, :n_edges] if emit_hidden else None)
 
     return _in_order(draw, range(0, n_shots, block) if n_shots else [0], workers)
 
@@ -478,17 +476,14 @@ def run_shots(
     seed: int,
     edge_dists: Optional[EdgeDistributions] = None,
     emit_hidden: bool = False,
-    start_shot: int = 0,
     workers: int = 1,
 ) -> ShotBatch:
     """iter_shots' batches as one batch, held whole."""
-    parts = list(
-        iter_shots(instance, plan, n_shots, seed, edge_dists, emit_hidden, start_shot, workers)
-    )
+    parts = list(iter_shots(instance, plan, n_shots, seed, edge_dists, emit_hidden, workers))
     if len(parts) == 1:
         return parts[0]
     return ShotBatch(
-        start_shot=start_shot,
+        start_shot=0,
         outcomes=np.concatenate([p.outcomes for p in parts]),
         hidden=np.concatenate([p.hidden for p in parts]) if emit_hidden else None,
     )

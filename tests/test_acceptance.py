@@ -90,7 +90,7 @@ def test_criterion_05_positivity_machinery():
         return build(recipe2_config(epsilon=eps, measurements="pauli:2"))
 
     inst0 = make(0.0)
-    psi = configio.parse_state(recipe2_config(measurements="pauli:2")["psi"])
+    psi = configio.parse_state(recipe2_config()["psi"], inst0.measurement_set.dim)
     margin = dual_margin(linalg.projector(psi), inst0.measurement_set).margin
     assert margin == pytest.approx(((1 - 1 / np.sqrt(3)) / 2) ** 2, abs=1e-10)
     rep = dec.rv_positivity_check(inst0)

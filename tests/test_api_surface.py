@@ -6,6 +6,11 @@ definition.  A caller of a public method or property of a class is an
 attribute read `.name` in those files, outside its definition.  Tests do
 not count: a helper that only tests call belongs in tests/reference.py.
 
+A defaulted parameter of a function under src/ is set by some call in
+those files, by keyword, by position or through * or **; a call of a class
+counts for its __init__.  A default that only tests set guards a path that
+only tests reach.
+
 Attributes resolve at run time, so the method check goes by name alone.
 A name that two classes share (`n_outcomes`, `to_json`, `dim`, `element`)
 or that numpy arrays also have (`T`) counts as called when any of them is
@@ -96,3 +101,72 @@ def test_every_public_method_has_a_caller():
         if not has_caller(path, node, attribute=True)
     ]
     assert orphans == []
+
+
+# Defaulted parameters kept without a setting call in the program, one reason each.
+DEFAULT_ALLOWED = {
+    ("main", "argv"): "tests drive the CLI in process; the console entry reads sys.argv",
+}
+
+
+def defaulted_parameters():
+    """(function name, parameter, position or None) for each defaulted parameter under src/.
+
+    The position counts the arguments a call passes, so a method's self or
+    cls is not counted (the package has no static methods); keyword-only
+    parameters have none.
+    """
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {
+            id(node): cls.name
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            skip = 1 if id(node) in methods else 0
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            # a class call counts for its __init__
+            name = methods[id(node)] if node.name == "__init__" else node.name
+            for i in range(first, len(positional)):
+                yield name, positional[i].arg, i - skip
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None
+
+
+@lru_cache(maxsize=None)
+def program_calls():
+    """(called name, call) for each call in a program file: f(...) and x.f(...) both call f."""
+    return tuple(
+        (getattr(node.func, "id", None) or getattr(node.func, "attr", None), node)
+        for _, lines in program_files()
+        for node in ast.walk(ast.parse("\n".join(lines)))
+        if isinstance(node, ast.Call)
+    )
+
+
+def sets(call, parameter, position) -> bool:
+    """Whether call passes parameter, by keyword, by position or through * or **."""
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_default_is_set_by_a_caller():
+    assert set(DEFAULT_ALLOWED) <= {(name, p) for name, p, _ in defaulted_parameters()}
+    unset = [
+        f"{name}({parameter})"
+        for name, parameter, position in defaulted_parameters()
+        if (name, parameter) not in DEFAULT_ALLOWED
+        and not any(n == name and sets(c, parameter, position) for n, c in program_calls())
+    ]
+    assert unset == []

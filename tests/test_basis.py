@@ -94,7 +94,7 @@ class TestVerifyDecomposition:
     def test_detects_broken_normalization(self):
         elems = list(basis.phase_point_basis().elements)
         elems[0] = 1.1 * elems[0]
-        assert basis.verify_decomposition(elems, D=2) > 0.01
+        assert basis.verify_decomposition(elems) > 0.01
 
 
 class TestTransposition:

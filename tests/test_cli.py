@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from pepslhv import basis as basis_mod
 from pepslhv import cli, configio, construction, linalg, measurements, oracle, sampling
+from pepslhv import lattice as lattice_mod
 from pepslhv.errors import ConstructionError, DegenerateNormError, UsageError
 
 from conftest import run_capped
@@ -89,6 +90,39 @@ class TestStateSpecs:
         assert "bad state spec" in capsys.readouterr().err
         assert not out.exists()
 
+    # a name sized other than its dimension: built, 10^11 and 2^40 entries
+    # exhaust memory, and zero:0 was read as the 2-dimensional zero
+    @pytest.mark.parametrize("anchor", ["uniform:100000000000", "plus-diag:40", "zero:0"])
+    def test_argument_disagreeing_with_dimension_exit_2(self, tmp_path, anchor):
+        out = tmp_path / "b.json"
+        argv = ["basis", "gen", "--D", "2", "--anchor", anchor, "--out", str(out)]
+        proc = run_capped("-m", "pepslhv.cli", *argv)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"error: state '{anchor}' does not have dimension 2\n"
+        assert not out.exists()
+
+    def test_psi_disagreeing_with_dimension_exit_2(self, tmp_path):
+        out = tmp_path / "inst.json"
+        proc = run_capped(
+            "-m", "pepslhv.cli", "peps", "build",
+            "--lattice", "cycle:3",
+            "--basis", "aligned:2:zero",
+            "--measurements", "noisy-pauli:2:0.5",
+            "--recipe", "2",
+            "--psi", "plus-diag:40",
+            "--out", str(out),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "error: state 'plus-diag:40' does not have dimension 4\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "spec, dim", [("plus-diag", 6), ("plus-diag", 1), ("zero", 0), ("uniform:-1", 2)]
+    )
+    def test_no_state_of_that_dimension(self, spec, dim):
+        with pytest.raises(UsageError, match="dimension"):
+            configio.parse_state(spec, dim)
+
 
 class TestDualCommand:
     def test_margin_report(self, tmp_path, capsys):
@@ -118,6 +152,34 @@ class TestLatticeCommand:
 
 
 class TestPepsCommands:
+    def test_path_specs_match_named_specs(self, tmp_path, capsys):
+        named = {
+            "lattice": "cycle:4",
+            "basis": "aligned:2:zero",
+            "measurements": "noisy-pauli:2:0.5",
+            "psi": "plus-diag:2",
+        }
+        written = {
+            "lattice": lattice_mod.lattice_to_json(configio.parse_lattice(named["lattice"])),
+            "basis": basis_mod.basis_to_json(configio.parse_basis(named["basis"])),
+            "measurements": measurements.measurement_set_to_json(
+                configio.parse_measurements(named["measurements"])
+            ),
+            "psi": linalg.state_to_json(configio.parse_state(named["psi"], 4)),
+        }
+        at_paths = {}
+        for key, obj in written.items():
+            path = (tmp_path / f"{key}.json").resolve()
+            path.write_text(json.dumps(obj))
+            at_paths[key] = f"@{path}"
+        stdout = []
+        for specs in (named, at_paths):
+            path = tmp_path / "inst.json"
+            path.write_text(json.dumps(dict(specs, site_map={"recipe": 2, "epsilon": 0.2})))
+            assert run("peps", "check", str(path)) == 0
+            stdout.append(capsys.readouterr().out)
+        assert stdout[0] == stdout[1]
+
     def test_check_passes(self, instance_file, capsys):
         assert run("peps", "check", str(instance_file)) == 0
         report = json.loads(capsys.readouterr().out)

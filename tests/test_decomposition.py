@@ -76,7 +76,7 @@ class TestPositivityCheck:
     def test_epsilon_zero_slack_equals_interior_margin(self):
         config = recipe2_config(epsilon=0.0, measurements="pauli:2")
         inst = build(config)
-        psi = configio.parse_state(config["psi"])
+        psi = configio.parse_state(config["psi"], inst.measurement_set.dim)
         margin = dual_margin(linalg.projector(psi), inst.measurement_set).margin
         report = dec.rv_positivity_check(inst)
         assert report.passed

@@ -12,6 +12,7 @@ from pepslhv.basis import VirtualSpaceTag, bloch_diag_state, build_aligned_basis
 from pepslhv.errors import UsageError
 from pepslhv.linalg import kron_vectors, projector
 
+from conftest import run_capped
 from reference import tensor_product
 
 
@@ -252,6 +253,33 @@ class TestPauliFamilies:
         assert meas.measurement_set_from_name("bell").dim == 4
         with pytest.raises(UsageError):
             meas.measurement_set_from_name("stabilizer:3")
+
+    # 24^n stack entries: 2.85 GiB at n = 6 and 6.41 GiB at n = 9, past the
+    # child's cap if built; 122 MiB at n = 5, which must still build
+    @pytest.mark.parametrize("name", ["pauli:6", "pauli:9", "noisy-pauli:6:0.5"])
+    def test_too_many_qubits_exit_2(self, tmp_path, name):
+        out = tmp_path / "inst.json"
+        proc = run_capped(
+            "-m", "pepslhv.cli", "peps", "build",
+            "--lattice", "cycle:3",
+            "--basis", "aligned:2:zero",
+            "--measurements", name,
+            "--recipe", "2",
+            "--psi", "zero",
+            "--out", str(out),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == 1 and "qubits, more than 5" in proc.stderr
+        assert not out.exists()
+
+    def test_five_qubits_build(self):
+        proc = run_capped(
+            "-c",
+            "from pepslhv import measurements as m\n"
+            "s = m.measurement_set_from_name('noisy-pauli:5:0.5')\n"
+            "print(len(s.povms), s.dim)",
+        )
+        assert (proc.returncode, proc.stdout) == (0, "243 32\n"), proc.stderr
 
 
 class TestAdmissibility:

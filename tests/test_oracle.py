@@ -169,7 +169,7 @@ class TestMixtureJointDistribution:
         inst = build(config)
         plan = sampling.MeasurementPlan.uniform(inst, "ZZ~0.5")
         mix = oracle.mixture_joint_distribution(inst, plan)
-        psi = configio.parse_state(config["psi"])
+        psi = configio.parse_state(config["psi"], inst.measurement_set.dim)
         _, povm = inst.measurement_set.by_label("ZZ~0.5")
         local = np.array([np.real(psi.conj() @ x @ psi) for x in povm.elements])
         expected = np.multiply.outer(np.multiply.outer(local, local), local)

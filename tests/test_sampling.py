@@ -79,7 +79,7 @@ def chain_instance(n_edges, D):
     return build(config)
 
 
-def hidden_indices(probs, n_shots, seed, start_shot=0):
+def hidden_indices(probs, n_shots, seed):
     """run_shots' hidden indices, (n_shots, E), for the edge rows probs (E, D^2)."""
     probs = np.asarray(probs, dtype=float)
     inst = chain_instance(len(probs), int(round(np.sqrt(probs.shape[1]))))
@@ -90,7 +90,6 @@ def hidden_indices(probs, n_shots, seed, start_shot=0):
         seed,
         edge_dists=dec.EdgeDistributions(probs=probs, log_T=0.0),
         emit_hidden=True,
-        start_shot=start_shot,
     )
     return batch.hidden
 
@@ -103,8 +102,8 @@ class TestSampleHidden:
 
     def test_deterministic(self):
         probs = [np.full(4, 0.25)]
-        a = hidden_indices(probs, n_shots=1, seed=5, start_shot=9)
-        b = hidden_indices(probs, n_shots=1, seed=5, start_shot=9)
+        a = hidden_indices(probs, n_shots=10, seed=5)
+        b = hidden_indices(probs, n_shots=10, seed=5)
         assert np.array_equal(a, b)
 
     def test_uniform_frequencies(self):
@@ -133,7 +132,7 @@ class TestSampleHidden:
         # rows of length 4 (D = 2) or 9 (D = 3), zero bins allowed
         probs = [np.array(r) / sum(r) for r in rows]
         n = len(rows[0])
-        single = hidden_indices(probs, n_shots=1, seed=11, start_shot=shot)[0]
+        single = hidden_indices(probs, n_shots=shot + 1, seed=11)[shot]
         # the batched sampler must agree with searchsorted on the edge stream
         u = sampling.shot_uniforms(11, shot, 1, len(probs), label="edges")[0]
         for e, p in enumerate(probs):
@@ -317,16 +316,16 @@ class TestStreaming:
     ):
         inst, plan, reference = torus
         if (n_shots, ref_block) not in reference:
-            # shots 3.. at seed 5 as ShotRecord.to_json lines
+            # shots at seed 5 as ShotRecord.to_json lines
             with blocks_of(ref_block or n_shots):
-                batch = sampling.run_shots(inst, plan, n_shots, 5, emit_hidden=True, start_shot=3)
+                batch = sampling.run_shots(inst, plan, n_shots, 5, emit_hidden=True)
             reference[n_shots, ref_block] = "".join(r.to_json() + "\n" for r in batch.records())
         block = edge_uniforms // 18
         with blocks_of(block):
             batches = list(sampling.iter_shots(
-                inst, plan, n_shots, 5, emit_hidden=True, start_shot=3, workers=workers,
+                inst, plan, n_shots, 5, emit_hidden=True, workers=workers,
             ))
-        assert [b.start_shot for b in batches] == list(range(3, 3 + n_shots, block))
+        assert [b.start_shot for b in batches] == list(range(0, n_shots, block))
         assert [b.n_shots for b in batches[:-1]] == [block] * (len(batches) - 1)
         assert 0 < batches[-1].n_shots < block
         assert jsonl(batches) == reference[n_shots, ref_block]
@@ -574,16 +573,6 @@ class TestRunShots:
         (empty,) = sampling.iter_shots(chain4, uniform_plan(chain4), 0, 0)
         assert empty.outcomes.shape == (0, 4)
 
-    def test_chunk_partition_determinism(self, chain4, chain4_dists):
-        plan = uniform_plan(chain4)
-        whole = sampling.run_shots(chain4, plan, 5000, 42, edge_dists=chain4_dists, emit_hidden=True)
-        head = sampling.run_shots(chain4, plan, 3000, 42, edge_dists=chain4_dists, emit_hidden=True)
-        tail = sampling.run_shots(
-            chain4, plan, 2000, 42, edge_dists=chain4_dists, emit_hidden=True, start_shot=3000
-        )
-        assert np.array_equal(whole.outcomes, np.vstack([head.outcomes, tail.outcomes]))
-        assert np.array_equal(whole.hidden, np.vstack([head.hidden, tail.hidden]))
-
     def test_worker_count_does_not_change_output(self, chain4, chain4_dists):
         plan = uniform_plan(chain4)
         kw = dict(edge_dists=chain4_dists, emit_hidden=True)
@@ -592,21 +581,21 @@ class TestRunShots:
             b = sampling.run_shots(chain4, plan, 4000, 1, workers=4, **kw)
         assert np.array_equal(a.outcomes, b.outcomes)
         assert np.array_equal(a.hidden, b.hidden)
-        # an offset start and a block that leaves a short last block; threads
+        # one block, and a block that leaves a short last block; threads
         # switch often so that blocks finish out of order
         with blocks_of(4000):
-            whole = sampling.run_shots(chain4, plan, 4000, 1, start_shot=7, **kw)
+            whole = sampling.run_shots(chain4, plan, 4000, 1, **kw)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with blocks_of(384):
-                ragged = sampling.run_shots(chain4, plan, 4000, 1, start_shot=7, workers=4, **kw)
+                ragged = sampling.run_shots(chain4, plan, 4000, 1, workers=4, **kw)
         finally:
             sys.setswitchinterval(interval)
-        assert ragged.start_shot == 7
+        assert ragged.start_shot == 0
         assert np.array_equal(whole.outcomes, ragged.outcomes)
         assert np.array_equal(whole.hidden, ragged.hidden)
-        assert np.array_equal(whole.outcomes[:-7], a.outcomes[7:])
+        assert np.array_equal(whole.outcomes, a.outcomes)
 
     def test_single_shot_path_agrees(self, chain4, chain4_dists):
         plan = uniform_plan(chain4)
