@@ -41,11 +41,8 @@ def _print(obj) -> None:
 # Subcommands
 
 def cmd_basis_gen(args) -> int:
-    if args.phase_point:
-        b = basis_mod.phase_point_basis()
-    else:
-        anchor = configio.parse_state(args.anchor, dim=args.D)
-        b = basis_mod.build_aligned_basis(args.D, anchor)
+    spec = "phase-point" if args.phase_point else f"aligned:{args.D}:{args.anchor}"
+    b = configio.parse_basis(spec)
     _write_json(args.out, basis_mod.basis_to_json(b))
     print(f"wrote basis D={b.D} ({b.construction}) to {args.out}")
     return EXIT_OK

@@ -20,6 +20,7 @@ from pepslhv import lattice as lattice_mod
 from pepslhv import linalg
 from pepslhv import measurements as meas_mod
 from pepslhv.construction import (
+    MAX_VIRTUAL_DIM,
     PepsInstance,
     SiteMap,
     identity_site_map,
@@ -101,6 +102,8 @@ def parse_basis(spec) -> basis_mod.OperatorBasis:
             D = int(parts[1])
         except ValueError as exc:
             raise UsageError(f"bad basis spec '{spec}': {exc}") from exc
+        if D**4 > MAX_VIRTUAL_DIM:  # the D^2 elements, and their Gram matrix
+            raise UsageError(f"basis D={D} holds D^4 = {D**4} entries, more than {MAX_VIRTUAL_DIM}")
         return basis_mod.build_aligned_basis(D, parse_state(parts[2], dim=D))
     raise UsageError(f"unknown basis spec '{spec}'")
 

@@ -22,7 +22,7 @@ from pepslhv.errors import (
     DegenerateNormError,
     UsageError,
 )
-from pepslhv.lattice import Lattice
+from pepslhv.lattice import Lattice, site_groups
 from pepslhv.measurements import MeasurementSet
 
 MAX_PHYSICAL_DIM = 2**20
@@ -196,8 +196,10 @@ class PepsInstance:
         maps = tuple(self.site_maps)
         if len(maps) != self.lattice.n_sites:
             raise UsageError("need one site map per site")
-        degrees = self.lattice.site_degrees()
-        for s, m in enumerate(maps):
+        degrees = self.lattice.degrees
+        # each distinct (map, degree) pair is checked once, at its first site
+        for s in site_groups(np.stack([[id(m) for m in maps], degrees]))[0]:
+            m = maps[s]
             if m.v != degrees[s]:
                 raise UsageError(f"site {s}: map v={m.v} != degree {degrees[s]}")
             if m.D != self.basis.D:
@@ -227,7 +229,7 @@ def contract_edges(lattice: Lattice, tensors, bond_dim: int, extra_axes=0, keep_
     E, N = lattice.n_edges, lattice.n_sites
     operands = []
     for s, rows in enumerate(tensors):
-        edges = [e for e, _ in lattice.incident_edges(s)]
+        edges = lattice.incidence[-lattice.degrees[s] :, s].tolist()
         extra = [E + x * N + s for x in range(extra_axes)]
         operands += [rows.reshape((bond_dim,) * len(edges) + rows.shape[1:]), edges + extra]
     out = list(range(E if keep_edges else 0)) + list(range(E, E + extra_axes * N))

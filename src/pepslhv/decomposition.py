@@ -33,6 +33,7 @@ from pepslhv import linalg
 from pepslhv.basis import OperatorBasis
 from pepslhv.construction import PepsInstance, SiteMap, contract_edges
 from pepslhv.errors import NotFactorizableError, UsageError
+from pepslhv.lattice import site_groups
 
 TRACE_FLOOR = 1e-10
 DUAL_ATOL = 1e-9
@@ -70,30 +71,20 @@ def operator_traces(ops: np.ndarray) -> np.ndarray:
 
 
 def _family_sites(instance: PepsInstance):
-    """(first site of each distinct site family, family index per site).
+    """(first site of each distinct site family, in site order; family index per site).
 
-    Sites with the same site map (by identity) and transposed flags share
-    one family of output operators.
+    Sites with the same site map (by identity) and head flags share one
+    family of output operators.
     """
-    index: dict = {}
-    firsts, site_family = [], []
-    for s, m in enumerate(instance.site_maps):
-        key = (id(m), _flags(instance, s))
-        if key not in index:
-            index[key] = len(firsts)
-            firsts.append(s)
-        site_family.append(index[key])
-    return firsts, site_family
-
-
-def _flags(instance: PepsInstance, site: int) -> tuple:
-    # head end keeps C; tail end gets the transpose
-    return tuple(not ishead for _, ishead in instance.lattice.incident_edges(site))
+    ids = [id(m) for m in instance.site_maps]
+    return site_groups(np.vstack([ids, instance.lattice.is_head]))
 
 
 def _family_stack(instance: PepsInstance, site: int) -> np.ndarray:
     """site_operator_family of site's map and flags; a non-finite entry raises UsageError."""
-    ops = site_operator_family(instance.site_maps[site], instance.basis, _flags(instance, site))
+    m = instance.site_maps[site]
+    # head end keeps C; tail end gets the transpose
+    ops = site_operator_family(m, instance.basis, ~instance.lattice.is_head[-m.v :, site])
     if not np.all(np.isfinite(ops)):
         raise UsageError(f"site {site}: non-finite output operator")
     return ops
@@ -215,7 +206,7 @@ def rv_positivity_check(instance: PepsInstance) -> PositivityReport:
     firsts, site_family = _family_sites(instance)
     # one family at a time: each is built, scanned and dropped before the next
     scans = [_scan_family(instance, s, _family_stack(instance, s), stack, where) for s in firsts]
-    per_site_slack = tuple(scans[f][1] for f in site_family)
+    per_site_slack = tuple(np.array([sc[1] for sc in scans])[site_family].tolist())
     # a family's witness is at its first site, so the least site is the first failure
     witness = min((sc[3] for sc in scans if sc[3] is not None), key=lambda w: w.site, default=None)
     return PositivityReport(
@@ -273,7 +264,7 @@ def edge_distribution(instance: PepsInstance) -> EdgeDistributions:
     return _edge_rows(instance, firsts, site_family, traces)
 
 
-def _edge_rows(instance: PepsInstance, firsts: list, site_family: list, traces: list):
+def _edge_rows(instance: PepsInstance, firsts: list, site_family: np.ndarray, traces: list):
     """EdgeDistributions from each family's operator_traces, family f first at site firsts[f].
 
     The first family, in site order, with a non-positive trace or a trace
@@ -291,15 +282,17 @@ def _edge_rows(instance: PepsInstance, firsts: list, site_family: list, traces: 
             )
         marginals.append((log_S, q))
     lat = instance.lattice
-    # each edge's row collects the marginal of its head end and of its tail end
+    # each edge's row collects the marginal of its head end and of its tail
+    # end, one pass per family and incident position; the two ends differ in
+    # their head flag, so a pass meets an edge at most once
     weights = np.ones((lat.n_edges, instance.D**2))
-    for s, f in enumerate(site_family):
-        for (e, _), q in zip(lat.incident_edges(s), marginals[f][1]):
-            weights[e] *= q
+    for f, (_, q) in enumerate(marginals):
+        for edges, q_end in zip(lat.incidence[-len(q) :, site_family == f], q):
+            weights[edges] *= q_end
     Z = weights.sum(axis=1)
     log_T = (
         float(np.log(Z).sum())
-        + float(np.array([marginals[f][0] for f in site_family]).sum())
+        + float(np.array([log_S for log_S, _ in marginals])[site_family].sum())
         - 2.0 * lat.n_edges * math.log(instance.D)
     )
     return EdgeDistributions(probs=weights / Z[:, None], log_T=log_T)

@@ -27,6 +27,7 @@ from pepslhv.decomposition import (
     operator_traces,
 )
 from pepslhv.errors import PositivityViolationError, UsageError
+from pepslhv.lattice import site_groups
 
 # shots per slab in perfbench's probe_rng, its only reader; ROADMAP item 4
 # deletes it once the benchmark changes
@@ -291,8 +292,8 @@ class _SiteTables:
     # (N,) row of each site's all-zero index tuple, in the narrowest
     # unsigned dtype that holds every row of table
     base: np.ndarray
-    # (vmax, N) incident edges in incidence order; sites of lower degree are
-    # padded at the front with E, the column of lam that is always 0
+    # the lattice's own (vmax, N) incidence: sites of lower degree are padded
+    # at the front with E, the column of lam that is always 0
     incidence: np.ndarray
     n: int  # D^2, the radix of a site's index tuple
 
@@ -334,20 +335,18 @@ def _set_up(
     UsageError as it is built, then _edge_rows NotFactorizableError, then
     the scan's witness for the least site PositivityViolationError.
     """
-    lat = instance.lattice
     povms = plan.povms(instance)
     firsts, site_family = _family_sites(instance)
-    # the first site of each (family, POVM) block, in site order
-    block_site: dict = {}
-    for s, key in enumerate(zip(site_family, plan.povm_indices)):
-        block_site.setdefault(key, s)
-    traces, cdfs, witness = [], {}, None
+    # the first site of each (family, POVM) block, in site order, and each site's block
+    block_site, site_block = site_groups(np.stack([site_family, plan.povm_indices]))
+    traces, cdfs, witness = [], [None] * len(block_site), None
     for f, first in enumerate(firsts):
         ops = _family_stack(instance, first)
         traces.append(operator_traces(ops))
-        for (g, idx), s in block_site.items():
-            if g != f:
+        for b, s in enumerate(block_site):
+            if site_family[s] != f:
                 continue
+            idx = plan.povm_indices[s]
             where = [(idx, j) for j in range(povms[s].n_outcomes)]
             probs, _, _, w = _scan_family(instance, s, ops, povms[s].elements, where, keep=True)
             if w is not None:
@@ -356,23 +355,15 @@ def _set_up(
                     witness = w
                 continue
             cdf = np.cumsum(np.clip(probs, 0.0, 1.0), axis=1)
-            cdfs[g, idx] = cdf / cdf[:, -1:]
+            cdfs[b] = cdf / cdf[:, -1:]
         del ops  # before the next family is built
     edges = _edge_rows(instance, firsts, site_family, traces) if with_edges else None
     if witness is not None:
         raise PositivityViolationError(f"uncertified output: {witness}", witness=witness)
-    blocks = [cdfs[key] for key in block_site]
-    offsets = dict(zip(block_site, np.cumsum([0] + [len(c) for c in blocks[:-1]]).tolist()))
-    table = _padded(blocks)
-    base = np.array([offsets[key] for key in zip(site_family, plan.povm_indices)])
-    degrees = lat.site_degrees()
-    incidence = np.full((max(degrees), lat.n_sites), lat.n_edges, dtype=np.intp)
-    for s, v in enumerate(degrees):
-        incidence[len(incidence) - v :, s] = [e for e, _ in lat.incident_edges(s)]
-    sites = _SiteTables(
-        table, base.astype(np.min_scalar_type(len(table) - 1)), incidence, instance.D**2
-    )
-    return edges, sites
+    table = _padded(cdfs)
+    base = np.cumsum([0] + [len(c) for c in cdfs[:-1]])[site_block]
+    base = base.astype(np.min_scalar_type(len(table) - 1))
+    return edges, _SiteTables(table, base, instance.lattice.incidence, instance.D**2)
 
 
 def sample_outcomes(

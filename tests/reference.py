@@ -85,3 +85,46 @@ def born_joint_full_operator(state, povms) -> np.ndarray:
             R = R.reshape(-1, rest, rest)
         probs[j] = np.real(R).reshape(arities[1:])
     return probs
+
+
+def tuple_incidence(n_sites: int, edges) -> list:
+    """Each site's (edge index, site-is-head) pairs in edge order, one Python tuple per edge end.
+
+    The edge-by-edge construction and validation that lattice.Lattice does
+    with array operations: the same UsageError for the same first bad edge.
+    """
+    edges = tuple((int(h), int(t)) for h, t in edges)
+    if n_sites < 2:
+        raise UsageError("lattice needs at least two sites")
+    if not edges:
+        raise UsageError("lattice needs at least one edge")
+    if n_sites > 2 * len(edges):
+        raise UsageError("every site must touch at least one edge")
+    seen = set()
+    incidence = [[] for _ in range(n_sites)]
+    for e, (h, t) in enumerate(edges):
+        if h == t:
+            raise UsageError(f"self-loop at site {h}")
+        if not (0 <= h < n_sites and 0 <= t < n_sites):
+            raise UsageError(f"edge ({h}, {t}) out of range")
+        key = (min(h, t), max(h, t))
+        if key in seen:
+            raise UsageError(f"parallel edge between {h} and {t}")
+        seen.add(key)
+        incidence[h].append((e, True))
+        incidence[t].append((e, False))
+    if min(len(x) for x in incidence) < 1:
+        raise UsageError("every site must touch at least one edge")
+    return incidence
+
+
+def first_site_groups(columns) -> tuple:
+    """lattice.site_groups by a dict over the columns, one key tuple per site."""
+    index: dict = {}
+    firsts, group = [], []
+    for s, key in enumerate(columns):
+        if key not in index:
+            index[key] = len(firsts)
+            firsts.append(s)
+        group.append(index[key])
+    return firsts, group

@@ -17,7 +17,7 @@ from pepslhv import cli, configio, construction, linalg, measurements, oracle, s
 from pepslhv import lattice as lattice_mod
 from pepslhv.errors import ConstructionError, DegenerateNormError, UsageError
 
-from conftest import run_capped
+from conftest import recipe2_config, run_capped
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -76,6 +76,25 @@ class TestBasisCommands:
 
     def test_missing_file_exit_1(self, tmp_path):
         assert run("basis", "verify", str(tmp_path / "nope.json")) == 1
+
+    # built, a basis of D = 10^11 or 5000 asks for 1.46 TiB or 381 MiB: D^4
+    # entries above construction.MAX_VIRTUAL_DIM are refused before any array
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["basis", "gen", "--D", "100000000000", "--anchor", "zero"],
+            ["basis", "gen", "--D", "5000", "--anchor", "zero"],
+            ["peps", "build", "--lattice", "cycle:3", "--basis", "aligned:100000000000:zero",
+             "--measurements", "noisy-pauli:2:0.5", "--recipe", "2", "--psi", "plus-diag:2"],
+        ],
+        ids=["gen-1e11", "gen-5000", "peps-build-1e11"],
+    )
+    def test_basis_dimension_too_large_exit_2(self, tmp_path, argv):
+        out = tmp_path / "out.json"
+        proc = run_capped("-m", "pepslhv.cli", *argv, "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == 1 and "entries, more than" in proc.stderr
+        assert not out.exists()
 
 
 class TestStateSpecs:
@@ -556,6 +575,19 @@ class TestPlanFiles:
 
 
 class TestSampleAndVerify:
+    # 10^5 sites: the lattice, the instance and the sampler's tables fit the
+    # capped child's address space
+    @pytest.mark.parametrize(
+        "lattice, qubits", [("cycle:102400", 2), ("torus:240x240", 4)], ids=["cycle", "torus"]
+    )
+    def test_set_up_at_scale(self, tmp_path, lattice, qubits):
+        inst = tmp_path / "inst.json"
+        config = recipe2_config(lattice, 0.1, f"noisy-pauli:{qubits}:0.5")
+        inst.write_text(json.dumps({**config, "psi": f"plus-diag:{qubits}"}))
+        argv = ["sample", str(inst), "--plan", f"all:{'Z' * qubits}~0.5", "--shots", "0"]
+        proc = run_capped("-m", "pepslhv.cli", *argv, "--out", str(tmp_path / "s.jsonl"))
+        assert proc.returncode == 0, proc.stderr
+
     def test_sample_deterministic_jsonl(self, instance_file, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for out in (a, b):

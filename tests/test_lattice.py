@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from pepslhv import lattice
 from pepslhv.errors import UsageError
 
 from conftest import run_capped
+from reference import first_site_groups, tuple_incidence
 
 # names of 10^11 and 10^12 sites: built, they exhaust memory; refused, they cost nothing
 HUGE_NAMES = ["cycle:100000000000", "torus:1000000x1000000"]
@@ -41,7 +43,7 @@ class TestCycle:
 
     def test_translation_invariant_orientation(self):
         lat = lattice.build_cycle(4)
-        edges = set(lat.edges)
+        edges = set(map(tuple, lat.edges.tolist()))
         shifted = {((h + 1) % 4, (t + 1) % 4) for h, t in edges}
         assert shifted == edges
 
@@ -68,7 +70,7 @@ class TestTorus:
             return (y % Ly) * Lx + (x % Lx)
 
         coords = {s: (s % Lx, s // Lx) for s in range(Lx * Ly)}
-        edges = set(lat.edges)
+        edges = set(map(tuple, lat.edges.tolist()))
         for dx, dy in ((1, 0), (0, 1)):
             shifted = {
                 (site(coords[h][0] + dx, coords[h][1] + dy),
@@ -124,7 +126,7 @@ class TestInvariants:
 
     def test_too_many_sites_refused_before_incidence(self):
         # one edge touches two sites; the other 10^7 - 2 are refused before
-        # any per-site list is built
+        # any per-site array is built
         tracemalloc.start()
         try:
             with pytest.raises(UsageError, match="every site must touch"):
@@ -153,7 +155,7 @@ class TestNamesAndFiles:
     def test_json_round_trip(self):
         lat = lattice.build_torus(3, 3)
         back = lattice.lattice_from_json(lattice.lattice_to_json(lat))
-        assert back == lat
+        assert lattice.lattice_to_json(back) == lattice.lattice_to_json(lat)
 
     @pytest.mark.parametrize(
         "n_sites, edge",
@@ -188,3 +190,92 @@ class TestNamesAndFiles:
         proc = run_capped("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert "sites, more than" in proc.stdout
+
+
+@st.composite
+def simple_graphs(draw):
+    """(n_sites, edges): a chain, a star or nothing, plus random edges, shuffled and oriented at random."""
+    n = draw(st.integers(2, 12))
+    base = draw(st.sampled_from(["chain", "star", "none"]))
+    pairs = {"chain": [(s, s + 1) for s in range(n - 1)], "star": [(0, s) for s in range(1, n)],
+             "none": []}[base]
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1])
+    pairs += [p for p in draw(st.lists(extra, unique=True, max_size=2 * n)) if p not in pairs]
+    pairs = draw(st.permutations(pairs))
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [(t, h) if f else (h, t) for (h, t), f in zip(pairs, flips)]
+
+
+def reference_outcome(n, edges):
+    """tuple_incidence(n, edges), or the message of the UsageError it raises."""
+    try:
+        return tuple_incidence(n, edges)
+    except UsageError as exc:
+        return str(exc)
+
+
+class TestAgainstTupleReference:
+    @given(simple_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_arrays_match(self, graph):
+        n, edges = graph
+        ref = reference_outcome(n, edges)
+        if isinstance(ref, str):  # a site that no edge touches
+            with pytest.raises(UsageError) as exc:
+                lattice.Lattice(n_sites=n, edges=edges)
+            assert str(exc.value) == ref
+            return
+        lat = lattice.Lattice(n_sites=n, edges=edges)
+        E, vmax = len(edges), max(map(len, ref))
+        incidence = np.full((vmax, n), E)
+        is_head = np.zeros((vmax, n), dtype=bool)
+        for s, ends in enumerate(ref):
+            for k, (e, head) in enumerate(ends, start=vmax - len(ends)):
+                incidence[k, s], is_head[k, s] = e, head
+        assert lat.edges.tolist() == [list(e) for e in edges]
+        assert np.array_equal(lat.incidence, incidence)
+        assert np.array_equal(lat.is_head, is_head)
+        assert lat.degrees.tolist() == [len(x) for x in ref]
+        assert [lat.incident_edges(s) for s in range(n)] == ref
+
+    @given(
+        simple_graphs().filter(lambda graph: graph[1]),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["self-loop", "self-loop-out", "end", "parallel", "antiparallel"]),
+                st.integers(0, 2**16),
+                st.sampled_from([-1, -(2**70), 2**70, "n", "n+1"]),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_malformed_lists_same_message(self, graph, faults):
+        n, edges = graph
+        edges = list(edges)
+        for kind, where, value in faults:
+            value = {"n": n, "n+1": n + 1}.get(value, value)
+            h, t = edges[where % len(edges)]
+            bad = {"self-loop": (h, h), "self-loop-out": (value, value), "end": (h, value),
+                   "parallel": (h, t), "antiparallel": (t, h)}[kind]
+            edges.insert(where % (len(edges) + 1), bad)
+        ref = reference_outcome(n, edges)
+        assert isinstance(ref, str)
+        with pytest.raises(UsageError) as exc:
+            lattice.Lattice(n_sites=n, edges=edges)
+        assert str(exc.value) == ref
+
+    def test_end_past_int64_in_a_file(self):
+        obj = {"n_sites": 3, "edges": [[0, 1], [1, 2], [2, 2**70]]}
+        with pytest.raises(UsageError, match=rf"edge \(2, {2**70}\) out of range"):
+            lattice.lattice_from_json(obj)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda rows: st.lists(st.lists(st.integers(-2, 2), min_size=rows, max_size=rows), min_size=1)
+))
+@settings(max_examples=200, deadline=None)
+def test_site_groups_match_first_occurrence(columns):
+    firsts, group = lattice.site_groups(np.array(columns).T)
+    assert (firsts, group.tolist()) == first_site_groups(map(tuple, columns))
