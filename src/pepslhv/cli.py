@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from pepslhv import basis as basis_mod
-from pepslhv import configio, decomposition, linalg, oracle, sampling
+from pepslhv import configio, decomposition, linalg
 from pepslhv import lattice as lattice_mod
 from pepslhv.construction import choi_check
 from pepslhv.errors import NotFactorizableError, PositivityViolationError, UsageError
@@ -132,6 +132,10 @@ def cmd_peps_epsilon_max(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    # imported here, as in cmd_verify and cmd_bench: peps check and
+    # peps epsilon-max load neither the sampler nor the oracle
+    from pepslhv import sampling
+
     instance = configio.load_instance(args.instance)
     plan = configio.parse_plan(args.plan, instance)
     batches = sampling.iter_shots(
@@ -153,6 +157,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from pepslhv import oracle, sampling
+
     if not 0 < args.confidence_k < float("inf"):
         raise UsageError(f"--confidence-k must be finite and > 0, got {args.confidence_k}")
     if args.mode == "shots" and args.shots < oracle.MIN_FREQUENCY_SHOTS:
@@ -206,6 +212,8 @@ class _CharCount:
 
 
 def cmd_bench(args) -> int:
+    from pepslhv import sampling
+
     config = configio._load_json(args.instance)
     rows = []
     for spec in (x.strip() for x in args.sites.split(",")):

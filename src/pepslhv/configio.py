@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -30,7 +30,9 @@ from pepslhv.construction import (
 )
 from pepslhv.errors import ConstraintError, StrictInteriorError, UsageError
 from pepslhv.measurements import dual_margin
-from pepslhv.sampling import MeasurementPlan, derive_seed
+
+if TYPE_CHECKING:
+    from pepslhv.sampling import MeasurementPlan
 
 
 def _load_json(path: str) -> dict:
@@ -182,6 +184,9 @@ def instance_factory(config: dict) -> Callable[[float], PepsInstance]:
                 raise UsageError("recipe 1 needs an anchored basis")
             _require_strict_interior(psi, mset)
             anchors = [op_basis.anchor] * v
+            # imported here: instances of the other recipes never load the sampler
+            from pepslhv.sampling import derive_seed
+
             map_seed = derive_seed(seed, f"recipe1:v{v}")
             return lambda epsilon: recipe1_site_map(
                 v, op_basis.D, d, psi, anchors, epsilon, map_seed
@@ -241,6 +246,8 @@ def load_instance(path: str) -> PepsInstance:
 
 def parse_plan(spec, instance: PepsInstance) -> MeasurementPlan:
     """"all:<label>", a plan dict, or @file with {"all": label} / {"sites": [...]}."""
+    from pepslhv.sampling import MeasurementPlan
+
     if isinstance(spec, str):
         if spec.startswith("@"):
             spec = _load_json(spec[1:])

@@ -50,10 +50,6 @@ class SiteMap:
             raise UsageError("Kraus operator is all zero")
         object.__setattr__(self, "K", K)
 
-    @property
-    def virtual_dim(self) -> int:
-        return self.D**self.v
-
 
 def _check_orthonormal(states: Sequence[np.ndarray]):
     mat = np.array([linalg.as_state(s) for s in states])

@@ -47,16 +47,10 @@ def site_operator_family(
     site_map: SiteMap, op_basis: OperatorBasis, transposed_flags: Sequence[bool]
 ) -> np.ndarray:
     """All (D^2)^v output operators in C-order over the index tuples, ((D^2)^v, d, d)."""
-    v = site_map.v
     flags = tuple(transposed_flags)
-    if len(flags) != v:
-        raise UsageError(f"need {v} flags")
-    C = np.stack(op_basis.elements)
-    # row k_1..k_v of the einsum is C~_{k_1} (x) ... (x) C~_{k_v}
-    k, i, j = (string.ascii_letters[p * v:(p + 1) * v] for p in range(3))
-    spec = ",".join(k[p] + i[p] + j[p] for p in range(v)) + "->" + k + i + j
-    prod = np.einsum(spec, *(C.transpose(0, 2, 1) if t else C for t in flags))
-    prod = prod.reshape(C.shape[0] ** v, site_map.virtual_dim, site_map.virtual_dim)
+    if len(flags) != site_map.v:
+        raise UsageError(f"need {site_map.v} flags")
+    prod = _basis_products(op_basis, flags)
     K = site_map.K
     # a Kraus operator near the float range overflows; _family_stack rejects
     # it.  K @ prod replaces prod before the second product is made, so at
@@ -64,6 +58,16 @@ def site_operator_family(
     with np.errstate(over="ignore", invalid="ignore"):
         prod = K @ prod
         return prod @ K.conj().T
+
+
+def _basis_products(op_basis: OperatorBasis, flags: Sequence[bool]) -> np.ndarray:
+    """C~_{k_1} (x) ... (x) C~_{k_v} per index tuple, ((D^2)^v, D^v, D^v); C~ is C^T where flagged."""
+    v = len(flags)
+    C = np.stack(op_basis.elements)
+    k, i, j = (string.ascii_letters[p * v:(p + 1) * v] for p in range(3))
+    spec = ",".join(k[p] + i[p] + j[p] for p in range(v)) + "->" + k + i + j
+    prod = np.einsum(spec, *(C.transpose(0, 2, 1) if t else C for t in flags))
+    return prod.reshape(C.shape[0] ** v, op_basis.D**v, op_basis.D**v)
 
 
 def operator_traces(ops: np.ndarray) -> np.ndarray:
@@ -149,34 +153,48 @@ def _row_blocks(n_rows: int, width: int):
     return zip(ends[:-1], ends[1:])
 
 
+def _usable_traces(traces: np.ndarray):
+    """(rows whose trace is positive and at least TRACE_FLOOR times the largest, divisor per row).
+
+    The first half of the row rule: other rows fail, and are divided by 1.
+    """
+    ok = (traces > 0) & (traces >= TRACE_FLOOR * traces.max())
+    return ok, np.where(ok, traces, 1.0)
+
+
+def _row_rule(block: np.ndarray, ok: np.ndarray, div: np.ndarray):
+    """(slack, failing) of each row of a block of overlaps, given _usable_traces of its rows.
+
+    The second half of the row rule: a row also fails if
+    min(lo / tr, 1 - hi / tr) < -DUAL_ATOL, lo and hi its least and largest
+    overlap.  Dividing by a positive trace and 1 - x are monotone, so this is
+    bit for bit the row's least min(tr(sigma X), 1 - tr(sigma X)).
+    """
+    slack = np.minimum(block.min(axis=1) / div, 1.0 - block.max(axis=1) / div)
+    return slack, ~ok | (slack < -DUAL_ATOL)
+
+
 def _scan_family(instance: PepsInstance, site: int, ops: np.ndarray, stack, where, keep=False):
     """(normalized overlaps if keep else None, slack, min trace, witness or None) of site's stack.
 
-    A row fails if its trace is not positive or below TRACE_FLOOR times the
-    stack's largest (such rows are not divided), or if an overlap with
-    stack, whose element k is where[k] = (POVM, element), leaves
-    [-DUAL_ATOL, 1 + DUAL_ATOL].  The witness is the first failing row, at
-    its first worst element.
+    A row fails by the row rule (_usable_traces, _row_rule) against stack,
+    whose element k is where[k] = (POVM, element).  The witness is the first
+    failing row, at its first worst element.
 
     Rows are scanned in blocks (_row_blocks), and each row keeps only its
-    least and largest overlap: dividing by a positive trace and 1 - x are
-    monotone, so min(lo / tr, 1 - hi / tr) is bit for bit the row's least
-    min(tr(sigma X), 1 - tr(sigma X)).  Memory is one block of overlaps,
-    plus every normalized overlap when keep is set (the sampler's tables).
+    least and largest overlap.  Memory is one block of overlaps, plus every
+    normalized overlap when keep is set (the sampler's tables).
     """
     traces = operator_traces(ops)
-    ok = (traces > 0) & (traces >= TRACE_FLOOR * traces.max())
-    div = np.where(ok, traces, 1.0)
+    ok, div = _usable_traces(traces)
     row_slack = np.empty(len(ops))
     normed = np.empty((len(ops), len(stack))) if keep else None
     witness = None
     for a, b in _row_blocks(len(ops), len(stack)):
         block = linalg.overlaps(ops[a:b], stack)
-        tr = div[a:b]
-        row_slack[a:b] = np.minimum(block.min(axis=1) / tr, 1.0 - block.max(axis=1) / tr)
+        row_slack[a:b], bad = _row_rule(block, ok[a:b], div[a:b])
         if keep:
-            np.divide(block, tr[:, None], out=normed[a:b])
-        bad = ~ok[a:b] | (row_slack[a:b] < -DUAL_ATOL)
+            np.divide(block, div[a:b, None], out=normed[a:b])
         if witness is None and bad.any():
             r = a + int(np.argmax(bad))
             tup = np.unravel_index(r, (instance.D**2,) * instance.site_maps[site].v)
@@ -357,13 +375,18 @@ def max_epsilon_search(make_instance: Callable[[float], PepsInstance], eps_hi: f
     Coarse upward scan of EPSILON_COARSE_STEPS points, then bisection of the
     pass/fail predicate down to EPSILON_BRACKET_WIDTH.  In the returned
     (lo, hi), lo is a point this search saw pass and hi one it saw fail.  If
-    nothing fails below eps_hi the result is (eps_hi, inf).
+    nothing fails below eps_hi the result is (eps_hi, inf).  Each point is
+    one make_instance call, judged by epsilon_probe.EpsilonProbe.
     """
     if not 0 < eps_hi < math.inf:
         raise UsageError(f"eps_hi must be positive and finite, got {eps_hi}")
+    # imported here: every other command would compile the probe for nothing
+    from pepslhv.epsilon_probe import EpsilonProbe
+
+    probe = EpsilonProbe()
 
     def passes(eps: float) -> bool:
-        return rv_positivity_check(make_instance(eps)).passed
+        return probe(make_instance(eps))
 
     if not passes(0.0):
         raise UsageError("epsilon = 0 instance must pass the positivity check")

@@ -269,6 +269,45 @@ class TestPepsCommands:
         # the bracket recorded before the instance factory existed
         assert report == {"eps_pass": 0.112060546875, "eps_fail": 0.11212158203125}
 
+    def test_epsilon_max_torus3x3_bracket(self, tmp_path, capsys):
+        # the benchmark's desk-oracle instance and command, with its printed bracket
+        path = tmp_path / "torus3x3.json"
+        path.write_text(json.dumps({
+            "lattice": "torus:3x3",
+            "basis": "aligned:2:zero",
+            "measurements": "noisy-pauli:4:0.5",
+            "psi": "plus-diag:4",
+            "site_map": {"recipe": "2", "epsilon": 0.1, "seed": 0},
+        }))
+        assert run("peps", "epsilon-max", str(path), "--eps-hi", "1.0") == 0
+        expected = {"eps_pass": 0.169921875, "eps_fail": 0.16998291015625}
+        assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    def test_epsilon_max_non_finite_output_exit_2(self, tmp_path, capsys):
+        # the first coarse probe, epsilon = 1e100 / 16, gives Kraus entries near
+        # 4e197, whose products overflow; no RuntimeWarning may escape
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(recipe2_config(measurements="pauli:2")))
+        assert run("peps", "epsilon-max", str(path), "--eps-hi", "1e100") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: site 0: non-finite output operator"]
+
+    @pytest.mark.parametrize(
+        "argv", [["check"], ["epsilon-max", "--eps-hi", "0.5"]], ids=["check", "epsilon-max"]
+    )
+    def test_sampler_and_oracle_not_imported(self, instance_file, argv):
+        # only the commands that draw shots or run an oracle import those modules
+        code = (
+            "import sys\n"
+            "from pepslhv import cli\n"
+            f"code = cli.main(['peps', {argv[0]!r}, {str(instance_file)!r}, *{argv[1:]!r}])\n"
+            "print(code, [m for m in ('pepslhv.sampling', 'pepslhv.oracle') if m in sys.modules])\n"
+        )
+        proc = run_capped("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
     @pytest.mark.parametrize("eps_hi", ["inf", "nan"])
     def test_epsilon_max_non_finite_cap_exit_2(self, instance_file, capsys, monkeypatch, eps_hi):
         built = []
@@ -695,7 +734,7 @@ class TestSampleAndVerify:
         def no_shots(*args, **kwargs):
             raise AssertionError("shots drawn before --confidence-k was checked")
 
-        monkeypatch.setattr(cli.sampling, "iter_shots", no_shots)
+        monkeypatch.setattr(sampling, "iter_shots", no_shots)
         code = run(
             "verify", str(instance_file),
             "--plan", "all:ZZ~0.5",
@@ -715,8 +754,8 @@ class TestSampleAndVerify:
             raise AssertionError("work done before --shots was checked")
 
         monkeypatch.setattr(cli.configio, "load_instance", no_work)
-        monkeypatch.setattr(cli.oracle, "born_joint_for_instance", no_work)
-        monkeypatch.setattr(cli.sampling, "iter_shots", no_work)
+        monkeypatch.setattr(oracle, "born_joint_for_instance", no_work)
+        monkeypatch.setattr(sampling, "iter_shots", no_work)
         shots = oracle.MIN_FREQUENCY_SHOTS - 1
         code = run(
             "verify", str(instance_file),
@@ -738,8 +777,8 @@ class TestSampleAndVerify:
             raise AssertionError("work done before --workers was checked")
 
         monkeypatch.setattr(cli.configio, "load_instance", no_work)
-        monkeypatch.setattr(cli.oracle, "born_joint_for_instance", no_work)
-        monkeypatch.setattr(cli.sampling, "iter_shots", no_work)
+        monkeypatch.setattr(oracle, "born_joint_for_instance", no_work)
+        monkeypatch.setattr(sampling, "iter_shots", no_work)
         code = run(
             "verify", str(instance_file),
             "--plan", "all:ZZ~0.5",
@@ -756,7 +795,7 @@ class TestSampleAndVerify:
         def no_assembly(instance):
             raise AssertionError("state assembled for an oversized oracle")
 
-        monkeypatch.setattr(cli.oracle, "assemble_exact_state", no_assembly)
+        monkeypatch.setattr(oracle, "assemble_exact_state", no_assembly)
         inst = tmp_path / "cycle8.json"
         inst.write_text(json.dumps({
             "lattice": "cycle:8",
@@ -777,7 +816,7 @@ class TestSampleAndVerify:
         def zero_norm(instance):
             raise DegenerateNormError("assembled state has squared norm 0.000e+00")
 
-        monkeypatch.setattr(cli.oracle, "assemble_exact_state", zero_norm)
+        monkeypatch.setattr(oracle, "assemble_exact_state", zero_norm)
         assert run("verify", str(instance_file), "--plan", "all:XY~0.5") == 2
         assert "error: assembled state has squared norm" in capsys.readouterr().err
 

@@ -11,18 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pepslhv import configio
+from pepslhv import configio, epsilon_probe
 from pepslhv import construction as con
 from pepslhv import decomposition as dec
 from pepslhv import cli, linalg, sampling
 from pepslhv.basis import build_aligned_basis, phase_point_basis
 from pepslhv.errors import DegenerateNormError, NotFactorizableError, UsageError
-from pepslhv.lattice import build_chain, lattice_from_name
+from pepslhv.lattice import build_chain, build_cycle, lattice_from_name
 from pepslhv.measurements import (
     MeasurementSet,
     bell_povm,
     dual_margin,
     noisy_pauli_product_measurements,
+    pauli_product_measurements,
 )
 
 from conftest import build, recipe2_config
@@ -688,7 +689,99 @@ class TestMixtureReconstruction:
         assert T_enum == pytest.approx(T_exact, rel=1e-10)
 
 
+def boundary_state_instance(eps):
+    """cycle:3 whose psi = |00> sits on the dual boundary: any epsilon > 0 breaks positivity.
+
+    Every call builds a fresh lattice, basis and measurement set.
+    """
+    psi00 = np.eye(4, dtype=complex)[0]
+    m = con.recipe2_site_map(2, 4, con.recipe2_states_from_interior(psi00, 2), eps)
+    return con.PepsInstance(
+        lattice=build_cycle(3),
+        site_maps=(m, m, m),
+        basis=build_aligned_basis(2, KET0),
+        measurement_set=pauli_product_measurements(2),
+    )
+
+
+# (instance maker, eps_hi): torus:3x3 at d = 16, cycle:3 against pauli:2,
+# chain:4 (degrees 1 and 2: two site maps), and a maker that shares no object
+# between its instances
+EPSILON_SEARCHES = {
+    "torus3x3": (lambda: configio.instance_factory(scaled_config("torus:3x3", 4, 0.0)), 1.0),
+    "cycle3-pauli": (lambda: configio.instance_factory(recipe2_config(measurements="pauli:2")), 0.5),
+    "chain4": (lambda: configio.instance_factory(recipe2_config(lattice="chain:4")), 1.0),
+    "boundary-state": (lambda: boundary_state_instance, 0.1),
+}
+
+
 class TestMaxEpsilonSearch:
+    @pytest.mark.parametrize("D, v", [(2, 1), (2, 2), (2, 4), (3, 1), (3, 3)])
+    def test_transposition_is_the_einsum_with_transposed_ends(self, D, v):
+        b = configio.parse_basis(f"aligned:{D}:zero")
+        unflagged = epsilon_probe._hermitian_coords(dec._basis_products(b, (False,) * v), 0.5)
+        for flags in itertools.product([False, True], repeat=v):
+            source, sign = epsilon_probe._transposition(D, np.array(flags))
+            direct = epsilon_probe._hermitian_coords(dec._basis_products(b, flags), 0.5)
+            assert np.array_equal(unflagged[source] * sign[:, None], direct), flags
+
+    @pytest.mark.parametrize("lattice, qubits", [("chain:4", 2), ("cycle:3", 2), ("torus:3x3", 4)])
+    def test_probe_coordinates_match_the_family_stack(self, lattice, qubits):
+        # random complex Kraus maps, whose K^dag K is not diagonal, one per degree
+        rng = np.random.default_rng(5)
+        lat = lattice_from_name(lattice)
+        mset = noisy_pauli_product_measurements(qubits, 0.5)
+        d = 2**qubits
+        maps = {
+            v: con.SiteMap(v, 2, d, rng.normal(size=(d, 2**v)) + 1j * rng.normal(size=(d, 2**v)))
+            for v in np.unique(lat.degrees).tolist()
+        }
+        inst = con.PepsInstance(
+            lattice=lat,
+            site_maps=tuple(maps[v] for v in lat.degrees.tolist()),
+            basis=build_aligned_basis(2, KET0),
+            measurement_set=mset,
+        )
+        stack, _ = mset.element_stack()
+        probe = epsilon_probe.EpsilonProbe()
+        probe(inst)
+        for s in dec._family_sites(inst)[0]:
+            ops = dec._family_stack(inst, s)
+            P, _, source, sign = probe._family(inst, s)
+            M = epsilon_probe._map_matrix(inst.site_maps[s].K)
+            coords = epsilon_probe._family_rows(P, source, sign, 0, len(ops)) @ M.T
+            scale = np.abs(ops).max()
+            assert np.allclose(
+                coords, epsilon_probe._hermitian_coords(ops, 0.5).T, rtol=0, atol=1e-14 * scale
+            )
+            assert np.allclose(
+                epsilon_probe._family_traces(P, source, sign, M), dec.operator_traces(ops),
+                rtol=0, atol=1e-13 * scale,
+            )
+            assert np.allclose(
+                coords @ probe._stack, linalg.overlaps(ops, stack), rtol=0, atol=1e-13 * scale
+            )
+
+    @pytest.mark.parametrize("case", list(EPSILON_SEARCHES))
+    def test_probe_verdict_is_the_certificate_verdict(self, case):
+        factory, eps_hi = EPSILON_SEARCHES[case]
+        make = factory()
+        visited = []
+        lo, hi = dec.max_epsilon_search(lambda eps: visited.append(eps) or make(eps), eps_hi)
+        if case == "torus3x3":
+            # one instance per probe: the benchmark's decomposition.epsilon_probes
+            assert len(visited) == 14
+        # every point the search saw, a grid, and points around the threshold,
+        # judged in this order by one probe, as a search does
+        near = np.linspace(max(0.0, lo - 1e-3), min(hi, eps_hi) + 1e-3, 16)
+        points = list(dict.fromkeys([*visited, *np.linspace(0.0, eps_hi, 25), *near]))
+        assert len(points) >= 40
+        probe = epsilon_probe.EpsilonProbe()
+        for eps in points:
+            inst = make(float(eps))
+            assert probe(inst) == dec.rv_positivity_check(inst).passed, eps
+
+
     def test_no_failure_below_cap(self):
         def make(eps):
             return build(recipe2_config(epsilon=eps))
@@ -706,21 +799,5 @@ class TestMaxEpsilonSearch:
         assert not dec.rv_positivity_check(make(hi)).passed
 
     def test_boundary_state_fails_immediately(self):
-        # psi = |00> sits on the dual boundary; any epsilon > 0 breaks positivity
-        psi00 = np.eye(4, dtype=complex)[0]
-
-        def make(eps):
-            states = con.recipe2_states_from_interior(psi00, 2)
-            m = con.recipe2_site_map(2, 4, states, eps)
-            from pepslhv.lattice import build_cycle
-            from pepslhv.measurements import pauli_product_measurements
-
-            return con.PepsInstance(
-                lattice=build_cycle(3),
-                site_maps=(m, m, m),
-                basis=build_aligned_basis(2, KET0),
-                measurement_set=pauli_product_measurements(2),
-            )
-
-        lo, hi = dec.max_epsilon_search(make, 0.1)
+        lo, hi = dec.max_epsilon_search(boundary_state_instance, 0.1)
         assert hi <= 1e-4
