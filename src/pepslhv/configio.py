@@ -20,7 +20,6 @@ from pepslhv import lattice as lattice_mod
 from pepslhv import linalg
 from pepslhv import measurements as meas_mod
 from pepslhv.construction import (
-    MAX_VIRTUAL_DIM,
     PepsInstance,
     SiteMap,
     identity_site_map,
@@ -28,7 +27,7 @@ from pepslhv.construction import (
     recipe2_site_map,
     recipe2_states_from_interior,
 )
-from pepslhv.errors import ConstraintError, StrictInteriorError, UsageError
+from pepslhv.errors import ConstraintError, StrictInteriorError, UsageError, check_entries
 from pepslhv.measurements import dual_margin
 
 if TYPE_CHECKING:
@@ -38,7 +37,7 @@ if TYPE_CHECKING:
 def _load_json(path: str) -> dict:
     try:
         obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, an integer of over 4300 digits, or bytes not UTF-8
         raise UsageError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise UsageError(f"{path}: top-level value must be a JSON object")
@@ -104,8 +103,9 @@ def parse_basis(spec) -> basis_mod.OperatorBasis:
             D = int(parts[1])
         except ValueError as exc:
             raise UsageError(f"bad basis spec '{spec}': {exc}") from exc
-        if D**4 > MAX_VIRTUAL_DIM:  # the D^2 elements, and their Gram matrix
-            raise UsageError(f"basis D={D} holds D^4 = {D**4} entries, more than {MAX_VIRTUAL_DIM}")
+        # basis gen holds about 32 entries per D^4 (its elements, their Gram
+        # matrix and JSON lists): 165 MB at D = 24
+        check_entries(f"basis aligned:{D}", 32 * D**4)
         return basis_mod.build_aligned_basis(D, parse_state(parts[2], dim=D))
     raise UsageError(f"unknown basis spec '{spec}'")
 
@@ -159,7 +159,12 @@ def instance_factory(config: dict) -> Callable[[float], PepsInstance]:
     seed = site_spec.get("seed", 0)
     if type(seed) is not int:  # a float or a string is refused, not truncated
         raise UsageError(f"'seed' must be an integer, got {seed!r}")
-    d = mset.dim
+    D, d = op_basis.D, mset.dim
+    # before any map is made: each degree's site family, (D^2)^v outputs of d x d (as
+    # many entries as a Choi matrix, more than a Kraus operator), and its basis products
+    for v in dict.fromkeys(degrees):
+        check_entries(f"site family of degree {v}", D ** (2 * v) * d * d)
+        check_entries(f"basis products of degree {v}", D ** (4 * v))
 
     psi = None
     if "psi" in config:
@@ -189,12 +194,12 @@ def instance_factory(config: dict) -> Callable[[float], PepsInstance]:
 
             map_seed = derive_seed(seed, f"recipe1:v{v}")
             return lambda epsilon: recipe1_site_map(
-                v, op_basis.D, d, psi, anchors, epsilon, map_seed
+                v, D, d, psi, anchors, epsilon, map_seed
             )
         if recipe == "custom":
             if "kraus" not in site_spec:
                 raise UsageError("recipe 'custom' needs 'kraus'")
-            m = SiteMap(v, op_basis.D, d, linalg.matrix_from_json(site_spec["kraus"]))
+            m = SiteMap(v, D, d, linalg.matrix_from_json(site_spec["kraus"]))
             return lambda epsilon: m
         raise UsageError(f"unknown recipe {recipe!r}")
 

@@ -21,13 +21,14 @@ from pepslhv.errors import (
     ConstructionError,
     DegenerateNormError,
     UsageError,
+    check_entries,
 )
 from pepslhv.lattice import Lattice, site_groups
 from pepslhv.measurements import MeasurementSet
 
-MAX_PHYSICAL_DIM = 2**20
-MAX_VIRTUAL_DIM = 2**22
 RECIPE1_MAX_RETRIES = 8
+# edge assignments an exact contraction sums over, bond_dim^E: a bound on work
+MAX_ENUM_ASSIGNMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -239,13 +240,10 @@ def assemble_exact_state(instance: PepsInstance):
     the two virtual indices of its edge, so the state is one contraction of
     the transposed Kraus operators over shared edge labels.
     """
-    lat = instance.lattice
-    D = instance.D
+    lat, D = instance.lattice, instance.D
     E = lat.n_edges
-    if math.prod(instance.physical_dims()) > MAX_PHYSICAL_DIM:
-        raise UsageError("physical dimension too large for exact assembly")
-    if D ** (2 * E) > MAX_VIRTUAL_DIM:
-        raise UsageError("virtual dimension too large for exact assembly")
+    check_entries("assembled state", math.prod(instance.physical_dims()))
+    check_entries("bond assignments of the assembled state", D**E, MAX_ENUM_ASSIGNMENTS)
     # a Kraus scale far from 1 overflows here, and T reports it
     with np.errstate(over="ignore", invalid="ignore"):
         vec = contract_edges(lat, [m.K.T for m in instance.site_maps], D, extra_axes=1)

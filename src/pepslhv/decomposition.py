@@ -31,15 +31,13 @@ import numpy as np
 
 from pepslhv import linalg
 from pepslhv.basis import OperatorBasis
-from pepslhv.construction import PepsInstance, SiteMap, contract_edges
-from pepslhv.errors import NotFactorizableError, UsageError
+from pepslhv.construction import MAX_ENUM_ASSIGNMENTS, PepsInstance, SiteMap, contract_edges
+from pepslhv.errors import NotFactorizableError, UsageError, check_entries
 from pepslhv.lattice import site_groups
 
 TRACE_FLOOR = 1e-10
 DUAL_ATOL = 1e-9
 FACTOR_RESIDUAL_RTOL = 1e-8
-MAX_ENUM_ASSIGNMENTS = 2**16
-MAX_ENUM_PHYS_DIM = 2**12
 SCAN_BLOCK_ENTRIES = 2**17
 
 
@@ -320,10 +318,9 @@ def _edge_rows(instance: PepsInstance, firsts: list, site_family: np.ndarray, tr
 # Exact mixture reconstruction (desk-scale oracle)
 
 def _enumeration_guard(instance: PepsInstance):
-    if (instance.D**2) ** instance.lattice.n_edges > MAX_ENUM_ASSIGNMENTS:
-        raise UsageError("edge-assignment enumeration too large")
-    if math.prod(instance.physical_dims()) > MAX_ENUM_PHYS_DIM:
-        raise UsageError("physical dimension too large for enumeration")
+    E = instance.lattice.n_edges
+    check_entries("edge assignments of the mixture", (instance.D**2) ** E, MAX_ENUM_ASSIGNMENTS)
+    check_entries("mixture's density matrix", math.prod(instance.physical_dims()) ** 2)
 
 
 def contract_mixture(instance: PepsInstance, site_rows, extra_axes=0, keep_edges=False):

@@ -1,8 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the entry budget every size guard checks."""
+
+MAX_ENTRIES = 2**24  # complex entries (16 bytes each) that one array may hold: 256 MiB
 
 
 class UsageError(ValueError):
     """Bad arguments or an instance that cannot be built; the CLI exits 2 on it."""
+
+
+def check_entries(array: str, entries: int, bound: int = MAX_ENTRIES) -> None:
+    """Refuse an array of more than bound entries (or work of that many) before it is built."""
+    if entries > bound:
+        count = entries if entries < 2**64 else "2^64 or more"  # it may have too many digits
+        raise UsageError(f"{array}: {count} entries, more than {bound}")
 
 
 class ConstraintError(UsageError):

@@ -14,10 +14,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from pepslhv.errors import UsageError
-
-# sites in a named lattice: 2^17 holds cycle:102400 and torus:240x240
-MAX_NAMED_SITES = 2**17
+from pepslhv.errors import UsageError, check_entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,29 +122,30 @@ def build_torus(Lx: int, Ly: int) -> Lattice:
 def lattice_from_name(name: str) -> Lattice:
     """Shorthand generators: "chain:N", "cycle:N", "torus:LxxLy".
 
-    A name of more than MAX_NAMED_SITES sites is refused before any edge is
-    built.
+    A name whose edges would pass the entry budget is refused before any
+    edge is built.
     """
     parts = name.split(":")
     try:
         if parts[0] == "chain" and len(parts) == 2:
-            return build_chain(_named_size(int(parts[1])))
+            return build_chain(_named_size(1, int(parts[1])))
         if parts[0] == "cycle" and len(parts) == 2:
-            return build_cycle(_named_size(int(parts[1])))
+            return build_cycle(_named_size(1, int(parts[1])))
         if parts[0] == "torus" and len(parts) == 2:
             lx, ly = parts[1].lower().split("x")
             lx, ly = int(lx), int(ly)
-            _named_size(lx, ly)
+            _named_size(2, lx, ly)
             return build_torus(lx, ly)
     except ValueError as exc:
         raise UsageError(f"bad lattice name '{name}': {exc}") from exc
     raise UsageError(f"unknown lattice name '{name}'")
 
 
-def _named_size(*sizes: int) -> int:
-    """The first size, once the product of positive sizes is at most MAX_NAMED_SITES."""
-    if min(sizes) > 0 and math.prod(sizes) > MAX_NAMED_SITES:
-        raise UsageError(f"{math.prod(sizes)} sites, more than {MAX_NAMED_SITES}")
+def _named_size(edges_per_site: int, *sizes: int) -> int:
+    """The first size, once positive sizes of that many edges per site pass the entry budget."""
+    # sample --shots 0 holds 164-187 bytes per edge on 2^20 edges: 16 entries
+    if min(sizes) > 0:
+        check_entries("its edges, 16 entries each", 16 * edges_per_site * math.prod(sizes))
     return sizes[0]
 
 

@@ -16,15 +16,12 @@ import numpy as np
 
 from pepslhv import linalg
 from pepslhv.basis import PAULI_X, PAULI_Y, PAULI_Z, VirtualSpaceTag, max_ent_state
-from pepslhv.errors import UsageError
+from pepslhv.errors import UsageError, check_entries
 
 POVM_PSD_ATOL = 1e-9
 POVM_SUM_ATOL = 1e-9
 STRICT_MARGIN_FLOOR = 1e-8
 ADMISSIBLE_ATOL = 1e-9
-# qubits of a Pauli product set: its stack holds 24^n complex entries, at
-# most 2^24 (8.0e6 entries, 122 MiB at n = 5; n = 6 would take 2.85 GiB)
-MAX_PAULI_QUBITS = 5
 
 
 def _povm_stack(elements, label: str) -> np.ndarray:
@@ -74,7 +71,7 @@ class Povm:
 
     @classmethod
     def _of_rows(cls, rows: np.ndarray, label: str) -> "Povm":
-        """A Povm over rows that _povm_stack has already validated, not checked again."""
+        """A Povm over rows that are a POVM (validated by _povm_stack, or built as one), not checked."""
         povm = object.__new__(cls)
         object.__setattr__(povm, "elements", rows)
         object.__setattr__(povm, "label", label)
@@ -114,7 +111,7 @@ class MeasurementSet:
 
     @classmethod
     def _of_stack(cls, stack: np.ndarray, povms: list) -> "MeasurementSet":
-        """The set over stack, not copied, whose rows _povm_stack has validated POVM by POVM.
+        """The set over stack, not copied, whose rows are POVMs as povms groups them.
 
         povms lists (label, outcome count) for each POVM's rows, in order.
         """
@@ -215,7 +212,7 @@ def pauli_product_elements(n_qubits: int) -> np.ndarray:
 
 
 def _pauli_set(n_qubits: int, eta=None) -> MeasurementSet:
-    """The 3^n Pauli product POVMs, each validated once; with eta, depolarized first.
+    """The 3^n Pauli product POVMs, not checked (POVMs by construction); with eta, depolarized first.
 
     Depolarizing maps X to eta X + (1 - eta) tr(X) I / d in place on the
     whole stack, to the same bits as adding the term times the identity:
@@ -225,10 +222,8 @@ def _pauli_set(n_qubits: int, eta=None) -> MeasurementSet:
     """
     if n_qubits < 1:
         raise UsageError("need at least one qubit")
-    if n_qubits > MAX_PAULI_QUBITS:
-        raise UsageError(
-            f"{n_qubits} qubits, more than {MAX_PAULI_QUBITS}: a stack of 24^{n_qubits} entries"
-        )
+    # 3^n POVMs of 2^n elements of 2^n x 2^n; from 14 qubits on, 24^n >= 2^64
+    check_entries(f"Pauli stack of {n_qubits} qubits", 24 ** min(n_qubits, 14))
     elements = pauli_product_elements(n_qubits)
     suffix = ""
     if eta is not None:
@@ -242,7 +237,7 @@ def _pauli_set(n_qubits: int, eta=None) -> MeasurementSet:
         diagonals.real += ((1.0 - eta) * (traces / d))[..., None]
         suffix = f"~{eta:g}"
     labels = ("".join(axes) + suffix for axes in itertools.product("XYZ", repeat=n_qubits))
-    povms = [(label, len(_povm_stack(x, label))) for x, label in zip(elements, labels)]
+    povms = [(label, 2**n_qubits) for label in labels]
     return MeasurementSet._of_stack(elements.reshape(-1, *elements.shape[2:]), povms)
 
 

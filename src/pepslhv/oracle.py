@@ -14,12 +14,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from pepslhv import linalg
-from pepslhv.construction import MAX_PHYSICAL_DIM, PepsInstance, assemble_exact_state
+from pepslhv.construction import PepsInstance, assemble_exact_state
 from pepslhv.decomposition import _row_blocks, contract_mixture, site_families
-from pepslhv.errors import UsageError
+from pepslhv.errors import UsageError, check_entries
 from pepslhv.sampling import MeasurementPlan, ShotBatch
 
+# joint outcomes the oracles enumerate: a bound on work
 MAX_OUTCOME_SPACE = 2**16
+# (d_2...d_N)^2 entries of the bra-ket products each first-site outcome
+# contracts; exact_joint_distribution never holds them whole: a bound on work
+MAX_BORN_OPERATOR = 2**20
 DEFAULT_CONFIDENCE_K = 4.0
 MIN_FREQUENCY_SHOTS = 1000
 
@@ -48,19 +52,11 @@ class JointDistribution:
 
 
 def _check_oracle_size(povms: Sequence) -> None:
-    """Refuse plans whose outcome space, or whose work on sites 2..N, is too large.
-
-    The (d_2 ... d_N)^2 bound caps the entries of the bra-ket products each
-    first-site outcome contracts, that is, the work; exact_joint_distribution
-    never holds an array that large.
-    """
+    """Refuse plans whose outcome space, or whose work on sites 2..N, is too large."""
     if math.prod(p.n_outcomes for p in povms) > MAX_OUTCOME_SPACE:
         raise UsageError("joint outcome space too large")
     rest = math.prod(p.dim for p in povms[1:])
-    if rest * rest > MAX_PHYSICAL_DIM:
-        raise UsageError(
-            f"Born operator on sites 2..N has {rest}^2 entries, more than {MAX_PHYSICAL_DIM}"
-        )
+    check_entries("Born operator on sites 2..N", rest * rest, MAX_BORN_OPERATOR)
 
 
 def exact_joint_distribution(state, plan_povms: Sequence) -> JointDistribution:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pepslhv import basis as basis_mod
-from pepslhv import cli, configio, construction, linalg, measurements, oracle, sampling
+from pepslhv import cli, configio, linalg, measurements, oracle, sampling
 from pepslhv import lattice as lattice_mod
 from pepslhv.errors import ConstructionError, DegenerateNormError, UsageError
 
@@ -74,11 +74,21 @@ class TestBasisCommands:
         bad.write_text("{not json")
         assert run("basis", "verify", str(bad)) == 2
 
+    # each raised a ValueError that is not a JSONDecodeError: a traceback, exit 1
+    @pytest.mark.parametrize(
+        "content", [b'{"D": 1' + b"0" * 5000 + b"}", b'{"D": "\xff"}'], ids=["5001-digit", "not-utf8"]
+    )
+    def test_unreadable_json_exit_2(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert run("basis", "verify", str(bad)) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
     def test_missing_file_exit_1(self, tmp_path):
         assert run("basis", "verify", str(tmp_path / "nope.json")) == 1
 
-    # built, a basis of D = 10^11 or 5000 asks for 1.46 TiB or 381 MiB: D^4
-    # entries above construction.MAX_VIRTUAL_DIM are refused before any array
+    # built, a basis of D = 10^11 or 5000 asks for 1.46 TiB or 381 MiB: more
+    # than the entry budget, so it is refused before any array
     @pytest.mark.parametrize(
         "argv",
         [
@@ -166,7 +176,7 @@ class TestLatticeCommand:
         out = tmp_path / "lat.json"
         proc = run_capped("-m", "pepslhv.cli", "lattice", "gen", "--name", name, "--out", str(out))
         assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.count("\n") == 1 and "sites, more than" in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "entries, more than" in proc.stderr
         assert not out.exists()
 
 
@@ -808,8 +818,8 @@ class TestSampleAndVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            f"error: Born operator on sites 2..N has 16384^2 entries, "
-            f"more than {construction.MAX_PHYSICAL_DIM}"
+            f"error: Born operator on sites 2..N: {16384**2} entries, "
+            f"more than {oracle.MAX_BORN_OPERATOR}"
         ]
 
     def test_degenerate_norm_exit_2(self, instance_file, capsys, monkeypatch):

@@ -171,10 +171,10 @@ class TestNamesAndFiles:
             lattice.lattice_from_json(obj)
 
     def test_bound_holds_the_scaling_series(self):
-        # cycle:102400 and torus:240x240 must still build
-        assert lattice.MAX_NAMED_SITES >= max(2**17, 102400, 240 * 240)
-        with pytest.raises(UsageError, match=f"{lattice.MAX_NAMED_SITES + 1} sites"):
-            lattice.lattice_from_name(f"cycle:{lattice.MAX_NAMED_SITES + 1}")
+        # 16 entries per edge: cycle:2^20 is the largest named cycle (test_budget
+        # builds the series' largest lattices)
+        with pytest.raises(UsageError, match=f"{16 * (2**20 + 1)} entries, more than"):
+            lattice.lattice_from_name(f"cycle:{2**20 + 1}")
 
     @pytest.mark.parametrize("name", HUGE_NAMES)
     def test_huge_name_refused_before_any_edge(self, name):
@@ -189,7 +189,7 @@ class TestNamesAndFiles:
         )
         proc = run_capped("-c", code)
         assert proc.returncode == 0, proc.stderr
-        assert "sites, more than" in proc.stdout
+        assert "entries, more than" in proc.stdout
 
 
 @st.composite

@@ -62,6 +62,12 @@ class TestPovmInvariants:
 
 # sha256 of the noisy-pauli:4:0.5 element stack: the depolarized Pauli products, bit for bit
 NOISY_PAULI4_SHA256 = "f88567018c27f41ae0913c4e71e3649692b47633737924b76d261c9eec6e2880"
+# every named Pauli set of 1..5 qubits, at eta 0, 0.25, 0.5 and 1 when noisy
+PAULI_NAMES = [f"pauli:{n}" for n in range(1, 6)] + [
+    f"noisy-pauli:{n}:{eta}" for n in range(1, 6) for eta in (0, 0.25, 0.5, 1)
+]
+# sha256 over PAULI_NAMES of each set's space-joined labels, then its element stack
+PAULI_SETS_SHA256 = "082d242fd3ea24883a824b1841cc39395fbd0ca28d7e0197752bc3b5e773bed7"
 
 
 class TestHeldElementStack:
@@ -96,6 +102,17 @@ class TestHeldElementStack:
         stack, _ = meas.measurement_set_from_name("noisy-pauli:4:0.5").element_stack()
         assert stack.shape == (1296, 16, 16)
         assert hashlib.sha256(stack.tobytes()).hexdigest() == NOISY_PAULI4_SHA256
+
+    def test_named_pauli_sets_are_povms(self):
+        # the named sets skip _povm_stack: it is the reference, POVM by POVM
+        digest = hashlib.sha256()
+        for name in PAULI_NAMES:
+            mset = meas.measurement_set_from_name(name)
+            for p in mset.povms:
+                meas._povm_stack(p.elements, p.label)  # raises UsageError if not a POVM
+            digest.update(" ".join(p.label for p in mset.povms).encode())
+            digest.update(mset.element_stack()[0].tobytes())
+        assert digest.hexdigest() == PAULI_SETS_SHA256
 
     def test_noisy_pauli4_built_in_place(self):
         # the 5.06 MiB stack, plus the 0.33 MiB state vectors and their
@@ -269,7 +286,7 @@ class TestPauliFamilies:
             "--out", str(out),
         )
         assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.count("\n") == 1 and "qubits, more than 5" in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "entries, more than" in proc.stderr
         assert not out.exists()
 
     def test_five_qubits_build(self):
