@@ -20,7 +20,7 @@ from pepslhv import basis as basis_mod
 from pepslhv import configio, decomposition, linalg
 from pepslhv import lattice as lattice_mod
 from pepslhv.construction import choi_check
-from pepslhv.errors import NotFactorizableError, PositivityViolationError, UsageError
+from pepslhv.errors import NotFactorizableError, PositivityViolationError, UsageError, check_entries
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -42,6 +42,8 @@ def _print(obj) -> None:
 
 def cmd_basis_gen(args) -> int:
     spec = "phase-point" if args.phase_point else f"aligned:{args.D}:{args.anchor}"
+    if not args.phase_point:  # with its JSON lists, about 32 entries per D^4: 165 MB at D = 24
+        check_entries(f"basis gen --D {args.D}", 32 * args.D**4)
     b = configio.parse_basis(spec)
     _write_json(args.out, basis_mod.basis_to_json(b))
     print(f"wrote basis D={b.D} ({b.construction}) to {args.out}")

@@ -103,9 +103,8 @@ def parse_basis(spec) -> basis_mod.OperatorBasis:
             D = int(parts[1])
         except ValueError as exc:
             raise UsageError(f"bad basis spec '{spec}': {exc}") from exc
-        # basis gen holds about 32 entries per D^4 (its elements, their Gram
-        # matrix and JSON lists): 165 MB at D = 24
-        check_entries(f"basis aligned:{D}", 32 * D**4)
+        # its construction holds about five D^4-entry arrays at once (measured)
+        check_entries(f"basis aligned:{D}", 5 * D**4)
         return basis_mod.build_aligned_basis(D, parse_state(parts[2], dim=D))
     raise UsageError(f"unknown basis spec '{spec}'")
 
@@ -160,8 +159,7 @@ def instance_factory(config: dict) -> Callable[[float], PepsInstance]:
     if type(seed) is not int:  # a float or a string is refused, not truncated
         raise UsageError(f"'seed' must be an integer, got {seed!r}")
     D, d = op_basis.D, mset.dim
-    # before any map is made: each degree's site family, (D^2)^v outputs of d x d (as
-    # many entries as a Choi matrix, more than a Kraus operator), and its basis products
+    # before any map: each degree's site family (as large as its Choi matrix) and basis products
     for v in dict.fromkeys(degrees):
         check_entries(f"site family of degree {v}", D ** (2 * v) * d * d)
         check_entries(f"basis products of degree {v}", D ** (4 * v))

@@ -298,6 +298,8 @@ def _edge_rows(instance: PepsInstance, firsts: list, site_family: np.ndarray, tr
             )
         marginals.append((log_S, q))
     lat = instance.lattice
+    # the sampler's four (E, D^2) real tables at once, as complex entries: weights, probs, cumsum, its copy
+    check_entries("edge tables", 2 * lat.n_edges * instance.D**2)
     # each edge's row collects the marginal of its head end and of its tail
     # end, one pass per family and incident position; the two ends differ in
     # their head flag, so a pass meets an edge at most once

@@ -10,7 +10,7 @@ class UsageError(ValueError):
 def check_entries(array: str, entries: int, bound: int = MAX_ENTRIES) -> None:
     """Refuse an array of more than bound entries (or work of that many) before it is built."""
     if entries > bound:
-        count = entries if entries < 2**64 else "2^64 or more"  # it may have too many digits
+        count = int(entries) if entries < 2**64 else "2^64 or more"  # it may have too many digits
         raise UsageError(f"{array}: {count} entries, more than {bound}")
 
 

@@ -122,8 +122,7 @@ def build_torus(Lx: int, Ly: int) -> Lattice:
 def lattice_from_name(name: str) -> Lattice:
     """Shorthand generators: "chain:N", "cycle:N", "torus:LxxLy".
 
-    A name whose edges would pass the entry budget is refused before any
-    edge is built.
+    A name past the entry budget is refused before any edge is built.
     """
     parts = name.split(":")
     try:
@@ -143,7 +142,7 @@ def lattice_from_name(name: str) -> Lattice:
 
 def _named_size(edges_per_site: int, *sizes: int) -> int:
     """The first size, once positive sizes of that many edges per site pass the entry budget."""
-    # sample --shots 0 holds 164-187 bytes per edge on 2^20 edges: 16 entries
+    # every command but lattice gen holds at most 250 B per edge at D = 2 on 2^20 edges
     if min(sizes) > 0:
         check_entries("its edges, 16 entries each", 16 * edges_per_site * math.prod(sizes))
     return sizes[0]

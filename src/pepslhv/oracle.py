@@ -21,8 +21,7 @@ from pepslhv.sampling import MeasurementPlan, ShotBatch
 
 # joint outcomes the oracles enumerate: a bound on work
 MAX_OUTCOME_SPACE = 2**16
-# (d_2...d_N)^2 entries of the bra-ket products each first-site outcome
-# contracts; exact_joint_distribution never holds them whole: a bound on work
+# (d_2...d_N)^2 bra-ket entries each first-site outcome contracts, never held whole: work
 MAX_BORN_OPERATOR = 2**20
 DEFAULT_CONFIDENCE_K = 4.0
 MIN_FREQUENCY_SHOTS = 1000
@@ -53,9 +52,10 @@ class JointDistribution:
 
 def _check_oracle_size(povms: Sequence) -> None:
     """Refuse plans whose outcome space, or whose work on sites 2..N, is too large."""
-    if math.prod(p.n_outcomes for p in povms) > MAX_OUTCOME_SPACE:
+    # float products, exact up to 2^53: exact integers over 2^20 sites took 50 s
+    if math.prod((p.n_outcomes for p in povms), start=1.0) > MAX_OUTCOME_SPACE:
         raise UsageError("joint outcome space too large")
-    rest = math.prod(p.dim for p in povms[1:])
+    rest = math.prod((p.dim for p in povms[1:]), start=1.0)
     check_entries("Born operator on sites 2..N", rest * rest, MAX_BORN_OPERATOR)
 
 

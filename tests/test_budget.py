@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pepslhv import configio, linalg
+from pepslhv import basis as basis_mod
+from pepslhv import cli, configio, decomposition, linalg
 from pepslhv.errors import UsageError
 
 from conftest import run_capped
@@ -48,6 +49,17 @@ def instance(graph: str, v: int, measurements, recipe, basis: str) -> dict:
     }
 
 
+def factorizable_cycle(n: int, D: int) -> dict:
+    """A recipe-1 config at epsilon 0 on cycle:n: rank-one traces, so the sampler builds its edge tables."""
+    return {
+        "lattice": f"cycle:{n}",
+        "basis": f"aligned:{D}:zero",
+        "measurements": "pauli:2",
+        "psi": "plus-diag:2",
+        "site_map": {"recipe": 1, "epsilon": 0.0},
+    }
+
+
 # the largest family the budget admits, and two that it refuses
 K7 = ("complete", 6, 64, 2, "aligned:2:zero")  # degree 6, d = 64: (D^2)^v d^2 = 2^24
 K8 = ("complete", 7, 128, 2, "aligned:2:zero")  # 2^28 entries; its Choi matrix asked 4 GiB
@@ -83,6 +95,28 @@ class TestInProcess:
     )
     def test_admitted(self, parse, spec):
         parse(spec)
+
+    def test_aligned_basis_counts_its_construction(self, monkeypatch):
+        # five D^4 arrays at once: D = 42 is built and D = 43 is not
+        monkeypatch.setattr(basis_mod, "build_aligned_basis", lambda D, anchor: D)
+        assert configio.parse_basis("aligned:42:zero") == 42
+        with pytest.raises(UsageError, match="basis aligned:43: 17094005 entries"):
+            configio.parse_basis("aligned:43:zero")
+
+    def test_basis_gen_counts_its_writer(self, tmp_path, monkeypatch):
+        # 32 D^4 with the JSON lists: D = 27 is refused before the basis is built
+        def no_basis(spec):
+            raise AssertionError("the basis was built past the budget")
+
+        monkeypatch.setattr(configio, "parse_basis", no_basis)
+        argv = ["basis", "gen", "--D", "27", "--anchor", "zero", "--out", str(tmp_path / "b.json")]
+        assert cli.main(argv) == 2
+
+    def test_edge_tables_refused_before_any_table(self):
+        # 2 E D^2 entries: cycle:524288 at D = 4 sits at the budget, one more edge is refused
+        inst = configio.build_instance(factorizable_cycle(2**19 + 1, 4))
+        with pytest.raises(UsageError, match=f"edge tables: {2 * (2**19 + 1) * 16} entries"):
+            decomposition.edge_distribution(inst)
 
 
 # generated cases: sizes at, just above and far above each bound, zero and negative
@@ -139,6 +173,9 @@ def argv_of(case: tuple, tmp: Path) -> list:
         return ["peps", "build", "--lattice", "cycle:3", "--basis", "aligned:2:zero",
                 "--measurements", spec, "--recipe", "2", "--psi", "plus-diag", "--out", out]
     path = tmp / "instance.json"
+    if kind == "sample":
+        path.write_text(json.dumps(factorizable_cycle(*args)))
+        return ["sample", str(path), "--plan", "all:ZZ", "--shots", "0", "--out", out]
     path.write_text(json.dumps(instance(*args)))
     return ["peps", "check", str(path)]
 
@@ -148,6 +185,8 @@ def argv_of(case: tuple, tmp: Path) -> list:
 @example(case=("instance", *K8))
 @example(case=("instance", *STAR30))
 @example(case=("basis", 45))  # admitted at D^4 <= 2^22: 153 s and 1.65 GB
+@example(case=("sample", 2**20, 8))  # edge tables of 512 MiB each: a MemoryError traceback
+@example(case=("sample", 2**17, 8))  # the largest cycle at D = 8: four tables of 64 MiB
 def test_exit_code_and_one_line(case):
     with tempfile.TemporaryDirectory() as tmp:
         proc = run_capped("-m", "pepslhv.cli", *argv_of(case, Path(tmp)), timeout=30)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 import tracemalloc
 from unittest import mock
 
@@ -155,6 +156,14 @@ class TestExactJointDistribution:
         plan = sampling.MeasurementPlan.uniform(inst, "ZZ~0.5")
         with pytest.raises(UsageError, match=message):
             oracle.born_joint_for_instance(inst, plan)
+
+    def test_large_plan_refused_at_once(self, cycle3_instance):
+        # exact integer products over 2^18 sites took 3.4 s, and 56 s over 2^20
+        povm = sampling.MeasurementPlan.uniform(cycle3_instance, "ZZ~0.5").povms(cycle3_instance)[0]
+        start = time.perf_counter()
+        with pytest.raises(UsageError, match="joint outcome space too large"):
+            oracle._check_oracle_size([povm] * 2**18)
+        assert time.perf_counter() - start < 1.0
 
     def test_sums_to_one_for_every_plan(self, cycle3_instance):
         for label in ("XX~0.5", "YZ~0.5", "ZZ~0.5"):
