@@ -23,11 +23,11 @@ from pepslhv.construction import (
     PepsInstance,
     SiteMap,
     identity_site_map,
-    recipe1_site_map,
-    recipe2_site_map,
-    recipe2_states_from_interior,
+    recipe1_maker,
+    recipe2_maker,
 )
 from pepslhv.errors import ConstraintError, StrictInteriorError, UsageError, check_entries
+from pepslhv.lattice import site_groups
 from pepslhv.measurements import dual_margin
 
 if TYPE_CHECKING:
@@ -53,14 +53,17 @@ def parse_state(spec, dim: int) -> np.ndarray:
     Names: "zero[:d]", "uniform[:d]", "plus-diag[:n]" (n-fold product of the
     qubit state along the (1,1,1)/sqrt(3) Bloch axis, of dimension 2^n).  A
     name's argument must give dimension dim; it is checked before any array
-    is built.
+    is built.  A literal's length must be dim.
     """
+    if isinstance(spec, str) and spec.startswith("@"):
+        spec = _load_json(spec[1:])
     if isinstance(spec, dict):
-        return linalg.state_from_json(spec)
+        vec = linalg.state_from_json(spec)
+        if vec.size != dim:
+            raise UsageError(f"state literal has dimension {vec.size}, not {dim}")
+        return vec
     if not isinstance(spec, str):
         raise UsageError(f"bad state spec {spec!r}")
-    if spec.startswith("@"):
-        return linalg.state_from_json(_load_json(spec[1:]))
     name, *args = spec.split(":")
     if len(args) > 1:
         raise UsageError(f"bad state spec '{spec}': at most one ':' argument")
@@ -103,6 +106,8 @@ def parse_basis(spec) -> basis_mod.OperatorBasis:
             D = int(parts[1])
         except ValueError as exc:
             raise UsageError(f"bad basis spec '{spec}': {exc}") from exc
+        if D < 2:  # before the anchor, whose message would name the state
+            raise UsageError(f"bond dimension must be >= 2, got {D}")
         # its construction holds about five D^4-entry arrays at once (measured)
         check_entries(f"basis aligned:{D}", 5 * D**4)
         return basis_mod.build_aligned_basis(D, parse_state(parts[2], dim=D))
@@ -137,8 +142,9 @@ def instance_factory(config: dict) -> Callable[[float], PepsInstance]:
 
     The lattice, basis, measurement set and psi are parsed, and every
     epsilon-independent check (the strict-interior test among them) runs,
-    once, here.  The returned function builds only the site maps for the
-    epsilon it is given; the config's own "epsilon" is not read.
+    once, here; then one site-map maker is made per degree.  The returned
+    function builds only the site maps, one per degree, for the epsilon it is
+    given; the config's own "epsilon" is not read.
     """
     try:
         lat = parse_lattice(config["lattice"])
@@ -150,7 +156,6 @@ def instance_factory(config: dict) -> Callable[[float], PepsInstance]:
     if not isinstance(site_spec, dict):
         raise UsageError(f"'site_map' must be an object, got {site_spec!r}")
 
-    degrees = lat.site_degrees()
     recipe = site_spec.get("recipe")
     # isdecimal, not isdigit: int() refuses a digit such as "²"
     if isinstance(recipe, str) and recipe.isdecimal():
@@ -159,41 +164,35 @@ def instance_factory(config: dict) -> Callable[[float], PepsInstance]:
     if type(seed) is not int:  # a float or a string is refused, not truncated
         raise UsageError(f"'seed' must be an integer, got {seed!r}")
     D, d = op_basis.D, mset.dim
+    # distinct degrees in order of first appearance, as sites are scanned
+    degrees = lat.degrees[site_groups(lat.degrees[None])[0]].tolist()
     # before any map: each degree's site family (as large as its Choi matrix) and basis products
-    for v in dict.fromkeys(degrees):
+    for v in degrees:
         check_entries(f"site family of degree {v}", D ** (2 * v) * d * d)
         check_entries(f"basis products of degree {v}", D ** (4 * v))
 
-    psi = None
-    if "psi" in config:
-        psi = parse_state(config["psi"], dim=d)
+    psi = parse_state(config["psi"], dim=d) if "psi" in config else None
+    if recipe in (1, 2):
+        if psi is None:
+            raise UsageError(f"recipe {int(recipe)} needs 'psi'")
+        if recipe == 1 and op_basis.anchor is None:
+            raise UsageError("recipe 1 needs an anchored basis")
+        for v in degrees:
+            if d < 2**v:
+                raise ConstraintError(f"physical dimension d={d} < 2^v = {2**v}")
+        _require_strict_interior(psi, mset)
 
     def site_map_maker(v: int) -> Callable[[float], SiteMap]:
         if recipe == "identity":
             m = identity_site_map(v)
             return lambda epsilon: m
         if recipe == 2:
-            if psi is None:
-                raise UsageError("recipe 2 needs 'psi'")
-            if d < 2**v:
-                raise ConstraintError(f"physical dimension d={d} < 2^v = {2**v}")
-            _require_strict_interior(psi, mset)
-            states = recipe2_states_from_interior(psi, v)
-            return lambda epsilon: recipe2_site_map(v, d, states, epsilon)
+            return recipe2_maker(v, d, psi)
         if recipe == 1:
-            if psi is None:
-                raise UsageError("recipe 1 needs 'psi'")
-            if op_basis.anchor is None:
-                raise UsageError("recipe 1 needs an anchored basis")
-            _require_strict_interior(psi, mset)
-            anchors = [op_basis.anchor] * v
             # imported here: instances of the other recipes never load the sampler
             from pepslhv.sampling import derive_seed
 
-            map_seed = derive_seed(seed, f"recipe1:v{v}")
-            return lambda epsilon: recipe1_site_map(
-                v, D, d, psi, anchors, epsilon, map_seed
-            )
+            return recipe1_maker(v, D, d, psi, op_basis.anchor, derive_seed(seed, f"recipe1:v{v}"))
         if recipe == "custom":
             if "kraus" not in site_spec:
                 raise UsageError("recipe 'custom' needs 'kraus'")
@@ -201,17 +200,15 @@ def instance_factory(config: dict) -> Callable[[float], PepsInstance]:
             return lambda epsilon: m
         raise UsageError(f"unknown recipe {recipe!r}")
 
-    # distinct degrees in order of first appearance, as sites are scanned
-    makers = {v: site_map_maker(v) for v in dict.fromkeys(degrees)}
+    makers = {v: site_map_maker(v) for v in degrees}
 
     def make(epsilon: float) -> PepsInstance:
         eps = _number(epsilon, "epsilon")
         if not math.isfinite(eps):
             raise UsageError(f"epsilon must be finite, got {eps}")
-        maps = {v: make_map(eps) for v, make_map in makers.items()}
         return PepsInstance(
             lattice=lat,
-            site_maps=tuple(maps[v] for v in degrees),
+            maps={v: make_map(eps) for v, make_map in makers.items()},
             basis=op_basis,
             measurement_set=mset,
         )

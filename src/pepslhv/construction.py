@@ -8,16 +8,16 @@ guarantees the state is entangled; strict positivity is checked elsewhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from pepslhv import linalg
 from pepslhv.basis import OperatorBasis
 from pepslhv.errors import (
-    ConstraintError,
     ConstructionError,
     DegenerateNormError,
     UsageError,
@@ -82,76 +82,58 @@ def complete_orthonormal(psi, count: int) -> list:
     return out
 
 
-def recipe2_site_map(v: int, d: int, psi_y: Sequence[np.ndarray], epsilon: float) -> SiteMap:
-    """Single Kraus sum_y eps^Ham(y) |psi_y><y| over v-bit strings y.
+def recipe2_maker(v: int, d: int, psi) -> Callable[[float], SiteMap]:
+    """epsilon -> the single Kraus sum_y eps^Ham(y) |psi_y><y| over v-bit strings y.
 
-    Full virtual rank 2^v for eps > 0, rank 1 at eps = 0.  The virtual bra
-    <y| is taken in the computational product basis ordered by the site's
-    incidence list, with D = 2.
+    psi_y is psi completed over the computational basis, made and checked
+    once.  Full virtual rank 2^v for eps > 0, rank 1 at eps = 0.
+    The virtual bra <y| is taken in the computational product basis ordered
+    by the site's incidence list, with D = 2.
     """
-    if d < 2**v:
-        raise ConstraintError(f"physical dimension d={d} < 2^v = {2**v}")
-    if epsilon < 0:
-        raise UsageError("epsilon must be >= 0")
-    states = [linalg.as_state(p) for p in psi_y]
-    if len(states) != 2**v:
-        raise UsageError(f"need {2**v} states psi_y, got {len(states)}")
-    if any(s.size != d for s in states):
-        raise UsageError("psi_y dimension mismatch")
+    states = complete_orthonormal(psi, 2**v)
     _check_orthonormal(states)
-    K = np.zeros((d, 2**v), dtype=complex)
-    try:
-        for y in range(2**v):
-            K[:, y] = epsilon ** bin(y).count("1") * states[y]
-    except OverflowError as exc:
-        raise UsageError(f"epsilon = {epsilon:g} overflows epsilon^{v}") from exc
-    return SiteMap(v=v, D=2, d=d, K=K)
+
+    def make(epsilon: float) -> SiteMap:
+        if epsilon < 0:
+            raise UsageError("epsilon must be >= 0")
+        K = np.zeros((d, 2**v), dtype=complex)
+        try:
+            for y in range(2**v):
+                K[:, y] = epsilon ** bin(y).count("1") * states[y]
+        except OverflowError as exc:
+            raise UsageError(f"epsilon = {epsilon:g} overflows epsilon^{v}") from exc
+        return SiteMap(v=v, D=2, d=d, K=K)
+
+    return make
 
 
-def recipe2_states_from_interior(psi, v: int) -> list:
-    """Default psi_y: the interior state completed over the computational basis."""
-    return complete_orthonormal(psi, 2**v)
+def recipe1_maker(v: int, D: int, d: int, psi, anchor, seed: int) -> Callable[[float], SiteMap]:
+    """epsilon -> |psi><alpha| plus a seeded unit-spectral-norm perturbation of size eps.
 
-
-def recipe1_site_map(
-    v: int,
-    D: int,
-    d: int,
-    psi,
-    anchor_states: Sequence[np.ndarray],
-    epsilon: float,
-    seed: int,
-) -> SiteMap:
-    """|psi><alpha| plus a seeded unit-spectral-norm perturbation of size eps.
-
-    alpha is the product of the per-virtual-particle anchors; the
-    perturbation is redrawn (bounded retries) until the Kraus operator has
-    full rank min(d, D^v).
+    alpha is the anchor on each of the v virtual particles, and |psi><alpha|
+    is made once; the perturbation is redrawn (bounded retries) until the
+    Kraus operator has full rank min(d, D^v).
     """
-    if d < 2**v:
-        raise ConstraintError(f"physical dimension d={d} < 2^v = {2**v}")
-    if epsilon < 0:
-        raise UsageError("epsilon must be >= 0")
-    vec = linalg.as_state(psi)
-    if vec.size != d:
-        raise UsageError(f"psi dimension {vec.size} != d = {d}")
-    anchors = [linalg.as_state(a) for a in anchor_states]
-    if len(anchors) != v or any(a.size != D for a in anchors):
-        raise UsageError("need one D-dimensional anchor per virtual particle")
-    alpha = linalg.kron_vectors(anchors)
-    base = np.outer(vec, alpha.conj())
-    if epsilon == 0.0:
-        return SiteMap(v=v, D=D, d=d, K=base)
+    alpha = linalg.kron_vectors([linalg.as_state(anchor)] * v)
+    base = np.outer(linalg.as_state(psi), alpha.conj())
     full = min(d, D**v)
-    for attempt in range(RECIPE1_MAX_RETRIES):
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed) + np.uint64(attempt)))
-        P = rng.standard_normal((d, D**v)) + 1j * rng.standard_normal((d, D**v))
-        P = P / np.linalg.svd(P, compute_uv=False)[0]
-        K = base + epsilon * P
-        sv = np.linalg.svd(K, compute_uv=False)
-        if sv[full - 1] > 1e-12 * sv[0]:
-            return SiteMap(v=v, D=D, d=d, K=K)
-    raise ConstructionError("could not reach full rank within retry budget")
+
+    def make(epsilon: float) -> SiteMap:
+        if epsilon < 0:
+            raise UsageError("epsilon must be >= 0")
+        if epsilon == 0.0:
+            return SiteMap(v=v, D=D, d=d, K=base)
+        for attempt in range(RECIPE1_MAX_RETRIES):
+            rng = np.random.Generator(np.random.Philox(key=np.uint64(seed) + np.uint64(attempt)))
+            P = rng.standard_normal((d, D**v)) + 1j * rng.standard_normal((d, D**v))
+            P = P / np.linalg.svd(P, compute_uv=False)[0]
+            K = base + epsilon * P
+            sv = np.linalg.svd(K, compute_uv=False)
+            if sv[full - 1] > 1e-12 * sv[0]:
+                return SiteMap(v=v, D=D, d=d, K=K)
+        raise ConstructionError("could not reach full rank within retry budget")
+
+    return make
 
 
 def identity_site_map(v: int) -> SiteMap:
@@ -184,35 +166,48 @@ def choi_check(site_map: SiteMap) -> float:
 
 @dataclass(frozen=True)
 class PepsInstance:
+    """A lattice, its site maps, a basis and a measurement set.
+
+    maps holds one site map per degree: maps[v] at every site of degree v.
+    """
+
     lattice: Lattice
-    site_maps: tuple
+    maps: dict
     basis: OperatorBasis
     measurement_set: MeasurementSet
 
     def __post_init__(self):
-        maps = tuple(self.site_maps)
-        if len(maps) != self.lattice.n_sites:
-            raise UsageError("need one site map per site")
         degrees = self.lattice.degrees
-        # each distinct (map, degree) pair is checked once, at its first site
-        for s in site_groups(np.stack([[id(m) for m in maps], degrees]))[0]:
-            m = maps[s]
-            if m.v != degrees[s]:
-                raise UsageError(f"site {s}: map v={m.v} != degree {degrees[s]}")
+        # each degree is checked once, at its first site
+        firsts = site_groups(degrees[None])[0]
+        for s in firsts:
+            v = int(degrees[s])
+            m = self.maps.get(v)
+            if m is None:
+                raise UsageError(f"site {s}: no site map for degree {v}")
+            if m.v != v:
+                raise UsageError(f"site {s}: map v={m.v} != degree {v}")
             if m.D != self.basis.D:
                 raise UsageError(f"site {s}: map D={m.D} != basis D={self.basis.D}")
             if m.d != self.measurement_set.dim:
                 raise UsageError(
                     f"site {s}: map d={m.d} != measurement dim {self.measurement_set.dim}"
                 )
-        object.__setattr__(self, "site_maps", maps)
+        if len(self.maps) != len(firsts):
+            extra = next(v for v in self.maps if v not in degrees[firsts].tolist())
+            raise UsageError(f"site map for degree {extra}, which no site has")
 
     @property
     def D(self) -> int:
         return self.basis.D
 
+    @functools.cached_property
+    def site_maps(self) -> tuple:
+        """Each site's map, in site order: a read-only view of maps for per-site readers."""
+        return tuple(self.maps[v] for v in self.lattice.degrees.tolist())
+
     def physical_dims(self) -> list:
-        return [m.d for m in self.site_maps]
+        return [self.measurement_set.dim] * self.lattice.n_sites
 
 
 def contract_edges(lattice: Lattice, tensors, bond_dim: int, extra_axes=0, keep_edges=False):
@@ -246,7 +241,8 @@ def assemble_exact_state(instance: PepsInstance):
     check_entries("bond assignments of the assembled state", D**E, MAX_ENUM_ASSIGNMENTS)
     # a Kraus scale far from 1 overflows here, and T reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        vec = contract_edges(lat, [m.K.T for m in instance.site_maps], D, extra_axes=1)
+        kraus = [instance.maps[v].K.T for v in lat.degrees.tolist()]
+        vec = contract_edges(lat, kraus, D, extra_axes=1)
         vec = vec.reshape(-1) / math.sqrt(D) ** E
         T = float(np.real(vec.conj() @ vec))
     if not 1e-14 < T < math.inf:

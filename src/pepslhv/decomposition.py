@@ -12,7 +12,7 @@ indices is a product of per-edge categoricals and can be sampled
 efficiently.
 
 `site_operator_family` is the one place the outputs are computed, all
-(D^2)^v of them per (site map, flags) in one stack; the certificate, trace
+(D^2)^v of them per (degree, flags) in one stack; the certificate, trace
 tables, sampler CDF tables and exact mixture all read these stacks.
 `_scan_family` is the one positivity test, and `_edge_rows` the one
 reduction from the families' traces to edge distributions, for the
@@ -75,18 +75,19 @@ def operator_traces(ops: np.ndarray) -> np.ndarray:
 def _family_sites(instance: PepsInstance):
     """(first site of each distinct site family, in site order; family index per site).
 
-    Sites with the same site map (by identity) and head flags share one
-    family of output operators.
+    Sites with the same degree, so the same site map, and head flags share
+    one family of output operators.
     """
-    ids = [id(m) for m in instance.site_maps]
-    return site_groups(np.vstack([ids, instance.lattice.is_head]))
+    lat = instance.lattice
+    return site_groups(np.vstack([lat.degrees, lat.is_head]))
 
 
 def _family_stack(instance: PepsInstance, site: int) -> np.ndarray:
     """site_operator_family of site's map and flags; a non-finite entry raises UsageError."""
-    m = instance.site_maps[site]
+    lat = instance.lattice
+    v = lat.degrees[site]
     # head end keeps C; tail end gets the transpose
-    ops = site_operator_family(m, instance.basis, ~instance.lattice.is_head[-m.v :, site])
+    ops = site_operator_family(instance.maps[v], instance.basis, ~lat.is_head[-v:, site])
     if not np.all(np.isfinite(ops)):
         raise UsageError(f"site {site}: non-finite output operator")
     return ops
@@ -195,7 +196,7 @@ def _scan_family(instance: PepsInstance, site: int, ops: np.ndarray, stack, wher
             np.divide(block, div[a:b, None], out=normed[a:b])
         if witness is None and bad.any():
             r = a + int(np.argmax(bad))
-            tup = np.unravel_index(r, (instance.D**2,) * instance.site_maps[site].v)
+            tup = np.unravel_index(r, (instance.D**2,) * int(instance.lattice.degrees[site]))
             tup = tuple(int(k) for k in tup)
             if not ok[r]:
                 witness = PositivityWitness(site, tup, "trace", None, None, float(traces[r]))
@@ -288,7 +289,7 @@ def _edge_rows(instance: PepsInstance, firsts: list, site_family: np.ndarray, tr
     """
     marginals = []
     for s, t in zip(firsts, traces):
-        table = t.reshape((instance.D**2,) * instance.site_maps[s].v)
+        table = t.reshape((instance.D**2,) * int(instance.lattice.degrees[s]))
         if np.any(table <= 0):
             raise NotFactorizableError(f"site {s}: non-positive output trace")
         log_S, q, residual = _rank_one_marginals(table)

@@ -123,8 +123,8 @@ class EpsilonProbe:
     K = I and no transposed end) and the element stack, both in real
     Hermitian coordinates (_hermitian_coords).  A family's products are a
     signed permutation of those coordinates (_transposition), read one row
-    block at a time.  Each probe builds one map matrix per distinct site
-    map of its instance, and one real product per row block gives a
+    block at a time.  Each probe builds one map matrix per degree of its
+    instance, and one real product per row block gives a
     family's overlaps with half the inner dimension of linalg.overlaps.
     Blocks are judged by the row rule of _scan_family, and the probe stops
     at the first failing block, trying the one that failed last first.
@@ -141,7 +141,7 @@ class EpsilonProbe:
 
     def _family(self, instance: PepsInstance, site: int):
         """(P, p_norm, source, sign): row r of site's family is sign * P[source, r]."""
-        v = instance.site_maps[site].v
+        v = int(instance.lattice.degrees[site])
         if instance.basis is not self._basis:
             self._basis, self._products, self._transpositions = instance.basis, {}, {}
         if v not in self._products:
@@ -157,16 +157,16 @@ class EpsilonProbe:
             stack, _ = instance.measurement_set.element_stack()
             self._mset, self._stack = instance.measurement_set, _hermitian_coords(stack, 1.0)
         firsts, _ = _family_sites(instance)
+        degrees = instance.lattice.degrees
         maps = {}
+        for v, m in instance.maps.items():
+            M = _map_matrix(m.K)
+            maps[v] = M, float(max(M.max(), -M.min()))  # nan or inf if M is not finite
         # in site order, so that the first family with a non-finite output
         # raises, as in the certificate.  A coordinate is at most p_norm * top
         # in size, and a trace sums d of them
         for s in firsts:
-            m = instance.site_maps[s]
-            if id(m) not in maps:
-                M = _map_matrix(m.K)
-                maps[id(m)] = M, float(max(M.max(), -M.min()))  # nan or inf if M is not finite
-            M, top = maps[id(m)]
+            M, top = maps[degrees[s]]
             P, p_norm, source, sign = self._family(instance, s)
             if not p_norm * top * len(M) <= _COORD_BOUND:
                 for a, b in _row_blocks(P.shape[1], len(M)):
@@ -176,8 +176,7 @@ class EpsilonProbe:
                         raise UsageError(f"site {s}: non-finite output operator")
         last_f, last_k = self._last_fail
         for f in sorted(range(len(firsts)), key=lambda f: f != last_f):
-            m = instance.site_maps[firsts[f]]
-            M = maps[id(m)][0]
+            M = maps[degrees[firsts[f]]][0]
             P, _, source, sign = self._family(instance, firsts[f])
             ok, div = _usable_traces(_family_traces(P, source, sign, M))
             blocks = list(enumerate(_row_blocks(P.shape[1], self._stack.shape[1])))

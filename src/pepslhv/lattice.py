@@ -74,9 +74,6 @@ class Lattice:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def site_degrees(self) -> List[int]:
-        return self.degrees.tolist()
-
     def incident_edges(self, site: int) -> List[Tuple[int, bool]]:
         """(edge index, site-is-head) pairs, ordered by edge index."""
         v = self.degrees[site]

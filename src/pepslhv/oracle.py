@@ -50,11 +50,16 @@ class JointDistribution:
         return math.prod(self.arities)
 
 
-def _check_oracle_size(povms: Sequence) -> None:
-    """Refuse plans whose outcome space, or whose work on sites 2..N, is too large."""
+def _check_outcome_space(povms: Sequence) -> None:
+    """Refuse plans whose joint outcome space is too large."""
     # float products, exact up to 2^53: exact integers over 2^20 sites took 50 s
     if math.prod((p.n_outcomes for p in povms), start=1.0) > MAX_OUTCOME_SPACE:
         raise UsageError("joint outcome space too large")
+
+
+def _check_oracle_size(povms: Sequence) -> None:
+    """Refuse plans whose outcome space, or whose work on sites 2..N, is too large."""
+    _check_outcome_space(povms)
     rest = math.prod((p.dim for p in povms[1:]), start=1.0)
     check_entries("Born operator on sites 2..N", rest * rest, MAX_BORN_OPERATOR)
 
@@ -128,9 +133,8 @@ def born_joint_for_instance(instance: PepsInstance, plan: MeasurementPlan) -> Jo
 def mixture_joint_distribution(instance: PepsInstance, plan: MeasurementPlan) -> JointDistribution:
     """sum_lambda p(lambda) prod_s tr(sigma_s X_{j_s}), i.e. prod_s tr(O_s X_{j_s}) normalized."""
     povms = plan.povms(instance)
+    _check_outcome_space(povms)
     arities = [p.n_outcomes for p in povms]
-    if math.prod(arities) > MAX_OUTCOME_SPACE:
-        raise UsageError("joint outcome space too large")
     families, site_family = site_families(instance)
     tables = [linalg.overlaps(families[f], p.elements) for f, p in zip(site_family, povms)]
     acc = np.clip(contract_mixture(instance, tables, extra_axes=1), 0.0, None)

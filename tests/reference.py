@@ -5,8 +5,9 @@ import math
 import numpy as np
 
 from pepslhv import linalg
+from pepslhv.construction import RECIPE1_MAX_RETRIES, SiteMap, _check_orthonormal
 from pepslhv.decomposition import DUAL_ATOL, TRACE_FLOOR, PositivityWitness, operator_traces
-from pepslhv.errors import UsageError
+from pepslhv.errors import ConstraintError, ConstructionError, UsageError
 
 
 def tensor_product(factors) -> np.ndarray:
@@ -58,7 +59,7 @@ def scan_family(instance, site: int, ops: np.ndarray, stack, where):
     witness = None
     if bad.any():
         r = int(np.argmax(bad))
-        tup = np.unravel_index(r, (instance.D**2,) * instance.site_maps[site].v)
+        tup = np.unravel_index(r, (instance.D**2,) * int(instance.lattice.degrees[site]))
         tup = tuple(int(k) for k in tup)
         if not ok[r]:
             witness = PositivityWitness(site, tup, "trace", None, None, float(traces[r]))
@@ -128,3 +129,48 @@ def first_site_groups(columns) -> tuple:
             firsts.append(s)
         group.append(index[key])
     return firsts, group
+
+
+def recipe2_site_map(v: int, d: int, psi_y, epsilon: float) -> SiteMap:
+    """construction.recipe2_maker's map, made and checked whole on every call."""
+    if d < 2**v:
+        raise ConstraintError(f"physical dimension d={d} < 2^v = {2**v}")
+    if epsilon < 0:
+        raise UsageError("epsilon must be >= 0")
+    states = [linalg.as_state(p) for p in psi_y]
+    if len(states) != 2**v:
+        raise UsageError(f"need {2**v} states psi_y, got {len(states)}")
+    if any(s.size != d for s in states):
+        raise UsageError("psi_y dimension mismatch")
+    _check_orthonormal(states)
+    K = np.zeros((d, 2**v), dtype=complex)
+    for y in range(2**v):
+        K[:, y] = epsilon ** bin(y).count("1") * states[y]
+    return SiteMap(v=v, D=2, d=d, K=K)
+
+
+def recipe1_site_map(v: int, D: int, d: int, psi, anchor_states, epsilon: float, seed: int):
+    """construction.recipe1_maker's map, made and checked whole on every call."""
+    if d < 2**v:
+        raise ConstraintError(f"physical dimension d={d} < 2^v = {2**v}")
+    if epsilon < 0:
+        raise UsageError("epsilon must be >= 0")
+    vec = linalg.as_state(psi)
+    if vec.size != d:
+        raise UsageError(f"psi dimension {vec.size} != d = {d}")
+    anchors = [linalg.as_state(a) for a in anchor_states]
+    if len(anchors) != v or any(a.size != D for a in anchors):
+        raise UsageError("need one D-dimensional anchor per virtual particle")
+    base = np.outer(vec, linalg.kron_vectors(anchors).conj())
+    if epsilon == 0.0:
+        return SiteMap(v=v, D=D, d=d, K=base)
+    full = min(d, D**v)
+    for attempt in range(RECIPE1_MAX_RETRIES):
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed) + np.uint64(attempt)))
+        P = rng.standard_normal((d, D**v)) + 1j * rng.standard_normal((d, D**v))
+        P = P / np.linalg.svd(P, compute_uv=False)[0]
+        K = base + epsilon * P
+        sv = np.linalg.svd(K, compute_uv=False)
+        if sv[full - 1] > 1e-12 * sv[0]:
+            return SiteMap(v=v, D=D, d=d, K=K)
+    raise ConstructionError("could not reach full rank within retry budget")

@@ -33,7 +33,6 @@ EPS_STAR_LOW = 0.112060546875
 EPS_STAR_HIGH = 0.11212158203125
 
 KET0 = np.array([1, 0], dtype=complex)
-KET1 = np.array([0, 1], dtype=complex)
 
 
 def report(n, name):
@@ -194,10 +193,9 @@ def test_criterion_09_entanglement_certification():
     for e in con.entanglement_certificate(build(recipe2_config(lattice="chain:4", epsilon=0.0))):
         assert abs(e) <= 1e-9
     # single-bond chain with the computational Recipe-2 map at epsilon = 0.5
-    m = con.recipe2_site_map(1, 2, [KET0, KET1], 0.5)
     inst = con.PepsInstance(
         lattice=build_chain(2),
-        site_maps=(m, m),
+        maps={1: con.recipe2_maker(1, 2, KET0)(0.5)},
         basis=build_aligned_basis(2, KET0),
         measurement_set=noisy_pauli_product_measurements(1, 0.5),
     )

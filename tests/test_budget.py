@@ -69,7 +69,7 @@ STAR30 = ("star", 30, "bell", "identity", "phase-point")  # identity_site_map(30
 class TestInProcess:
     def test_largest_family_builds(self):
         inst = configio.build_instance(instance(*K7))
-        assert {(m.v, m.d) for m in inst.site_maps} == {(6, 64)}
+        assert {(m.v, m.d) for m in inst.maps.values()} == {(6, 64)}
 
     @pytest.mark.parametrize(
         "case, message",
@@ -81,7 +81,7 @@ class TestInProcess:
         def no_map(*args):
             raise AssertionError("a site map was built past the budget")
 
-        for name in ("identity_site_map", "recipe2_site_map", "recipe2_states_from_interior"):
+        for name in ("identity_site_map", "recipe2_maker", "recipe1_maker"):
             monkeypatch.setattr(configio, name, no_map)
         with pytest.raises(UsageError, match=message):
             configio.build_instance(instance(*case))

@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pepslhv import basis as basis_mod
-from pepslhv import cli, configio, linalg, measurements, oracle, sampling
+from pepslhv import cli, configio, construction, linalg, measurements, oracle, sampling
 from pepslhv import lattice as lattice_mod
-from pepslhv.errors import ConstructionError, DegenerateNormError, UsageError
+from pepslhv.errors import DegenerateNormError, UsageError
 
 from conftest import recipe2_config, run_capped
 
@@ -107,6 +107,23 @@ class TestBasisCommands:
         assert not out.exists()
 
 
+    # D < 2 is refused by name before the anchor is parsed
+    @pytest.mark.parametrize(
+        "D, argv",
+        [(D, ["basis", "gen", "--D", D, "--anchor", "zero"]) for D in ("-2", "0", "1")]
+        + [("-2", ["peps", "build", "--lattice", "cycle:3", "--basis", "aligned:-2:zero",
+                   "--measurements", "noisy-pauli:2:0.5", "--recipe", "2", "--psi", "plus-diag:2"])],
+        ids=["gen-minus-2", "gen-0", "gen-1", "peps-build-minus-2"],
+    )
+    def test_bond_dimension_below_2_exit_2(self, tmp_path, capsys, D, argv):
+        out = tmp_path / "out.json"
+        assert run(*argv, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bond dimension must be >= 2, got {D}\n"
+        assert not out.exists()
+
+
 class TestStateSpecs:
     @pytest.mark.parametrize("spec", ["zero:7:7", "uniform:2:2", "plus-diag:2:9"])
     def test_extra_parts_refused(self, spec):
@@ -143,6 +160,24 @@ class TestStateSpecs:
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == "error: state 'plus-diag:40' does not have dimension 4\n"
+        assert not out.exists()
+
+    # a 2-dimensional psi against pauli:2 (d = 4) exited 2 only later, from dual_margin
+    @pytest.mark.parametrize("form", ["literal", "file"])
+    def test_literal_of_another_dimension_exit_2(self, tmp_path, capsys, form):
+        literal = linalg.state_to_json(np.eye(2, dtype=complex)[0])
+        path = tmp_path / "psi.json"
+        path.write_text(json.dumps(literal))
+        spec = literal if form == "literal" else f"@{path}"
+        with pytest.raises(UsageError, match="^state literal has dimension 2, not 4$"):
+            configio.parse_state(spec, dim=4)
+        out = tmp_path / "inst.json"
+        code = run(
+            "peps", "build", "--lattice", "cycle:3", "--basis", "aligned:2:zero",
+            "--measurements", "pauli:2", "--recipe", "2", "--psi", f"@{path}", "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: state literal has dimension 2, not 4\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -361,9 +396,9 @@ class TestPepsCommands:
                 dict(config, site_map=dict(site_map, epsilon=eps))
             )
             made = make(eps)
-            assert len(made.site_maps) == len(built.site_maps)
-            for a, b in zip(made.site_maps, built.site_maps):
-                assert np.array_equal(a.K, b.K)
+            assert made.maps.keys() == built.maps.keys()
+            for v, m in made.maps.items():
+                assert np.array_equal(m.K, built.maps[v].K)
 
     def test_malformed_basis_dimension_exit_2(self, tmp_path, capsys):
         code = run(
@@ -379,10 +414,8 @@ class TestPepsCommands:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_construction_error_exit_2(self, tmp_path, capsys, monkeypatch):
-        def exhausted(*args, **kwargs):
-            raise ConstructionError("could not reach full rank within retry budget")
-
-        monkeypatch.setattr(configio, "recipe1_site_map", exhausted)
+        # no retry at all: the first draw already exhausts the budget
+        monkeypatch.setattr(construction, "RECIPE1_MAX_RETRIES", 0)
         code = run(
             "peps", "build",
             "--lattice", "cycle:3",

@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pepslhv import configio
 from pepslhv import construction as con
 from pepslhv.basis import build_aligned_basis, phase_point_basis
 from pepslhv.errors import ConstraintError, UsageError
-from pepslhv.lattice import build_chain, build_cycle
+from pepslhv.lattice import build_chain, build_cycle, lattice_from_name
 from pepslhv.measurements import bell_measurement_set, noisy_pauli_product_measurements
 
 from conftest import build, recipe2_config
-from reference import kraus_rank
+from reference import kraus_rank, recipe1_site_map, recipe2_site_map
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -18,20 +19,18 @@ KET1 = np.array([0, 1], dtype=complex)
 
 def chain2_recipe2(epsilon):
     """Two v=1 Recipe-2 maps on the single-bond chain, d=2."""
-    m = con.recipe2_site_map(1, 2, [KET0, KET1], epsilon)
     return con.PepsInstance(
         lattice=build_chain(2),
-        site_maps=(m, m),
+        maps={1: con.recipe2_maker(1, 2, KET0)(epsilon)},
         basis=build_aligned_basis(2, KET0),
         measurement_set=noisy_pauli_product_measurements(1, 0.5),
     )
 
 
 def identity_cycle(n):
-    m = con.identity_site_map(2)
     return con.PepsInstance(
         lattice=build_cycle(n),
-        site_maps=(m,) * n,
+        maps={2: con.identity_site_map(2)},
         basis=phase_point_basis(),
         measurement_set=bell_measurement_set(),
     )
@@ -39,44 +38,77 @@ def identity_cycle(n):
 
 class TestRecipe2:
     def test_v1_kraus_formula(self):
-        m = con.recipe2_site_map(1, 2, [KET0, KET1], 0.5)
+        m = con.recipe2_maker(1, 2, KET0)(0.5)
         assert np.allclose(m.K, np.diag([1.0, 0.5]), atol=1e-14)
 
     def test_epsilon_zero_is_rank_one(self):
-        m = con.recipe2_site_map(1, 2, [KET0, KET1], 0.0)
+        m = con.recipe2_maker(1, 2, KET0)(0.0)
         assert kraus_rank(m) == 1
         assert np.allclose(m.K, np.outer(KET0, KET0), atol=1e-14)
 
     def test_singular_values_are_epsilon_powers(self):
-        states = [row.astype(complex) for row in np.eye(4)]
-        m = con.recipe2_site_map(2, 4, states, 0.3)
+        m = con.recipe2_maker(2, 4, np.eye(4, dtype=complex)[0])(0.3)
         sv = np.sort(np.linalg.svd(m.K, compute_uv=False))
         assert np.allclose(sv, sorted([1, 0.3, 0.3, 0.09]), atol=1e-12)
 
     def test_dimension_constraint(self):
-        with pytest.raises(ConstraintError):
-            con.recipe2_site_map(2, 2, [KET0, KET1, KET0, KET1], 0.1)
+        # d = 2 < 2^v = 4 on cycle:3, refused once by the factory
+        config = recipe2_config(measurements="noisy-pauli:1:0.5")
+        config["psi"] = "plus-diag:1"
+        with pytest.raises(ConstraintError, match="d=2 < 2\\^v = 4"):
+            build(config)
 
     def test_non_orthonormal_states_rejected(self):
         plus = (KET0 + KET1) / np.sqrt(2)
         with pytest.raises(UsageError):
-            con.recipe2_site_map(1, 2, [KET0, plus], 0.1)
+            con._check_orthonormal([KET0, plus])
+
+    def test_negative_epsilon_rejected(self):
+        with pytest.raises(UsageError, match="epsilon must be >= 0"):
+            con.recipe2_maker(1, 2, KET0)(-0.1)
 
     @given(st.floats(0.01, 0.9))
     @settings(max_examples=20, deadline=None)
     def test_singular_value_property(self, eps):
-        states = [row.astype(complex) for row in np.eye(4)]
-        m = con.recipe2_site_map(2, 4, states, eps)
+        m = con.recipe2_maker(2, 4, np.eye(4, dtype=complex)[0])(eps)
         sv = np.sort(np.linalg.svd(m.K, compute_uv=False))
         assert np.allclose(sv, sorted([1, eps, eps, eps * eps]), atol=1e-12)
         assert kraus_rank(m) == 4
+
+
+class TestMakers:
+    # each maker's map against the per-call recipe, which checks everything on every call
+    @pytest.mark.parametrize("recipe", [1, 2])
+    @pytest.mark.parametrize(
+        "lattice, qubits", [("chain:4", 2), ("cycle:3", 2), ("torus:3x3", 4)]
+    )
+    def test_maker_matches_per_call_recipe(self, lattice, qubits, recipe):
+        from pepslhv.sampling import derive_seed
+
+        config = recipe2_config(lattice, measurements=f"noisy-pauli:{qubits}:0.5")
+        config["psi"] = f"plus-diag:{qubits}"
+        config["site_map"] = {"recipe": recipe, "seed": 3}
+        make = configio.instance_factory(config)
+        d = 2**qubits
+        psi = configio.parse_state(config["psi"], d)
+        anchor = configio.parse_basis(config["basis"]).anchor
+        for eps in (0.0, 0.05, 0.2):
+            maps = make(eps).maps
+            assert sorted(maps) == sorted(set(lattice_from_name(lattice).degrees.tolist()))
+            for v, m in maps.items():
+                if recipe == 2:
+                    ref = recipe2_site_map(v, d, con.complete_orthonormal(psi, 2**v), eps)
+                else:
+                    seed = derive_seed(3, f"recipe1:v{v}")
+                    ref = recipe1_site_map(v, 2, d, psi, [anchor] * v, eps, seed)
+                assert np.array_equal(m.K, ref.K), (v, eps)
 
 
 class TestKrausRank:
     # the rank floor is relative, so a tiny Kraus operator keeps its rank
     @pytest.mark.parametrize("power", [0, -40, -300, 300])
     def test_cycle6_recipe2_keeps_rank_4(self, power):
-        m = build(recipe2_config(lattice="cycle:6")).site_maps[0]
+        m = build(recipe2_config(lattice="cycle:6")).maps[2]
         assert kraus_rank(con.SiteMap(m.v, m.D, m.d, m.K * 2.0**power)) == 4
 
     @pytest.mark.parametrize("power", [0, -40])
@@ -86,18 +118,18 @@ class TestKrausRank:
 
 class TestRecipe1:
     def test_epsilon_zero_rank_one(self):
-        m = con.recipe1_site_map(1, 2, 2, KET0, [KET0], 0.0, seed=1)
+        m = con.recipe1_maker(1, 2, 2, KET0, KET0, seed=1)(0.0)
         assert kraus_rank(m) == 1
 
     def test_small_epsilon_full_rank(self):
-        m = con.recipe1_site_map(1, 2, 2, KET0, [KET0], 1e-3, seed=7)
+        m = con.recipe1_maker(1, 2, 2, KET0, KET0, seed=7)(1e-3)
         assert kraus_rank(m) == 2
         sv = np.linalg.svd(m.K, compute_uv=False)
         assert sv[-1] > 0
 
     def test_deterministic_in_seed(self):
-        a = con.recipe1_site_map(2, 2, 4, np.eye(4, dtype=complex)[0], [KET0, KET0], 0.01, seed=5)
-        b = con.recipe1_site_map(2, 2, 4, np.eye(4, dtype=complex)[0], [KET0, KET0], 0.01, seed=5)
+        a = con.recipe1_maker(2, 2, 4, np.eye(4, dtype=complex)[0], KET0, seed=5)(0.01)
+        b = con.recipe1_maker(2, 2, 4, np.eye(4, dtype=complex)[0], KET0, seed=5)(0.01)
         assert np.array_equal(a.K, b.K)
 
     def test_anchor_overlap_product(self):
@@ -110,8 +142,10 @@ class TestRecipe1:
                 assert val == pytest.approx(0.5, abs=1e-10)
 
     def test_constraint(self):
-        with pytest.raises(ConstraintError):
-            con.recipe1_site_map(2, 2, 2, KET0, [KET0, KET0], 0.1, seed=0)
+        config = recipe2_config(measurements="noisy-pauli:1:0.5")
+        config["psi"], config["site_map"] = "plus-diag:1", {"recipe": 1, "epsilon": 0.1}
+        with pytest.raises(ConstraintError, match="d=2 < 2\\^v = 4"):
+            build(config)
 
 
 class TestIdentityMap:
@@ -121,10 +155,9 @@ class TestIdentityMap:
         assert kraus_rank(m) == 4
 
     def test_two_site_chain_keeps_the_bond(self):
-        m = con.identity_site_map(1)
         inst = con.PepsInstance(
             lattice=build_chain(2),
-            site_maps=(m, m),
+            maps={1: con.identity_site_map(1)},
             basis=phase_point_basis(),
             measurement_set=noisy_pauli_product_measurements(1, 0.5),
         )
@@ -144,8 +177,7 @@ class TestChoiCheck:
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
     def test_single_kraus_maps_are_cp(self, eps):
-        states = [row.astype(complex) for row in np.eye(4)]
-        m = con.recipe2_site_map(2, 4, states, eps)
+        m = con.recipe2_maker(2, 4, np.eye(4, dtype=complex)[0])(eps)
         assert con.choi_check(m) >= -1e-12
 
 
@@ -185,12 +217,19 @@ class TestEntanglementCertificate:
 
 
 class TestPepsInstanceValidation:
+    PHASE_POINT, BELL = phase_point_basis(), bell_measurement_set()
+
+    def instance(self, lattice, maps):
+        return con.PepsInstance(
+            lattice=lattice, maps=maps, basis=self.PHASE_POINT, measurement_set=self.BELL
+        )
+
     def test_degree_mismatch_rejected(self):
         m = con.identity_site_map(1)  # v=1 on a degree-2 lattice
         with pytest.raises(UsageError):
             con.PepsInstance(
                 lattice=build_cycle(3),
-                site_maps=(m, m, m),
+                maps={2: m},
                 basis=phase_point_basis(),
                 measurement_set=noisy_pauli_product_measurements(1, 0.5),
             )
@@ -200,7 +239,35 @@ class TestPepsInstanceValidation:
         with pytest.raises(UsageError):
             con.PepsInstance(
                 lattice=build_cycle(3),
-                site_maps=(m, m, m),
+                maps={2: m},
                 basis=phase_point_basis(),
                 measurement_set=noisy_pauli_product_measurements(1, 0.5),
             )
+
+    # chain:4 has degrees 1, 2, 2, 1: site 0 is the first of degree 1, site 1 of degree 2
+    @pytest.mark.parametrize(
+        "maps, message",
+        [
+            ({1: con.SiteMap(1, 2, 4, np.eye(4, 2))}, "site 1: no site map for degree 2"),
+            ({2: con.identity_site_map(2)}, "site 0: no site map for degree 1"),
+            ({1: con.SiteMap(1, 2, 4, np.eye(4, 2)), 2: con.identity_site_map(2),
+              3: con.SiteMap(3, 2, 4, np.eye(4, 8))}, "site map for degree 3, which no site has"),
+            ({1: con.SiteMap(1, 2, 4, np.eye(4, 2)), 2: con.SiteMap(1, 2, 4, np.eye(4, 2))},
+             "site 1: map v=1 != degree 2"),
+            ({1: con.SiteMap(1, 3, 4, np.eye(4, 3)), 2: con.identity_site_map(2)},
+             "site 0: map D=3 != basis D=2"),
+            ({1: con.SiteMap(1, 2, 4, np.eye(4, 2)), 2: con.SiteMap(2, 2, 2, np.eye(2, 4))},
+             "site 1: map d=2 != measurement dim 4"),
+        ],
+        ids=["missing-2", "missing-1", "extra-3", "wrong-v", "wrong-D", "wrong-d"],
+    )
+    def test_bad_maps_name_the_first_bad_site(self, maps, message):
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            self.instance(build_chain(4), maps)
+
+    def test_one_map_per_degree(self):
+        maps = {1: con.SiteMap(1, 2, 4, np.eye(4, 2)), 2: con.identity_site_map(2)}
+        inst = self.instance(build_chain(4), maps)
+        assert inst.maps is maps
+        assert [m.v for m in inst.site_maps] == [1, 2, 2, 1]
+        assert inst.site_maps[1] is inst.site_maps[2] is maps[2]

@@ -27,10 +27,9 @@ from pepslhv.measurements import (
 )
 
 from conftest import build, recipe2_config
-from reference import scan_family, site_output_operator
+from reference import first_site_groups, scan_family, site_output_operator
 
 KET0 = np.array([1, 0], dtype=complex)
-KET1 = np.array([0, 1], dtype=complex)
 
 
 def trace_table(m, b, flags):
@@ -46,7 +45,7 @@ class TestSiteOutputOperator:
         assert np.allclose(out, b.elements[0], atol=1e-14)
 
     def test_rank_one_sandwich_at_epsilon_zero(self):
-        m = con.recipe2_site_map(1, 2, [KET0, KET1], 0.0)
+        m = con.recipe2_maker(1, 2, KET0)(0.0)
         b = build_aligned_basis(2, KET0)
         for k, out in enumerate(dec.site_operator_family(m, b, [False])):
             coeff = KET0.conj() @ b.elements[k] @ KET0
@@ -54,7 +53,7 @@ class TestSiteOutputOperator:
 
     def test_trace_formula_with_epsilon(self):
         # Q~ dag Q~ = diag(1, eps^2), so tr(O) = <0|C|0> + eps^2 <1|C|1>
-        m = con.recipe2_site_map(1, 2, [KET0, KET1], 0.5)
+        m = con.recipe2_maker(1, 2, KET0)(0.5)
         b = build_aligned_basis(2, KET0)
         for k, out in enumerate(dec.site_operator_family(m, b, [False])):
             expected = b.elements[k][0, 0] + 0.25 * b.elements[k][1, 1]
@@ -71,6 +70,29 @@ class TestSiteOutputOperator:
         for r, tup in enumerate(itertools.product(range(4), repeat=3)):
             expected = site_output_operator(m, b, tup, flags)
             assert np.allclose(family[r], expected, atol=1e-12)
+
+
+class TestFamilySites:
+    # a site family is keyed by (degree, head flags); with one map per degree
+    # these are the groups, numbered alike, of (map identity, head flags)
+    @pytest.mark.parametrize(
+        "lattice",
+        ["chain:5", "cycle:4", "torus:3x4",
+         {"n_sites": 6, "edges": [[0, 1], [2, 0], [0, 3], [4, 0], [5, 0]]}],
+        ids=["chain5", "cycle4", "torus3x4", "star5"],
+    )
+    def test_degree_keys_match_identity_keys(self, lattice):
+        lat = configio.parse_lattice(lattice)
+        inst = con.PepsInstance(
+            lattice=lat,
+            maps={v: con.SiteMap(v, 2, 2, np.eye(2, 2**v)) for v in set(lat.degrees.tolist())},
+            basis=phase_point_basis(),
+            measurement_set=noisy_pauli_product_measurements(1, 0.5),
+        )
+        keys = [(id(m), *lat.is_head[:, s].tolist()) for s, m in enumerate(inst.site_maps)]
+        firsts, site_family = dec._family_sites(inst)
+        assert (firsts, site_family.tolist()) == first_site_groups(keys)
+        assert len(firsts) > 1
 
 
 class TestPositivityCheck:
@@ -124,8 +146,7 @@ class TestTraceFactorization:
         assert residual <= 1e-12
 
     def test_recipe2_per_edge_factor_formula(self):
-        states = [row.astype(complex) for row in np.eye(4)]
-        m = con.recipe2_site_map(2, 4, states, 0.3)
+        m = con.recipe2_maker(2, 4, np.eye(4, dtype=complex)[0])(0.3)
         b = build_aligned_basis(2, KET0)
         table = trace_table(m, b, [False, False])
         log_S, q, residual = dec._rank_one_marginals(table)
@@ -136,8 +157,7 @@ class TestTraceFactorization:
 
     def test_head_and_tail_factors_agree(self):
         # diagonals survive transposition, so both ends see the same factor
-        states = [row.astype(complex) for row in np.eye(4)]
-        m = con.recipe2_site_map(2, 4, states, 0.3)
+        m = con.recipe2_maker(2, 4, np.eye(4, dtype=complex)[0])(0.3)
         b = build_aligned_basis(2, KET0)
         t1 = trace_table(m, b, [False, False])
         t2 = trace_table(m, b, [True, True])
@@ -186,10 +206,9 @@ class TestEdgeDistribution:
         from pepslhv.lattice import build_chain
         from pepslhv.measurements import noisy_pauli_product_measurements
 
-        m = con.recipe2_site_map(1, 2, [KET0, KET1], 0.5)
         inst = con.PepsInstance(
             lattice=build_chain(2),
-            site_maps=(m, m),
+            maps={1: con.recipe2_maker(1, 2, KET0)(0.5)},
             basis=build_aligned_basis(2, KET0),
             measurement_set=noisy_pauli_product_measurements(1, 0.5),
         )
@@ -240,13 +259,12 @@ class TestEdgeDistribution:
 
     def test_non_factorizable_instance_refused(self):
         kraus = np.diag([1.0, 0.5, 0.5, 0.5]).astype(complex)
-        m = con.SiteMap(2, 2, 4, kraus)
         from pepslhv.lattice import build_cycle
         from pepslhv.measurements import noisy_pauli_product_measurements
 
         inst = con.PepsInstance(
             lattice=build_cycle(3),
-            site_maps=(m, m, m),
+            maps={2: con.SiteMap(2, 2, 4, kraus)},
             basis=build_aligned_basis(2, KET0),
             measurement_set=noisy_pauli_product_measurements(2, 0.5),
         )
@@ -258,10 +276,9 @@ class TestEdgeDistribution:
         from pepslhv.lattice import build_chain
         from pepslhv.measurements import noisy_pauli_product_measurements
 
-        m = con.SiteMap(1, 2, 2, np.diag([1.0, 0.0]).astype(complex))
         inst = con.PepsInstance(
             lattice=build_chain(2),
-            site_maps=(m, m),
+            maps={1: con.SiteMap(1, 2, 2, np.diag([1.0, 0.0]).astype(complex))},
             basis=phase_point_basis(),
             measurement_set=noisy_pauli_product_measurements(1, 0.5),
         )
@@ -290,11 +307,10 @@ class TestEdgeDistribution:
 
 
 def scaled(inst, factor):
-    """inst with every distinct site map's Kraus operator times factor, sharing kept."""
-    maps = {id(m): con.SiteMap(m.v, m.D, m.d, m.K * factor) for m in inst.site_maps}
+    """inst with every site map's Kraus operator times factor."""
     return con.PepsInstance(
         lattice=inst.lattice,
-        site_maps=tuple(maps[id(m)] for m in inst.site_maps),
+        maps={v: con.SiteMap(m.v, m.D, m.d, m.K * factor) for v, m in inst.maps.items()},
         basis=inst.basis,
         measurement_set=inst.measurement_set,
     )
@@ -319,7 +335,8 @@ def scaled_case(lattice, qubits, epsilon):
 def scaled_file(tmp_path, lattice, qubits, epsilon, power):
     """Path of the case as a `custom` instance file, its Kraus operator times 2^power."""
     config = scaled_config(lattice, qubits, epsilon)
-    K = build(config).site_maps[0].K * 2.0**power
+    (m,) = build(config).maps.values()
+    K = m.K * 2.0**power
     config["site_map"] = {"recipe": "custom", "kraus": linalg.matrix_to_json(K)}
     path = tmp_path / f"scaled{power}.json"
     path.write_text(json.dumps(config))
@@ -358,7 +375,7 @@ class TestKrausScale:
 
     @pytest.mark.parametrize("power", [300, -300, 600])
     def test_choi_check_scale_invariant(self, power):
-        m = scaled_case("cycle:6", 2, 0.2).site_maps[0]
+        m = scaled_case("cycle:6", 2, 0.2).maps[2]
         base = con.choi_check(m)
         assert math.isfinite(base) and base >= -1e-9
         assert con.choi_check(con.SiteMap(m.v, m.D, m.d, m.K * 2.0**power)) == base
@@ -435,10 +452,9 @@ class TestKrausScale:
 
 class TestRelativeTraceFloor:
     # the noisy Pauli overlaps of a multiple of I are 1/2, so only the trace test decides
-    m = con.identity_site_map(1)
     INSTANCE = con.PepsInstance(
         lattice=build_chain(2),
-        site_maps=(m, m),
+        maps={1: con.identity_site_map(1)},
         basis=phase_point_basis(),
         measurement_set=noisy_pauli_product_measurements(1, 0.5),
     )
@@ -516,13 +532,13 @@ class TestBlockedScan:
         # the maps only shape the instance: its families are patched in below
         inst = con.PepsInstance(
             lattice=lat,
-            site_maps=tuple(con.SiteMap(v, 2, 2, np.eye(2, 2**v)) for v in lat.site_degrees()),
+            maps={v: con.SiteMap(v, 2, 2, np.eye(2, 2**v)) for v in set(lat.degrees.tolist())},
             basis=phase_point_basis(),
             measurement_set=mset,
         )
         rng = np.random.default_rng(seed)
         families, site_family = [], []
-        for v in lat.site_degrees():
+        for v in lat.degrees.tolist():
             rows = 4**v
             traces = rng.uniform(0.1, 2.0, rows)
             bloch = rng.uniform(-1.9, 1.9, (rows, 3))
@@ -636,7 +652,8 @@ class TestMixtureReconstruction:
         assert weights.shape == (n,) * lat.n_edges
         for assignment in itertools.product(range(n), repeat=lat.n_edges):
             expected = 1.0
-            for s, m in enumerate(inst.site_maps):
+            for s, v in enumerate(lat.degrees.tolist()):
+                m = inst.maps[v]
                 tup = [assignment[e] for e, _ in lat.incident_edges(s)]
                 flags = [not ishead for _, ishead in lat.incident_edges(s)]
                 expected *= np.trace(site_output_operator(m, inst.basis, tup, flags)).real
@@ -695,10 +712,9 @@ def boundary_state_instance(eps):
     Every call builds a fresh lattice, basis and measurement set.
     """
     psi00 = np.eye(4, dtype=complex)[0]
-    m = con.recipe2_site_map(2, 4, con.recipe2_states_from_interior(psi00, 2), eps)
     return con.PepsInstance(
         lattice=build_cycle(3),
-        site_maps=(m, m, m),
+        maps={2: con.recipe2_maker(2, 4, psi00)(eps)},
         basis=build_aligned_basis(2, KET0),
         measurement_set=pauli_product_measurements(2),
     )
@@ -738,7 +754,7 @@ class TestMaxEpsilonSearch:
         }
         inst = con.PepsInstance(
             lattice=lat,
-            site_maps=tuple(maps[v] for v in lat.degrees.tolist()),
+            maps=maps,
             basis=build_aligned_basis(2, KET0),
             measurement_set=mset,
         )
@@ -748,7 +764,7 @@ class TestMaxEpsilonSearch:
         for s in dec._family_sites(inst)[0]:
             ops = dec._family_stack(inst, s)
             P, _, source, sign = probe._family(inst, s)
-            M = epsilon_probe._map_matrix(inst.site_maps[s].K)
+            M = epsilon_probe._map_matrix(inst.maps[lat.degrees[s]].K)
             coords = epsilon_probe._family_rows(P, source, sign, 0, len(ops)) @ M.T
             scale = np.abs(ops).max()
             assert np.allclose(

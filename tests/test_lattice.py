@@ -19,12 +19,12 @@ class TestChain:
     def test_two_sites(self):
         lat = lattice.build_chain(2)
         assert lat.n_edges == 1
-        assert lat.site_degrees() == [1, 1]
+        assert lat.degrees.tolist() == [1, 1]
 
     def test_five_sites(self):
         lat = lattice.build_chain(5)
         assert lat.n_edges == 4
-        assert lat.site_degrees() == [1, 2, 2, 2, 1]
+        assert lat.degrees.tolist() == [1, 2, 2, 2, 1]
 
     def test_orientation_heads_at_lower_index(self):
         for head, tail in lattice.build_chain(6).edges:
@@ -39,7 +39,7 @@ class TestCycle:
     def test_three_sites(self):
         lat = lattice.build_cycle(3)
         assert lat.n_edges == 3
-        assert lat.site_degrees() == [2, 2, 2]
+        assert lat.degrees.tolist() == [2, 2, 2]
 
     def test_translation_invariant_orientation(self):
         lat = lattice.build_cycle(4)
@@ -57,7 +57,7 @@ class TestTorus:
         lat = lattice.build_torus(3, 3)
         assert lat.n_sites == 9
         assert lat.n_edges == 18
-        assert all(v == 4 for v in lat.site_degrees())
+        assert all(v == 4 for v in lat.degrees.tolist())
 
     def test_10x10_edge_count(self):
         assert lattice.build_torus(10, 10).n_edges == 200
@@ -91,7 +91,7 @@ class TestInvariants:
         ids=["chain", "cycle", "torus"],
     )
     def test_handshake(self, lat):
-        assert sum(lat.site_degrees()) == 2 * lat.n_edges
+        assert sum(lat.degrees.tolist()) == 2 * lat.n_edges
 
     @pytest.mark.parametrize(
         "lat",

@@ -208,6 +208,16 @@ class TestMixtureJointDistribution:
         assert np.max(np.abs(mix.probs - exact.probs)) <= 1e-10
 
 
+    def test_large_plan_refused_at_once(self):
+        # the exact integer product of 2^18 arities took 3.3 s
+        inst = build(recipe2_config(lattice=f"cycle:{2**18}"))
+        plan = sampling.MeasurementPlan.uniform(inst, "ZZ~0.5")
+        start = time.perf_counter()
+        with pytest.raises(UsageError, match="joint outcome space too large"):
+            oracle.mixture_joint_distribution(inst, plan)
+        assert time.perf_counter() - start < 1.0
+
+
 class TestTvDistance:
     def test_self_distance(self):
         p = oracle.JointDistribution(arities=(2,), probs=np.array([0.3, 0.7]))

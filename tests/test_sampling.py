@@ -630,7 +630,7 @@ class TestRunShots:
         assert witness.kind == "dual"
         assert not -1e-9 <= witness.value <= 1 + 1e-9
         assert witness.povm_index == plan.povm_indices[witness.site]
-        assert len(witness.indices) == inst.site_maps[witness.site].v
+        assert len(witness.indices) == inst.lattice.degrees[witness.site]
 
 
 def exit_order_instance(scale):
@@ -644,10 +644,10 @@ def exit_order_instance(scale):
     K = np.zeros((4, 2), dtype=complex)
     K[1, 1] = 1.0
     end = con.SiteMap(1, 2, 4, K)
-    middle = build(recipe2_config()).site_maps[0]
+    middle = build(recipe2_config()).maps[2]
     return con.PepsInstance(
         lattice=lattice_from_name("chain:3"),
-        site_maps=(end, con.SiteMap(2, 2, 4, middle.K * scale), end),
+        maps={1: end, 2: con.SiteMap(2, 2, 4, middle.K * scale)},
         basis=configio.parse_basis("aligned:2:zero"),
         measurement_set=configio.parse_measurements("pauli:2"),
     )
