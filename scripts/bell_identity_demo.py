@@ -12,7 +12,7 @@ import argparse
 import numpy as np
 
 from pepslhv import oracle, sampling
-from pepslhv.basis import VirtualSpaceTag, phase_point_basis
+from pepslhv.basis import phase_point_basis
 from pepslhv.configio import build_instance
 from pepslhv.measurements import admissible_povm, bell_povm
 
@@ -25,13 +25,11 @@ def main():
     args = parser.parse_args()
 
     pp = phase_point_basis()
-    head = VirtualSpaceTag(basis=pp, transposed=False)
-    tail = VirtualSpaceTag(basis=pp, transposed=True)
-
-    ht = admissible_povm(bell_povm(), [head, tail])
+    # one flag per virtual space: True marks a transposed (tail) end
+    ht = admissible_povm(bell_povm(), pp, (False, True))
     print(f"head-tail pair : admissible={ht.admissible} "
           f"values in [{ht.min_value:+.3f}, {ht.max_value:+.3f}]")
-    hh = admissible_povm(bell_povm(), [head, head])
+    hh = admissible_povm(bell_povm(), pp, (False, False))
     print(f"head-head pair : admissible={hh.admissible} "
           f"worst value {hh.worst[2]:+.3f} at tuple {hh.worst[0]}")
 

@@ -10,6 +10,7 @@ computational basis.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,31 +29,46 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 @dataclass(frozen=True)
 class OperatorBasis:
-    """D^2 Hermitian operators normalized to tr(C_k C_l) = D delta_kl."""
+    """D^2 Hermitian operators normalized to tr(C_k C_l) = D delta_kl.
+
+    Any sequence of D^2 equal-shape matrices is accepted; ``elements`` is
+    stored as a validated, read-only (D^2, D, D) copy.
+    """
 
     D: int
-    elements: tuple
+    elements: np.ndarray
     anchor: Optional[np.ndarray] = None
     construction: str = "custom"
 
     def __post_init__(self):
-        if self.D < 2:
-            raise UsageError(f"bond dimension must be >= 2, got {self.D}")
-        elements = tuple(linalg.check_hermitian(c) for c in self.elements)
-        if len(elements) != self.D**2:
-            raise UsageError(f"expected {self.D**2} elements, got {len(elements)}")
-        for c in elements:
-            if c.shape != (self.D, self.D):
-                raise UsageError(f"element shape {c.shape} != ({self.D}, {self.D})")
-        gram = gram_matrix(elements)
-        defect = float(np.max(np.abs(gram - self.D * np.eye(self.D**2))))
-        if defect > GRAM_ATOL:
-            raise UsageError(f"basis Gram matrix deviates from D*I by {defect:.3e}")
-        object.__setattr__(self, "elements", elements)
+        D = self.D
+        if D < 2:
+            raise UsageError(f"bond dimension must be >= 2, got {D}")
+        try:
+            stack = np.array(self.elements, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"basis elements are not equal-shape matrices: {exc}") from exc
+        n = len(stack) if stack.ndim else 0
+        if n != D**2:
+            raise UsageError(f"expected {D**2} elements, got {n}")
+        if stack.shape[1:] != (D, D):
+            raise UsageError(f"element shape {stack.shape[1:]} != ({D}, {D})")
+        if not np.all(np.isfinite(stack)):
+            raise UsageError("matrix has non-finite entries")
+        defect = float(np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))))
+        if defect > linalg.HERMITIAN_ATOL:
+            raise UsageError(
+                f"matrix is not hermitian (defect {defect:.3e} > {linalg.HERMITIAN_ATOL:.1e})"
+            )
+        gram_defect = float(np.max(np.abs(linalg.overlaps(stack, stack) - D * np.eye(D**2))))
+        if gram_defect > GRAM_ATOL:
+            raise UsageError(f"basis Gram matrix deviates from D*I by {gram_defect:.3e}")
+        stack.flags.writeable = False
+        object.__setattr__(self, "elements", stack)
         if self.anchor is not None:
             anchor = linalg.as_state(self.anchor)
-            if anchor.size != self.D:
-                raise UsageError(f"anchor dimension {anchor.size} != D = {self.D}")
+            if anchor.size != D:
+                raise UsageError(f"anchor dimension {anchor.size} != D = {D}")
             overlaps = self.anchor_overlaps_of(anchor)
             if overlaps.min() < ANCHOR_STRICT_FLOOR:
                 raise UsageError(
@@ -68,25 +84,19 @@ class OperatorBasis:
             raise UsageError("basis has no anchor")
         return self.anchor_overlaps_of(self.anchor)
 
-    def element(self, k: int, transposed: bool = False) -> np.ndarray:
-        c = self.elements[k]
-        return c.T if transposed else c
 
+def basis_products(op_basis: OperatorBasis, flags: Sequence[bool]) -> np.ndarray:
+    """C~_{k_1} (x) ... (x) C~_{k_v} per index tuple, ((D^2)^v, D^v, D^v); C~ is C^T where flagged.
 
-@dataclass(frozen=True)
-class VirtualSpaceTag:
-    """One end of a bond: the basis plus whether this end carries C^T."""
-
-    basis: OperatorBasis
-    transposed: bool = False
-
-    def element(self, k: int) -> np.ndarray:
-        return self.basis.element(k, transposed=self.transposed)
-
-
-def gram_matrix(elements: Sequence[np.ndarray]) -> np.ndarray:
-    """tr(C_k C_l) for Hermitian elements."""
-    return linalg.overlaps(elements, elements)
+    Index tuples in C-order.  The certificate's site families, the epsilon
+    probe and admissibility all read these products.
+    """
+    v = len(flags)
+    C = op_basis.elements
+    k, i, j = (string.ascii_letters[p * v:(p + 1) * v] for p in range(3))
+    spec = ",".join(k[p] + i[p] + j[p] for p in range(v)) + "->" + k + i + j
+    prod = np.einsum(spec, *(C.transpose(0, 2, 1) if t else C for t in flags))
+    return prod.reshape(len(C) ** v, op_basis.D**v, op_basis.D**v)
 
 
 def max_ent_state(D: int) -> np.ndarray:
@@ -98,28 +108,21 @@ def max_ent_state(D: int) -> np.ndarray:
     return vec
 
 
-def hermitian_spanning_set(D: int) -> list[np.ndarray]:
-    """Canonical orthonormal Hermitian basis under tr(AB).
+def hermitian_spanning_set(D: int) -> np.ndarray:
+    """Canonical orthonormal Hermitian basis under tr(AB), as one (D^2, D, D) stack.
 
     Order: |j><j| for j = 0..D-1, then symmetric pairs (|j><k|+|k><j|)/sqrt(2),
     then antisymmetric i(|j><k|-|k><j|)/sqrt(2), both in lexicographic (j, k).
     """
-    out = []
-    for j in range(D):
-        m = np.zeros((D, D), dtype=complex)
-        m[j, j] = 1.0
-        out.append(m)
-    for j in range(D):
-        for k in range(j + 1, D):
-            m = np.zeros((D, D), dtype=complex)
-            m[j, k] = m[k, j] = 1.0 / np.sqrt(2)
-            out.append(m)
-    for j in range(D):
-        for k in range(j + 1, D):
-            m = np.zeros((D, D), dtype=complex)
-            m[j, k] = 1j / np.sqrt(2)
-            m[k, j] = -1j / np.sqrt(2)
-            out.append(m)
+    out = np.zeros((D * D, D, D), dtype=complex)
+    diag = np.arange(D)
+    out[diag, diag, diag] = 1.0
+    j, k = np.triu_indices(D, 1)
+    sym = np.arange(D, D + len(j))
+    antisym = sym + len(j)
+    out[sym, j, k] = out[sym, k, j] = 1.0 / np.sqrt(2)
+    out[antisym, j, k] = 1j / np.sqrt(2)
+    out[antisym, k, j] = -1j / np.sqrt(2)
     return out
 
 
@@ -161,32 +164,23 @@ def build_aligned_basis(D: int, anchor) -> OperatorBasis:
     phi = linalg.as_state(anchor)
     if phi.size != D:
         raise UsageError(f"anchor dimension {phi.size} != D = {D}")
-    gs = _orthonormal_hermitian_completion(linalg.projector(phi), D)
     R = _householder_to_uniform(D**2)
-    elements = []
-    for k in range(D**2):
-        c = np.zeros((D, D), dtype=complex)
-        for l in range(D**2):
-            c = c + R[k, l] * gs[l]
-        elements.append(np.sqrt(D) * c)
-    return OperatorBasis(D=D, elements=tuple(elements), anchor=phi, construction="aligned")
+    # C_k = sqrt(D) sum_l R[k, l] G_l, summed over l in order for every k at
+    # once; the G_l are released before the basis is validated
+    c = np.zeros((D**2, D, D), dtype=complex)
+    for l, g in enumerate(_orthonormal_hermitian_completion(linalg.projector(phi), D)):
+        c += R[:, l, None, None] * g
+    c *= np.sqrt(D)
+    return OperatorBasis(D=D, elements=c, anchor=phi, construction="aligned")
 
 
 def phase_point_basis() -> OperatorBasis:
     """The four unit-trace qubit phase point operators, anchored on (1,1,1)/sqrt(3)."""
-    eye = np.eye(2, dtype=complex)
-    elements = []
-    for a in (0, 1):
-        for b in (0, 1):
-            op = 0.5 * (
-                eye
-                + (-1) ** a * PAULI_X
-                + (-1) ** (a + b) * PAULI_Y
-                + (-1) ** b * PAULI_Z
-            )
-            elements.append(op)
-    anchor = bloch_diag_state()
-    return OperatorBasis(D=2, elements=tuple(elements), anchor=anchor, construction="phase_point")
+    # A_ab = (I + (-1)^a X + (-1)^(a+b) Y + (-1)^b Z) / 2, (a, b) in C-order
+    a, b = np.divmod(np.arange(4), 2)
+    x, y, z = ((-1) ** e[:, None, None] for e in (a, a + b, b))
+    elements = 0.5 * (np.eye(2, dtype=complex) + x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
+    return OperatorBasis(D=2, elements=elements, anchor=bloch_diag_state(), construction="phase_point")
 
 
 def bloch_diag_state() -> np.ndarray:
@@ -205,8 +199,8 @@ def verify_decomposition(basis_or_elements) -> float:
     """Max-norm error of (1/D^2) sum_k C_k (x) C_k^T against |phi_D><phi_D|, D read from C_0."""
     if isinstance(basis_or_elements, OperatorBasis):
         basis_or_elements = basis_or_elements.elements
-    elements = [linalg.as_matrix(c) for c in basis_or_elements]
-    D = elements[0].shape[0]
+    elements = np.asarray(basis_or_elements, dtype=complex)
+    D = elements.shape[1]
     # kron(C, C^T)[(a, b), (e, f)] = C[a, e] C[f, b], summed over the elements
     acc = np.einsum("kae,kfb->abef", elements, elements).reshape(D * D, D * D)
     target = linalg.projector(max_ent_state(D))
@@ -232,7 +226,7 @@ def basis_from_json(obj: dict) -> OperatorBasis:
         D = obj["D"]
         if type(D) is not int:  # a float or a string is refused, not truncated
             raise UsageError(f"D must be an integer, got {D!r}")
-        elements = tuple(linalg.matrix_from_json(m) for m in obj["elements"])
+        elements = [linalg.matrix_from_json(m) for m in obj["elements"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed basis file: {exc}") from exc
     anchor = linalg.state_from_json(obj["anchor"]) if "anchor" in obj else None

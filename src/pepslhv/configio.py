@@ -159,7 +159,13 @@ def instance_factory(config: dict) -> Callable[[float], PepsInstance]:
     recipe = site_spec.get("recipe")
     # isdecimal, not isdigit: int() refuses a digit such as "²"
     if isinstance(recipe, str) and recipe.isdecimal():
-        recipe = int(recipe)
+        try:
+            recipe = int(recipe)
+        except ValueError:  # more digits than int() converts: refused below, as a string
+            pass
+    # a bool or a float would compare equal to 1 or 2: refused, not converted
+    if type(recipe) not in (int, str) or recipe not in (1, 2, "identity", "custom"):
+        raise UsageError(f"unknown recipe {recipe!r}")
     seed = site_spec.get("seed", 0)
     if type(seed) is not int:  # a float or a string is refused, not truncated
         raise UsageError(f"'seed' must be an integer, got {seed!r}")
@@ -174,7 +180,7 @@ def instance_factory(config: dict) -> Callable[[float], PepsInstance]:
     psi = parse_state(config["psi"], dim=d) if "psi" in config else None
     if recipe in (1, 2):
         if psi is None:
-            raise UsageError(f"recipe {int(recipe)} needs 'psi'")
+            raise UsageError(f"recipe {recipe} needs 'psi'")
         if recipe == 1 and op_basis.anchor is None:
             raise UsageError("recipe 1 needs an anchored basis")
         for v in degrees:
@@ -193,12 +199,11 @@ def instance_factory(config: dict) -> Callable[[float], PepsInstance]:
             from pepslhv.sampling import derive_seed
 
             return recipe1_maker(v, D, d, psi, op_basis.anchor, derive_seed(seed, f"recipe1:v{v}"))
-        if recipe == "custom":
-            if "kraus" not in site_spec:
-                raise UsageError("recipe 'custom' needs 'kraus'")
-            m = SiteMap(v, D, d, linalg.matrix_from_json(site_spec["kraus"]))
-            return lambda epsilon: m
-        raise UsageError(f"unknown recipe {recipe!r}")
+        # recipe "custom"
+        if "kraus" not in site_spec:
+            raise UsageError("recipe 'custom' needs 'kraus'")
+        m = SiteMap(v, D, d, linalg.matrix_from_json(site_spec["kraus"]))
+        return lambda epsilon: m
 
     makers = {v: site_map_maker(v) for v in degrees}
 

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import functools
 import math
-import string
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from pepslhv import linalg
-from pepslhv.basis import OperatorBasis
+from pepslhv.basis import OperatorBasis, basis_products
 from pepslhv.construction import MAX_ENUM_ASSIGNMENTS, PepsInstance, SiteMap, contract_edges
 from pepslhv.errors import NotFactorizableError, UsageError, check_entries
 from pepslhv.lattice import site_groups
@@ -48,7 +47,7 @@ def site_operator_family(
     flags = tuple(transposed_flags)
     if len(flags) != site_map.v:
         raise UsageError(f"need {site_map.v} flags")
-    prod = _basis_products(op_basis, flags)
+    prod = basis_products(op_basis, flags)
     K = site_map.K
     # a Kraus operator near the float range overflows; _family_stack rejects
     # it.  K @ prod replaces prod before the second product is made, so at
@@ -56,16 +55,6 @@ def site_operator_family(
     with np.errstate(over="ignore", invalid="ignore"):
         prod = K @ prod
         return prod @ K.conj().T
-
-
-def _basis_products(op_basis: OperatorBasis, flags: Sequence[bool]) -> np.ndarray:
-    """C~_{k_1} (x) ... (x) C~_{k_v} per index tuple, ((D^2)^v, D^v, D^v); C~ is C^T where flagged."""
-    v = len(flags)
-    C = np.stack(op_basis.elements)
-    k, i, j = (string.ascii_letters[p * v:(p + 1) * v] for p in range(3))
-    spec = ",".join(k[p] + i[p] + j[p] for p in range(v)) + "->" + k + i + j
-    prod = np.einsum(spec, *(C.transpose(0, 2, 1) if t else C for t in flags))
-    return prod.reshape(C.shape[0] ** v, op_basis.D**v, op_basis.D**v)
 
 
 def operator_traces(ops: np.ndarray) -> np.ndarray:

@@ -16,14 +16,9 @@ import math
 
 import numpy as np
 
+from pepslhv.basis import basis_products
 from pepslhv.construction import PepsInstance
-from pepslhv.decomposition import (
-    _basis_products,
-    _family_sites,
-    _row_blocks,
-    _row_rule,
-    _usable_traces,
-)
+from pepslhv.decomposition import _family_sites, _row_blocks, _row_rule, _usable_traces
 from pepslhv.errors import UsageError
 
 # a sum of products bounded by this in size is finite however it is rounded
@@ -119,7 +114,7 @@ class EpsilonProbe:
 
     The work that does not depend on epsilon is done once and kept while
     the instances share their basis and measurement set objects: the basis
-    products of each degree (_basis_products, site_operator_family with
+    products of each degree (basis.basis_products, site_operator_family with
     K = I and no transposed end) and the element stack, both in real
     Hermitian coordinates (_hermitian_coords).  A family's products are a
     signed permutation of those coordinates (_transposition), read one row
@@ -145,7 +140,7 @@ class EpsilonProbe:
         if instance.basis is not self._basis:
             self._basis, self._products, self._transpositions = instance.basis, {}, {}
         if v not in self._products:
-            P = _hermitian_coords(_basis_products(instance.basis, (False,) * v), 0.5)
+            P = _hermitian_coords(basis_products(instance.basis, (False,) * v), 0.5)
             self._products[v] = P, float(np.abs(P).sum(axis=0).max())
         flags = ~instance.lattice.is_head[-v:, site]
         if flags.tobytes() not in self._transpositions:

@@ -15,7 +15,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from pepslhv import linalg
-from pepslhv.basis import PAULI_X, PAULI_Y, PAULI_Z, VirtualSpaceTag, max_ent_state
+from pepslhv.basis import PAULI_X, PAULI_Y, PAULI_Z, OperatorBasis, basis_products, max_ent_state
 from pepslhv.errors import UsageError, check_entries
 
 POVM_PSD_ATOL = 1e-9
@@ -292,30 +292,26 @@ class AdmissibilityReport:
     worst: Tuple[Tuple[int, ...], int, float]  # (basis tuple, element index, value)
 
 
-def admissible_povm(povm: Povm, site_spaces: Sequence[VirtualSpaceTag]) -> AdmissibilityReport:
-    """Scan tr(V X) over products of extreme points V of the tagged spaces.
+def admissible_povm(povm: Povm, op_basis: OperatorBasis, flags: Sequence[bool]) -> AdmissibilityReport:
+    """Scan tr(V X) over the products V = basis_products(op_basis, flags) of extreme points.
 
-    Linearity in V makes checking the extreme points sufficient for the
-    whole convex hulls.  The worst entry is the first, in C-order over
-    (tuple, element), furthest outside [0, 1].
+    One virtual space per flag, whose extreme points are the basis elements,
+    transposed where flagged (a tail end).  Linearity in V makes checking
+    the extreme points sufficient for the whole convex hulls.  The worst
+    entry is the first, in C-order over (tuple, element), furthest outside
+    [0, 1].
     """
-    spaces = list(site_spaces)
-    if not spaces:
+    flags = tuple(flags)
+    if not flags:
         raise UsageError("need at least one virtual space")
-    dim = int(np.prod([t.basis.D for t in spaces]))
+    dim = op_basis.D ** len(flags)
     if povm.dim != dim:
         raise UsageError(f"POVM dim {povm.dim} != product virtual dim {dim}")
-    # V[k_1..k_v] = C~_{k_1} (x) ... (x) C~_{k_v}, Kronecker products taken left to right
-    V = np.ones((1, 1, 1))
-    for t in spaces:
-        F = np.stack([t.element(k) for k in range(t.basis.D**2)])
-        (n, a, _), (m, b, _) = V.shape, F.shape
-        V = V[:, None, :, None, :, None] * F[None, :, None, :, None, :]
-        V = V.reshape(n * m, a * b, a * b)
-    vals = linalg.overlaps(V, povm.elements).reshape([t.basis.D**2 for t in spaces] + [-1])
+    V = basis_products(op_basis, flags)
+    vals = linalg.overlaps(V, povm.elements).reshape([op_basis.D**2] * len(flags) + [-1])
     excess = np.maximum(-vals, vals - 1.0)
     k = np.unravel_index(int(np.argmax(excess)), vals.shape)
-    worst = ((0,) * len(spaces), 0, 0.0)
+    worst = ((0,) * len(flags), 0, 0.0)
     if excess[k] > 0.0:
         worst = (tuple(int(i) for i in k[:-1]), int(k[-1]), float(vals[k]))
     min_v, max_v = float(vals.min()), float(vals.max())

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 
-from pepslhv import linalg
+from pepslhv import basis, linalg
 from pepslhv.construction import RECIPE1_MAX_RETRIES, SiteMap, _check_orthonormal
 from pepslhv.decomposition import DUAL_ATOL, TRACE_FLOOR, PositivityWitness, operator_traces
 from pepslhv.errors import ConstraintError, ConstructionError, UsageError
+from pepslhv.measurements import ADMISSIBLE_ATOL, AdmissibilityReport
 
 
 def tensor_product(factors) -> np.ndarray:
@@ -24,9 +25,86 @@ def tensor_product(factors) -> np.ndarray:
 def site_output_operator(site_map, op_basis, indices, transposed_flags) -> np.ndarray:
     """O = K (C~_{k_1} (x) ... (x) C~_{k_v}) K^dag for one index tuple, C~ transposed at tail ends."""
     C = tensor_product(
-        [op_basis.element(k, transposed=t) for k, t in zip(indices, transposed_flags)]
+        [op_basis.elements[k].T if t else op_basis.elements[k] for k, t in zip(indices, transposed_flags)]
     )
     return site_map.K @ C @ site_map.K.conj().T
+
+
+# ---------------------------------------------------------------------------
+# Bases, one element at a time
+
+def hermitian_spanning_list(D: int) -> list:
+    """basis.hermitian_spanning_set, one zero matrix filled per element."""
+    out = []
+    for j in range(D):
+        m = np.zeros((D, D), dtype=complex)
+        m[j, j] = 1.0
+        out.append(m)
+    for j in range(D):
+        for k in range(j + 1, D):
+            m = np.zeros((D, D), dtype=complex)
+            m[j, k] = m[k, j] = 1.0 / np.sqrt(2)
+            out.append(m)
+    for j in range(D):
+        for k in range(j + 1, D):
+            m = np.zeros((D, D), dtype=complex)
+            m[j, k] = 1j / np.sqrt(2)
+            m[k, j] = -1j / np.sqrt(2)
+            out.append(m)
+    return out
+
+
+def aligned_elements(D: int, anchor) -> list:
+    """basis.build_aligned_basis's elements, each C_k = sqrt(D) sum_l R[k, l] G_l summed one term at a time."""
+    gs = basis._orthonormal_hermitian_completion(linalg.projector(anchor), D)
+    R = basis._householder_to_uniform(D**2)
+    elements = []
+    for k in range(D**2):
+        c = np.zeros((D, D), dtype=complex)
+        for l in range(D**2):
+            c = c + R[k, l] * gs[l]
+        elements.append(np.sqrt(D) * c)
+    return elements
+
+
+def phase_point_elements() -> list:
+    """basis.phase_point_basis's elements, one (a, b) at a time."""
+    eye = np.eye(2, dtype=complex)
+    elements = []
+    for a in (0, 1):
+        for b in (0, 1):
+            elements.append(0.5 * (
+                eye
+                + (-1) ** a * basis.PAULI_X
+                + (-1) ** (a + b) * basis.PAULI_Y
+                + (-1) ** b * basis.PAULI_Z
+            ))
+    return elements
+
+
+def admissible_povm(povm, spaces) -> AdmissibilityReport:
+    """measurements.admissible_povm over (basis, transposed) pairs, one Kronecker factor at a time.
+
+    The bases of the pairs may differ.
+    """
+    dim = int(np.prod([b.D for b, _ in spaces]))
+    if povm.dim != dim:
+        raise UsageError(f"POVM dim {povm.dim} != product virtual dim {dim}")
+    V = np.ones((1, 1, 1))
+    for b, transposed in spaces:
+        F = np.stack([c.T if transposed else c for c in b.elements])
+        (n, a, _), (m, e, _) = V.shape, F.shape
+        V = V[:, None, :, None, :, None] * F[None, :, None, :, None, :]
+        V = V.reshape(n * m, a * e, a * e)
+    vals = linalg.overlaps(V, povm.elements).reshape([b.D**2 for b, _ in spaces] + [-1])
+    excess = np.maximum(-vals, vals - 1.0)
+    k = np.unravel_index(int(np.argmax(excess)), vals.shape)
+    worst = ((0,) * len(spaces), 0, 0.0)
+    if excess[k] > 0.0:
+        worst = (tuple(int(i) for i in k[:-1]), int(k[-1]), float(vals[k]))
+    min_v, max_v = float(vals.min()), float(vals.max())
+    admissible = min_v >= -ADMISSIBLE_ATOL and max_v <= 1.0 + ADMISSIBLE_ATOL
+    return AdmissibilityReport(admissible=admissible, min_value=min_v, max_value=max_v, worst=worst)
 
 
 def kraus_rank(site_map, rtol: float = 1e-12) -> int:

@@ -18,7 +18,6 @@ from pepslhv import configio, linalg, oracle, sampling
 from pepslhv.basis import build_aligned_basis, phase_point_basis, verify_decomposition
 from pepslhv.lattice import build_chain
 from pepslhv.measurements import (
-    VirtualSpaceTag,
     admissible_povm,
     bell_povm,
     dual_margin,
@@ -148,14 +147,10 @@ def test_criterion_07_lhv_structure():
 
 def test_criterion_08_identity_projector_demo():
     pp = phase_point_basis()
-    head_tail = [
-        VirtualSpaceTag(basis=pp, transposed=False),
-        VirtualSpaceTag(basis=pp, transposed=True),
-    ]
-    rep = admissible_povm(bell_povm(), head_tail)
+    rep = admissible_povm(bell_povm(), pp, (False, True))  # head-tail: the tail end transposed
     assert rep.admissible
     values = [
-        np.trace(np.kron(pp.element(k), pp.element(l, transposed=True)) @ x).real
+        np.trace(np.kron(pp.elements[k], pp.elements[l].T) @ x).real
         for k in range(4)
         for l in range(4)
         for x in bell_povm().elements
@@ -163,8 +158,7 @@ def test_criterion_08_identity_projector_demo():
     assert len(values) == 64
     assert all(min(abs(v), abs(v - 1)) <= 1e-10 for v in values)
 
-    head_head = [VirtualSpaceTag(basis=pp, transposed=False)] * 2
-    rep2 = admissible_povm(bell_povm(), head_head)
+    rep2 = admissible_povm(bell_povm(), pp, (False, False))
     assert not rep2.admissible
     assert rep2.min_value == pytest.approx(-0.5, abs=1e-10)
 

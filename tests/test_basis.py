@@ -3,8 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pepslhv import basis
+from pepslhv import basis, configio, linalg
 from pepslhv.errors import UsageError
+
+from reference import aligned_elements, hermitian_spanning_list, phase_point_elements, tensor_product
+
+# every basis the package builds by name, from the first one the benchmark uses
+NAMED_BASES = [f"aligned:{D}:{a}" for D in range(2, 7) for a in ("zero", "uniform")] + [
+    "aligned:2:plus-diag:1",
+    "phase-point",
+]
 
 
 def aligned(D, anchor=None):
@@ -35,7 +43,7 @@ class TestAlignedBasis:
     @pytest.mark.parametrize("D", [2, 3, 4])
     def test_gram_matrix(self, D):
         b = aligned(D)
-        assert np.allclose(basis.gram_matrix(b.elements), D * np.eye(D * D), atol=1e-10)
+        assert np.allclose(linalg.overlaps(b.elements, b.elements), D * np.eye(D * D), atol=1e-10)
 
     @pytest.mark.parametrize("D", [2, 3, 4])
     def test_overlaps_all_equal(self, D):
@@ -59,7 +67,7 @@ class TestAlignedBasis:
         anchor = rng.normal(size=3) + 1j * rng.normal(size=3)
         anchor /= np.linalg.norm(anchor)
         b = basis.build_aligned_basis(3, anchor)
-        assert np.allclose(basis.gram_matrix(b.elements), 3 * np.eye(9), atol=1e-9)
+        assert np.allclose(linalg.overlaps(b.elements, b.elements), 3 * np.eye(9), atol=1e-9)
         assert np.allclose(b.anchor_overlaps(), 1 / np.sqrt(3), atol=1e-9)
 
 
@@ -71,7 +79,7 @@ class TestPhasePointBasis:
 
     def test_pairwise_orthogonal(self):
         b = basis.phase_point_basis()
-        assert np.allclose(basis.gram_matrix(b.elements), 2 * np.eye(4), atol=1e-12)
+        assert np.allclose(linalg.overlaps(b.elements, b.elements), 2 * np.eye(4), atol=1e-12)
 
     def test_unit_traces(self):
         for a in basis.phase_point_basis().elements:
@@ -101,14 +109,13 @@ class TestTransposition:
     def test_diagonals_shared_with_transpose(self):
         # trace factorization downstream relies on this exact agreement
         for b in (aligned(2), aligned(3), basis.phase_point_basis()):
-            for k in range(b.D**2):
-                c = b.element(k)
-                ct = b.element(k, transposed=True)
-                assert np.array_equal(np.diagonal(c), np.diagonal(ct))
+            c = basis.basis_products(b, (False,))
+            ct = basis.basis_products(b, (True,))
+            assert np.array_equal(np.diagonal(c, axis1=1, axis2=2), np.diagonal(ct, axis1=1, axis2=2))
 
     def test_transposed_in_computational_basis(self):
         b = basis.phase_point_basis()
-        assert np.array_equal(b.element(1, transposed=True), b.elements[1].T)
+        assert np.array_equal(basis.basis_products(b, (True,))[1], b.elements[1].T)
 
 
 class TestJsonRoundTrip:
@@ -120,3 +127,64 @@ class TestJsonRoundTrip:
         for x, y in zip(back.elements, b.elements):
             assert np.allclose(x, y, atol=0)
         assert np.allclose(back.anchor, b.anchor, atol=0)
+
+
+class TestElementStack:
+    def test_one_read_only_stack(self):
+        b = aligned(3)
+        assert isinstance(b.elements, np.ndarray)
+        assert b.elements.shape == (9, 3, 3) and b.elements.dtype == complex
+        assert not b.elements.flags.writeable
+        with pytest.raises(ValueError):
+            b.elements[0, 0, 0] = 1.0
+
+    def test_stores_a_copy(self):
+        elements = np.array(basis.phase_point_basis().elements)
+        b = basis.OperatorBasis(D=2, elements=elements)
+        elements[0, 0, 0] = 7.0
+        assert b.elements[0, 0, 0] == 1.0
+        assert not np.shares_memory(b.elements, elements)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda e: e[:3], "expected 4 elements, got 3"),
+            (lambda e: np.zeros((4, 3, 3)), r"element shape \(3, 3\) != \(2, 2\)"),
+            (lambda e: [e[0], e[1], e[2], np.eye(3)], "not equal-shape matrices"),
+            (lambda e: np.where(np.arange(4)[:, None, None] == 0, np.nan, e), "non-finite"),
+            (lambda e: e + np.array([[0, 1], [0, 0]]), "not hermitian"),
+            (lambda e: 1.1 * e, "Gram matrix deviates"),
+        ],
+        ids=["count", "shape", "ragged", "non-finite", "non-hermitian", "gram"],
+    )
+    def test_rejects(self, edit, message):
+        elements = np.array(basis.phase_point_basis().elements)
+        with pytest.raises(UsageError, match=message):
+            basis.OperatorBasis(D=2, elements=edit(elements))
+
+
+class TestByteReferences:
+    """The whole-stack constructions give the bytes of the per-element ones."""
+
+    @pytest.mark.parametrize("D", range(2, 7))
+    def test_spanning_set(self, D):
+        assert basis.hermitian_spanning_set(D).tobytes() == np.array(hermitian_spanning_list(D)).tobytes()
+
+    @pytest.mark.parametrize("spec", NAMED_BASES)
+    def test_named_basis(self, spec):
+        b = configio.parse_basis(spec)
+        if spec == "phase-point":
+            expected = phase_point_elements()
+        else:
+            expected = aligned_elements(b.D, b.anchor)
+        assert b.elements.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("spec", ["aligned:2:zero", "aligned:3:uniform", "phase-point"])
+    def test_products_are_the_tensor_products(self, spec):
+        b = configio.parse_basis(spec)
+        for flags in [(False,), (True,), (False, True), (True, False, True)]:
+            prod = basis.basis_products(b, flags)
+            assert prod.shape == (b.D ** (2 * len(flags)), b.D ** len(flags), b.D ** len(flags))
+            for r, tup in enumerate(np.ndindex(*[b.D**2] * len(flags))):
+                factors = [b.elements[k].T if t else b.elements[k] for k, t in zip(tup, flags)]
+                assert np.allclose(prod[r], tensor_product(factors), rtol=0, atol=1e-15), (flags, tup)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -29,9 +30,9 @@ def run(*argv):
 
 
 def check_digest(stdout: str) -> str:
-    """sha256 of a `peps check` report without its choi_min_eigenvalue, which must be >= -1e-9."""
+    """sha256 of a `peps check` report without its choi_min_eigenvalue, which must be 0.0."""
     report = json.loads(stdout)
-    assert report.pop("choi_min_eigenvalue") >= -1e-9
+    assert report.pop("choi_min_eigenvalue") == 0.0
     return hashlib.sha256(json.dumps(report, indent=2, sort_keys=True).encode()).hexdigest()
 
 
@@ -252,11 +253,9 @@ class TestPepsCommands:
         assert report["choi_min_eigenvalue"] >= -1e-9
 
     def test_check_torus3x3_stdout_bits(self, tmp_path, capsys):
-        # sha256 of the report without choi_min_eigenvalue: slacks, witness and
-        # min trace, to the last digit.  That key is LAPACK's rounding of a
-        # rank-one matrix's zero eigenvalue, and its last digit moves with the
-        # BLAS thread count, so it is only bounded; a one-thread run must give
-        # the same digest
+        # sha256 of the report without choi_min_eigenvalue (check_digest
+        # asserts it is 0.0): slacks, witness and min trace, to the last
+        # digit; a one-thread run must give the same digest
         path = tmp_path / "torus3x3.json"
         assert run(
             "peps", "build",
@@ -279,6 +278,32 @@ class TestPepsCommands:
         )
         assert proc.returncode == 0, proc.stderr
         assert check_digest(proc.stdout) == TORUS3X3_CHECK_SHA256
+
+    # one Kraus operator: a rank-one Choi matrix, whose least eigenvalue is 0
+    @pytest.mark.parametrize(
+        "site_map",
+        [
+            {"recipe": 1, "epsilon": 0.05, "seed": 3},
+            {"recipe": 2, "epsilon": 0.2},
+            {"recipe": "identity"},
+            {"recipe": "custom", "kraus": linalg.matrix_to_json(np.eye(4) / 2)},
+        ],
+        ids=["recipe-1", "recipe-2", "identity", "custom"],
+    )
+    def test_check_reports_choi_zero(self, tmp_path, capsys, site_map):
+        config = dict(CYCLE3_INSTANCE, site_map=site_map)
+        if site_map["recipe"] == "identity":
+            config.update(basis="phase-point", measurements="bell")
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(config))
+        assert run("peps", "check", str(path)) in (0, 3)
+        assert json.loads(capsys.readouterr().out)["choi_min_eigenvalue"] == 0.0
+
+    def test_in_process_main_freezes_nothing(self, instance_file, capsys):
+        # only entry() freezes the heap before the interpreter exits
+        assert gc.get_freeze_count() == 0
+        assert run("peps", "check", str(instance_file)) == 0
+        assert gc.get_freeze_count() == 0
 
     def test_check_above_threshold_exit_3(self, tmp_path):
         path = tmp_path / "hot.json"
@@ -538,6 +563,19 @@ class TestMalformedInstanceFiles:
         instance_file.write_text(json.dumps(config))
         assert run("peps", "check", str(instance_file)) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    # each compared equal to 1 or 2 and was built as recipe 1 or 2; int() of
+    # 5000 digits raised a ValueError past the CLI (a traceback, exit 1)
+    @pytest.mark.parametrize(
+        "recipe", [True, False, 2.0, 1.0, "2.0", "1" * 5000],
+        ids=["true", "false", "2.0", "1.0", "'2.0'", "5000-digits"],
+    )
+    def test_recipe_not_an_integer_or_name_exit_2(self, instance_file, capsys, recipe):
+        config = with_field(json.loads(instance_file.read_text()), ("site_map", "recipe"), recipe)
+        instance_file.write_text(json.dumps(config))
+        assert run("peps", "check", str(instance_file)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [f"error: unknown recipe {recipe!r}"]
 
     def test_top_level_not_object_exit_2(self, instance_file, capsys):
         instance_file.write_text(json.dumps([json.loads(instance_file.read_text())]))

@@ -170,10 +170,13 @@ class TestIdentityMap:
 class TestChoiCheck:
     def test_identity_v1_choi(self):
         m = con.identity_site_map(1)
-        choi = con.choi_matrix(m.K)
+        w = m.K.T.ravel()  # the Choi matrix of rho -> K rho K^dag is w w^dag
+        choi = np.outer(w, w.conj())
         phi = np.array([1, 0, 0, 1], dtype=complex)
         assert np.allclose(choi, np.outer(phi, phi), atol=1e-12)
-        assert con.choi_check(m) == pytest.approx(0.0, abs=1e-12)
+        # rank one, so its least eigenvalue is the 0.0 that choi_check reports
+        assert np.linalg.eigvalsh(choi)[0] == pytest.approx(0.0, abs=1e-12)
+        assert con.choi_check(m) == 0.0
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
     def test_single_kraus_maps_are_cp(self, eps):

@@ -15,7 +15,7 @@ from pepslhv import configio, epsilon_probe
 from pepslhv import construction as con
 from pepslhv import decomposition as dec
 from pepslhv import cli, linalg, sampling
-from pepslhv.basis import build_aligned_basis, phase_point_basis
+from pepslhv.basis import basis_products, build_aligned_basis, phase_point_basis
 from pepslhv.errors import DegenerateNormError, NotFactorizableError, UsageError
 from pepslhv.lattice import build_chain, build_cycle, lattice_from_name
 from pepslhv.measurements import (
@@ -735,10 +735,10 @@ class TestMaxEpsilonSearch:
     @pytest.mark.parametrize("D, v", [(2, 1), (2, 2), (2, 4), (3, 1), (3, 3)])
     def test_transposition_is_the_einsum_with_transposed_ends(self, D, v):
         b = configio.parse_basis(f"aligned:{D}:zero")
-        unflagged = epsilon_probe._hermitian_coords(dec._basis_products(b, (False,) * v), 0.5)
+        unflagged = epsilon_probe._hermitian_coords(basis_products(b, (False,) * v), 0.5)
         for flags in itertools.product([False, True], repeat=v):
             source, sign = epsilon_probe._transposition(D, np.array(flags))
-            direct = epsilon_probe._hermitian_coords(dec._basis_products(b, flags), 0.5)
+            direct = epsilon_probe._hermitian_coords(basis_products(b, flags), 0.5)
             assert np.array_equal(unflagged[source] * sign[:, None], direct), flags
 
     @pytest.mark.parametrize("lattice, qubits", [("chain:4", 2), ("cycle:3", 2), ("torus:3x3", 4)])

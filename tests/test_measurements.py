@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pepslhv import measurements as meas
-from pepslhv.basis import VirtualSpaceTag, bloch_diag_state, build_aligned_basis, phase_point_basis
+from pepslhv.basis import bloch_diag_state, build_aligned_basis, phase_point_basis
 from pepslhv.errors import UsageError
 from pepslhv.linalg import kron_vectors, projector
 
 from conftest import run_capped
+import reference
 from reference import tensor_product
 
 
@@ -302,8 +303,7 @@ class TestPauliFamilies:
 class TestAdmissibility:
     def test_bell_vs_head_tail_pair(self):
         b = phase_point_basis()
-        tags = [VirtualSpaceTag(basis=b, transposed=False), VirtualSpaceTag(basis=b, transposed=True)]
-        report = meas.admissible_povm(meas.bell_povm(), tags)
+        report = meas.admissible_povm(meas.bell_povm(), b, (False, True))
         assert report.admissible
         # <Phi|A_k (x) A_l^T|Phi> = tr(A_k A_l)/2, so every value is 0 or 1
         assert report.min_value == pytest.approx(0.0, abs=1e-10)
@@ -311,8 +311,7 @@ class TestAdmissibility:
 
     def test_bell_vs_head_head_pair(self):
         b = phase_point_basis()
-        tags = [VirtualSpaceTag(basis=b, transposed=False)] * 2
-        report = meas.admissible_povm(meas.bell_povm(), tags)
+        report = meas.admissible_povm(meas.bell_povm(), b, (False, False))
         assert not report.admissible
         assert report.min_value == pytest.approx(-0.5, abs=1e-10)
         assert report.worst[2] == pytest.approx(-0.5, abs=1e-10)
@@ -331,9 +330,7 @@ class TestAdmissibility:
         ids=["head-tail", "head-head", "tail-tail"],
     )
     def test_bell_reports_pinned(self, pattern, expected):
-        b = phase_point_basis()
-        tags = [VirtualSpaceTag(basis=b, transposed=t) for t in pattern]
-        report = meas.admissible_povm(meas.bell_povm(), tags)
+        report = meas.admissible_povm(meas.bell_povm(), phase_point_basis(), pattern)
         admissible, min_value, max_value, (tup, j, value) = expected
         assert report.admissible is admissible
         assert report.min_value == pytest.approx(min_value, abs=1e-12)
@@ -342,17 +339,13 @@ class TestAdmissibility:
         assert report.worst[2] == pytest.approx(value, abs=1e-12)
 
     def test_three_spaces_match_tensor_product_loop(self):
-        aligned = build_aligned_basis(2, np.array([1, 0]))
-        tags = [
-            VirtualSpaceTag(basis=aligned, transposed=False),
-            VirtualSpaceTag(basis=phase_point_basis(), transposed=True),
-            VirtualSpaceTag(basis=aligned, transposed=True),
-        ]
+        b = build_aligned_basis(2, np.array([1, 0]))
+        flags = (False, True, True)
         _, povm = meas.pauli_product_measurements(3).by_label("XYZ")
-        report = meas.admissible_povm(povm, tags)
+        report = meas.admissible_povm(povm, b, flags)
         min_v, max_v, worst = np.inf, -np.inf, ((0, 0, 0), 0, 0.0)
         for tup in itertools.product(range(4), repeat=3):
-            V = tensor_product([t.element(k) for t, k in zip(tags, tup)])
+            V = tensor_product([b.elements[k].T if t else b.elements[k] for t, k in zip(flags, tup)])
             for j, x in enumerate(povm.elements):
                 val = float(np.trace(V @ x).real)
                 min_v, max_v = min(min_v, val), max(max_v, val)
@@ -366,21 +359,41 @@ class TestAdmissibility:
 
     def test_computational_basis_vs_phase_points(self):
         b = phase_point_basis()
-        tags = [VirtualSpaceTag(basis=b, transposed=False), VirtualSpaceTag(basis=b, transposed=True)]
         elements = tuple(np.diag(row).astype(complex) for row in np.eye(4))
-        report = meas.admissible_povm(meas.Povm(elements=elements, label="comp"), tags)
+        report = meas.admissible_povm(meas.Povm(elements=elements, label="comp"), b, (False, True))
         assert report.admissible
 
     def test_verdict_invariant_under_element_permutation(self):
         b = phase_point_basis()
-        tags = [VirtualSpaceTag(basis=b, transposed=False)] * 2
         povm = meas.bell_povm()
         shuffled = meas.Povm(elements=povm.elements[::-1], label="bell-rev")
-        r1 = meas.admissible_povm(povm, tags)
-        r2 = meas.admissible_povm(shuffled, tags)
+        r1 = meas.admissible_povm(povm, b, (False, False))
+        r2 = meas.admissible_povm(shuffled, b, (False, False))
         assert r1.admissible == r2.admissible
         assert r1.min_value == pytest.approx(r2.min_value, abs=1e-12)
         assert r1.max_value == pytest.approx(r2.max_value, abs=1e-12)
+
+    # the report of the Kronecker loop over (basis, transposed) pairs, to the byte
+    @pytest.mark.parametrize("flags", list(itertools.product([False, True], repeat=2)))
+    @pytest.mark.parametrize(
+        "povm, basis",
+        [
+            (meas.bell_povm, phase_point_basis),
+            (lambda: meas.Povm(elements=np.eye(4)[:, None] * np.eye(4)[:, :, None], label="comp"),
+             lambda: build_aligned_basis(2, np.array([1, 0]))),
+        ],
+        ids=["bell-phase-point", "comp-aligned2"],
+    )
+    def test_report_equals_kronecker_loop(self, povm, basis, flags):
+        b = basis()
+        assert meas.admissible_povm(povm(), b, flags) == reference.admissible_povm(povm(), [(b, t) for t in flags])
+
+    def test_bad_flags_rejected(self):
+        b = phase_point_basis()
+        with pytest.raises(UsageError, match="at least one virtual space"):
+            meas.admissible_povm(meas.bell_povm(), b, ())
+        with pytest.raises(UsageError, match="POVM dim 4 != product virtual dim 8"):
+            meas.admissible_povm(meas.bell_povm(), b, (False, True, False))
 
 
 class TestMarginConcavity:

@@ -1,7 +1,9 @@
 """Smoke tests: the experiment scripts run end to end and print their findings."""
 
+import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -40,3 +42,30 @@ def test_epsilon_threshold():
         "slack at epsilon=0: 0.044658",
         "threshold bracket: (0.112060546875, 0.112121582031), width 6.1e-05",
     ]
+
+
+def test_ab_record(tmp_path):
+    ignore = shutil.ignore_patterns("__pycache__", "out")
+    for side in ("parent", "change"):
+        for part in ("src", "perfbench"):
+            shutil.copytree(ROOT / part, tmp_path / side / part, ignore=ignore)
+    out = tmp_path / "BENCH_test.json"
+    run_script("ab.py", "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+               "--workload", "ring400-hidden", "--pairs", "1", "--seconds", "0", "--seed", "5",
+               "--out", str(out))
+    record = json.loads(out.read_text())
+    assert set(record) == {"what", "machine", "commits", "command", "protocol", "better",
+                           "written", "workloads"}
+    assert record["commits"] == {"parent": None, "change": None}  # copies, not git checkouts
+    assert set(record["machine"]) >= {"nproc", "cpu", "python", "numpy"}
+    ring = record["workloads"]["ring400-hidden"]
+    assert ring["not_correct"] == []
+    (pair,) = ring["pairs"]
+    assert (pair["seed"], pair["first"]) == (5, "parent")
+    for name in ("setup_s", "check_s", "work_s", "peak_rss_mb"):
+        assert set(pair["values"][name]) == {"parent", "change"}
+        assert set(ring["summary"][name]) == {
+            "median_parent", "median_change", "quartiles_parent", "quartiles_change",
+            "change_lower", "pairs",
+        }
+        assert ring["summary"][name]["pairs"] == 1
