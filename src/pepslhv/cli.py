@@ -19,7 +19,6 @@ import numpy as np
 
 from pepslhv import basis as basis_mod
 from pepslhv import configio, decomposition, linalg
-from pepslhv import lattice as lattice_mod
 from pepslhv.construction import choi_check
 from pepslhv.errors import NotFactorizableError, PositivityViolationError, UsageError, check_entries
 
@@ -28,10 +27,28 @@ EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_POSITIVITY = 3
 EXIT_NOT_FACTORIZABLE = 4
+# edges `lattice gen` formats per write
+_LATTICE_CHUNK = 2**15
 
 
 def _write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _write_lattice(path, lat) -> None:
+    """_write_json of {"n_sites": N, "edges": [[head, tail], ...]}, byte for byte.
+
+    Formatted from the (E, 2) edge array _LATTICE_CHUNK edges at a time, so
+    no Python list of every edge is built.
+    """
+    item = ",\n    [\n      %d,\n      %d\n    ]"
+    with open(path, "w") as fh:
+        fh.write('{\n  "edges": [')
+        for a in range(0, lat.n_edges, _LATTICE_CHUNK):
+            chunk = lat.edges[a : a + _LATTICE_CHUNK]
+            text = item * len(chunk) % tuple(chunk.ravel().tolist())
+            fh.write(text if a else text[1:])  # no comma before the first edge
+        fh.write(f'\n  ],\n  "n_sites": {lat.n_sites}\n}}\n')
 
 
 def _print(obj) -> None:
@@ -82,7 +99,7 @@ def cmd_dual_margin(args) -> int:
 
 def cmd_lattice_gen(args) -> int:
     lat = configio.parse_lattice(args.name)
-    _write_json(args.out, lattice_mod.lattice_to_json(lat))
+    _write_lattice(args.out, lat)
     print(f"wrote lattice with {lat.n_sites} sites, {lat.n_edges} edges to {args.out}")
     return EXIT_OK
 

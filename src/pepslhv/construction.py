@@ -244,11 +244,3 @@ def assemble_exact_state(instance: PepsInstance):
     if not 1e-14 < T < math.inf:
         raise DegenerateNormError(f"assembled state has squared norm {T:.3e}")
     return vec, T
-
-
-def entanglement_certificate(instance: PepsInstance) -> list:
-    """Entanglement entropy (bits) across every single-site bipartition."""
-    raw, T = assemble_exact_state(instance)
-    dims = instance.physical_dims()
-    state = raw / np.sqrt(T)
-    return [linalg.entanglement_entropy(state, dims, [s]) for s in range(instance.lattice.n_sites)]

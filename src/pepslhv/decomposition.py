@@ -13,7 +13,8 @@ efficiently.
 
 `site_operator_family` is the one place the outputs are computed, all
 (D^2)^v of them per (degree, flags) in one stack; the certificate, trace
-tables, sampler CDF tables and exact mixture all read these stacks.
+tables and sampler CDF tables read these stacks one family at a time
+(_family_sites, _family_stack), and the oracle's exact mixture all at once.
 `_scan_family` is the one positivity test, and `_edge_rows` the one
 reduction from the families' traces to edge distributions, for the
 certificate, `edge_distribution` and the sampler alike.
@@ -30,7 +31,7 @@ import numpy as np
 
 from pepslhv import linalg
 from pepslhv.basis import OperatorBasis, basis_products
-from pepslhv.construction import MAX_ENUM_ASSIGNMENTS, PepsInstance, SiteMap, contract_edges
+from pepslhv.construction import PepsInstance, SiteMap
 from pepslhv.errors import NotFactorizableError, UsageError, check_entries
 from pepslhv.lattice import site_groups
 
@@ -80,17 +81,6 @@ def _family_stack(instance: PepsInstance, site: int) -> np.ndarray:
     if not np.all(np.isfinite(ops)):
         raise UsageError(f"site {site}: non-finite output operator")
     return ops
-
-
-def site_families(instance: PepsInstance):
-    """(distinct output stacks, family index per site), every stack held at once.
-
-    A stack with a non-finite entry raises UsageError.  The desk-scale
-    mixture needs every family together; the certificate and the sampler
-    build one family at a time (_family_sites, _family_stack).
-    """
-    firsts, site_family = _family_sites(instance)
-    return [_family_stack(instance, s) for s in firsts], site_family
 
 
 # ---------------------------------------------------------------------------
@@ -304,51 +294,6 @@ def _edge_rows(instance: PepsInstance, firsts: list, site_family: np.ndarray, tr
         - 2.0 * lat.n_edges * math.log(instance.D)
     )
     return EdgeDistributions(probs=weights / Z[:, None], log_T=log_T)
-
-
-# ---------------------------------------------------------------------------
-# Exact mixture reconstruction (desk-scale oracle)
-
-def _enumeration_guard(instance: PepsInstance):
-    E = instance.lattice.n_edges
-    check_entries("edge assignments of the mixture", (instance.D**2) ** E, MAX_ENUM_ASSIGNMENTS)
-    check_entries("mixture's density matrix", math.prod(instance.physical_dims()) ** 2)
-
-
-def contract_mixture(instance: PepsInstance, site_rows, extra_axes=0, keep_edges=False):
-    """contract_edges over D^2 indices per edge, within the enumeration limits."""
-    _enumeration_guard(instance)
-    return contract_edges(instance.lattice, site_rows, instance.D**2, extra_axes, keep_edges)
-
-
-def mixture_weights(instance: PepsInstance) -> np.ndarray:
-    """prod_s tr(O_s) per edge assignment, shape (D^2,) * E; divide by T D^(2E) for p."""
-    _enumeration_guard(instance)
-    return _trace_weights(instance, *site_families(instance))
-
-
-def _trace_weights(instance: PepsInstance, families: list, site_family: list) -> np.ndarray:
-    """mixture_weights from site_families(instance)."""
-    traces = [operator_traces(ops) for ops in families]
-    return contract_mixture(instance, [traces[f] for f in site_family], keep_edges=True)
-
-
-def mixture_normalization(instance: PepsInstance) -> float:
-    """T as the exact sum over all edge assignments."""
-    return float(np.sum(mixture_weights(instance))) / instance.D ** (2 * instance.lattice.n_edges)
-
-
-def reconstruct_mixture(instance: PepsInstance):
-    """Sum the separable mixture exactly; returns (density matrix, weights).
-
-    Term lambda, prod_s tr(O_s) (x)_s O_s / tr(O_s), is just (x)_s O_s.
-    """
-    _enumeration_guard(instance)  # before any site family is built
-    families, site_family = site_families(instance)
-    weights = _trace_weights(instance, families, site_family).ravel()
-    rho = contract_mixture(instance, [families[f] for f in site_family], extra_axes=2)
-    dim, total = math.prod(instance.physical_dims()), weights.sum()
-    return rho.reshape(dim, dim) / total, weights / total
 
 
 # ---------------------------------------------------------------------------

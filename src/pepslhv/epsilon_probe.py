@@ -19,7 +19,7 @@ import numpy as np
 from pepslhv.basis import basis_products
 from pepslhv.construction import PepsInstance
 from pepslhv.decomposition import _family_sites, _row_blocks, _row_rule, _usable_traces
-from pepslhv.errors import UsageError
+from pepslhv.decomposition import rv_positivity_check
 
 # a sum of products bounded by this in size is finite however it is rounded
 _COORD_BOUND = np.finfo(float).max / 4
@@ -124,7 +124,8 @@ class EpsilonProbe:
     Blocks are judged by the row rule of _scan_family, and the probe stops
     at the first failing block, trying the one that failed last first.
     Overlaps may round differently from the certificate's; the verdict is
-    the same.
+    the same.  An instance whose outputs may overflow is judged by
+    rv_positivity_check itself, which raises for a non-finite family.
     """
 
     def __init__(self):
@@ -157,18 +158,13 @@ class EpsilonProbe:
         for v, m in instance.maps.items():
             M = _map_matrix(m.K)
             maps[v] = M, float(max(M.max(), -M.min()))  # nan or inf if M is not finite
-        # in site order, so that the first family with a non-finite output
-        # raises, as in the certificate.  A coordinate is at most p_norm * top
-        # in size, and a trace sums d of them
+        # a coordinate is at most p_norm * top in size, and a trace sums d of
+        # them.  Past the bound an output may not be finite: the certificate
+        # then gives the verdict, and raises for the first non-finite family
         for s in firsts:
             M, top = maps[degrees[s]]
-            P, p_norm, source, sign = self._family(instance, s)
-            if not p_norm * top * len(M) <= _COORD_BOUND:
-                for a, b in _row_blocks(P.shape[1], len(M)):
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        block = _family_rows(P, source, sign, a, b) @ M.T
-                    if not np.all(np.isfinite(block)):
-                        raise UsageError(f"site {s}: non-finite output operator")
+            if not self._family(instance, s)[1] * top * len(M) <= _COORD_BOUND:
+                return rv_positivity_check(instance).passed
         last_f, last_k = self._last_fail
         for f in sorted(range(len(firsts)), key=lambda f: f != last_f):
             M = maps[degrees[firsts[f]]][0]

@@ -145,10 +145,6 @@ def _named_size(edges_per_site: int, *sizes: int) -> int:
     return sizes[0]
 
 
-def lattice_to_json(lat: Lattice) -> dict:
-    return {"n_sites": lat.n_sites, "edges": lat.edges.tolist()}
-
-
 def lattice_from_json(obj: dict) -> Lattice:
     """The lattice of {"n_sites": n, "edges": [[head, tail], ...]}, every number a JSON integer."""
     try:

@@ -1,8 +1,12 @@
 """Brute-force ground truth for desk-scale instances.
 
-Exact Born-rule joint distributions from the assembled state, exact
-distributions from the separable mixture (one edge contraction), and
-total-variation comparison of sampler output against either.
+Exact Born-rule joint distributions and single-site entanglement from the
+assembled state, the separable mixture summed exactly over every edge
+assignment (weights, normalization, density matrix and joint
+distributions, each one edge contraction), and total-variation comparison
+of sampler output against either.  Exact contraction of a PEPS is #P-hard
+in general, so all of it runs at desk scale only, and `verify` is the one
+command that imports this module.
 """
 
 from __future__ import annotations
@@ -14,8 +18,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from pepslhv import linalg
-from pepslhv.construction import PepsInstance, assemble_exact_state
-from pepslhv.decomposition import _row_blocks, contract_mixture, site_families
+from pepslhv.construction import (
+    MAX_ENUM_ASSIGNMENTS,
+    PepsInstance,
+    assemble_exact_state,
+    contract_edges,
+)
+from pepslhv.decomposition import _family_sites, _family_stack, _row_blocks, operator_traces
 from pepslhv.errors import UsageError, check_entries
 from pepslhv.sampling import MeasurementPlan, ShotBatch
 
@@ -73,10 +82,11 @@ def exact_joint_distribution(state, plan_povms: Sequence) -> JointDistribution:
     each X_{j_{s+1}}.  Sites 1 and 2 are measured together, in blocks of
     rows u of sites 3..N (decomposition._row_blocks): the bra rows (a_2, u)
     times X_{j_1} Psi, regrouped to (a_2 b_2, u w), give the block R[:, u, :]
-    of the (n_2, r, r) operator on sites 3..N, r = d_3 ... d_N.  The largest
-    arrays are that operator and its regrouped copy, never (d_2 ... d_N)^2.
-    Each probability is still a length-d_1 sum, then a length-d_2^2 sum, and
-    so on, in the same order as through the whole (d_2 ... d_N)^2 operator.
+    of the (n_2, r, r) operator on sites 3..N, r = d_3 ... d_N.  Sites 3..N
+    are then measured on one R[j_2] at a time, so the largest arrays are R
+    and one (r, r) slice's regrouped copy, never (d_2 ... d_N)^2.  Each
+    probability is still a length-d_1 sum, then a length-d_2^2 sum, and so
+    on, in the same order as through the whole (d_2 ... d_N)^2 operator.
     """
     vec = linalg.as_state(state)
     _check_oracle_size(plan_povms)
@@ -111,14 +121,16 @@ def exact_joint_distribution(state, plan_povms: Sequence) -> JointDistribution:
             # (a_2, u, b_2 w) -> (a_2 b_2, u w), then one matmul over a_2 b_2
             block = block.reshape(d2, b - a, d2, r).transpose(0, 2, 1, 3)
             R[:, a:b] = (site2 @ block.reshape(d2 * d2, -1)).reshape(-1, b - a, r)
-        out = R
-        for d, povm in zip(dims[2:], plan_povms[2:]):
-            # group the bra and ket indices of the next site, then one matmul over them
-            rest = out.shape[1] // d
-            out = out.reshape(-1, d, rest, d, rest).transpose(0, 1, 3, 2, 4)
-            out = povm.elements.reshape(povm.n_outcomes, -1) @ out.reshape(-1, d * d, rest * rest)
-            out = out.reshape(-1, rest, rest)
-        probs[j] = np.real(out).reshape(arities[1:])
+        # one second-site outcome at a time: a batched matmul over all of R
+        # also runs one gemm per R[j_2], so no bit moves
+        for j2, out in enumerate(R):
+            for d, povm in zip(dims[2:], plan_povms[2:]):
+                # group the bra and ket indices of the next site, then one matmul over them
+                rest = out.shape[-1] // d
+                out = out.reshape(-1, d, rest, d, rest).transpose(0, 1, 3, 2, 4)
+                out = povm.elements.reshape(povm.n_outcomes, -1) @ out.reshape(-1, d * d, rest**2)
+                out = out.reshape(-1, rest, rest)
+            probs[j, j2] = np.real(out).reshape(arities[2:])
     return JointDistribution(arities=tuple(arities), probs=probs)
 
 
@@ -128,6 +140,70 @@ def born_joint_for_instance(instance: PepsInstance, plan: MeasurementPlan) -> Jo
     _check_oracle_size(povms)
     raw, T = assemble_exact_state(instance)
     return exact_joint_distribution(raw / np.sqrt(T), povms)
+
+
+def entanglement_certificate(instance: PepsInstance) -> list:
+    """Entanglement entropy (bits) across every single-site bipartition."""
+    raw, T = assemble_exact_state(instance)
+    dims = instance.physical_dims()
+    state = raw / np.sqrt(T)
+    return [linalg.entanglement_entropy(state, dims, [s]) for s in range(instance.lattice.n_sites)]
+
+
+# ---------------------------------------------------------------------------
+# Exact mixture
+
+def site_families(instance: PepsInstance):
+    """(distinct output stacks, family index per site), every stack held at once.
+
+    A stack with a non-finite entry raises UsageError.  The mixture needs
+    every family together; the certificate and the sampler build one
+    family at a time (decomposition._family_sites, _family_stack).
+    """
+    firsts, site_family = _family_sites(instance)
+    return [_family_stack(instance, s) for s in firsts], site_family
+
+
+def _enumeration_guard(instance: PepsInstance):
+    E = instance.lattice.n_edges
+    check_entries("edge assignments of the mixture", (instance.D**2) ** E, MAX_ENUM_ASSIGNMENTS)
+    check_entries("mixture's density matrix", math.prod(instance.physical_dims()) ** 2)
+
+
+def contract_mixture(instance: PepsInstance, site_rows, extra_axes=0, keep_edges=False):
+    """contract_edges over D^2 indices per edge, within the enumeration limits."""
+    _enumeration_guard(instance)
+    return contract_edges(instance.lattice, site_rows, instance.D**2, extra_axes, keep_edges)
+
+
+def mixture_weights(instance: PepsInstance) -> np.ndarray:
+    """prod_s tr(O_s) per edge assignment, shape (D^2,) * E; divide by T D^(2E) for p."""
+    _enumeration_guard(instance)
+    return _trace_weights(instance, *site_families(instance))
+
+
+def _trace_weights(instance: PepsInstance, families: list, site_family: list) -> np.ndarray:
+    """mixture_weights from site_families(instance)."""
+    traces = [operator_traces(ops) for ops in families]
+    return contract_mixture(instance, [traces[f] for f in site_family], keep_edges=True)
+
+
+def mixture_normalization(instance: PepsInstance) -> float:
+    """T as the exact sum over all edge assignments."""
+    return float(np.sum(mixture_weights(instance))) / instance.D ** (2 * instance.lattice.n_edges)
+
+
+def reconstruct_mixture(instance: PepsInstance):
+    """Sum the separable mixture exactly; returns (density matrix, weights).
+
+    Term lambda, prod_s tr(O_s) (x)_s O_s / tr(O_s), is just (x)_s O_s.
+    """
+    _enumeration_guard(instance)  # before any site family is built
+    families, site_family = site_families(instance)
+    weights = _trace_weights(instance, families, site_family).ravel()
+    rho = contract_mixture(instance, [families[f] for f in site_family], extra_axes=2)
+    dim, total = math.prod(instance.physical_dims()), weights.sum()
+    return rho.reshape(dim, dim) / total, weights / total
 
 
 def mixture_joint_distribution(instance: PepsInstance, plan: MeasurementPlan) -> JointDistribution:

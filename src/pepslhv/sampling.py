@@ -314,10 +314,13 @@ def _draw_sites(
     entries.  u (B, N) may be the strided head of a wider buffer of
     uniforms: it is read in place, never copied.
     """
-    row = lam[:, sites.incidence[0]].astype(sites.base.dtype)
+    # np.take along axis 1 gathers at 0.8-0.9 ns per entry at any block size;
+    # lam[:, col] took 2.7 ns at B = 5 and 4.2 ns at B = 3 (0.6-0.75 ns at
+    # B >= 72), on one core of a 2-vCPU x86-64 machine
+    row = np.take(lam, sites.incidence[0], axis=1).astype(sites.base.dtype)
     for col in sites.incidence[1:]:
         row *= sites.n
-        row += lam[:, col]
+        row += np.take(lam, col, axis=1)
     row += sites.base
     shape = row.shape
     _draw(sites.table, row, u, out, idx.reshape(shape), entry.reshape(shape))

@@ -166,6 +166,11 @@ def born_joint_full_operator(state, povms) -> np.ndarray:
     return probs
 
 
+def lattice_to_json(lat) -> dict:
+    """The lattice file's object, as Python lists: what `lattice gen` writes, through json.dumps."""
+    return {"n_sites": lat.n_sites, "edges": lat.edges.tolist()}
+
+
 def tuple_incidence(n_sites: int, edges) -> list:
     """Each site's (edge index, site-is-head) pairs in edge order, one Python tuple per edge end.
 

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from pepslhv import basis as basis_mod
 from pepslhv import cli, configio, construction, linalg, measurements, oracle, sampling
-from pepslhv import lattice as lattice_mod
 from pepslhv.errors import DegenerateNormError, UsageError
 
 from conftest import recipe2_config, run_capped
+from reference import lattice_to_json
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -207,6 +207,18 @@ class TestLatticeCommand:
         assert obj["n_sites"] == 9
         assert len(obj["edges"]) == 18
 
+    @pytest.mark.parametrize("chunk", [1, 2, 5, cli._LATTICE_CHUNK])
+    @pytest.mark.parametrize("name", ["chain:2", "chain:5", "cycle:3", "cycle:8", "torus:3x4"])
+    def test_gen_bytes_are_json_dumps(self, tmp_path, monkeypatch, name, chunk):
+        # streamed chunk by chunk from the edge array, byte for byte what
+        # json.dumps writes from lists of every edge
+        monkeypatch.setattr(cli, "_LATTICE_CHUNK", chunk)
+        out = tmp_path / "lat.json"
+        assert run("lattice", "gen", "--name", name, "--out", str(out)) == 0
+        lat = configio.parse_lattice(name)
+        expected = json.dumps(lattice_to_json(lat), indent=2, sort_keys=True) + "\n"
+        assert out.read_bytes() == expected.encode()
+
     @pytest.mark.parametrize("name", ["cycle:100000000000", "torus:1000000x1000000"])
     def test_huge_name_exit_2(self, tmp_path, name):
         out = tmp_path / "lat.json"
@@ -225,7 +237,7 @@ class TestPepsCommands:
             "psi": "plus-diag:2",
         }
         written = {
-            "lattice": lattice_mod.lattice_to_json(configio.parse_lattice(named["lattice"])),
+            "lattice": lattice_to_json(configio.parse_lattice(named["lattice"])),
             "basis": basis_mod.basis_to_json(configio.parse_basis(named["basis"])),
             "measurements": measurements.measurement_set_to_json(
                 configio.parse_measurements(named["measurements"])
@@ -334,6 +346,9 @@ class TestPepsCommands:
             "--out", str(path),
         ) == 0
         capsys.readouterr()
+        # the certificate's slack at epsilon = 0, the instance as built
+        assert run("peps", "check", str(path)) == 0
+        assert f"{json.loads(capsys.readouterr().out)['slack']:.6f}" == "0.044658"
         assert run("peps", "epsilon-max", str(path), "--eps-hi", "0.5") == 0
         report = json.loads(capsys.readouterr().out)
         # the bracket recorded before the instance factory existed

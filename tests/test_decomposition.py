@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pepslhv import configio, epsilon_probe
+from pepslhv import configio, epsilon_probe, oracle
 from pepslhv import construction as con
 from pepslhv import decomposition as dec
 from pepslhv import cli, linalg, sampling
@@ -218,7 +218,7 @@ class TestEdgeDistribution:
     def test_log_T_matches_mixture_normalization(self):
         inst = build(recipe2_config(lattice="cycle:6"))
         dists = dec.edge_distribution(inst)
-        assert dists.log_T == pytest.approx(math.log(dec.mixture_normalization(inst)), abs=1e-12)
+        assert dists.log_T == pytest.approx(math.log(oracle.mixture_normalization(inst)), abs=1e-12)
         assert dists.T == math.exp(dists.log_T)
 
     @pytest.mark.parametrize(
@@ -251,7 +251,7 @@ class TestEdgeDistribution:
 
     def test_joint_matches_brute_force(self, cycle3_instance):
         dists = dec.edge_distribution(cycle3_instance)
-        numerators = dec.mixture_weights(cycle3_instance)
+        numerators = oracle.mixture_weights(cycle3_instance)
         total = numerators.sum()
         for assignment, weight in np.ndenumerate(numerators):
             product = np.prod([dists.probs[e][k] for e, k in enumerate(assignment)])
@@ -582,7 +582,7 @@ class TestBlockedScan:
         assert report_fields(dec.rv_positivity_check(inst)) == report_fields(
             self.full_scan_report(inst)
         )
-        families, _ = dec.site_families(inst)
+        families, _ = oracle.site_families(inst)
         stack, where = inst.measurement_set.element_stack()
         normed = dec._scan_family(inst, 0, families[0], stack, where, keep=True)[0]
         assert normed.tobytes() == scan_family(inst, 0, families[0], stack, where)[0].tobytes()
@@ -618,7 +618,7 @@ class TestMixtureReconstruction:
     @pytest.mark.parametrize("eps", [0.0, 0.2])
     def test_cycle3_exact(self, eps):
         inst = build(recipe2_config(epsilon=eps))
-        rho, weights = dec.reconstruct_mixture(inst)
+        rho, weights = oracle.reconstruct_mixture(inst)
         state, T = con.assemble_exact_state(inst)
         exact = np.outer(state, state.conj()) / T
         assert np.sum(weights) == pytest.approx(1.0, abs=1e-10)
@@ -627,7 +627,7 @@ class TestMixtureReconstruction:
 
     def test_chain2_four_terms(self):
         inst = build(recipe2_config(lattice="chain:2"))
-        terms = dec.mixture_weights(inst)
+        terms = oracle.mixture_weights(inst)
         assert terms.size == 4
 
     @pytest.mark.parametrize(
@@ -648,7 +648,7 @@ class TestMixtureReconstruction:
         inst = build(config)
         lat = inst.lattice
         n = inst.D**2
-        weights = dec.mixture_weights(inst)
+        weights = oracle.mixture_weights(inst)
         assert weights.shape == (n,) * lat.n_edges
         for assignment in itertools.product(range(n), repeat=lat.n_edges):
             expected = 1.0
@@ -677,31 +677,31 @@ class TestMixtureReconstruction:
             raise AssertionError("built site families past the size guard")
 
         monkeypatch.setattr(con, "contract_edges", no_contraction)
-        monkeypatch.setattr(dec, "contract_edges", no_contraction)
-        monkeypatch.setattr(dec, "site_families", no_families)
+        monkeypatch.setattr(oracle, "contract_edges", no_contraction)
+        monkeypatch.setattr(oracle, "site_families", no_families)
         with pytest.raises(UsageError, match="assembled state: 2\\^64 or more entries"):
             con.assemble_exact_state(inst)
         with pytest.raises(UsageError, match="density matrix: 2\\^64 or more entries"):
-            dec.reconstruct_mixture(inst)
+            oracle.reconstruct_mixture(inst)
         with pytest.raises(UsageError, match="density matrix: 2\\^64 or more entries"):
-            dec.mixture_weights(inst)
+            oracle.mixture_weights(inst)
 
     def test_families_built_once(self, cycle3_instance, monkeypatch):
-        build_families = dec.site_families
+        build_families = oracle.site_families
         calls = []
 
         def counted(instance):
             calls.append(instance)
             return build_families(instance)
 
-        monkeypatch.setattr(dec, "site_families", counted)
-        dec.reconstruct_mixture(cycle3_instance)
+        monkeypatch.setattr(oracle, "site_families", counted)
+        oracle.reconstruct_mixture(cycle3_instance)
         assert len(calls) == 1
 
     def test_T_consistency_three_ways(self, cycle3_instance):
         dists = dec.edge_distribution(cycle3_instance)
         _, T_exact = con.assemble_exact_state(cycle3_instance)
-        T_enum = dec.mixture_normalization(cycle3_instance)
+        T_enum = oracle.mixture_normalization(cycle3_instance)
         assert dists.T == pytest.approx(T_exact, rel=1e-10)
         assert T_enum == pytest.approx(T_exact, rel=1e-10)
 

@@ -9,7 +9,7 @@ from pepslhv import lattice
 from pepslhv.errors import UsageError
 
 from conftest import run_capped
-from reference import first_site_groups, tuple_incidence
+from reference import first_site_groups, lattice_to_json, tuple_incidence
 
 # names of 10^11 and 10^12 sites: built, they exhaust memory; refused, they cost nothing
 HUGE_NAMES = ["cycle:100000000000", "torus:1000000x1000000"]
@@ -154,8 +154,8 @@ class TestNamesAndFiles:
 
     def test_json_round_trip(self):
         lat = lattice.build_torus(3, 3)
-        back = lattice.lattice_from_json(lattice.lattice_to_json(lat))
-        assert lattice.lattice_to_json(back) == lattice.lattice_to_json(lat)
+        back = lattice.lattice_from_json(lattice_to_json(lat))
+        assert lattice_to_json(back) == lattice_to_json(lat)
 
     @pytest.mark.parametrize(
         "n_sites, edge",

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pepslhv import cli, configio, linalg, sampling
+from pepslhv import cli, configio, linalg, oracle, sampling
 from pepslhv import construction as con
 from pepslhv import decomposition as dec
 from pepslhv.errors import NotFactorizableError, PositivityViolationError, UsageError
@@ -265,7 +265,7 @@ class TestStackedSiteTables:
         plan = sampling.MeasurementPlan.from_labels(inst, labels)
         batch = sampling.run_shots(inst, plan, 3000, 8, emit_hidden=True)
         u = sampling.shot_uniforms(8, 0, 3000, inst.lattice.n_sites, label="sites")
-        families, site_family = dec.site_families(inst)
+        families, site_family = oracle.site_families(inst)
         povms = plan.povms(inst)
         for s in range(inst.lattice.n_sites):
             # the site's own Born CDF rows, built for this site alone
@@ -705,19 +705,27 @@ class TestGoldenDigest:
     # sha256 of the `pepslhv sample` JSONL at seed 0; any change to the
     # kernel, the CDF tables or the record format that moves a byte fails here
     @pytest.mark.parametrize(
-        "lattice, qubits, epsilon, plan, hidden, digest",
+        "lattice, qubits, epsilon, plan, hidden, shots, digest",
         [
-            ("cycle:6", 2, 0.2, "all:ZZ~0.5", True,
+            ("cycle:6", 2, 0.2, "all:ZZ~0.5", True, 2000,
              "a2a64a2bea562b446571c63eeab83318adec2dde5f438707402b11c06c9aa60f"),
-            ("torus:3x3", 4, 0.1, "all:ZZZZ~0.5", False,
+            ("torus:3x3", 4, 0.1, "all:ZZZZ~0.5", False, 2000,
              "2e61a5a3663be6f2bc9b717b8f6e18e45540cf73c0e1fc00825178785eb47ff9"),
             # mixed degree (1 at the ends, 2 inside) and a different POVM per site
             ("chain:5", 2, 0.2, {"sites": ["ZZ~0.5", "XY~0.5", "ZZ~0.5", "YX~0.5", "ZZ~0.5"]},
-             True, "52120d5b0eecab97442b1563836124a26103e31f25f7a98c55e99d4c23a97861"),
+             True, 2000, "52120d5b0eecab97442b1563836124a26103e31f25f7a98c55e99d4c23a97861"),
+            # blocks of only B = 3 and B = 4 shots
+            ("cycle:25600", 2, 0.2, "all:ZZ~0.5", True, 40,
+             "b6b1763ff8984b35656151d574d108d3ea9df3ae2423c35ac939f9924351d596"),
+            ("torus:120x120", 4, 0.1, "all:ZZZZ~0.5", True, 24,
+             "5becc22dab7f77e7329cf021833a93b9a1b2e5508fb8d79807be74294ad46a5f"),
         ],
-        ids=["cycle6-hidden", "torus3x3-d16", "chain5-sites-hidden"],
+        ids=["cycle6-hidden", "torus3x3-d16", "chain5-sites-hidden", "cycle25600-b3-hidden",
+             "torus120x120-b4-hidden"],
     )
-    def test_sample_jsonl_digest(self, tmp_path, lattice, qubits, epsilon, plan, hidden, digest):
+    def test_sample_jsonl_digest(
+        self, tmp_path, lattice, qubits, epsilon, plan, hidden, shots, digest
+    ):
         inst = tmp_path / "inst.json"
         assert cli.main([
             "peps", "build",
@@ -734,7 +742,7 @@ class TestGoldenDigest:
             plan_file.write_text(json.dumps(plan))
             plan = f"@{plan_file}"
         out = tmp_path / "shots.jsonl"
-        argv = ["sample", str(inst), "--plan", plan, "--shots", "2000", "--seed", "0",
+        argv = ["sample", str(inst), "--plan", plan, "--shots", str(shots), "--seed", "0",
                 "--out", str(out)]
         assert cli.main(argv + (["--emit-hidden"] if hidden else [])) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -36,14 +36,6 @@ def test_bell_identity_demo():
     assert match and float(match[1]) <= float(match[2])
 
 
-def test_epsilon_threshold():
-    lines = run_script("epsilon_threshold.py")
-    assert lines == [
-        "slack at epsilon=0: 0.044658",
-        "threshold bracket: (0.112060546875, 0.112121582031), width 6.1e-05",
-    ]
-
-
 def test_ab_record(tmp_path):
     ignore = shutil.ignore_patterns("__pycache__", "out")
     for side in ("parent", "change"):
