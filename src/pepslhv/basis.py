@@ -44,22 +44,11 @@ class OperatorBasis:
         D = self.D
         if D < 2:
             raise UsageError(f"bond dimension must be >= 2, got {D}")
-        try:
-            stack = np.array(self.elements, dtype=complex)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"basis elements are not equal-shape matrices: {exc}") from exc
-        n = len(stack) if stack.ndim else 0
-        if n != D**2:
-            raise UsageError(f"expected {D**2} elements, got {n}")
+        stack = linalg.hermitian_stack(self.elements, "basis elements")
+        if len(stack) != D**2:
+            raise UsageError(f"expected {D**2} elements, got {len(stack)}")
         if stack.shape[1:] != (D, D):
             raise UsageError(f"element shape {stack.shape[1:]} != ({D}, {D})")
-        if not np.all(np.isfinite(stack)):
-            raise UsageError("matrix has non-finite entries")
-        defect = float(np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))))
-        if defect > linalg.HERMITIAN_ATOL:
-            raise UsageError(
-                f"matrix is not hermitian (defect {defect:.3e} > {linalg.HERMITIAN_ATOL:.1e})"
-            )
         gram_defect = float(np.max(np.abs(linalg.overlaps(stack, stack) - D * np.eye(D**2))))
         if gram_defect > GRAM_ATOL:
             raise UsageError(f"basis Gram matrix deviates from D*I by {gram_defect:.3e}")

@@ -386,6 +386,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # hashlib then takes CPython's own sha256, to the same digests, instead
+    # of mapping OpenSSL's libcrypto (+3 MB RSS); main() alone leaves the
+    # interpreter's hashlib as it is
+    sys.modules.setdefault("_hashlib", None)
     code = main()
     # no object left at exit holds anything a collection must release, so
     # frozen objects spare the interpreter's final GC pass over the heap

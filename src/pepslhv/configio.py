@@ -44,6 +44,17 @@ def _load_json(path: str) -> dict:
     return obj
 
 
+def _resolve(spec, kind: str, from_json: Callable, from_name: Callable):
+    """An object, or an "@path" file holding one, goes to from_json; any other string to from_name."""
+    if isinstance(spec, str) and spec.startswith("@"):
+        spec = _load_json(spec[1:])
+    if isinstance(spec, dict):
+        return from_json(spec)
+    if isinstance(spec, str):
+        return from_name(spec)
+    raise UsageError(f"bad {kind} spec {spec!r}")
+
+
 # ---------------------------------------------------------------------------
 # States
 
@@ -55,15 +66,19 @@ def parse_state(spec, dim: int) -> np.ndarray:
     name's argument must give dimension dim; it is checked before any array
     is built.  A literal's length must be dim.
     """
-    if isinstance(spec, str) and spec.startswith("@"):
-        spec = _load_json(spec[1:])
-    if isinstance(spec, dict):
-        vec = linalg.state_from_json(spec)
-        if vec.size != dim:
-            raise UsageError(f"state literal has dimension {vec.size}, not {dim}")
-        return vec
-    if not isinstance(spec, str):
-        raise UsageError(f"bad state spec {spec!r}")
+    return _resolve(
+        spec, "state", lambda obj: _state_literal(obj, dim), lambda name: _named_state(name, dim)
+    )
+
+
+def _state_literal(obj: dict, dim: int) -> np.ndarray:
+    vec = linalg.state_from_json(obj)
+    if vec.size != dim:
+        raise UsageError(f"state literal has dimension {vec.size}, not {dim}")
+    return vec
+
+
+def _named_state(spec: str, dim: int) -> np.ndarray:
     name, *args = spec.split(":")
     if len(args) > 1:
         raise UsageError(f"bad state spec '{spec}': at most one ':' argument")
@@ -92,12 +107,10 @@ def parse_state(spec, dim: int) -> np.ndarray:
 
 def parse_basis(spec) -> basis_mod.OperatorBasis:
     """"phase-point", "aligned:D:<statespec>", inline JSON, or @file."""
-    if isinstance(spec, dict):
-        return basis_mod.basis_from_json(spec)
-    if not isinstance(spec, str):
-        raise UsageError(f"bad basis spec {spec!r}")
-    if spec.startswith("@"):
-        return basis_mod.basis_from_json(_load_json(spec[1:]))
+    return _resolve(spec, "basis", basis_mod.basis_from_json, _named_basis)
+
+
+def _named_basis(spec: str) -> basis_mod.OperatorBasis:
     if spec == "phase-point":
         return basis_mod.phase_point_basis()
     parts = spec.split(":", 2)
@@ -115,23 +128,13 @@ def parse_basis(spec) -> basis_mod.OperatorBasis:
 
 
 def parse_measurements(spec) -> meas_mod.MeasurementSet:
-    if isinstance(spec, dict):
-        return meas_mod.measurement_set_from_json(spec)
-    if not isinstance(spec, str):
-        raise UsageError(f"bad measurement spec {spec!r}")
-    if spec.startswith("@"):
-        return meas_mod.measurement_set_from_json(_load_json(spec[1:]))
-    return meas_mod.measurement_set_from_name(spec)
+    return _resolve(
+        spec, "measurement", meas_mod.measurement_set_from_json, meas_mod.measurement_set_from_name
+    )
 
 
 def parse_lattice(spec) -> lattice_mod.Lattice:
-    if isinstance(spec, dict):
-        return lattice_mod.lattice_from_json(spec)
-    if not isinstance(spec, str):
-        raise UsageError(f"bad lattice spec {spec!r}")
-    if spec.startswith("@"):
-        return lattice_mod.lattice_from_json(_load_json(spec[1:]))
-    return lattice_mod.lattice_from_name(spec)
+    return _resolve(spec, "lattice", lattice_mod.lattice_from_json, lattice_mod.lattice_from_name)
 
 
 # ---------------------------------------------------------------------------
@@ -253,21 +256,21 @@ def parse_plan(spec, instance: PepsInstance) -> MeasurementPlan:
     """"all:<label>", a plan dict, or @file with {"all": label} / {"sites": [...]}."""
     from pepslhv.sampling import MeasurementPlan
 
-    if isinstance(spec, str):
-        if spec.startswith("@"):
-            spec = _load_json(spec[1:])
-        elif spec.startswith("all:"):
-            return MeasurementPlan.uniform(instance, spec[4:])
-        else:
-            raise UsageError(f"bad plan spec '{spec}'")
-    if isinstance(spec, dict):
-        if "all" in spec:
-            if not isinstance(spec["all"], str):
-                raise UsageError(f"plan 'all' must be a label string, got {spec['all']!r}")
-            return MeasurementPlan.uniform(instance, spec["all"])
-        if "sites" in spec:
-            labels = spec["sites"]
+    def from_json(obj: dict) -> MeasurementPlan:
+        if "all" in obj:
+            if not isinstance(obj["all"], str):
+                raise UsageError(f"plan 'all' must be a label string, got {obj['all']!r}")
+            return MeasurementPlan.uniform(instance, obj["all"])
+        if "sites" in obj:
+            labels = obj["sites"]
             if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
                 raise UsageError(f"plan 'sites' must be a list of label strings, got {labels!r}")
             return MeasurementPlan.from_labels(instance, labels)
-    raise UsageError(f"bad plan spec {spec!r}")
+        raise UsageError(f"bad plan spec {obj!r}")
+
+    def from_name(name: str) -> MeasurementPlan:
+        if not name.startswith("all:"):
+            raise UsageError(f"bad plan spec '{name}'")
+        return MeasurementPlan.uniform(instance, name[4:])
+
+    return _resolve(spec, "plan", from_json, from_name)

@@ -27,20 +27,29 @@ def as_matrix(m) -> np.ndarray:
     return arr
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-norm distance between m and its conjugate transpose."""
-    return float(np.max(np.abs(m - m.conj().T)))
+def hermitian_stack(m, what: str, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+    """A copy of m as a finite (n, k, k) complex stack of Hermitian matrices.
+
+    Refused, not symmetrized, past a defect of atol; every message starts
+    with what.
+    """
+    try:
+        stack = np.array(m, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{what}: not equal-shape matrices: {exc}") from exc
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.size == 0:
+        raise UsageError(f"{what}: not a stack of square matrices, shape {stack.shape}")
+    if not np.all(np.isfinite(stack)):
+        raise UsageError(f"{what}: non-finite entries")
+    defect = float(np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))))
+    if defect > atol:
+        raise UsageError(f"{what}: not hermitian (defect {defect:.3e} > {atol:.1e})")
+    return stack
 
 
 def check_hermitian(m, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Validate hermiticity; reject rather than symmetrize."""
-    arr = as_matrix(m)
-    if arr.shape[0] != arr.shape[1]:
-        raise UsageError(f"hermitian operator must be square, got {arr.shape}")
-    defect = hermiticity_defect(arr)
-    if defect > atol:
-        raise UsageError(f"matrix is not hermitian (defect {defect:.3e} > {atol:.1e})")
-    return arr
+    """One Hermitian matrix: the stack check on a stack of one."""
+    return hermitian_stack([m], "operator", atol)[0]
 
 
 def as_state(v) -> np.ndarray:

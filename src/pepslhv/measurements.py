@@ -25,27 +25,8 @@ ADMISSIBLE_ATOL = 1e-9
 
 
 def _povm_stack(elements, label: str) -> np.ndarray:
-    """Validate POVM elements as one (K, d, d) stack.
-
-    One pass each over the stack: finite entries, hermiticity defect,
-    eigvalsh for PSD, and the sum to the identity.
-    """
-    try:
-        stack = np.asarray(elements, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"POVM '{label}' elements are not equal-shape matrices: {exc}") from exc
-    if stack.ndim == 0 or len(stack) == 0:
-        raise UsageError("POVM needs at least one element")
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
-        raise UsageError(f"POVM '{label}' elements must be square matrices, got {stack.shape}")
-    if not np.all(np.isfinite(stack)):
-        raise UsageError(f"POVM '{label}' has non-finite entries")
-    defect = float(np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))))
-    if defect > linalg.HERMITIAN_ATOL:
-        raise UsageError(
-            f"POVM '{label}' element is not hermitian "
-            f"(defect {defect:.3e} > {linalg.HERMITIAN_ATOL:.1e})"
-        )
+    """Validate POVM elements as one (K, d, d) stack: a Hermitian stack, PSD, summing to I."""
+    stack = linalg.hermitian_stack(elements, f"POVM '{label}'")
     min_eigs = np.linalg.eigvalsh(stack)[:, 0]
     if min_eigs.min() < -POVM_PSD_ATOL:
         raise UsageError(f"POVM element {int(np.argmin(min_eigs))} not PSD in '{label}'")

@@ -110,9 +110,10 @@ def exact_joint_distribution(state, plan_povms: Sequence) -> JointDistribution:
     # differently; blocks that start on a multiple of 16 columns (u, w) leave
     # those columns where the whole product has them
     unit = 16 // math.gcd(r, 16)
-    blocks = [
-        (a * unit, min(b * unit, r)) for a, b in _row_blocks(-(-r // unit), unit * d2 * d2 * r)
-    ]
+    # a row u makes d2^2 r entries of bra @ ket, as many of its regrouped
+    # copy, and n_2 r of the site-2 product: the three share one budget
+    width = unit * (2 * d2 * d2 + arities[1]) * r
+    blocks = [(a * unit, min(b * unit, r)) for a, b in _row_blocks(-(-r // unit), width)]
     for j, X in enumerate(plan_povms[0].elements):
         ket = X @ psi
         for a, b in blocks:

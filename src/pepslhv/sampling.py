@@ -164,8 +164,8 @@ def _fixed(text: str, rows: int) -> np.ndarray:
 
 def derive_seed(seed: int, label: str) -> int:
     """Stable labeled sub-seed so one --seed flag drives every subsystem."""
-    # imported here: hashlib maps OpenSSL's libcrypto (+3.6 MB RSS), and a
-    # command that derives no seed never needs it
+    # imported here, so nothing loads hashlib before cli.entry() has kept
+    # it off OpenSSL
     import hashlib
 
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()

@@ -189,6 +189,24 @@ class TestStateSpecs:
             configio.parse_state(spec, dim)
 
 
+@pytest.mark.parametrize("spec", [4, None, ["cycle:3"]], ids=["int", "null", "list"])
+@pytest.mark.parametrize(
+    "kind, parse",
+    [
+        ("state", lambda spec: configio.parse_state(spec, dim=2)),
+        ("basis", configio.parse_basis),
+        ("measurement", configio.parse_measurements),
+        ("lattice", configio.parse_lattice),
+        ("plan", lambda spec: configio.parse_plan(spec, None)),
+    ],
+    ids=["state", "basis", "measurement", "lattice", "plan"],
+)
+def test_spec_neither_object_nor_string_names_its_kind(kind, parse, spec):
+    with pytest.raises(UsageError) as info:
+        parse(spec)
+    assert str(info.value) == f"bad {kind} spec {spec!r}"
+
+
 class TestDualCommand:
     def test_margin_report(self, tmp_path, capsys):
         op = tmp_path / "op.json"
@@ -312,10 +330,35 @@ class TestPepsCommands:
         assert json.loads(capsys.readouterr().out)["choi_min_eigenvalue"] == 0.0
 
     def test_in_process_main_freezes_nothing(self, instance_file, capsys):
-        # only entry() freezes the heap before the interpreter exits
+        # only entry() freezes the heap before the interpreter exits, and
+        # only entry() keeps hashlib off OpenSSL
         assert gc.get_freeze_count() == 0
         assert run("peps", "check", str(instance_file)) == 0
         assert gc.get_freeze_count() == 0
+        assert sys.modules.get("_hashlib") is not None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--plan", "all:ZZ~0.5", "--shots", "50", "--seed", "3", "--emit-hidden"],
+            ["verify", "--plan", "all:ZZ~0.5", "--mode", "shots", "--shots", "2000", "--seed", "3"],
+        ],
+        ids=["sample", "verify-shots"],
+    )
+    def test_commands_load_no_openssl(self, instance_file, tmp_path, argv):
+        # `python -m pepslhv.cli`, with a hook that reports at exit whether
+        # OpenSSL's _hashlib was loaded
+        probe = "; ".join([
+            "import atexit, runpy, sys",
+            "atexit.register(lambda: print('_hashlib', sys.modules.get('_hashlib'), file=sys.stderr))",
+            "runpy.run_module('pepslhv.cli', run_name='__main__', alter_sys=True)",
+        ])
+        argv = [argv[0], str(instance_file), *argv[1:]]
+        if argv[0] == "sample":
+            argv += ["--out", str(tmp_path / "s.jsonl")]
+        proc = run_capped("-c", probe, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "_hashlib None"
 
     def test_check_above_threshold_exit_3(self, tmp_path):
         path = tmp_path / "hot.json"

@@ -129,9 +129,10 @@ class TestExactJointDistribution:
         state = raw / np.sqrt(T)
         r = state.size // (povms[0].dim * povms[1].dim)
         # the (n_2, r, r) operator on sites 3..N, one slice's regrouped copy
-        # and its products, and two blocks of rows; never the (d_2 ... d_N)^2
-        # operator.  655,360 entries here, of which 567,722 are used
-        entries = (povms[1].n_outcomes + 2) * r**2 + 2 * dec.SCAN_BLOCK_ENTRIES
+        # and its products, and one block of rows whose three temporaries
+        # share SCAN_BLOCK_ENTRIES; never the (d_2 ... d_N)^2 operator.
+        # 458,752 entries here, of which about 416,000 are used
+        entries = (povms[1].n_outcomes + 1) * r**2 + dec.SCAN_BLOCK_ENTRIES
         bound = entries * np.dtype(complex).itemsize
         tracemalloc.start()
         try:
