@@ -15,7 +15,9 @@ holds the machine, both commits (when a tree is a git checkout), the
 command, and per workload every pair's values, per metric the medians,
 quartiles and the number of pairs in which the change was lower (every
 recorded metric is better lower), and any run that was not `correct`.
-It exits 3 if any run was not correct.
+After each workload it prints one line per metric to stderr: both
+medians, their ratio, and the pairs in which the change was lower.  It
+exits 3 if any run was not correct.
 """
 
 from __future__ import annotations
@@ -82,6 +84,14 @@ def summary(pairs: list) -> dict:
     return out
 
 
+def summary_line(m: dict) -> str:
+    """Both medians of a metric's summary, their ratio, and the pairs the change was lower in."""
+    parent, change = m["median_parent"], m["median_change"]
+    ratio = f"{change / parent:.3f}" if parent else "n/a"
+    return (f"median parent {parent:.6g} change {change:.6g}, ratio {ratio}, "
+            f"change lower in {m['change_lower']}/{m['pairs']} pairs")
+
+
 def quartiles(values: list) -> list:
     if len(values) < 2:
         return [values[0]] * 3
@@ -135,6 +145,8 @@ def main(argv=None) -> int:
                 file=sys.stderr)
         workloads[workload] = {"pairs": pairs, "summary": summary(pairs) if pairs else {},
                                "not_correct": not_correct}
+        for name, m in workloads[workload]["summary"].items():
+            print(f"{workload} {name}: " + summary_line(m), file=sys.stderr)
 
     record = {
         "what": args.what,

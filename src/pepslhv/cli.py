@@ -164,8 +164,8 @@ def cmd_sample(args) -> int:
         emit_hidden=args.emit_hidden,
         workers=args.workers,
     )
-    # the batches read only the sampler's tables: drop the instance and its
-    # element stack (5.3 MB for noisy-pauli:4) before the first shot is drawn
+    # the batches read only the sampler's tables: drop the instance and the
+    # plan's POVMs before the first shot is drawn
     del instance, plan
     with open(args.out, "w") as fh:
         for batch in batches:
@@ -175,7 +175,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from pepslhv import oracle, sampling
+    from pepslhv import oracle
 
     if not 0 < args.confidence_k < float("inf"):
         raise UsageError(f"--confidence-k must be finite and > 0, got {args.confidence_k}")
@@ -191,6 +191,8 @@ def cmd_verify(args) -> int:
         tv = oracle.tv_distance(mix, exact)
         out = {"mode": "mixture", "tv": tv, "threshold": 1e-10, "pass": tv <= 1e-10}
     else:
+        from pepslhv import sampling
+
         batches = sampling.iter_shots(instance, plan, args.shots, args.seed, workers=args.workers)
         report = oracle.frequency_test(batches, exact, confidence_k=args.confidence_k)
         out = {"mode": "shots", **report.to_json()}

@@ -31,7 +31,7 @@ from pepslhv.lattice import site_groups
 from pepslhv.measurements import dual_margin
 
 if TYPE_CHECKING:
-    from pepslhv.sampling import MeasurementPlan
+    from pepslhv.plans import MeasurementPlan
 
 
 def _load_json(path: str) -> dict:
@@ -254,7 +254,8 @@ def load_instance(path: str) -> PepsInstance:
 
 def parse_plan(spec, instance: PepsInstance) -> MeasurementPlan:
     """"all:<label>", a plan dict, or @file with {"all": label} / {"sites": [...]}."""
-    from pepslhv.sampling import MeasurementPlan
+    # imported here: peps check and peps epsilon-max read no plan
+    from pepslhv.plans import MeasurementPlan
 
     def from_json(obj: dict) -> MeasurementPlan:
         if "all" in obj:

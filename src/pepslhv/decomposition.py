@@ -32,13 +32,12 @@ import numpy as np
 from pepslhv import linalg
 from pepslhv.basis import OperatorBasis, basis_products
 from pepslhv.construction import PepsInstance, SiteMap
-from pepslhv.errors import NotFactorizableError, UsageError, check_entries
+from pepslhv.errors import SCAN_BLOCK_ENTRIES, NotFactorizableError, UsageError, check_entries
 from pepslhv.lattice import site_groups
 
 TRACE_FLOOR = 1e-10
 DUAL_ATOL = 1e-9
 FACTOR_RESIDUAL_RTOL = 1e-8
-SCAN_BLOCK_ENTRIES = 2**17
 
 
 def site_operator_family(
@@ -140,50 +139,74 @@ def _usable_traces(traces: np.ndarray):
     return ok, np.where(ok, traces, 1.0)
 
 
-def _row_rule(block: np.ndarray, ok: np.ndarray, div: np.ndarray):
-    """(slack, failing) of each row of a block of overlaps, given _usable_traces of its rows.
+def _row_rule(lo: np.ndarray, hi: np.ndarray, ok: np.ndarray, div: np.ndarray):
+    """(slack, failing) of rows whose least and largest overlap are lo and hi, given their _usable_traces.
 
     The second half of the row rule: a row also fails if
-    min(lo / tr, 1 - hi / tr) < -DUAL_ATOL, lo and hi its least and largest
-    overlap.  Dividing by a positive trace and 1 - x are monotone, so this is
-    bit for bit the row's least min(tr(sigma X), 1 - tr(sigma X)).
+    min(lo / tr, 1 - hi / tr) < -DUAL_ATOL.  Dividing by a positive trace and
+    1 - x are monotone, so this is bit for bit the row's least
+    min(tr(sigma X), 1 - tr(sigma X)).
     """
-    slack = np.minimum(block.min(axis=1) / div, 1.0 - block.max(axis=1) / div)
+    slack = np.minimum(lo / div, 1.0 - hi / div)
     return slack, ~ok | (slack < -DUAL_ATOL)
 
 
-def _scan_family(instance: PepsInstance, site: int, ops: np.ndarray, stack, where, keep=False):
-    """(normalized overlaps if keep else None, slack, min trace, witness or None) of site's stack.
+def _scan_family(instance: PepsInstance, site: int, ops: np.ndarray, blocks, n_elements: int, keep=False):
+    """(normalized overlaps if keep else None, slack, min trace, witness or None) of site's family ops.
 
-    A row fails by the row rule (_usable_traces, _row_rule) against stack,
-    whose element k is where[k] = (POVM, element).  The witness is the first
-    failing row, at its first worst element.
+    blocks yields the (where, elements) blocks of n_elements elements in all,
+    in order, where[k] = (POVM, element) of a block's row k, as
+    MeasurementSet.element_blocks does.  A row fails by the row rule
+    (_usable_traces, _row_rule) against every element.  The witness is the
+    first failing row, at its first worst element.
 
-    Rows are scanned in blocks (_row_blocks), and each row keeps only its
-    least and largest overlap.  Memory is one block of overlaps, plus every
-    normalized overlap when keep is set (the sampler's tables).
+    Each element block is read once: its overlaps with the family, a
+    column slice of the (rows, elements) overlap matrix, are taken a block
+    of rows at a time (_row_blocks), and each row keeps its least and
+    largest overlap.  A row's worst element lies in a block where the row
+    already fails, so only there is it looked up, and an earlier block
+    keeps it on a tie.  Memory is one element block and one block of
+    overlaps, plus every normalized overlap when keep is set (the sampler's
+    tables).
     """
     traces = operator_traces(ops)
     ok, div = _usable_traces(traces)
-    row_slack = np.empty(len(ops))
-    normed = np.empty((len(ops), len(stack))) if keep else None
+    lo, hi = np.full(len(ops), np.inf), np.full(len(ops), -np.inf)
+    # per row, at its worst element so far: min(x, 1 - x), x, and the element's index
+    worst, worst_x, worst_at = np.full(len(ops), np.inf), np.empty(len(ops)), np.empty(len(ops), np.intp)
+    at = []  # (POVM, element) of every element read
+    normed = np.empty((len(ops), n_elements)) if keep else None
+    for where, elements in blocks:
+        col = len(at)
+        at += where
+        for a, b in _row_blocks(len(ops), len(where)):
+            block = linalg.overlaps(ops[a:b], elements)
+            block_lo, block_hi = block.min(axis=1), block.max(axis=1)
+            np.minimum(lo[a:b], block_lo, out=lo[a:b])
+            np.maximum(hi[a:b], block_hi, out=hi[a:b])
+            if keep:
+                np.divide(block, div[a:b, None], out=normed[a:b, col : len(at)])
+            fail = np.flatnonzero(ok[a:b] & _row_rule(block_lo, block_hi, ok[a:b], div[a:b])[1])
+            if fail.size:
+                x = block[fail] / div[a + fail, None]
+                m = np.minimum(x, 1.0 - x)
+                k = np.argmin(m, axis=1)
+                i = np.arange(len(fail))
+                better = m[i, k] < worst[a + fail]
+                r, i, k = a + fail[better], i[better], k[better]
+                worst[r], worst_x[r], worst_at[r] = m[i, k], x[i, k], col + k
+        del elements, block  # before the next block is built
+    row_slack, bad = _row_rule(lo, hi, ok, div)
     witness = None
-    for a, b in _row_blocks(len(ops), len(stack)):
-        block = linalg.overlaps(ops[a:b], stack)
-        row_slack[a:b], bad = _row_rule(block, ok[a:b], div[a:b])
-        if keep:
-            np.divide(block, div[a:b, None], out=normed[a:b])
-        if witness is None and bad.any():
-            r = a + int(np.argmax(bad))
-            tup = np.unravel_index(r, (instance.D**2,) * int(instance.lattice.degrees[site]))
-            tup = tuple(int(k) for k in tup)
-            if not ok[r]:
-                witness = PositivityWitness(site, tup, "trace", None, None, float(traces[r]))
-            else:
-                row = block[r - a] / div[r]
-                k = int(np.argmin(np.minimum(row, 1.0 - row)))
-                i, j = where[k]
-                witness = PositivityWitness(site, tup, "dual", i, j, float(row[k]))
+    if bad.any():
+        r = int(np.argmax(bad))
+        tup = np.unravel_index(r, (instance.D**2,) * int(instance.lattice.degrees[site]))
+        tup = tuple(int(k) for k in tup)
+        if not ok[r]:
+            witness = PositivityWitness(site, tup, "trace", None, None, float(traces[r]))
+        else:
+            i, j = at[worst_at[r]]
+            witness = PositivityWitness(site, tup, "dual", i, j, float(worst_x[r]))
     slack = float(row_slack[ok].min()) if ok.any() else math.inf
     return normed, slack, float(traces.min()), witness
 
@@ -198,10 +221,13 @@ def rv_positivity_check(instance: PepsInstance) -> PositivityReport:
     over the scan; the witness is the first failing tuple of the first
     failing site.
     """
-    stack, where = instance.measurement_set.element_stack()
+    mset = instance.measurement_set
     firsts, site_family = _family_sites(instance)
-    # one family at a time: each is built, scanned and dropped before the next
-    scans = [_scan_family(instance, s, _family_stack(instance, s), stack, where) for s in firsts]
+    # one family at a time: each is built, scanned against every element block and dropped
+    scans = [
+        _scan_family(instance, s, _family_stack(instance, s), mset.element_blocks(), mset.n_elements)
+        for s in firsts
+    ]
     per_site_slack = tuple(np.array([sc[1] for sc in scans])[site_family].tolist())
     # a family's witness is at its first site, so the least site is the first failure
     witness = min((sc[3] for sc in scans if sc[3] is not None), key=lambda w: w.site, default=None)

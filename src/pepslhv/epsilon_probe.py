@@ -32,7 +32,7 @@ def _hermitian_coords(ops: np.ndarray, off: float) -> np.ndarray:
     times Im(X_ij - X_ji), over i < j in row-major order.  With off = 1/2
     these are the coordinates of the Hermitian part of X over the
     generators E_ii, E_ij + E_ji and i(E_ij - E_ji).  With off = 1 (the
-    element stack) the dot product with a Hermitian O's coordinates is
+    measurement elements) the dot product with a Hermitian O's coordinates is
     Re tr(O X^dag), the tr(O X) of linalg.overlaps.  Built one row of the
     upper triangle at a time, so no temporary exceeds n * m entries.
     """
@@ -115,16 +115,18 @@ class EpsilonProbe:
     The work that does not depend on epsilon is done once and kept while
     the instances share their basis and measurement set objects: the basis
     products of each degree (basis.basis_products, site_operator_family with
-    K = I and no transposed end) and the element stack, both in real
-    Hermitian coordinates (_hermitian_coords).  A family's products are a
-    signed permutation of those coordinates (_transposition), read one row
-    block at a time.  Each probe builds one map matrix per degree of its
-    instance, and one real product per row block gives a
-    family's overlaps with half the inner dimension of linalg.overlaps.
+    K = I and no transposed end) and the elements, both in real Hermitian
+    coordinates (_hermitian_coords).  The elements' coordinates are filled
+    one element block at a time, so their complex stack is never held.  A
+    family's products are a signed permutation of those coordinates
+    (_transposition), read one row block at a time.  Each probe builds one
+    map matrix per degree of its instance, and real products, one per row
+    block and slice of about SCAN_BLOCK_ENTRIES element coordinates, give
+    a family's overlaps with half the inner dimension of linalg.overlaps.
     Blocks are judged by the row rule of _scan_family, and the probe stops
-    at the first failing block, trying the one that failed last first.
-    Overlaps may round differently from the certificate's; the verdict is
-    the same.  An instance whose outputs may overflow is judged by
+    at the first slice that fails a row, trying the row block that failed
+    last first.  Overlaps may round differently from the certificate's; the
+    verdict is the same.  An instance whose outputs may overflow is judged by
     rv_positivity_check itself, which raises for a non-finite family.
     """
 
@@ -150,8 +152,13 @@ class EpsilonProbe:
 
     def __call__(self, instance: PepsInstance) -> bool:
         if instance.measurement_set is not self._mset:
-            stack, _ = instance.measurement_set.element_stack()
-            self._mset, self._stack = instance.measurement_set, _hermitian_coords(stack, 1.0)
+            mset = instance.measurement_set
+            self._mset, self._stack = mset, np.empty((mset.dim**2, mset.n_elements))
+            col = 0
+            for where, elements in mset.element_blocks():
+                self._stack[:, col : col + len(where)] = _hermitian_coords(elements, 1.0)
+                col += len(where)
+                del elements  # before the next block is built
         firsts, _ = _family_sites(instance)
         degrees = instance.lattice.degrees
         maps = {}
@@ -165,18 +172,27 @@ class EpsilonProbe:
             M, top = maps[degrees[s]]
             if not self._family(instance, s)[1] * top * len(M) <= _COORD_BOUND:
                 return rv_positivity_check(instance).passed
+        # BLAS packs each product's slice of the coordinates, so a slice holds
+        # about SCAN_BLOCK_ENTRIES of them: epsilon-max on torus:3x3 peaks at
+        # 37.9 MB of RSS, 40.0 MB with every column in one product
+        cols = list(_row_blocks(self._stack.shape[1], self._stack.shape[0]))
         last_f, last_k = self._last_fail
         for f in sorted(range(len(firsts)), key=lambda f: f != last_f):
             M = maps[degrees[firsts[f]]][0]
             P, _, source, sign = self._family(instance, firsts[f])
             ok, div = _usable_traces(_family_traces(P, source, sign, M))
             blocks = list(enumerate(_row_blocks(P.shape[1], self._stack.shape[1])))
+            out = np.empty((max(b - a for _, (a, b) in blocks), max(q - p for p, q in cols)))
             for k, (a, b) in sorted(blocks, key=lambda kb: (f, kb[0]) != (last_f, last_k)):
-                if _row_rule(
-                    (_family_rows(P, source, sign, a, b) @ M.T) @ self._stack, ok[a:b], div[a:b]
-                )[1].any():
-                    self._last_fail = (f, k)
-                    return False
+                rows = _family_rows(P, source, sign, a, b) @ M.T
+                lo, hi = np.inf, -np.inf
+                # a row failing on some columns fails on all of them
+                for p, q in cols:
+                    block = np.matmul(rows, self._stack[:, p:q], out=out[: b - a, : q - p])
+                    lo, hi = np.minimum(lo, block.min(axis=1)), np.maximum(hi, block.max(axis=1))
+                    if _row_rule(lo, hi, ok[a:b], div[a:b])[1].any():
+                        self._last_fail = (f, k)
+                        return False
         return True
 
 

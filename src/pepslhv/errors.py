@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the entry budget every size guard checks."""
+"""Exception types shared across the package, and the entry budgets of size guards and scan blocks."""
 
 MAX_ENTRIES = 2**24  # complex entries (16 bytes each) that one array may hold: 256 MiB
+# entries one block of a scan holds: a block of overlaps, or of the Born oracle's work arrays
+SCAN_BLOCK_ENTRIES = 2**17
 
 
 class UsageError(ValueError):

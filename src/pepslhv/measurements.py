@@ -8,20 +8,23 @@ a candidate POVM against products of virtual-space extreme points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from pepslhv import linalg
 from pepslhv.basis import PAULI_X, PAULI_Y, PAULI_Z, OperatorBasis, basis_products, max_ent_state
-from pepslhv.errors import UsageError, check_entries
+from pepslhv.errors import SCAN_BLOCK_ENTRIES, UsageError, check_entries
 
 POVM_PSD_ATOL = 1e-9
 POVM_SUM_ATOL = 1e-9
 STRICT_MARGIN_FLOOR = 1e-8
 ADMISSIBLE_ATOL = 1e-9
+# complex entries in one block of a named set's elements: 112 or 128 elements of noisy-pauli:4
+ELEMENT_BLOCK_ENTRIES = SCAN_BLOCK_ENTRIES // 4
 
 
 def _povm_stack(elements, label: str) -> np.ndarray:
@@ -52,7 +55,7 @@ class Povm:
 
     @classmethod
     def _of_rows(cls, rows: np.ndarray, label: str) -> "Povm":
-        """A Povm over rows that are a POVM (validated by _povm_stack, or built as one), not checked."""
+        """A Povm over rows that _povm_stack has validated, not checked again."""
         povm = object.__new__(cls)
         object.__setattr__(povm, "elements", rows)
         object.__setattr__(povm, "label", label)
@@ -71,14 +74,18 @@ class Povm:
 class MeasurementSet:
     """The restricted set M = {M_i} of allowed local POVMs.
 
-    Every element is held once, in one read-only (n, d, d) stack, and each
-    POVM's ``elements`` is its row slice of that stack.  A set built from
-    POVMs holds a copy of their elements; a named set holds the stack it
-    was built in.
+    Readers scan the elements in blocks of whole POVMs (element_blocks).  A
+    set built from POVMs holds a copy of their elements in one read-only
+    (n, d, d) stack, each POVM's ``elements`` is its row slice, and its one
+    block is the whole stack.  A named Pauli set holds no stack: each POVM
+    builds its elements on first access, and each block is built as it is
+    read.
     """
 
     povms: tuple
-    _stack: np.ndarray = field(init=False, repr=False, compare=False)
+    _stack: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    _axes: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    _eta: Optional[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         povms = tuple(self.povms)
@@ -88,29 +95,29 @@ class MeasurementSet:
         if any(p.dim != dim for p in povms):
             raise UsageError("POVMs in a measurement set must share dimension")
         stack = np.concatenate([p.elements for p in povms])
-        self._hold(stack, [(p.label, p.n_outcomes) for p in povms])
+        stack.flags.writeable = False
+        ends = np.cumsum([p.n_outcomes for p in povms])
+        rows = tuple(Povm._of_rows(stack[e - p.n_outcomes : e], p.label) for p, e in zip(povms, ends))
+        for name, value in (("povms", rows), ("_stack", stack), ("_axes", None), ("_eta", None)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def _of_stack(cls, stack: np.ndarray, povms: list) -> "MeasurementSet":
-        """The set over stack, not copied, whose rows are POVMs as povms groups them.
-
-        povms lists (label, outcome count) for each POVM's rows, in order.
-        """
+    def _pauli(cls, axes: np.ndarray, eta, suffix: str) -> "MeasurementSet":
+        """The Pauli product POVMs of the axis rows axes (m, n), built by _pauli_elements when read."""
         mset = object.__new__(cls)
-        mset._hold(stack, povms)
+        labels = ("".join("XYZ"[a] for a in row) + suffix for row in axes.tolist())
+        povms = tuple(_PauliPovm(row, eta, label) for row, label in zip(axes, labels))
+        for name, value in (("povms", povms), ("_stack", None), ("_axes", axes), ("_eta", eta)):
+            object.__setattr__(mset, name, value)
         return mset
-
-    def _hold(self, stack: np.ndarray, povms: list) -> None:
-        """Keep stack, read-only, with one Povm over each slice of rows that povms lists."""
-        stack.flags.writeable = False
-        ends = np.cumsum([n for _, n in povms])
-        rows = (Povm._of_rows(stack[e - n : e], label) for (label, n), e in zip(povms, ends))
-        object.__setattr__(self, "povms", tuple(rows))
-        object.__setattr__(self, "_stack", stack)
 
     @property
     def dim(self) -> int:
         return self.povms[0].dim
+
+    @property
+    def n_elements(self) -> int:
+        return sum(p.n_outcomes for p in self.povms)
 
     def by_label(self, label: str) -> Tuple[int, Povm]:
         for i, p in enumerate(self.povms):
@@ -118,14 +125,23 @@ class MeasurementSet:
                 return i, p
         raise UsageError(f"no POVM labelled '{label}' in measurement set")
 
-    def element_stack(self):
-        """(every element of every POVM as one (n, d, d) array, (POVM, element) per row).
+    def element_blocks(self):
+        """Yield (where, elements) per block of whole POVMs, in order; where[k] = (POVM, element) of row k.
 
-        The array is the set's own read-only stack, not a copy: every
-        ``povm.elements`` is a slice of it.
+        A held stack is one block, a view of it.  A named Pauli set yields
+        balanced blocks of at most ELEMENT_BLOCK_ENTRIES complex entries, or
+        of one POVM if that is more, each built anew: bit for bit its POVMs'
+        elements, and kept by nobody once the reader moves on.
         """
-        where = [(i, j) for i, p in enumerate(self.povms) for j in range(p.n_outcomes)]
-        return self._stack, where
+        if self._stack is not None:
+            yield [(i, j) for i, p in enumerate(self.povms) for j in range(p.n_outcomes)], self._stack
+            return
+        count, n = len(self.povms), self.povms[0].n_outcomes
+        n_blocks = min(count, -(-count * n * self.dim**2 // ELEMENT_BLOCK_ENTRIES))
+        ends = [count * k // n_blocks for k in range(n_blocks + 1)]
+        for a, b in zip(ends[:-1], ends[1:]):
+            where = [(i, j) for i in range(a, b) for j in range(n)]
+            yield where, _pauli_elements(self._axes[a:b], self._eta)
 
 
 @dataclass(frozen=True)
@@ -153,8 +169,12 @@ def dual_margin(O, mset: MeasurementSet) -> DualMargin:
     op = linalg.check_hermitian(O)
     if op.shape[0] != mset.dim:
         raise UsageError(f"operator dim {op.shape[0]} != measurement dim {mset.dim}")
-    stack, where = mset.element_stack()
-    t = linalg.overlaps(op[None], stack)[0]
+    where, t = [], []
+    for block_where, elements in mset.element_blocks():
+        where += block_where
+        t.append(linalg.overlaps(op[None], elements)[0])
+        del elements  # before the next block is built
+    t = np.concatenate(t)
     slack = np.minimum(t, 1.0 - t)
     k = int(np.argmin(slack))
     return DualMargin(
@@ -168,58 +188,80 @@ def dual_margin(O, mset: MeasurementSet) -> DualMargin:
 # ---------------------------------------------------------------------------
 # Built-in families
 
-_AXIS_STATES = {
-    "X": (np.array([1, 1], dtype=complex) / np.sqrt(2), np.array([1, -1], dtype=complex) / np.sqrt(2)),
-    "Y": (np.array([1, 1j], dtype=complex) / np.sqrt(2), np.array([1, -1j], dtype=complex) / np.sqrt(2)),
-    "Z": (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
-}
+# one (outcome, component) pair of states per axis X, Y, Z
+_AXIS_STATES = np.array([
+    [[1, 1], [1, -1]] / np.sqrt(2),
+    [[1, 1j], [1, -1j]] / np.sqrt(2),
+    [[1, 0], [0, 1]],
+], dtype=complex)
 
 
-def pauli_product_elements(n_qubits: int) -> np.ndarray:
-    """(3^n, 2^n, 2^n, 2^n) stack of product projectors, by axes then outcome bits.
+def _pauli_elements(axes: np.ndarray, eta) -> np.ndarray:
+    """(m 2^n, 2^n, 2^n) elements of the Pauli product POVMs of axis rows axes (m, n), POVM by POVM.
 
-    Row a, column o is |v><v| with v = v_{a_1 o_1} (x) ... (x) v_{a_n o_n},
-    both in itertools.product order.  The factors are multiplied left to
+    POVM a, outcome o is |v><v| with v = v_{a_1 o_1} (x) ... (x) v_{a_n o_n},
+    outcomes in itertools.product order.  The factors are multiplied left to
     right, as kron_vectors and np.outer do, so every element is
-    bit-identical to the one-at-a-time construction.
+    bit-identical to the one-at-a-time construction, whichever rows are
+    built together.  With eta, X becomes eta X + (1 - eta) tr(X) I / d in
+    place, to the same bits as adding the term times the identity: adding
+    0.0 turns every -0.0 to +0.0 as that sum does, and the term is then
+    added to the real part of each diagonal.
     """
-    states = np.array([_AXIS_STATES[a] for a in "XYZ"])  # (axis, outcome, component)
-    vecs = states
-    for _ in range(n_qubits - 1):
+    vecs = _AXIS_STATES[axes[:, 0]]  # (POVM, outcome, component)
+    for k in range(1, axes.shape[1]):
+        states = _AXIS_STATES[axes[:, k]]
         A, O, C = vecs.shape
-        vecs = vecs[:, None, :, None, :, None] * states[None, :, None, :, None, :]
-        vecs = vecs.reshape(3 * A, 2 * O, 2 * C)
-    return vecs[..., :, None] * vecs.conj()[..., None, :]
-
-
-def _pauli_set(n_qubits: int, eta=None) -> MeasurementSet:
-    """The 3^n Pauli product POVMs, not checked (POVMs by construction); with eta, depolarized first.
-
-    Depolarizing maps X to eta X + (1 - eta) tr(X) I / d in place on the
-    whole stack, to the same bits as adding the term times the identity:
-    adding 0.0 turns every -0.0 to +0.0 as that sum does, and the term is
-    then added to the real part of each diagonal.  The set holds this
-    stack; it is never copied.
-    """
-    if n_qubits < 1:
-        raise UsageError("need at least one qubit")
-    # 3^n POVMs of 2^n elements of 2^n x 2^n; from 14 qubits on, 24^n >= 2^64
-    check_entries(f"Pauli stack of {n_qubits} qubits", 24 ** min(n_qubits, 14))
-    elements = pauli_product_elements(n_qubits)
-    suffix = ""
+        vecs = (vecs[:, :, None, :, None] * states[:, None, :, None, :]).reshape(A, 2 * O, 2 * C)
+    elements = vecs[..., :, None] * vecs.conj()[..., None, :]
+    d = elements.shape[-1]
     if eta is not None:
-        if not 0.0 <= eta <= 1.0:
-            raise UsageError(f"eta must be in [0, 1], got {eta}")
-        d = elements.shape[-1]
         traces = np.real(np.trace(elements, axis1=2, axis2=3))
         elements *= eta
         elements += 0.0
         diagonals = elements.reshape(*elements.shape[:2], d * d)[..., :: d + 1]
         diagonals.real += ((1.0 - eta) * (traces / d))[..., None]
+    return elements.reshape(-1, d, d)
+
+
+class _PauliPovm(Povm):
+    """One POVM of a named Pauli set: its elements are built on first access (_pauli_elements), then kept."""
+
+    def __init__(self, axes: np.ndarray, eta, label: str):
+        for name, value in (("label", label), ("_axes", axes), ("_eta", eta)):
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def elements(self) -> np.ndarray:
+        elements = _pauli_elements(self._axes[None], self._eta)
+        elements.flags.writeable = False
+        return elements
+
+    @property
+    def dim(self) -> int:
+        return 2 ** len(self._axes)
+
+    @property
+    def n_outcomes(self) -> int:
+        return 2 ** len(self._axes)
+
+
+def _pauli_set(n_qubits: int, eta=None) -> MeasurementSet:
+    """The 3^n Pauli product POVMs, not checked (POVMs by construction); with eta, depolarized.
+
+    The set keeps the axis rows and eta, and no element (MeasurementSet._pauli).
+    """
+    if n_qubits < 1:
+        raise UsageError("need at least one qubit")
+    # 3^n POVMs of 2^n elements of 2^n x 2^n; from 14 qubits on, 24^n >= 2^64
+    check_entries(f"Pauli stack of {n_qubits} qubits", 24 ** min(n_qubits, 14))
+    suffix = ""
+    if eta is not None:
+        if not 0.0 <= eta <= 1.0:
+            raise UsageError(f"eta must be in [0, 1], got {eta}")
         suffix = f"~{eta:g}"
-    labels = ("".join(axes) + suffix for axes in itertools.product("XYZ", repeat=n_qubits))
-    povms = [(label, 2**n_qubits) for label in labels]
-    return MeasurementSet._of_stack(elements.reshape(-1, *elements.shape[2:]), povms)
+    axes = np.array(list(itertools.product(range(3), repeat=n_qubits)))
+    return MeasurementSet._pauli(axes, eta, suffix)
 
 
 def pauli_product_measurements(n_qubits: int) -> MeasurementSet:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -26,7 +26,10 @@ from pepslhv.construction import (
 )
 from pepslhv.decomposition import _family_sites, _family_stack, _row_blocks, operator_traces
 from pepslhv.errors import UsageError, check_entries
-from pepslhv.sampling import MeasurementPlan, ShotBatch
+from pepslhv.plans import MeasurementPlan
+
+if TYPE_CHECKING:
+    from pepslhv.sampling import ShotBatch
 
 # joint outcomes the oracles enumerate: a bound on work
 MAX_OUTCOME_SPACE = 2**16
@@ -111,8 +114,9 @@ def exact_joint_distribution(state, plan_povms: Sequence) -> JointDistribution:
     # those columns where the whole product has them
     unit = 16 // math.gcd(r, 16)
     # a row u makes d2^2 r entries of bra @ ket, as many of its regrouped
-    # copy, and n_2 r of the site-2 product: the three share one budget
-    width = unit * (2 * d2 * d2 + arities[1]) * r
+    # copy, and n_2 r of the site-2 product: the three share a sixteenth of
+    # SCAN_BLOCK_ENTRIES (R, beside them, holds n_2 r^2)
+    width = 16 * unit * (2 * d2 * d2 + arities[1]) * r
     blocks = [(a * unit, min(b * unit, r)) for a, b in _row_blocks(-(-r // unit), width)]
     for j, X in enumerate(plan_povms[0].elements):
         ket = X @ psi
@@ -276,6 +280,9 @@ def frequency_test(
     shots is a ShotBatch or an iterable of them, such as sampling.iter_shots'
     batches, which are counted one at a time and never held together.
     """
+    # imported here: verify --mode mixture never compiles the sampler
+    from pepslhv.sampling import ShotBatch
+
     counts = outcome_counts([shots] if isinstance(shots, ShotBatch) else shots, exact.arities)
     n_shots = int(counts.sum())
     if n_shots < MIN_FREQUENCY_SHOTS:

@@ -13,7 +13,7 @@ import json
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from pepslhv.decomposition import (
 )
 from pepslhv.errors import PositivityViolationError, UsageError
 from pepslhv.lattice import site_groups
+from pepslhv.plans import MeasurementPlan
 
 # shots per slab in perfbench's probe_rng, its only reader; ROADMAP item 4
 # deletes it once the benchmark changes
@@ -36,35 +37,6 @@ DEFAULT_CHUNK = 1 << 16
 # shared by the edge and site streams, and the bisection's idx and entry
 _BLOCK_SLOTS = 1 << 18
 _JSONL_BLOCK_BYTES = 1 << 16  # bytes of value words per write in ShotBatch.write_jsonl
-
-
-@dataclass(frozen=True)
-class MeasurementPlan:
-    """One POVM (by index into the instance's measurement set) per site."""
-
-    povm_indices: tuple
-
-    @classmethod
-    def uniform(cls, instance: PepsInstance, label: str) -> "MeasurementPlan":
-        idx, _ = instance.measurement_set.by_label(label)
-        return cls(povm_indices=(idx,) * instance.lattice.n_sites)
-
-    @classmethod
-    def from_labels(cls, instance: PepsInstance, labels: Sequence[str]) -> "MeasurementPlan":
-        if len(labels) != instance.lattice.n_sites:
-            raise UsageError(
-                f"plan has {len(labels)} sites, instance has {instance.lattice.n_sites}"
-            )
-        return cls(
-            povm_indices=tuple(instance.measurement_set.by_label(l)[0] for l in labels)
-        )
-
-    def povms(self, instance: PepsInstance) -> list:
-        povms = instance.measurement_set.povms
-        for idx in self.povm_indices:
-            if not 0 <= idx < len(povms):
-                raise UsageError(f"plan references POVM {idx} which does not exist")
-        return [povms[idx] for idx in self.povm_indices]
 
 
 @dataclass(frozen=True)
@@ -349,9 +321,9 @@ def _set_up(
         for b, s in enumerate(block_site):
             if site_family[s] != f:
                 continue
-            idx = plan.povm_indices[s]
-            where = [(idx, j) for j in range(povms[s].n_outcomes)]
-            probs, _, _, w = _scan_family(instance, s, ops, povms[s].elements, where, keep=True)
+            idx, n = plan.povm_indices[s], povms[s].n_outcomes
+            block = [(idx, j) for j in range(n)], povms[s].elements
+            probs, _, _, w = _scan_family(instance, s, ops, [block], n, keep=True)
             if w is not None:
                 # a refused block is never drawn from, so its CDF is not built
                 if witness is None or w.site < witness.site:

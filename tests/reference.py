@@ -8,7 +8,7 @@ from pepslhv import basis, linalg
 from pepslhv.construction import RECIPE1_MAX_RETRIES, SiteMap, _check_orthonormal
 from pepslhv.decomposition import DUAL_ATOL, TRACE_FLOOR, PositivityWitness, operator_traces
 from pepslhv.errors import ConstraintError, ConstructionError, UsageError
-from pepslhv.measurements import ADMISSIBLE_ATOL, AdmissibilityReport
+from pepslhv.measurements import _AXIS_STATES, ADMISSIBLE_ATOL, AdmissibilityReport, DualMargin
 
 
 def tensor_product(factors) -> np.ndarray:
@@ -28,6 +28,44 @@ def site_output_operator(site_map, op_basis, indices, transposed_flags) -> np.nd
         [op_basis.elements[k].T if t else op_basis.elements[k] for k, t in zip(indices, transposed_flags)]
     )
     return site_map.K @ C @ site_map.K.conj().T
+
+
+# ---------------------------------------------------------------------------
+# Measurement sets, whole
+
+def stacked(blocks):
+    """(every element of the (where, elements) blocks as one (n, d, d) array, (POVM, element) per row)."""
+    blocks = list(blocks)
+    return np.concatenate([e for _, e in blocks]), [w for where, _ in blocks for w in where]
+
+
+def element_stack(mset):
+    """The whole (n, d, d) stack of mset's elements and (POVM, element) per row: its blocks, stacked."""
+    return stacked(mset.element_blocks())
+
+
+def dual_margin(O, mset) -> DualMargin:
+    """measurements.dual_margin against the whole stack in one product: the first worst element wins."""
+    stack, where = element_stack(mset)
+    t = linalg.overlaps(linalg.check_hermitian(O)[None], stack)[0]
+    slack = np.minimum(t, 1.0 - t)
+    k = int(np.argmin(slack))
+    return DualMargin(float(t.min()), float(t.max()), float(slack[k]), where[k])
+
+
+def pauli_product_elements(n_qubits: int) -> np.ndarray:
+    """(3^n, 2^n, 2^n, 2^n) stack of product projectors, by axes then outcome bits, all built at once.
+
+    Row a, column o is |v><v| with v = v_{a_1 o_1} (x) ... (x) v_{a_n o_n},
+    both in itertools.product order, the factors multiplied left to right.
+    """
+    states = _AXIS_STATES  # (axis, outcome, component)
+    vecs = states
+    for _ in range(n_qubits - 1):
+        A, O, C = vecs.shape
+        vecs = vecs[:, None, :, None, :, None] * states[None, :, None, :, None, :]
+        vecs = vecs.reshape(3 * A, 2 * O, 2 * C)
+    return vecs[..., :, None] * vecs.conj()[..., None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +162,12 @@ def born_joint_distribution(state, povms) -> np.ndarray:
     return probs
 
 
-def scan_family(instance, site: int, ops: np.ndarray, stack, where):
-    """decomposition._scan_family over the full (rows, elements) matrices at once."""
+def scan_family(instance, site: int, ops: np.ndarray, blocks, n_elements=None):
+    """decomposition._scan_family over the full (rows, elements) matrices at once, its blocks stacked.
+
+    n_elements is not read: the signature is _scan_family's, so a test can patch this in.
+    """
+    stack, where = stacked(blocks)
     traces = operator_traces(ops)
     ok = (traces > 0) & (traces >= TRACE_FLOOR * traces.max())
     normed = linalg.overlaps(ops, stack) / np.where(ok, traces, 1.0)[:, None]

@@ -94,7 +94,7 @@ def test_allow_list_holds_only_uncalled_names():
 
 def test_every_public_method_has_a_caller():
     methods = [(path, cls.name, node) for path, cls, node in public_methods()]
-    assert ("MeasurementSet", "element_stack") in {(c, n.name) for _, c, n in methods}
+    assert ("MeasurementSet", "element_blocks") in {(c, n.name) for _, c, n in methods}
     orphans = [
         f"{path.name}: {cls}.{node.name}"
         for path, cls, node in methods

@@ -20,6 +20,7 @@ from pepslhv.errors import DegenerateNormError, NotFactorizableError, UsageError
 from pepslhv.lattice import build_chain, build_cycle, lattice_from_name
 from pepslhv.measurements import (
     MeasurementSet,
+    Povm,
     bell_povm,
     dual_margin,
     noisy_pauli_product_measurements,
@@ -27,7 +28,7 @@ from pepslhv.measurements import (
 )
 
 from conftest import build, recipe2_config
-from reference import first_site_groups, scan_family, site_output_operator
+from reference import element_stack, first_site_groups, scan_family, site_output_operator
 
 KET0 = np.array([1, 0], dtype=complex)
 
@@ -458,11 +459,11 @@ class TestRelativeTraceFloor:
         basis=phase_point_basis(),
         measurement_set=noisy_pauli_product_measurements(1, 0.5),
     )
-    STACK, WHERE = INSTANCE.measurement_set.element_stack()
+    STACK, WHERE = element_stack(INSTANCE.measurement_set)
 
     def scan(self, traces):
         ops = np.asarray(traces)[:, None, None] * np.eye(2) / 2
-        return dec._scan_family(self.INSTANCE, 1, ops, self.STACK, self.WHERE)
+        return dec._scan_family(self.INSTANCE, 1, ops, [(self.WHERE, self.STACK)], len(self.WHERE))
 
     @pytest.mark.parametrize("power", [0, -300])
     @pytest.mark.parametrize("low, passes", [(1e-11, False), (1e-9, True)])
@@ -556,7 +557,7 @@ class TestBlockedScan:
         with mock.patch.object(dec, "_family_sites", lambda _: (firsts, site_family)), \
                 mock.patch.object(dec, "_family_stack", lambda _, s: families[site_family[s]]):
             expected = self.full_scan_report(inst)
-            n_elements = len(mset.element_stack()[0])
+            n_elements = mset.n_elements
             with mock.patch.object(dec, "SCAN_BLOCK_ENTRIES", rows_per_block * n_elements):
                 got = dec.rv_positivity_check(inst)
         assert report_fields(got) == report_fields(expected)
@@ -565,27 +566,49 @@ class TestBlockedScan:
 
     def test_dual_witness_in_a_later_block(self):
         inst = TestRelativeTraceFloor.INSTANCE
-        stack, where = inst.measurement_set.element_stack()
+        stack, where = element_stack(inst.measurement_set)
         ops = self.family([1.0, 0.5, 0.3, 0.7], [(0, 0, 0), (1, 0, 0), (0, 0, 0), (0, 0, -2.5)])
-        expected = scan_family(inst, 1, ops, stack, where)
+        expected = scan_family(inst, 1, ops, [(where, stack)])
         with mock.patch.object(dec, "SCAN_BLOCK_ENTRIES", 2 * len(stack)):
-            got = dec._scan_family(inst, 1, ops, stack, where, keep=True)
+            got = dec._scan_family(inst, 1, ops, [(where, stack)], len(where), keep=True)
         assert got[1:] == expected[1:]
         w = got[3]
         assert (w.indices, w.kind, w.povm_index, w.element_index) == ((3,), "dual", 2, 0)
         assert w.value == pytest.approx(-0.125, abs=1e-15)
         assert got[0].tobytes() == expected[0].tobytes()
 
+    @pytest.mark.parametrize("width", [1, 2, 5, 12])
+    def test_dual_witness_across_element_blocks(self, width):
+        # every POVM twice, read in element blocks of `width`: row 1 fails
+        # with tied worst elements in POVMs 2 and 5, row 2 fails earlier in
+        # the elements, and the witness is row 1 at its first worst element.
+        # The eta = 0.5 Paulis and the family have dyadic entries, so every
+        # overlap is exact however a block is multiplied
+        povms = [Povm([(np.eye(2) + p / 2) / 2, (np.eye(2) - p / 2) / 2], a) for p, a in zip(self.PAULI, "XYZ")]
+        mset = MeasurementSet(povms=tuple(povms) * 2)
+        base = TestRelativeTraceFloor.INSTANCE
+        inst = con.PepsInstance(lattice=base.lattice, maps=base.maps, basis=base.basis, measurement_set=mset)
+        stack, where = element_stack(mset)
+        ops = self.family([1.0, 0.5, 0.25, 0.75], [(0, 0, 0), (0, 0, -2.5), (3, 3, 3), (1, 0, 0)])
+        blocks = [(where[k : k + width], stack[k : k + width]) for k in range(0, len(where), width)]
+        got = dec._scan_family(inst, 1, ops, blocks, len(where), keep=True)
+        expected = scan_family(inst, 1, ops, [(where, stack)])
+        assert got[1:] == expected[1:]
+        w = got[3]
+        assert (w.indices, w.kind, w.povm_index, w.element_index, w.value) == ((1,), "dual", 2, 0, -0.125)
+        assert got[0].tobytes() == expected[0].tobytes()
+
     def test_torus3x3_at_the_default_block_budget(self):
-        # three blocks of 86, 86 and 84 rows per family, each far above BLAS's small-matrix sizes
+        # 11 element blocks of 112 or 128 columns per family, one (256, 128) product each,
+        # far above BLAS's small-matrix sizes: the bytes of the whole (256, 1296) product
         inst = torus3x3_instance()
         assert report_fields(dec.rv_positivity_check(inst)) == report_fields(
             self.full_scan_report(inst)
         )
         families, _ = oracle.site_families(inst)
-        stack, where = inst.measurement_set.element_stack()
-        normed = dec._scan_family(inst, 0, families[0], stack, where, keep=True)[0]
-        assert normed.tobytes() == scan_family(inst, 0, families[0], stack, where)[0].tobytes()
+        mset = inst.measurement_set
+        normed = dec._scan_family(inst, 0, families[0], mset.element_blocks(), mset.n_elements, keep=True)[0]
+        assert normed.tobytes() == scan_family(inst, 0, families[0], mset.element_blocks())[0].tobytes()
 
     @pytest.mark.parametrize("n_rows, width", [(256, 1296), (16, 36), (5, 2**17), (1, 2**18), (4096, 16)])
     def test_row_blocks_cover_in_order(self, n_rows, width):
@@ -599,10 +622,10 @@ class TestBlockedScan:
 
     def test_memory_is_families_and_one_block(self):
         # one 1 MiB family at a time: its build holds it and K @ prod, and its
-        # scan holds it and at most two blocks of SCAN_BLOCK_ENTRIES overlaps
-        # (the next block is made before the last is dropped); 2.7 MiB in all.
-        # Building the three families first took 5.0 MiB, and the full
-        # (rows, elements) matrices with a copied element stack 21.7 MB.
+        # scan holds it, one 512 KiB block of elements and one (256, 128)
+        # block of overlaps; 2.0 MiB in all, 2.7 MiB with (86, 1296) overlap
+        # blocks.  Building the three families first took 5.0 MiB, and the
+        # full (rows, elements) matrices with a copied element stack 21.7 MB.
         inst = torus3x3_instance()
         dec.rv_positivity_check(inst)
         tracemalloc.start()
@@ -611,7 +634,25 @@ class TestBlockedScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * 2**20
+        assert peak <= 2.5 * 2**20
+
+    def test_load_and_check_hold_no_element_stack(self, tmp_path):
+        # peps check's own work: the instance holds no element, and the scan
+        # builds one block of elements at a time, so the peak (2.0 MiB) stays
+        # below the 5.06 MiB (1296, 16, 16) stack that the set used to hold
+        config = recipe2_config(lattice="torus:3x3", epsilon=0.1, measurements="noisy-pauli:4:0.5")
+        config["psi"] = "plus-diag:4"
+        path = tmp_path / "torus3x3.json"
+        path.write_text(json.dumps(config))
+        dec.rv_positivity_check(configio.load_instance(str(path)))  # first-call imports
+        tracemalloc.start()
+        try:
+            report = dec.rv_positivity_check(configio.load_instance(str(path)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 1296 * 16 * 16 * np.dtype(complex).itemsize
 
 
 class TestMixtureReconstruction:
@@ -758,7 +799,7 @@ class TestMaxEpsilonSearch:
             basis=build_aligned_basis(2, KET0),
             measurement_set=mset,
         )
-        stack, _ = mset.element_stack()
+        stack, _ = element_stack(mset)
         probe = epsilon_probe.EpsilonProbe()
         probe(inst)
         for s in dec._family_sites(inst)[0]:

@@ -14,7 +14,7 @@ from pepslhv.linalg import kron_vectors, projector
 
 from conftest import run_capped
 import reference
-from reference import tensor_product
+from reference import element_stack, tensor_product
 
 
 @pytest.fixture(scope="module")
@@ -61,29 +61,35 @@ class TestPovmInvariants:
         assert all(np.array_equal(x, y) for x, y in zip(povm.elements, elements))
 
 
-# sha256 of the noisy-pauli:4:0.5 element stack: the depolarized Pauli products, bit for bit
+# sha256 of the noisy-pauli:4:0.5 elements, POVM by POVM: the depolarized Pauli products, bit for bit
 NOISY_PAULI4_SHA256 = "f88567018c27f41ae0913c4e71e3649692b47633737924b76d261c9eec6e2880"
 # every named Pauli set of 1..5 qubits, at eta 0, 0.25, 0.5 and 1 when noisy
 PAULI_NAMES = [f"pauli:{n}" for n in range(1, 6)] + [
     f"noisy-pauli:{n}:{eta}" for n in range(1, 6) for eta in (0, 0.25, 0.5, 1)
 ]
-# sha256 over PAULI_NAMES of each set's space-joined labels, then its element stack
+# sha256 over PAULI_NAMES of each set's space-joined labels, then its elements POVM by POVM
 PAULI_SETS_SHA256 = "082d242fd3ea24883a824b1841cc39395fbd0ca28d7e0197752bc3b5e773bed7"
 
 
 class TestHeldElementStack:
     @pytest.mark.parametrize("name", ["pauli:2", "noisy-pauli:3:0.25", "bell"])
     def test_every_povm_is_a_slice_of_the_stack(self, name):
+        # the element blocks, stacked, hold each POVM's elements as one slice of rows, in order
         mset = meas.measurement_set_from_name(name)
-        stack, where = mset.element_stack()
-        assert stack is mset.element_stack()[0]
-        assert len(stack) == len(where) == sum(p.n_outcomes for p in mset.povms)
+        stack, where = element_stack(mset)
+        assert len(stack) == len(where) == mset.n_elements == sum(p.n_outcomes for p in mset.povms)
         for i, p in enumerate(mset.povms):
-            assert np.shares_memory(stack, p.elements)
             rows = [k for k, (pi, _) in enumerate(where) if pi == i]
-            assert np.array_equal(stack[rows], p.elements)
-        with pytest.raises(ValueError):
-            stack[0, 0, 0] = 2.0
+            assert rows == list(range(rows[0], rows[0] + p.n_outcomes))
+            assert stack[rows].tobytes() == p.elements.tobytes()
+            with pytest.raises(ValueError):
+                p.elements[0, 0, 0] = 2.0
+        # a set built from POVMs holds its stack: its one block is a read-only view of it
+        if name == "bell":
+            [(_, block)] = mset.element_blocks()
+            assert np.shares_memory(block, mset.povms[0].elements)
+            with pytest.raises(ValueError):
+                block[0, 0, 0] = 2.0
 
     def test_user_built_set_keeps_its_values(self):
         z = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
@@ -100,25 +106,43 @@ class TestHeldElementStack:
         assert mset.povms[0].elements[0, 0, 0] == 1.0
 
     def test_noisy_pauli4_stack_bits(self):
-        stack, _ = meas.measurement_set_from_name("noisy-pauli:4:0.5").element_stack()
-        assert stack.shape == (1296, 16, 16)
-        assert hashlib.sha256(stack.tobytes()).hexdigest() == NOISY_PAULI4_SHA256
+        mset = meas.measurement_set_from_name("noisy-pauli:4:0.5")
+        assert (mset.n_elements, mset.dim) == (1296, 16)
+        digest = hashlib.sha256()
+        for p in mset.povms:
+            digest.update(p.elements.tobytes())
+        assert digest.hexdigest() == NOISY_PAULI4_SHA256
+        # the blocks a scan reads, each built anew, hold the same bits
+        fresh = meas.measurement_set_from_name("noisy-pauli:4:0.5")
+        blocks = hashlib.sha256(element_stack(fresh)[0].tobytes())
+        assert blocks.hexdigest() == NOISY_PAULI4_SHA256
 
     def test_named_pauli_sets_are_povms(self):
         # the named sets skip _povm_stack: it is the reference, POVM by POVM
         digest = hashlib.sha256()
         for name in PAULI_NAMES:
             mset = meas.measurement_set_from_name(name)
+            digest.update(" ".join(p.label for p in mset.povms).encode())
             for p in mset.povms:
                 meas._povm_stack(p.elements, p.label)  # raises UsageError if not a POVM
-            digest.update(" ".join(p.label for p in mset.povms).encode())
-            digest.update(mset.element_stack()[0].tobytes())
+                digest.update(p.elements.tobytes())
         assert digest.hexdigest() == PAULI_SETS_SHA256
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_blocks_are_rows_of_the_whole_stack(self, n):
+        # each block is whole POVMs, in order, bit for bit the rows of the stack built at once
+        mset = meas.pauli_product_measurements(n)
+        d = 2**n
+        blocks = list(mset.element_blocks())
+        assert all(len(e) % d == 0 for _, e in blocks)
+        assert all(e.size <= max(meas.ELEMENT_BLOCK_ENTRIES, d**3) for _, e in blocks)
+        whole = reference.pauli_product_elements(n).reshape(-1, d, d)
+        assert element_stack(mset)[0].tobytes() == whole.tobytes()
+
     def test_noisy_pauli4_built_in_place(self):
-        # the 5.06 MiB stack, plus the 0.33 MiB state vectors and their
-        # conjugate it is built from; a depolarizing sum and a concatenated
-        # copy of the stack took it to 10.4 MiB
+        # the set keeps axis rows and eta: no element is built until read.
+        # It held its 5.06 MiB stack before, and 10.4 MiB with a depolarizing
+        # sum and a concatenated copy of the stack
         meas.noisy_pauli_product_measurements(2, 0.5)  # first-call imports are not the build's
         tracemalloc.start()
         try:
@@ -126,8 +150,8 @@ class TestHeldElementStack:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert mset.element_stack()[0].nbytes == 1296 * 16 * 16 * 16
-        assert peak <= 6.5 * 2**20
+        assert mset.n_elements == 1296
+        assert peak <= 64 * 2**10
 
     def test_noisy_pauli_rejects_eta_outside_unit_interval(self):
         for eta in (-0.1, 1.5):
@@ -148,6 +172,17 @@ def _loop_dual_margin(O, mset):
 
 
 class TestDualMargin:
+    @pytest.mark.parametrize("name", ["pauli:2", "noisy-pauli:3:0.25", "bell", "noisy-pauli:4:0.5"])
+    def test_blocks_match_stacked_reference(self, name):
+        # the first worst element of each block's overlaps is the stacked scan's, to the bit
+        mset = meas.measurement_set_from_name(name)
+        rng = np.random.default_rng(7)
+        m = rng.normal(size=(mset.dim,) * 2) + 1j * rng.normal(size=(mset.dim,) * 2)
+        ops = [m + m.conj().T, m @ m.conj().T / np.trace(m @ m.conj().T).real, np.eye(mset.dim) / 2]
+        ops.append(np.diag(np.eye(mset.dim)[-1]))  # exact ties, across POVMs
+        for O in ops:
+            assert meas.dual_margin(O, mset) == reference.dual_margin(O, mset)
+
     @pytest.mark.parametrize("name", ["pauli:1", "pauli:2", "noisy-pauli:2:0.5", "bell"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_batched_matches_loop(self, name, seed):

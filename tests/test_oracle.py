@@ -130,9 +130,10 @@ class TestExactJointDistribution:
         r = state.size // (povms[0].dim * povms[1].dim)
         # the (n_2, r, r) operator on sites 3..N, one slice's regrouped copy
         # and its products, and one block of rows whose three temporaries
-        # share SCAN_BLOCK_ENTRIES; never the (d_2 ... d_N)^2 operator.
-        # 458,752 entries here, of which about 416,000 are used
-        entries = (povms[1].n_outcomes + 1) * r**2 + dec.SCAN_BLOCK_ENTRIES
+        # share a sixteenth of SCAN_BLOCK_ENTRIES; never the (d_2 ... d_N)^2
+        # operator.  393,216 entries here, of which about 362,700 are used
+        # (416,000 when the three shared all of SCAN_BLOCK_ENTRIES)
+        entries = (povms[1].n_outcomes + 1) * r**2 + dec.SCAN_BLOCK_ENTRIES // 2
         bound = entries * np.dtype(complex).itemsize
         tracemalloc.start()
         try:

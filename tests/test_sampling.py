@@ -271,7 +271,7 @@ class TestStackedSiteTables:
             # the site's own Born CDF rows, built for this site alone
             where = [(plan.povm_indices[s], j) for j in range(povms[s].n_outcomes)]
             ops = families[site_family[s]]
-            probs = dec._scan_family(inst, s, ops, povms[s].elements, where, keep=True)[0]
+            probs = dec._scan_family(inst, s, ops, [(where, povms[s].elements)], len(where), keep=True)[0]
             cdf = np.cumsum(np.clip(probs, 0.0, 1.0), axis=1)
             cdf = cdf / cdf[:, -1:]
             row = np.zeros(3000, dtype=np.intp)

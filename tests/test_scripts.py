@@ -22,11 +22,11 @@ def run_script(name, *args):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
+    return proc
 
 
 def test_bell_identity_demo():
-    lines = run_script("bell_identity_demo.py", "--shots", "2000")
+    lines = run_script("bell_identity_demo.py", "--shots", "2000").stdout.splitlines()
     assert lines[0] == "head-tail pair : admissible=True values in [+0.000, +1.000]"
     assert lines[1] == "head-head pair : admissible=False worst value -0.500 at tuple (0, 0)"
     match = re.fullmatch(
@@ -42,9 +42,9 @@ def test_ab_record(tmp_path):
         for part in ("src", "perfbench"):
             shutil.copytree(ROOT / part, tmp_path / side / part, ignore=ignore)
     out = tmp_path / "BENCH_test.json"
-    run_script("ab.py", "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
-               "--workload", "ring400-hidden", "--pairs", "1", "--seconds", "0", "--seed", "5",
-               "--out", str(out))
+    proc = run_script("ab.py", "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                      "--workload", "ring400-hidden", "--pairs", "1", "--seconds", "0", "--seed", "5",
+                      "--out", str(out))
     record = json.loads(out.read_text())
     assert set(record) == {"what", "machine", "commits", "command", "protocol", "better",
                            "written", "workloads"}
@@ -61,3 +61,12 @@ def test_ab_record(tmp_path):
             "change_lower", "pairs",
         }
         assert ring["summary"][name]["pairs"] == 1
+    # one stderr line per recorded metric: both medians, their ratio, and the pairs won
+    lines = [l for l in proc.stderr.splitlines() if l.startswith("ring400-hidden ") and "median" in l]
+    assert [l.split(":")[0] for l in lines] == [f"ring400-hidden {n}" for n in ring["summary"]]
+    for line, (name, m) in zip(lines, ring["summary"].items()):
+        assert re.fullmatch(
+            r"ring400-hidden \S+: median parent \S+ change \S+, ratio (\S+), change lower in (\d)/1 pairs",
+            line,
+        ), line
+        assert line.endswith(f"change lower in {m['change_lower']}/1 pairs")
