@@ -8,10 +8,11 @@ a candidate POVM against products of virtual-space extreme points.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +24,7 @@ POVM_PSD_ATOL = 1e-9
 POVM_SUM_ATOL = 1e-9
 STRICT_MARGIN_FLOOR = 1e-8
 ADMISSIBLE_ATOL = 1e-9
-# complex entries in one block of a named set's elements: 112 or 128 elements of noisy-pauli:4
+# complex entries in one block of a set's elements: 112 or 128 elements of noisy-pauli:4
 ELEMENT_BLOCK_ENTRIES = SCAN_BLOCK_ENTRIES // 4
 
 
@@ -44,22 +45,16 @@ class Povm:
     """A full POVM: PSD elements summing to the identity.
 
     Any sequence of equal-shape matrices is accepted; ``elements`` is
-    stored as the validated (K, d, d) array.
+    stored as the validated (K, d, d) array, a read-only copy.
     """
 
     elements: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", _povm_stack(self.elements, self.label))
-
-    @classmethod
-    def _of_rows(cls, rows: np.ndarray, label: str) -> "Povm":
-        """A Povm over rows that _povm_stack has validated, not checked again."""
-        povm = object.__new__(cls)
-        object.__setattr__(povm, "elements", rows)
-        object.__setattr__(povm, "label", label)
-        return povm
+        elements = _povm_stack(self.elements, self.label)
+        elements.flags.writeable = False
+        object.__setattr__(self, "elements", elements)
 
     @property
     def dim(self) -> int:
@@ -74,42 +69,21 @@ class Povm:
 class MeasurementSet:
     """The restricted set M = {M_i} of allowed local POVMs.
 
-    Readers scan the elements in blocks of whole POVMs (element_blocks).  A
-    set built from POVMs holds a copy of their elements in one read-only
-    (n, d, d) stack, each POVM's ``elements`` is its row slice, and its one
-    block is the whole stack.  A named Pauli set holds no stack: each POVM
-    builds its elements on first access, and each block is built as it is
-    read.
+    The set holds only its POVMs.  Readers scan the elements in blocks of
+    whole POVMs (element_blocks), and none holds every element at once: a
+    POVM built from elements holds its own read-only stack, and a named
+    Pauli POVM builds its elements on first access.
     """
 
     povms: tuple
-    _stack: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
-    _axes: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
-    _eta: Optional[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         povms = tuple(self.povms)
         if not povms:
             raise UsageError("measurement set must be non-empty")
-        dim = povms[0].dim
-        if any(p.dim != dim for p in povms):
+        if any(p.dim != povms[0].dim for p in povms):
             raise UsageError("POVMs in a measurement set must share dimension")
-        stack = np.concatenate([p.elements for p in povms])
-        stack.flags.writeable = False
-        ends = np.cumsum([p.n_outcomes for p in povms])
-        rows = tuple(Povm._of_rows(stack[e - p.n_outcomes : e], p.label) for p, e in zip(povms, ends))
-        for name, value in (("povms", rows), ("_stack", stack), ("_axes", None), ("_eta", None)):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _pauli(cls, axes: np.ndarray, eta, suffix: str) -> "MeasurementSet":
-        """The Pauli product POVMs of the axis rows axes (m, n), built by _pauli_elements when read."""
-        mset = object.__new__(cls)
-        labels = ("".join("XYZ"[a] for a in row) + suffix for row in axes.tolist())
-        povms = tuple(_PauliPovm(row, eta, label) for row, label in zip(axes, labels))
-        for name, value in (("povms", povms), ("_stack", None), ("_axes", axes), ("_eta", eta)):
-            object.__setattr__(mset, name, value)
-        return mset
+        object.__setattr__(self, "povms", povms)
 
     @property
     def dim(self) -> int:
@@ -128,20 +102,39 @@ class MeasurementSet:
     def element_blocks(self):
         """Yield (where, elements) per block of whole POVMs, in order; where[k] = (POVM, element) of row k.
 
-        A held stack is one block, a view of it.  A named Pauli set yields
-        balanced blocks of at most ELEMENT_BLOCK_ENTRIES complex entries, or
-        of one POVM if that is more, each built anew: bit for bit its POVMs'
-        elements, and kept by nobody once the reader moves on.
+        Blocks are balanced by entries (_povm_blocks), of at most
+        ELEMENT_BLOCK_ENTRIES complex entries or one POVM, and kept by nobody
+        once the reader moves on.  Named Pauli POVMs of one eta are built at
+        once from their axis rows, bit for bit their elements; other POVMs'
+        elements are concatenated, and one POVM alone is yielded as is.
         """
-        if self._stack is not None:
-            yield [(i, j) for i, p in enumerate(self.povms) for j in range(p.n_outcomes)], self._stack
-            return
-        count, n = len(self.povms), self.povms[0].n_outcomes
-        n_blocks = min(count, -(-count * n * self.dim**2 // ELEMENT_BLOCK_ENTRIES))
-        ends = [count * k // n_blocks for k in range(n_blocks + 1)]
+        d2 = self.dim**2
+        ends = _povm_blocks([p.n_outcomes * d2 for p in self.povms], ELEMENT_BLOCK_ENTRIES)
         for a, b in zip(ends[:-1], ends[1:]):
-            where = [(i, j) for i in range(a, b) for j in range(n)]
-            yield where, _pauli_elements(self._axes[a:b], self._eta)
+            povms = self.povms[a:b]
+            where = [(a + i, j) for i, p in enumerate(povms) for j in range(p.n_outcomes)]
+            if all(isinstance(p, _PauliPovm) and p._eta == povms[0]._eta for p in povms):
+                yield where, _pauli_elements(np.array([p._axes for p in povms]), povms[0]._eta)
+            else:
+                yield where, povms[0].elements if b - a == 1 else np.concatenate([p.elements for p in povms])
+
+
+def _povm_blocks(sizes: Sequence[int], budget: int) -> list:
+    """Ends [0, ..., len(sizes)] of blocks of whole POVMs of sizes entries, balanced by entries.
+
+    With n = ceil(total / budget), block k ends at the last POVM boundary at
+    or before both k total / n entries and budget entries past its start,
+    but holds at least one POVM: equal POVMs within the budget end at
+    count k // n.
+    """
+    cum = list(itertools.accumulate(sizes, initial=0))
+    n = -(-cum[-1] // budget)
+    ends = [0]
+    while ends[-1] < len(sizes):
+        a = ends[-1]
+        limit = min(cum[-1] * len(ends) // n, cum[a] + budget)
+        ends.append(max(a + 1, bisect.bisect_right(cum, limit) - 1))
+    return ends
 
 
 @dataclass(frozen=True)
@@ -249,7 +242,7 @@ class _PauliPovm(Povm):
 def _pauli_set(n_qubits: int, eta=None) -> MeasurementSet:
     """The 3^n Pauli product POVMs, not checked (POVMs by construction); with eta, depolarized.
 
-    The set keeps the axis rows and eta, and no element (MeasurementSet._pauli).
+    Each POVM keeps its axis row and eta, and no element (_PauliPovm).
     """
     if n_qubits < 1:
         raise UsageError("need at least one qubit")
@@ -261,7 +254,8 @@ def _pauli_set(n_qubits: int, eta=None) -> MeasurementSet:
             raise UsageError(f"eta must be in [0, 1], got {eta}")
         suffix = f"~{eta:g}"
     axes = np.array(list(itertools.product(range(3), repeat=n_qubits)))
-    return MeasurementSet._pauli(axes, eta, suffix)
+    labels = ("".join("XYZ"[a] for a in row) + suffix for row in axes.tolist())
+    return MeasurementSet(povms=tuple(_PauliPovm(row, eta, label) for row, label in zip(axes, labels)))
 
 
 def pauli_product_measurements(n_qubits: int) -> MeasurementSet:

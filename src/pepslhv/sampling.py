@@ -30,7 +30,7 @@ from pepslhv.errors import PositivityViolationError, UsageError
 from pepslhv.lattice import site_groups
 from pepslhv.plans import MeasurementPlan
 
-# shots per slab in perfbench's probe_rng, its only reader; ROADMAP item 4
+# shots per slab in perfbench's probe_rng, its only reader; ROADMAP item 7
 # deletes it once the benchmark changes
 DEFAULT_CHUNK = 1 << 16
 # float64/intp entries one block of shots holds: a row of uniforms per shot,

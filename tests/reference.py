@@ -1,5 +1,6 @@
 """Per-tuple reference computations that the batched package code is checked against."""
 
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,14 @@ from pepslhv import basis, linalg
 from pepslhv.construction import RECIPE1_MAX_RETRIES, SiteMap, _check_orthonormal
 from pepslhv.decomposition import DUAL_ATOL, TRACE_FLOOR, PositivityWitness, operator_traces
 from pepslhv.errors import ConstraintError, ConstructionError, UsageError
-from pepslhv.measurements import _AXIS_STATES, ADMISSIBLE_ATOL, AdmissibilityReport, DualMargin
+from pepslhv.measurements import (
+    _AXIS_STATES,
+    ADMISSIBLE_ATOL,
+    AdmissibilityReport,
+    DualMargin,
+    measurement_set_from_json,
+    measurement_set_to_json,
+)
 
 
 def tensor_product(factors) -> np.ndarray:
@@ -42,6 +50,11 @@ def stacked(blocks):
 def element_stack(mset):
     """The whole (n, d, d) stack of mset's elements and (POVM, element) per row: its blocks, stacked."""
     return stacked(mset.element_blocks())
+
+
+def file_copy(mset):
+    """mset written as a measurement-set file and read back: a set of POVMs built from elements."""
+    return measurement_set_from_json(json.loads(json.dumps(measurement_set_to_json(mset))))
 
 
 def dual_margin(O, mset) -> DualMargin:

@@ -247,33 +247,42 @@ class TestLatticeCommand:
 
 
 class TestPepsCommands:
+    # (lattice, measurement set, psi, epsilon); torus:3x3 is the pinned check and bracket instance
+    PATH_SPEC_CASES = [
+        ("cycle:4", "noisy-pauli:2:0.5", "plus-diag:2", 0.2),
+        ("torus:3x3", "noisy-pauli:4:0.5", "plus-diag:4", 0.1),
+    ]
+
     def test_path_specs_match_named_specs(self, tmp_path, capsys):
-        named = {
-            "lattice": "cycle:4",
-            "basis": "aligned:2:zero",
-            "measurements": "noisy-pauli:2:0.5",
-            "psi": "plus-diag:2",
-        }
-        written = {
-            "lattice": lattice_to_json(configio.parse_lattice(named["lattice"])),
-            "basis": basis_mod.basis_to_json(configio.parse_basis(named["basis"])),
-            "measurements": measurements.measurement_set_to_json(
-                configio.parse_measurements(named["measurements"])
-            ),
-            "psi": linalg.state_to_json(configio.parse_state(named["psi"], 4)),
-        }
-        at_paths = {}
-        for key, obj in written.items():
-            path = (tmp_path / f"{key}.json").resolve()
-            path.write_text(json.dumps(obj))
-            at_paths[key] = f"@{path}"
-        stdout = []
-        for specs in (named, at_paths):
-            path = tmp_path / "inst.json"
-            path.write_text(json.dumps(dict(specs, site_map={"recipe": 2, "epsilon": 0.2})))
-            assert run("peps", "check", str(path)) == 0
-            stdout.append(capsys.readouterr().out)
-        assert stdout[0] == stdout[1]
+        # every spec as an @file copy: the same bytes from check and
+        # epsilon-max, the file measurement set read in the named set's blocks
+        for lattice, mset_name, psi, epsilon in self.PATH_SPEC_CASES:
+            named = {"lattice": lattice, "basis": "aligned:2:zero", "measurements": mset_name, "psi": psi}
+            mset = configio.parse_measurements(mset_name)
+            written = {
+                "lattice": lattice_to_json(configio.parse_lattice(lattice)),
+                "basis": basis_mod.basis_to_json(configio.parse_basis(named["basis"])),
+                "measurements": measurements.measurement_set_to_json(mset),
+                "psi": linalg.state_to_json(configio.parse_state(psi, mset.dim)),
+            }
+            at_paths = {}
+            for key, obj in written.items():
+                path = (tmp_path / f"{key}.json").resolve()
+                path.write_text(json.dumps(obj))
+                at_paths[key] = f"@{path}"
+            checks, brackets = [], []
+            for specs in (named, at_paths):
+                path = tmp_path / "inst.json"
+                path.write_text(json.dumps(dict(specs, site_map={"recipe": 2, "epsilon": epsilon})))
+                assert run("peps", "check", str(path)) == 0
+                checks.append(capsys.readouterr().out)
+                assert run("peps", "epsilon-max", str(path), "--eps-hi", "1.0") == 0
+                brackets.append(capsys.readouterr().out)
+            assert checks[0] == checks[1] and brackets[0] == brackets[1], lattice
+        # the last case's pinned bytes: test_check_torus3x3_stdout_bits and the torus bracket
+        assert check_digest(checks[1]) == TORUS3X3_CHECK_SHA256
+        expected = {"eps_pass": 0.169921875, "eps_fail": 0.16998291015625}
+        assert brackets[1] == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     def test_check_passes(self, instance_file, capsys):
         assert run("peps", "check", str(instance_file)) == 0

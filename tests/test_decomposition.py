@@ -19,6 +19,7 @@ from pepslhv.basis import basis_products, build_aligned_basis, phase_point_basis
 from pepslhv.errors import DegenerateNormError, NotFactorizableError, UsageError
 from pepslhv.lattice import build_chain, build_cycle, lattice_from_name
 from pepslhv.measurements import (
+    ELEMENT_BLOCK_ENTRIES,
     MeasurementSet,
     Povm,
     bell_povm,
@@ -28,7 +29,7 @@ from pepslhv.measurements import (
 )
 
 from conftest import build, recipe2_config
-from reference import element_stack, first_site_groups, scan_family, site_output_operator
+from reference import element_stack, file_copy, first_site_groups, scan_family, site_output_operator
 
 KET0 = np.array([1, 0], dtype=complex)
 
@@ -634,6 +635,73 @@ class TestBlockedScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak <= 2.5 * 2**20
+
+    @staticmethod
+    def unequal_file_set():
+        """A file set at d = 16 of POVMs with 1 to 16 outcomes and one of 256, every entry dyadic.
+
+        Each POVM of noisy-pauli:4:0.5, rounded to its exact entries
+        (multiples of 1/32), is coarse-grained into runs of outcomes, the
+        fifth split into 16 equal parts, and the first one appears again at
+        the end, so elements tie within a POVM and across blocks.
+        Overlaps with a dyadic family are exact sums, so any split into
+        blocks gives the same bits.
+        """
+        rng = np.random.default_rng(29)
+        povms = []
+        for i, p in enumerate(noisy_pauli_product_measurements(4, 0.5).povms[:24]):
+            elements = np.round(p.elements * 32) / 32
+            if i == 4:
+                povms.append(Povm(np.repeat(elements / 16, 16, axis=0), p.label + "/16"))
+                continue
+            cuts = np.sort(rng.choice(np.arange(1, 16), rng.integers(0, 15), replace=False))
+            runs = np.split(elements, cuts)
+            povms.append(Povm([r.sum(axis=0) for r in runs], f"{p.label}:{len(runs)}"))
+        povms.append(povms[0])
+        return file_copy(MeasurementSet(povms=tuple(povms)))
+
+    def test_unequal_povms_across_blocks(self):
+        mset = self.unequal_file_set()
+        sizes = [p.n_outcomes for p in mset.povms]
+        assert len(set(sizes)) > 5 and 256 in sizes
+        blocks = list(mset.element_blocks())
+        assert len(blocks) >= 3
+        # whole POVMs, in order, within the budget unless a block is one POVM
+        assert [w for where, _ in blocks for w in where] == [(i, j) for i, n in enumerate(sizes) for j in range(n)]
+        for where, elements in blocks:
+            povm_ids = sorted({i for i, _ in where})
+            assert len(where) == len(elements) == sum(sizes[i] for i in povm_ids)
+            assert elements.size <= ELEMENT_BLOCK_ENTRIES or len(povm_ids) == 1
+        assert [len(e) for _, e in blocks if len(e) > 128] == [256]
+        # dyadic rows c I + H / 256, a few far outside the dual
+        rng = np.random.default_rng(7)
+        h = rng.integers(-4, 5, (256, 16, 16)) + 1j * rng.integers(-4, 5, (256, 16, 16))
+        h[rng.choice(256, 6, replace=False)] *= 64
+        ops = rng.integers(2, 9, 256)[:, None, None] / 16 * np.eye(16) + (h + h.conj().transpose(0, 2, 1)) / 256
+        base = torus3x3_instance()
+        inst = con.PepsInstance(lattice=base.lattice, maps=base.maps, basis=base.basis, measurement_set=mset)
+        got = dec._scan_family(inst, 0, ops, mset.element_blocks(), mset.n_elements, keep=True)
+        expected = scan_family(inst, 0, ops, mset.element_blocks())
+        assert got[1:] == expected[1:]
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[3] is not None and got[3].kind == "dual"
+
+    def test_file_set_memory_is_families_and_one_block(self):
+        # a file copy of noisy-pauli:4:0.5 is read in the named set's blocks:
+        # beyond the loaded set, the scan holds what the named set's does.
+        # Read as one block of its 1296 elements it took 2.7 MiB
+        copy = file_copy(configio.parse_measurements("noisy-pauli:4:0.5"))
+        base = torus3x3_instance()
+        inst = con.PepsInstance(lattice=base.lattice, maps=base.maps, basis=base.basis, measurement_set=copy)
+        dec.rv_positivity_check(inst)
+        tracemalloc.start()
+        try:
+            report = dec.rv_positivity_check(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report_fields(report) == report_fields(dec.rv_positivity_check(base))
         assert peak <= 2.5 * 2**20
 
     def test_load_and_check_hold_no_element_stack(self, tmp_path):

@@ -84,10 +84,11 @@ class TestHeldElementStack:
             assert stack[rows].tobytes() == p.elements.tobytes()
             with pytest.raises(ValueError):
                 p.elements[0, 0, 0] = 2.0
-        # a set built from POVMs holds its stack: its one block is a read-only view of it
+        # a POVM built from elements holds its own read-only stack: alone in
+        # its block, the block is that stack
         if name == "bell":
             [(_, block)] = mset.element_blocks()
-            assert np.shares_memory(block, mset.povms[0].elements)
+            assert block is mset.povms[0].elements
             with pytest.raises(ValueError):
                 block[0, 0, 0] = 2.0
 
@@ -98,12 +99,45 @@ class TestHeldElementStack:
         given_elements = [z, x, trine]
         povms = tuple(meas.Povm(elements=e, label=f"p{i}") for i, e in enumerate(given_elements))
         mset = meas.MeasurementSet(povms=povms)
-        for p, q, e in zip(mset.povms, povms, given_elements):
-            assert (p.label, p.n_outcomes) == (q.label, len(e))
-            assert p.elements.tobytes() == np.asarray(e, dtype=complex).tobytes()
-        # the set holds its own copy: a later write to a given POVM leaves it as it was
-        povms[0].elements[0, 0, 0] = 0.25
-        assert mset.povms[0].elements[0, 0, 0] == 1.0
+        given = [np.asarray(e, dtype=complex).tobytes() for e in given_elements]
+        for p, q, e, raw in zip(mset.povms, povms, given_elements, given):
+            assert p is q and (p.label, p.n_outcomes) == (q.label, len(e))
+            assert p.elements.tobytes() == raw
+        # each POVM holds a read-only copy of what it was given: a write into
+        # it is refused, and a later write to the given arrays changes nothing
+        for p in povms:
+            with pytest.raises(ValueError):
+                p.elements[0, 0, 0] = 0.25
+        z[0][0, 0] = 0.25
+        assert [p.elements.tobytes() for p in mset.povms] == given
+
+    @pytest.mark.parametrize("name", ["pauli:2", "noisy-pauli:3:0.25", "noisy-pauli:4:0.5"])
+    def test_file_copy_reads_the_named_blocks(self, name):
+        # one block rule for every set: a file copy of a named set is read in
+        # the same blocks, with the same where lists and the same bytes.  The
+        # JSON literal loses the sign of a zero (re + 1j im), so zeros are
+        # compared as +0.0; the noisy sets have none to lose
+        mset = meas.measurement_set_from_name(name)
+        copy = reference.file_copy(mset)
+        named, copied = list(mset.element_blocks()), list(copy.element_blocks())
+        assert [w for w, _ in named] == [w for w, _ in copied]
+        assert [(e + 0.0).tobytes() for _, e in named] == [(e + 0.0).tobytes() for _, e in copied]
+        if name.startswith("noisy"):
+            assert [e.tobytes() for _, e in named] == [e.tobytes() for _, e in copied]
+
+    @given(sizes=st.lists(st.integers(1, 40), min_size=1, max_size=30), budget=st.integers(1, 100))
+    @settings(max_examples=200, deadline=None)
+    def test_povm_blocks_balanced_within_budget(self, sizes, budget):
+        # whole POVMs in order, none empty, each within the budget unless it is one POVM
+        ends = meas._povm_blocks(sizes, budget)
+        assert ends[0] == 0 and ends[-1] == len(sizes)
+        assert all(a < b for a, b in zip(ends[:-1], ends[1:]))
+        assert all(b - a == 1 or sum(sizes[a:b]) <= budget for a, b in zip(ends[:-1], ends[1:]))
+        # equal POVMs within the budget split as count k // n, n = ceil(total / budget)
+        count, size = len(sizes), sizes[0]
+        if budget % size == 0:
+            n = -(-count * size // budget)
+            assert meas._povm_blocks([size] * count, budget) == [count * k // n for k in range(n + 1)]
 
     def test_noisy_pauli4_stack_bits(self):
         mset = meas.measurement_set_from_name("noisy-pauli:4:0.5")
