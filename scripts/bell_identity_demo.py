@@ -9,8 +9,6 @@ sampler reproduces the exact Born statistics of the identity-map cycle.
 
 import argparse
 
-import numpy as np
-
 from pepslhv import oracle, sampling
 from pepslhv.basis import phase_point_basis
 from pepslhv.configio import build_instance
@@ -23,6 +21,8 @@ def main():
     parser.add_argument("--shots", type=int, default=10**6)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.shots < oracle.MIN_FREQUENCY_SHOTS:
+        parser.error(f"--shots must be at least {oracle.MIN_FREQUENCY_SHOTS}")
 
     pp = phase_point_basis()
     # one flag per virtual space: True marks a transposed (tail) end
@@ -42,12 +42,10 @@ def main():
         }
     )
     plan = sampling.MeasurementPlan.uniform(inst, "bell")
-    batch = sampling.run_shots(inst, plan, args.shots, args.seed)
     exact = oracle.born_joint_for_instance(inst, plan)
-    emp = oracle.empirical_distribution(batch, exact.arities)
-    tv = oracle.tv_distance(emp, exact)
-    bound = 4 * np.sqrt(exact.n_outcomes / args.shots)
-    print(f"sampler vs oracle: TV = {tv:.5f} (bound {bound:.5f}) "
+    # TV against the bound 4 sqrt(K / shots), the shots counted batch by batch
+    rep = oracle.frequency_test(sampling.iter_shots(inst, plan, args.shots, args.seed), exact)
+    print(f"sampler vs oracle: TV = {rep.tv:.5f} (bound {rep.threshold:.5f}) "
           f"over {exact.n_outcomes} joint outcomes, {args.shots} shots")
 
 

@@ -84,7 +84,9 @@ def basis_products(op_basis: OperatorBasis, flags: Sequence[bool]) -> np.ndarray
     C = op_basis.elements
     k, i, j = (string.ascii_letters[p * v:(p + 1) * v] for p in range(3))
     spec = ",".join(k[p] + i[p] + j[p] for p in range(v)) + "->" + k + i + j
-    prod = np.einsum(spec, *(C.transpose(0, 2, 1) if t else C for t in flags))
+    # C order, so the reshape is a view: a transposed factor would otherwise
+    # leave the einsum's output strided, and the reshape a copy of the stack
+    prod = np.einsum(spec, *(C.transpose(0, 2, 1) if t else C for t in flags), order="C")
     return prod.reshape(len(C) ** v, op_basis.D**v, op_basis.D**v)
 
 

@@ -114,7 +114,8 @@ def _build_config_from_args(args) -> dict:
     if args.psi is not None:
         config["psi"] = args.psi
     if args.kraus is not None:
-        config["site_map"]["kraus"] = configio._load_json(args.kraus)
+        # written back into the instance file as it was read
+        config["site_map"]["kraus"] = configio._load_json(args.kraus, object_hook=None)
     return config
 
 

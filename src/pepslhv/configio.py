@@ -34,9 +34,25 @@ if TYPE_CHECKING:
     from pepslhv.plans import MeasurementPlan
 
 
-def _load_json(path: str) -> dict:
+def _literal_arrays(obj: dict) -> dict:
+    """json object_hook: a {"re", "im"} literal's lists become float arrays as they are parsed.
+
+    So a file of many literals never holds all their lists at once.  Lists
+    that do not convert are left as parsed, for the literal's reader to refuse.
+    """
+    if "re" in obj and "im" in obj:
+        try:
+            parts = np.asarray(obj["re"], dtype=float), np.asarray(obj["im"], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            return obj
+        obj["re"], obj["im"] = parts
+    return obj
+
+
+def _load_json(path: str, object_hook: Callable | None = _literal_arrays) -> dict:
+    """The JSON object in a file; object_hook=None keeps the literals' lists, to write back."""
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(), object_hook=object_hook)
     except ValueError as exc:  # bad JSON, an integer of over 4300 digits, or bytes not UTF-8
         raise UsageError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):

@@ -133,12 +133,17 @@ def matrix_to_json(m) -> dict:
     return payload
 
 
-def matrix_from_json(obj: dict) -> np.ndarray:
+def _from_literal(obj: dict, what: str) -> np.ndarray:
+    """re + 1j im of a literal, whose parts are lists as parsed or float arrays."""
     try:
-        arr = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"malformed matrix literal: {exc}") from exc
-    arr = as_matrix(arr)
+        return np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+    # OverflowError: an integer past the float range, which JSON admits
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"malformed {what} literal: {exc}") from exc
+
+
+def matrix_from_json(obj: dict) -> np.ndarray:
+    arr = as_matrix(_from_literal(obj, "matrix"))
     if "dim" in obj and arr.shape != (obj["dim"], obj["dim"]):
         raise UsageError(f"matrix literal shape {arr.shape} disagrees with dim {obj['dim']}")
     return arr
@@ -150,11 +155,7 @@ def state_to_json(v) -> dict:
 
 
 def state_from_json(obj: dict) -> np.ndarray:
-    try:
-        vec = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"malformed state literal: {exc}") from exc
-    vec = as_state(vec)
+    vec = as_state(_from_literal(obj, "state"))
     if "dim" in obj and vec.size != obj["dim"]:
         raise UsageError(f"state literal length {vec.size} disagrees with dim {obj['dim']}")
     return vec

@@ -232,18 +232,6 @@ def outcome_counts(batches: Iterable[ShotBatch], arities: Sequence[int]) -> np.n
     return counts
 
 
-def _frequencies(counts: np.ndarray, arities: tuple) -> JointDistribution:
-    if not counts.any():
-        raise UsageError("empty shot batch")
-    counts = counts.astype(float)
-    return JointDistribution(arities=arities, probs=(counts / counts.sum()).reshape(arities))
-
-
-def empirical_distribution(batch: ShotBatch, arities: Sequence[int]) -> JointDistribution:
-    arities = tuple(int(a) for a in arities)
-    return _frequencies(outcome_counts([batch], arities), arities)
-
-
 def tv_distance(p: JointDistribution, q: JointDistribution) -> float:
     if p.arities != q.arities:
         raise UsageError(f"outcome spaces differ: {p.arities} vs {q.arities}")
@@ -277,17 +265,16 @@ def frequency_test(
 ) -> FrequencyReport:
     """Pass iff TV(empirical, exact) <= k * sqrt(K / n_shots).
 
-    shots is a ShotBatch or an iterable of them, such as sampling.iter_shots'
-    batches, which are counted one at a time and never held together.
+    shots is a ShotBatch (it has outcomes) or an iterable of them, such as
+    sampling.iter_shots' batches, which are counted one at a time and never
+    held together.
     """
-    # imported here: verify --mode mixture never compiles the sampler
-    from pepslhv.sampling import ShotBatch
-
-    counts = outcome_counts([shots] if isinstance(shots, ShotBatch) else shots, exact.arities)
+    counts = outcome_counts([shots] if hasattr(shots, "outcomes") else shots, exact.arities)
     n_shots = int(counts.sum())
     if n_shots < MIN_FREQUENCY_SHOTS:
         raise UsageError(f"need at least {MIN_FREQUENCY_SHOTS} shots, got {n_shots}")
-    tv = tv_distance(_frequencies(counts, exact.arities), exact)
+    empirical = JointDistribution(exact.arities, (counts / n_shots).reshape(exact.arities))
+    tv = tv_distance(empirical, exact)
     threshold = confidence_k * np.sqrt(exact.n_outcomes / n_shots)
     return FrequencyReport(
         passed=bool(tv <= threshold),

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -67,3 +68,25 @@ def run_capped(*args, timeout=60):
         preexec_fn=cap,
         timeout=timeout,
     )
+
+
+# a bare interpreter that starts python argv[2:] and writes its os.wait4 peak RSS (KiB) to argv[1]
+_PEAK_LAUNCHER = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[2:])
+status, usage = os.wait4(child.pid, 0)[1:]
+open(sys.argv[1], "w").write(str(usage.ru_maxrss))
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def capped_peak(*args, timeout=60):
+    """run_capped of python *args from a bare launcher: (process, the child's peak RSS in bytes).
+
+    A child's ru_maxrss starts from its parent's RSS at the fork, so a child of
+    the test process, which can hold hundreds of MB, would read that instead.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        peak = Path(tmp) / "peak"
+        proc = run_capped("-c", _PEAK_LAUNCHER, str(peak), sys.executable, *args, timeout=timeout)
+        return proc, 1024 * int(peak.read_text())

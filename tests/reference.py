@@ -30,6 +30,16 @@ def tensor_product(factors) -> np.ndarray:
     return out
 
 
+def basis_products(op_basis, flags) -> np.ndarray:
+    """basis.basis_products with the einsum in its default order ("K"), then reshaped."""
+    v = len(flags)
+    C = op_basis.elements
+    k, i, j = ("abcdefghijklmnopqrstuvwxyz"[p * v:(p + 1) * v] for p in range(3))
+    spec = ",".join(k[p] + i[p] + j[p] for p in range(v)) + "->" + k + i + j
+    prod = np.einsum(spec, *(C.transpose(0, 2, 1) if t else C for t in flags))
+    return prod.reshape(len(C) ** v, op_basis.D**v, op_basis.D**v)
+
+
 def site_output_operator(site_map, op_basis, indices, transposed_flags) -> np.ndarray:
     """O = K (C~_{k_1} (x) ... (x) C~_{k_v}) K^dag for one index tuple, C~ transposed at tail ends."""
     C = tensor_product(

@@ -109,10 +109,10 @@ def test_criterion_06_sampler_correctness():
     plan = sampling.MeasurementPlan.uniform(inst, "ZZ~0.5")
     dists = dec.edge_distribution(inst)
     n_shots = 10**6
-    batch = sampling.run_shots(inst, plan, n_shots, 1234, edge_dists=dists)
     exact = oracle.born_joint_for_instance(inst, plan)
-    tv = oracle.tv_distance(oracle.empirical_distribution(batch, exact.arities), exact)
-    threshold = 4 * np.sqrt(exact.n_outcomes / n_shots)
+    batches = sampling.iter_shots(inst, plan, n_shots, 1234, edge_dists=dists)
+    rep = oracle.frequency_test(batches, exact)
+    tv, threshold = rep.tv, rep.threshold  # 4 sqrt(K / n_shots)
     assert tv <= threshold
     assert time.perf_counter() - t0 < 60.0
     report(6, "sampler correctness")
@@ -173,9 +173,9 @@ def test_criterion_08_identity_projector_demo():
     plan = sampling.MeasurementPlan.uniform(inst, "bell")
     dists = dec.edge_distribution(inst)
     n_shots = 10**6
-    batch = sampling.run_shots(inst, plan, n_shots, 5, edge_dists=dists)
     exact = oracle.born_joint_for_instance(inst, plan)
-    tv = oracle.tv_distance(oracle.empirical_distribution(batch, exact.arities), exact)
+    batches = sampling.iter_shots(inst, plan, n_shots, 5, edge_dists=dists)
+    tv = oracle.frequency_test(batches, exact).tv
     assert tv <= 4 * np.sqrt(exact.n_outcomes / n_shots)
     report(8, "identity-projector demo")
 

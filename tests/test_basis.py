@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from pepslhv import basis, configio, linalg
 from pepslhv.errors import UsageError
 
+import reference
 from reference import aligned_elements, hermitian_spanning_list, phase_point_elements, tensor_product
 
 # every basis the package builds by name, from the first one the benchmark uses
@@ -188,3 +191,15 @@ class TestByteReferences:
             for r, tup in enumerate(np.ndindex(*[b.D**2] * len(flags))):
                 factors = [b.elements[k].T if t else b.elements[k] for k, t in zip(tup, flags)]
                 assert np.allclose(prod[r], tensor_product(factors), rtol=0, atol=1e-15), (flags, tup)
+
+    @pytest.mark.parametrize(
+        "spec, vmax", [("aligned:2:zero", 4), ("phase-point", 4), ("aligned:3:uniform", 3)]
+    )
+    def test_products_keep_their_bytes(self, spec, vmax):
+        # built in C order, the products hold the bytes of the einsum in its
+        # default order, for every pattern of transposed factors
+        b = configio.parse_basis(spec)
+        for v in range(1, vmax + 1):
+            for flags in itertools.product((False, True), repeat=v):
+                expected = reference.basis_products(b, flags).tobytes()
+                assert basis.basis_products(b, flags).tobytes() == expected, flags

@@ -13,7 +13,7 @@ from pepslhv import basis as basis_mod
 from pepslhv import cli, configio, decomposition, linalg
 from pepslhv.errors import UsageError
 
-from conftest import run_capped
+from conftest import capped_peak, run_capped
 
 
 def star(v: int) -> dict:
@@ -192,3 +192,16 @@ def test_exit_code_and_one_line(case):
         proc = run_capped("-m", "pepslhv.cli", *argv_of(case, Path(tmp)), timeout=30)
     assert proc.returncode in (0, 2, 3, 4), proc.stderr
     assert proc.stderr.count("\n") <= 1 and "Traceback" not in proc.stderr, proc.stderr
+
+
+def test_largest_products_peak_near_the_budget(tmp_path):
+    # peps check on cycle:3 at D = 8: each degree-2 family reads 2^24 entries
+    # (256 MiB) of basis products, half of them with a transposed factor.
+    # Built in C order, their reshape is a view: the check peaks within a
+    # quarter of that budget entry beyond the interpreter's floor (it peaked
+    # at 546 MiB while the reshape copied the stack)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(factorizable_cycle(3, 8)))
+    proc, peak = capped_peak("-m", "pepslhv.cli", "peps", "check", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert peak <= (1.25 * 256 + 45) * 2**20

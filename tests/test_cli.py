@@ -650,6 +650,32 @@ class TestMalformedInstanceFiles:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestLiteralPastFloatRange:
+    # JSON admits integers of up to 4300 digits; float() of one of 401 raised
+    # an OverflowError past the CLI (a traceback, exit 1)
+    @pytest.mark.parametrize("where", ["operator", "psi", "kraus"])
+    def test_exit_2_with_one_line(self, instance_file, tmp_path, capsys, where):
+        big = 10**400
+        matrix = {"re": [[big, 0], [0, 1]], "im": [[0, 0], [0, 0]]}
+        if where == "operator":
+            path = tmp_path / "op.json"
+            path.write_text(json.dumps(matrix))
+            argv = ["dual", "margin", "--operator", str(path), "--measurements", "pauli:1"]
+        else:
+            config = json.loads(instance_file.read_text())
+            if where == "psi":
+                config["psi"] = {"re": [big, 0, 0, 0], "im": [0, 0, 0, 0]}
+            else:
+                config["site_map"] = {"recipe": "custom", "kraus": matrix}
+            instance_file.write_text(json.dumps(config))
+            argv = ["peps", "check", str(instance_file)]
+        assert run(*argv) == 2
+        kind = "state" if where == "psi" else "matrix"
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: malformed {kind} literal: int too large to convert to float"
+        ]
+
+
 # what `peps build` writes for the instance_file fixture
 CYCLE3_INSTANCE = {
     "lattice": "cycle:3",

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pepslhv import configio
 from pepslhv import measurements as meas
 from pepslhv.basis import bloch_diag_state, build_aligned_basis, phase_point_basis
 from pepslhv.errors import UsageError
@@ -124,6 +126,23 @@ class TestHeldElementStack:
         assert [(e + 0.0).tobytes() for _, e in named] == [(e + 0.0).tobytes() for _, e in copied]
         if name.startswith("noisy"):
             assert [e.tobytes() for _, e in named] == [e.tobytes() for _, e in copied]
+
+    def test_file_set_read_literal_by_literal(self, tmp_path):
+        # each literal's lists become float arrays as the file is parsed, so
+        # reading the 5.3 MB copy of noisy-pauli:4:0.5 holds its text and the
+        # set's 5.06 MiB, not every list at once (28.5 MiB)
+        mset = meas.measurement_set_from_name("noisy-pauli:4:0.5")
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps(meas.measurement_set_to_json(mset)))
+        configio.parse_measurements("pauli:1")  # first-call imports are not the read's
+        tracemalloc.start()
+        try:
+            copy = configio.parse_measurements(f"@{path}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert element_stack(copy)[0].tobytes() == element_stack(mset)[0].tobytes()
+        assert peak <= 12 * 2**20
 
     @given(sizes=st.lists(st.integers(1, 40), min_size=1, max_size=30), budget=st.integers(1, 100))
     @settings(max_examples=200, deadline=None)

@@ -15,7 +15,7 @@ from pepslhv import configio, oracle, sampling
 from pepslhv.errors import UsageError
 from pepslhv.measurements import Povm, pauli_product_measurements
 
-from conftest import build, recipe2_config
+from conftest import build, recipe2_config, run_capped
 from reference import born_joint_distribution, born_joint_full_operator
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -294,6 +294,20 @@ class TestFrequencyTest:
         assert len(batches) == 7
         assert oracle.frequency_test(batches, exact) == oracle.frequency_test(batch, exact)
 
+    def test_one_batch_told_by_its_outcomes(self):
+        # a single batch is whatever has outcomes, so the oracle never imports the sampler
+        code = (
+            "import sys, types\n"
+            "import numpy as np\n"
+            "from pepslhv import oracle\n"
+            "exact = oracle.JointDistribution((2,), np.array([0.5, 0.5]))\n"
+            "batch = types.SimpleNamespace(outcomes=np.arange(1000).reshape(-1, 1) % 2)\n"
+            "print(oracle.frequency_test(batch, exact).tv, 'pepslhv.sampling' in sys.modules)\n"
+        )
+        proc = run_capped("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0.0", "False"]
+
     def test_minimum_shot_count(self, cycle3_instance):
         plan = sampling.MeasurementPlan.uniform(cycle3_instance, "ZZ~0.5")
         dists = dec.edge_distribution(cycle3_instance)
@@ -314,14 +328,9 @@ class TestFrequencyTest:
 
 class TestEmpiricalDistribution:
     def test_counts(self):
+        # frequency_test's empirical distribution is these counts over the shot count
         outcomes = np.array([[0, 0], [0, 1], [0, 1], [1, 1]])
         batch = sampling.ShotBatch(start_shot=0, outcomes=outcomes, hidden=None)
-        dist = oracle.empirical_distribution(batch, (2, 2))
-        assert np.allclose(dist.probs, [[0.25, 0.5], [0.0, 0.25]], atol=1e-12)
-
-    def test_empty_batch_rejected(self):
-        batch = sampling.ShotBatch(
-            start_shot=0, outcomes=np.empty((0, 2), dtype=np.int64), hidden=None
-        )
-        with pytest.raises(UsageError):
-            oracle.empirical_distribution(batch, (2, 2))
+        assert oracle.outcome_counts([batch], (2, 2)).tolist() == [1, 2, 0, 1]
+        halves = [sampling.ShotBatch(k, outcomes[k:k + 2], None) for k in (0, 2)]
+        assert oracle.outcome_counts(halves, (2, 2)).tolist() == [1, 2, 0, 1]
