@@ -22,6 +22,7 @@ from pepslhv import measurements as meas_mod
 from pepslhv.construction import (
     PepsInstance,
     SiteMap,
+    derive_seed,
     identity_site_map,
     recipe1_maker,
     recipe2_maker,
@@ -214,9 +215,6 @@ def instance_factory(config: dict) -> Callable[[float], PepsInstance]:
         if recipe == 2:
             return recipe2_maker(v, d, psi)
         if recipe == 1:
-            # imported here: instances of the other recipes never load the sampler
-            from pepslhv.sampling import derive_seed
-
             return recipe1_maker(v, D, d, psi, op_basis.anchor, derive_seed(seed, f"recipe1:v{v}"))
         # recipe "custom"
         if "kraus" not in site_spec:

@@ -107,6 +107,16 @@ def recipe2_maker(v: int, d: int, psi) -> Callable[[float], SiteMap]:
     return make
 
 
+def derive_seed(seed: int, label: str) -> int:
+    """Stable labeled sub-seed so one --seed flag drives every subsystem."""
+    # imported here, so nothing loads hashlib before cli.entry() has kept
+    # it off OpenSSL
+    import hashlib
+
+    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
 def recipe1_maker(v: int, D: int, d: int, psi, anchor, seed: int) -> Callable[[float], SiteMap]:
     """epsilon -> |psi><alpha| plus a seeded unit-spectral-norm perturbation of size eps.
 
@@ -206,22 +216,19 @@ class PepsInstance:
         return [self.measurement_set.dim] * self.lattice.n_sites
 
 
-def contract_edges(lattice: Lattice, tensors, bond_dim: int, extra_axes=0, keep_edges=False):
+def contract_edges(lattice: Lattice, tensors, bond_dim: int):
     """Sum over all edge assignments of the product of one row per site, as one einsum.
 
-    tensors[s] is (bond_dim^v, ...) with ``extra_axes`` trailing axes, its
-    rows in C-order over the site's incident edges; each edge is one label
-    shared by its two ends.  The result has the edge axes if
-    ``keep_edges``, then extra axis 0 of every site, then axis 1, and so on.
+    tensors[s] is (bond_dim^v, k_s), its rows in C-order over the site's
+    incident edges; each edge is one label shared by its two ends.  The
+    result has one axis per site, its k_s columns, in site order.
     """
     E, N = lattice.n_edges, lattice.n_sites
     operands = []
     for s, rows in enumerate(tensors):
         edges = lattice.incidence[-lattice.degrees[s] :, s].tolist()
-        extra = [E + x * N + s for x in range(extra_axes)]
-        operands += [rows.reshape((bond_dim,) * len(edges) + rows.shape[1:]), edges + extra]
-    out = list(range(E if keep_edges else 0)) + list(range(E, E + extra_axes * N))
-    return np.einsum(*operands, out, optimize=True)
+        operands += [rows.reshape((bond_dim,) * len(edges) + rows.shape[1:]), edges + [E + s]]
+    return np.einsum(*operands, list(range(E, E + N)), optimize=True)
 
 
 def assemble_exact_state(instance: PepsInstance):
@@ -238,7 +245,7 @@ def assemble_exact_state(instance: PepsInstance):
     # a Kraus scale far from 1 overflows here, and T reports it
     with np.errstate(over="ignore", invalid="ignore"):
         kraus = [instance.maps[v].K.T for v in lat.degrees.tolist()]
-        vec = contract_edges(lat, kraus, D, extra_axes=1)
+        vec = contract_edges(lat, kraus, D)
         vec = vec.reshape(-1) / math.sqrt(D) ** E
         T = float(np.real(vec.conj() @ vec))
     if not 1e-14 < T < math.inf:

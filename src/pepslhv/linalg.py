@@ -1,4 +1,4 @@
-"""Dense complex-matrix substrate: overlaps, Kronecker vectors, entropy, JSON literals.
+"""Dense complex-matrix substrate: overlaps, Kronecker vectors, JSON literals.
 
 Everything downstream manipulates plain ``numpy`` arrays; the functions here
 validate at the boundaries (hermiticity, normalization, finiteness) instead
@@ -7,7 +7,7 @@ of wrapping arrays in classes.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,11 +27,11 @@ def as_matrix(m) -> np.ndarray:
     return arr
 
 
-def hermitian_stack(m, what: str, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def hermitian_stack(m, what: str) -> np.ndarray:
     """A copy of m as a finite (n, k, k) complex stack of Hermitian matrices.
 
-    Refused, not symmetrized, past a defect of atol; every message starts
-    with what.
+    Refused, not symmetrized, past a defect of HERMITIAN_ATOL; every message
+    starts with what.
     """
     try:
         stack = np.array(m, dtype=complex)
@@ -42,14 +42,14 @@ def hermitian_stack(m, what: str, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     if not np.all(np.isfinite(stack)):
         raise UsageError(f"{what}: non-finite entries")
     defect = float(np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))))
-    if defect > atol:
-        raise UsageError(f"{what}: not hermitian (defect {defect:.3e} > {atol:.1e})")
+    if defect > HERMITIAN_ATOL:
+        raise UsageError(f"{what}: not hermitian (defect {defect:.3e} > {HERMITIAN_ATOL:.1e})")
     return stack
 
 
-def check_hermitian(m, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def check_hermitian(m) -> np.ndarray:
     """One Hermitian matrix: the stack check on a stack of one."""
-    return hermitian_stack([m], "operator", atol)[0]
+    return hermitian_stack([m], "operator")[0]
 
 
 def as_state(v) -> np.ndarray:
@@ -89,35 +89,6 @@ def kron_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:
     for v in vecs[1:]:
         out = np.kron(out, v)
     return out
-
-
-def schmidt_probabilities(state, dims: Sequence[int], cut: Iterable[int]) -> np.ndarray:
-    """Squared Schmidt coefficients across the given bipartition."""
-    vec = as_state(state)
-    dims = [int(d) for d in dims]
-    if int(np.prod(dims)) != vec.size:
-        raise UsageError(f"dims {dims} do not match state dimension {vec.size}")
-    cut = sorted(set(int(c) for c in cut))
-    if not cut or any(c < 0 or c >= len(dims) for c in cut):
-        raise UsageError(f"cut {cut} invalid for {len(dims)} subsystems")
-    rest = [i for i in range(len(dims)) if i not in cut]
-    tensor = vec.reshape(dims).transpose(cut + rest)
-    da = int(np.prod([dims[i] for i in cut]))
-    sv = np.linalg.svd(tensor.reshape(da, -1), compute_uv=False)
-    return sv**2
-
-
-def entanglement_entropy(state, dims: Sequence[int], cut: Iterable[int]) -> float:
-    """Von Neumann entropy (bits) of the reduced state across the cut."""
-    probs = schmidt_probabilities(state, dims, cut)
-    probs = probs[probs > 1e-18]
-    return float(-np.sum(probs * np.log2(probs)))
-
-
-def trace_distance(a, b) -> float:
-    """(1/2)||a - b||_1 for hermitian a, b."""
-    diff = check_hermitian(as_matrix(a) - as_matrix(b), atol=1e-8)
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
 # ---------------------------------------------------------------------------

@@ -339,16 +339,6 @@ def admissible_povm(povm: Povm, op_basis: OperatorBasis, flags: Sequence[bool]) 
 # ---------------------------------------------------------------------------
 # File format
 
-def measurement_set_to_json(mset: MeasurementSet) -> dict:
-    return {
-        "dim": mset.dim,
-        "povms": [
-            {"label": p.label, "elements": [linalg.matrix_to_json(x) for x in p.elements]}
-            for p in mset.povms
-        ],
-    }
-
-
 def measurement_set_from_json(obj: dict) -> MeasurementSet:
     try:
         povms = tuple(

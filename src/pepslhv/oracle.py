@@ -1,11 +1,10 @@
 """Brute-force ground truth for desk-scale instances.
 
-Exact Born-rule joint distributions and single-site entanglement from the
-assembled state, the separable mixture summed exactly over every edge
-assignment (weights, normalization, density matrix and joint
-distributions, each one edge contraction), and total-variation comparison
-of sampler output against either.  Exact contraction of a PEPS is #P-hard
-in general, so all of it runs at desk scale only, and `verify` is the one
+Exact Born-rule joint distributions from the assembled state, the joint
+distributions of the separable mixture summed exactly over every edge
+assignment (one edge contraction), and total-variation comparison of
+sampler output against either.  Exact contraction of a PEPS is #P-hard in
+general, so all of it runs at desk scale only, and `verify` is the one
 command that imports this module.
 """
 
@@ -24,7 +23,7 @@ from pepslhv.construction import (
     assemble_exact_state,
     contract_edges,
 )
-from pepslhv.decomposition import _family_sites, _family_stack, _row_blocks, operator_traces
+from pepslhv.decomposition import _family_sites, _family_stack, _row_blocks
 from pepslhv.errors import UsageError, check_entries
 from pepslhv.plans import MeasurementPlan
 
@@ -147,14 +146,6 @@ def born_joint_for_instance(instance: PepsInstance, plan: MeasurementPlan) -> Jo
     return exact_joint_distribution(raw / np.sqrt(T), povms)
 
 
-def entanglement_certificate(instance: PepsInstance) -> list:
-    """Entanglement entropy (bits) across every single-site bipartition."""
-    raw, T = assemble_exact_state(instance)
-    dims = instance.physical_dims()
-    state = raw / np.sqrt(T)
-    return [linalg.entanglement_entropy(state, dims, [s]) for s in range(instance.lattice.n_sites)]
-
-
 # ---------------------------------------------------------------------------
 # Exact mixture
 
@@ -175,40 +166,10 @@ def _enumeration_guard(instance: PepsInstance):
     check_entries("mixture's density matrix", math.prod(instance.physical_dims()) ** 2)
 
 
-def contract_mixture(instance: PepsInstance, site_rows, extra_axes=0, keep_edges=False):
+def contract_mixture(instance: PepsInstance, site_rows):
     """contract_edges over D^2 indices per edge, within the enumeration limits."""
     _enumeration_guard(instance)
-    return contract_edges(instance.lattice, site_rows, instance.D**2, extra_axes, keep_edges)
-
-
-def mixture_weights(instance: PepsInstance) -> np.ndarray:
-    """prod_s tr(O_s) per edge assignment, shape (D^2,) * E; divide by T D^(2E) for p."""
-    _enumeration_guard(instance)
-    return _trace_weights(instance, *site_families(instance))
-
-
-def _trace_weights(instance: PepsInstance, families: list, site_family: list) -> np.ndarray:
-    """mixture_weights from site_families(instance)."""
-    traces = [operator_traces(ops) for ops in families]
-    return contract_mixture(instance, [traces[f] for f in site_family], keep_edges=True)
-
-
-def mixture_normalization(instance: PepsInstance) -> float:
-    """T as the exact sum over all edge assignments."""
-    return float(np.sum(mixture_weights(instance))) / instance.D ** (2 * instance.lattice.n_edges)
-
-
-def reconstruct_mixture(instance: PepsInstance):
-    """Sum the separable mixture exactly; returns (density matrix, weights).
-
-    Term lambda, prod_s tr(O_s) (x)_s O_s / tr(O_s), is just (x)_s O_s.
-    """
-    _enumeration_guard(instance)  # before any site family is built
-    families, site_family = site_families(instance)
-    weights = _trace_weights(instance, families, site_family).ravel()
-    rho = contract_mixture(instance, [families[f] for f in site_family], extra_axes=2)
-    dim, total = math.prod(instance.physical_dims()), weights.sum()
-    return rho.reshape(dim, dim) / total, weights / total
+    return contract_edges(instance.lattice, site_rows, instance.D**2)
 
 
 def mixture_joint_distribution(instance: PepsInstance, plan: MeasurementPlan) -> JointDistribution:
@@ -218,7 +179,7 @@ def mixture_joint_distribution(instance: PepsInstance, plan: MeasurementPlan) ->
     arities = [p.n_outcomes for p in povms]
     families, site_family = site_families(instance)
     tables = [linalg.overlaps(families[f], p.elements) for f, p in zip(site_family, povms)]
-    acc = np.clip(contract_mixture(instance, tables, extra_axes=1), 0.0, None)
+    acc = np.clip(contract_mixture(instance, tables), 0.0, None)
     return JointDistribution(arities=tuple(arities), probs=acc / acc.sum())
 
 

@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from pepslhv.construction import PepsInstance
+from pepslhv.construction import PepsInstance, derive_seed
 from pepslhv.decomposition import (
     EdgeDistributions,
     _edge_rows,
@@ -132,16 +132,6 @@ def _row_tokens(words: np.ndarray, block: np.ndarray) -> np.ndarray:
 def _fixed(text: str, rows: int) -> np.ndarray:
     """text as a (rows, len(text)) byte array, one row repeated."""
     return np.broadcast_to(np.frombuffer(text.encode(), dtype=np.uint8), (rows, len(text)))
-
-
-def derive_seed(seed: int, label: str) -> int:
-    """Stable labeled sub-seed so one --seed flag drives every subsystem."""
-    # imported here, so nothing loads hashlib before cli.entry() has kept
-    # it off OpenSSL
-    import hashlib
-
-    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 def shot_uniforms(
@@ -339,31 +329,6 @@ def _set_up(
     base = np.cumsum([0] + [len(c) for c in cdfs[:-1]])[site_block]
     base = base.astype(np.min_scalar_type(len(table) - 1))
     return edges, _SiteTables(table, base, instance.lattice.incidence, instance.D**2)
-
-
-def sample_outcomes(
-    instance: PepsInstance,
-    assignment,
-    plan: MeasurementPlan,
-    seed: int,
-    shot: int,
-) -> ShotRecord:
-    """Outcomes at every site for a fixed hidden edge assignment."""
-    lat = instance.lattice
-    assignment = np.asarray(assignment, dtype=np.int64)
-    if assignment.shape != (lat.n_edges,):
-        raise UsageError("assignment length must equal the edge count")
-    n = instance.D**2
-    if np.any(assignment < 0) or np.any(assignment >= n):
-        raise UsageError("edge index out of range")
-    sites = _set_up(instance, plan, with_edges=False)[1]
-    lam = np.append(assignment, 0).astype(np.min_scalar_type(n - 1))[None, :]
-    outcomes = np.empty((1, lat.n_sites), dtype=np.int64)
-    u = shot_uniforms(seed, shot, 1, lat.n_sites, "sites")
-    _draw_sites(sites, lam, u, outcomes, np.empty(lat.n_sites, np.intp), np.empty(lat.n_sites))
-    return ShotRecord(
-        shot=shot, outcomes=tuple(outcomes[0].tolist()), hidden=tuple(assignment.tolist())
-    )
 
 
 def iter_shots(

@@ -5,8 +5,13 @@ import math
 
 import numpy as np
 
-from pepslhv import basis, linalg
-from pepslhv.construction import RECIPE1_MAX_RETRIES, SiteMap, _check_orthonormal
+from pepslhv import basis, linalg, oracle
+from pepslhv.construction import (
+    RECIPE1_MAX_RETRIES,
+    SiteMap,
+    _check_orthonormal,
+    assemble_exact_state,
+)
 from pepslhv.decomposition import DUAL_ATOL, TRACE_FLOOR, PositivityWitness, operator_traces
 from pepslhv.errors import ConstraintError, ConstructionError, UsageError
 from pepslhv.measurements import (
@@ -15,7 +20,6 @@ from pepslhv.measurements import (
     AdmissibilityReport,
     DualMargin,
     measurement_set_from_json,
-    measurement_set_to_json,
 )
 
 
@@ -50,6 +54,17 @@ def site_output_operator(site_map, op_basis, indices, transposed_flags) -> np.nd
 
 # ---------------------------------------------------------------------------
 # Measurement sets, whole
+
+def measurement_set_to_json(mset) -> dict:
+    """The measurement-set file's object: what measurement_set_from_json reads."""
+    return {
+        "dim": mset.dim,
+        "povms": [
+            {"label": p.label, "elements": [linalg.matrix_to_json(x) for x in p.elements]}
+            for p in mset.povms
+        ],
+    }
+
 
 def stacked(blocks):
     """(every element of the (where, elements) blocks as one (n, d, d) array, (POVM, element) per row)."""
@@ -322,3 +337,103 @@ def recipe1_site_map(v: int, D: int, d: int, psi, anchor_states, epsilon: float,
         if sv[full - 1] > 1e-12 * sv[0]:
             return SiteMap(v=v, D=D, d=d, K=K)
     raise ConstructionError("could not reach full rank within retry budget")
+
+
+# ---------------------------------------------------------------------------
+# Entanglement of a pure state
+
+def schmidt_probabilities(state, dims, cut) -> np.ndarray:
+    """Squared Schmidt coefficients across the given bipartition."""
+    vec = linalg.as_state(state)
+    dims = [int(d) for d in dims]
+    if int(np.prod(dims)) != vec.size:
+        raise UsageError(f"dims {dims} do not match state dimension {vec.size}")
+    cut = sorted(set(int(c) for c in cut))
+    if not cut or any(c < 0 or c >= len(dims) for c in cut):
+        raise UsageError(f"cut {cut} invalid for {len(dims)} subsystems")
+    rest = [i for i in range(len(dims)) if i not in cut]
+    tensor = vec.reshape(dims).transpose(cut + rest)
+    da = int(np.prod([dims[i] for i in cut]))
+    sv = np.linalg.svd(tensor.reshape(da, -1), compute_uv=False)
+    return sv**2
+
+
+def entanglement_entropy(state, dims, cut) -> float:
+    """Von Neumann entropy (bits) of the reduced state across the cut."""
+    probs = schmidt_probabilities(state, dims, cut)
+    probs = probs[probs > 1e-18]
+    return float(-np.sum(probs * np.log2(probs)))
+
+
+def entanglement_certificate(instance) -> list:
+    """Entanglement entropy (bits) across every single-site bipartition of the assembled PEPS."""
+    raw, T = assemble_exact_state(instance)
+    dims = instance.physical_dims()
+    state = raw / np.sqrt(T)
+    return [entanglement_entropy(state, dims, [s]) for s in range(instance.lattice.n_sites)]
+
+
+# ---------------------------------------------------------------------------
+# The exact separable mixture, summed over every edge assignment
+
+def contract_edges(lattice, tensors, bond_dim: int, extra_axes=0, keep_edges=False):
+    """construction.contract_edges with any number of trailing axes per site, edge axes kept.
+
+    tensors[s] is (bond_dim^v, ...) with ``extra_axes`` trailing axes, its
+    rows in C-order over the site's incident edges; each edge is one label
+    shared by its two ends.  The result has the edge axes if
+    ``keep_edges``, then extra axis 0 of every site, then axis 1, and so on.
+    """
+    E, N = lattice.n_edges, lattice.n_sites
+    operands = []
+    for s, rows in enumerate(tensors):
+        edges = lattice.incidence[-lattice.degrees[s] :, s].tolist()
+        extra = [E + x * N + s for x in range(extra_axes)]
+        operands += [rows.reshape((bond_dim,) * len(edges) + rows.shape[1:]), edges + extra]
+    out = list(range(E if keep_edges else 0)) + list(range(E, E + extra_axes * N))
+    return np.einsum(*operands, out, optimize=True)
+
+
+def contract_mixture(instance, site_rows, extra_axes=0, keep_edges=False):
+    """contract_edges over D^2 indices per edge, within the oracle's enumeration limits."""
+    oracle._enumeration_guard(instance)
+    return contract_edges(instance.lattice, site_rows, instance.D**2, extra_axes, keep_edges)
+
+
+def mixture_weights(instance) -> np.ndarray:
+    """prod_s tr(O_s) per edge assignment, shape (D^2,) * E; divide by T D^(2E) for p."""
+    oracle._enumeration_guard(instance)
+    return _trace_weights(instance, *oracle.site_families(instance))
+
+
+def _trace_weights(instance, families: list, site_family: list) -> np.ndarray:
+    """mixture_weights from oracle.site_families(instance)."""
+    traces = [operator_traces(ops) for ops in families]
+    return contract_mixture(instance, [traces[f] for f in site_family], keep_edges=True)
+
+
+def mixture_normalization(instance) -> float:
+    """T as the exact sum over all edge assignments."""
+    return float(np.sum(mixture_weights(instance))) / instance.D ** (2 * instance.lattice.n_edges)
+
+
+def reconstruct_mixture(instance):
+    """Sum the separable mixture exactly; returns (density matrix, weights).
+
+    Term lambda, prod_s tr(O_s) (x)_s O_s / tr(O_s), is just (x)_s O_s.
+    """
+    oracle._enumeration_guard(instance)  # before any site family is built
+    families, site_family = oracle.site_families(instance)
+    weights = _trace_weights(instance, families, site_family).ravel()
+    rho = contract_mixture(instance, [families[f] for f in site_family], extra_axes=2)
+    dim, total = math.prod(instance.physical_dims()), weights.sum()
+    return rho.reshape(dim, dim) / total, weights / total
+
+
+def trace_distance(a, b) -> float:
+    """(1/2)||a - b||_1 for hermitian a, b, refused past a hermiticity defect of 1e-8."""
+    diff = linalg.as_matrix(a) - linalg.as_matrix(b)
+    defect = float(np.max(np.abs(diff - diff.conj().T)))
+    if defect > 1e-8:
+        raise UsageError(f"operator: not hermitian (defect {defect:.3e} > 1.0e-08)")
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))

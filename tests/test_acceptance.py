@@ -24,6 +24,7 @@ from pepslhv.measurements import (
     noisy_pauli_product_measurements,
 )
 
+import reference
 from conftest import build, recipe2_config
 
 # Regression constants: the exhaustive positivity checker bracketed the first
@@ -64,10 +65,10 @@ def test_criterion_03_mixture_exactness():
     t0 = time.perf_counter()
     for n, eps in itertools.product((3, 4), (0.0, 0.2)):
         inst = build(recipe2_config(lattice=f"cycle:{n}", epsilon=eps))
-        rho, weights = oracle.reconstruct_mixture(inst)
+        rho, weights = reference.reconstruct_mixture(inst)
         state, T = con.assemble_exact_state(inst)
         exact = np.outer(state, state.conj()) / T
-        assert linalg.trace_distance(rho, exact) <= 1e-10
+        assert reference.trace_distance(rho, exact) <= 1e-10
         assert abs(weights.sum() - 1.0) <= 1e-10
     assert time.perf_counter() - t0 < 30.0
     report(3, "mixture exactness")
@@ -182,9 +183,10 @@ def test_criterion_08_identity_projector_demo():
 
 def test_criterion_09_entanglement_certification():
     for n in range(2, 7):
-        ents = oracle.entanglement_certificate(build(recipe2_config(lattice=f"chain:{n}")))
+        ents = reference.entanglement_certificate(build(recipe2_config(lattice=f"chain:{n}")))
         assert all(e > 1e-4 for e in ents)
-    for e in oracle.entanglement_certificate(build(recipe2_config(lattice="chain:4", epsilon=0.0))):
+    unentangled = build(recipe2_config(lattice="chain:4", epsilon=0.0))
+    for e in reference.entanglement_certificate(unentangled):
         assert abs(e) <= 1e-9
     # single-bond chain with the computational Recipe-2 map at epsilon = 0.5
     inst = con.PepsInstance(
@@ -193,7 +195,7 @@ def test_criterion_09_entanglement_certification():
         basis=build_aligned_basis(2, KET0),
         measurement_set=noisy_pauli_product_measurements(1, 0.5),
     )
-    ents = oracle.entanglement_certificate(inst)
+    ents = reference.entanglement_certificate(inst)
     assert ents[0] == pytest.approx(0.32276, abs=1e-4)
     report(9, "entanglement certification")
 

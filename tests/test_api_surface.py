@@ -27,17 +27,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pepslhv"
 CALLER_DIRS = ("src", "scripts", "perfbench")
 
-# Public names kept without a caller in the program, one reason each.
-ALLOWED = {
-    "entanglement_certificate": "the entanglement of the PEPS, per single-site cut, for library users",
-    "reconstruct_mixture": "the exact separable mixture, the ground truth for the LHV decomposition",
-    "mixture_normalization": "T as the exact sum over edge assignments, to cross-check log T",
-    "sample_outcomes": "one shot for a fixed hidden assignment: the model's outcome given lambda",
-    "trace_distance": "compares a reconstructed mixture with the exact state",
-    "measurement_set_to_json": "the writer paired with measurement_set_from_json for set files",
-}
-
-
 def public_definitions():
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -80,16 +69,9 @@ def test_every_public_name_has_a_caller():
     orphans = [
         f"{path.name}: {node.name}"
         for path, node in public_definitions()
-        if node.name not in ALLOWED and not has_caller(path, node)
+        if not has_caller(path, node)
     ]
     assert orphans == []
-
-
-def test_allow_list_holds_only_uncalled_names():
-    defined = {node.name: (path, node) for path, node in public_definitions()}
-    assert set(ALLOWED) <= set(defined)
-    called = [name for name in ALLOWED if has_caller(*defined[name])]
-    assert called == []
 
 
 def test_every_public_method_has_a_caller():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from pepslhv import cli, configio, construction, linalg, measurements, oracle, s
 from pepslhv.errors import DegenerateNormError, UsageError
 
 from conftest import recipe2_config, run_capped
-from reference import lattice_to_json
+from reference import lattice_to_json, measurement_set_to_json
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -51,6 +52,21 @@ def instance_file(tmp_path):
     )
     assert code == 0
     return path
+
+
+# modules that only some commands load: importing the CLI, which every command pays for, loads
+# none (platform is not among them: numpy imports it, in numpy.lib._utils_impl)
+COMMAND_ONLY_MODULES = (
+    "concurrent.futures", "numpy.random", "hashlib",
+    "pepslhv.sampling", "pepslhv.oracle", "pepslhv.epsilon_probe", "pepslhv.plans",
+)
+
+
+def test_cli_import_loads_no_command_only_module():
+    code = "import sys, pepslhv.cli; print([m for m in sys.argv[1:] if m in sys.modules])"
+    proc = run_capped("-c", code, *COMMAND_ONLY_MODULES)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestBasisCommands:
@@ -262,7 +278,7 @@ class TestPepsCommands:
             written = {
                 "lattice": lattice_to_json(configio.parse_lattice(lattice)),
                 "basis": basis_mod.basis_to_json(configio.parse_basis(named["basis"])),
-                "measurements": measurements.measurement_set_to_json(mset),
+                "measurements": measurement_set_to_json(mset),
                 "psi": linalg.state_to_json(configio.parse_state(psi, mset.dim)),
             }
             at_paths = {}
@@ -445,6 +461,19 @@ class TestPepsCommands:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []"
 
+    def test_recipe1_instance_loads_no_sampler(self):
+        # recipe 1 derives its seed beside its maker, not in the sampler
+        config = dict(recipe2_config(), site_map={"recipe": 1, "epsilon": 0.05, "seed": 3})
+        code = (
+            "import sys\n"
+            "from pepslhv import configio\n"
+            f"configio.build_instance({config!r})\n"
+            "print('pepslhv.sampling' in sys.modules)\n"
+        )
+        proc = run_capped("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     @pytest.mark.parametrize("eps_hi", ["inf", "nan"])
     def test_epsilon_max_non_finite_cap_exit_2(self, instance_file, capsys, monkeypatch, eps_hi):
         built = []
@@ -581,8 +610,8 @@ def with_field(config, where, value):
     return config
 
 
-PAULI2_JSON = measurements.measurement_set_to_json(measurements.pauli_product_measurements(2))
-NOISY_PAULI2_JSON = measurements.measurement_set_to_json(
+PAULI2_JSON = measurement_set_to_json(measurements.pauli_product_measurements(2))
+NOISY_PAULI2_JSON = measurement_set_to_json(
     measurements.noisy_pauli_product_measurements(2, 0.5)
 )
 ALIGNED2_JSON = basis_mod.basis_to_json(configio.parse_basis("aligned:2:zero"))
@@ -1036,7 +1065,7 @@ class TestBench:
         rows = report["timings"]
         assert [r["sites"] for r in rows] == [10, 20]
         assert [r["lattice"] for r in rows] == ["cycle:10", "cycle:20"]
-        assert all(r["seconds"] > 0 for r in rows)
+        assert all(r["seconds"] > 0 and r["setup_s"] > 0 for r in rows)
         # serialization is timed into a counting sink: the bytes sample would write
         assert all(r["serialize_s"] > 0 for r in rows)
         for r in rows:
@@ -1057,6 +1086,23 @@ class TestBench:
         assert run(
             "bench", str(instance_file), "--sites", "5", "--plan", "all:ZZ~0.5", "--shots", "50"
         ) == 0
+
+    def test_set_up_timed_apart_from_the_kernel(self, instance_file, monkeypatch, capsys):
+        # iter_shots builds the tables before it returns: setup_s, not the kernel's seconds
+        set_up = sampling._set_up
+
+        def slow(*args, **kwargs):
+            time.sleep(0.3)
+            return set_up(*args, **kwargs)
+
+        monkeypatch.setattr(sampling, "_set_up", slow)
+        capsys.readouterr()
+        assert run(
+            "bench", str(instance_file), "--sites", "5", "--plan", "all:ZZ~0.5", "--shots", "50"
+        ) == 0
+        (row,) = json.loads(capsys.readouterr().out)["timings"]
+        assert row["setup_s"] >= 0.3
+        assert row["seconds"] < 0.3
 
     def test_lattice_specs(self, tmp_path, capsys):
         inst = tmp_path / "torus.json"

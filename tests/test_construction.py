@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pepslhv import configio, oracle
+from pepslhv import configio
 from pepslhv import construction as con
 from pepslhv.basis import build_aligned_basis, phase_point_basis
 from pepslhv.errors import ConstraintError, UsageError
@@ -11,7 +11,7 @@ from pepslhv.lattice import build_chain, build_cycle, lattice_from_name
 from pepslhv.measurements import bell_measurement_set, noisy_pauli_product_measurements
 
 from conftest import build, recipe2_config
-from reference import kraus_rank, recipe1_site_map, recipe2_site_map
+from reference import entanglement_certificate, kraus_rank, recipe1_site_map, recipe2_site_map
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -83,8 +83,6 @@ class TestMakers:
         "lattice, qubits", [("chain:4", 2), ("cycle:3", 2), ("torus:3x3", 4)]
     )
     def test_maker_matches_per_call_recipe(self, lattice, qubits, recipe):
-        from pepslhv.sampling import derive_seed
-
         config = recipe2_config(lattice, measurements=f"noisy-pauli:{qubits}:0.5")
         config["psi"] = f"plus-diag:{qubits}"
         config["site_map"] = {"recipe": recipe, "seed": 3}
@@ -99,7 +97,7 @@ class TestMakers:
                 if recipe == 2:
                     ref = recipe2_site_map(v, d, con.complete_orthonormal(psi, 2**v), eps)
                 else:
-                    seed = derive_seed(3, f"recipe1:v{v}")
+                    seed = con.derive_seed(3, f"recipe1:v{v}")
                     ref = recipe1_site_map(v, 2, d, psi, [anchor] * v, eps, seed)
                 assert np.array_equal(m.K, ref.K), (v, eps)
 
@@ -205,17 +203,17 @@ class TestAssembleExactState:
 
 class TestEntanglementCertificate:
     def test_chain2_half(self):
-        ents = oracle.entanglement_certificate(chain2_recipe2(0.5))
+        ents = entanglement_certificate(chain2_recipe2(0.5))
         assert len(ents) == 2
         assert ents[0] == pytest.approx(0.32276, abs=1e-4)
         assert ents[1] == pytest.approx(ents[0], abs=1e-9)
 
     def test_epsilon_zero_unentangled(self):
-        for ent in oracle.entanglement_certificate(chain2_recipe2(0.0)):
+        for ent in entanglement_certificate(chain2_recipe2(0.0)):
             assert abs(ent) < 1e-9
 
     def test_identity_cycle4_two_bits_per_cut(self):
-        for ent in oracle.entanglement_certificate(identity_cycle(4)):
+        for ent in entanglement_certificate(identity_cycle(4)):
             assert ent == pytest.approx(2.0, abs=1e-9)
 
 

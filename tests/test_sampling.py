@@ -38,6 +38,22 @@ def uniform_plan(instance, label="ZZ~0.5"):
     return sampling.MeasurementPlan.uniform(instance, label)
 
 
+def sample_given(instance, assignment, plan, seed, shot):
+    """Shot `shot`'s record at seed, with each edge e's hidden index fixed to assignment[e].
+
+    Row e of the edge distributions puts all its mass on assignment[e], so
+    the edge draw returns it whatever the edge stream reads, and the site
+    stream of (seed, shot) alone decides the outcomes.
+    """
+    probs = np.zeros((instance.lattice.n_edges, instance.D**2))
+    probs[np.arange(len(probs)), list(assignment)] = 1.0
+    dists = dec.EdgeDistributions(probs=probs, log_T=0.0)
+    batch = sampling.run_shots(instance, plan, shot + 1, seed, edge_dists=dists, emit_hidden=True)
+    record = list(batch.records())[shot]
+    assert record.hidden == tuple(assignment)
+    return record
+
+
 class TestMeasurementPlan:
     def test_uniform(self, chain4):
         plan = uniform_plan(chain4)
@@ -66,8 +82,8 @@ class TestCounterStreams:
         assert not np.allclose(a, b)
 
     def test_derive_seed_stable(self):
-        assert sampling.derive_seed(3, "edges") == sampling.derive_seed(3, "edges")
-        assert sampling.derive_seed(3, "edges") != sampling.derive_seed(4, "edges")
+        assert con.derive_seed(3, "edges") == con.derive_seed(3, "edges")
+        assert con.derive_seed(3, "edges") != con.derive_seed(4, "edges")
 
 
 @functools.cache
@@ -450,11 +466,11 @@ class TestWorkingSet:
         )
         code = (
             "import sys, pepslhv.cli\n"
-            "from pepslhv import configio, decomposition, sampling\n"
+            "from pepslhv import configio, construction, decomposition\n"
             f"inst = configio.build_instance({config!r})\n"
             "assert decomposition.rv_positivity_check(inst).passed\n"
             "print('_hashlib' in sys.modules)\n"
-            "sampling.derive_seed(0, 'edges')\n"
+            "construction.derive_seed(0, 'edges')\n"
             "print('_hashlib' in sys.modules)\n"
         )
         proc = subprocess.run(
@@ -601,7 +617,7 @@ class TestRunShots:
         plan = uniform_plan(chain4)
         batch = sampling.run_shots(chain4, plan, 50, 9, edge_dists=chain4_dists, emit_hidden=True)
         for rec in list(batch.records())[:10]:
-            redo = sampling.sample_outcomes(chain4, rec.hidden, plan, seed=9, shot=rec.shot)
+            redo = sample_given(chain4, rec.hidden, plan, seed=9, shot=rec.shot)
             assert redo.outcomes == rec.outcomes
 
     def test_jsonl_records(self, chain4, chain4_dists):
@@ -660,18 +676,14 @@ def set_up(name, inst):
         return dec.edge_distribution(inst)
     if name == "run_shots":
         return sampling.run_shots(inst, plan, 4, 0)
-    if name == "run_shots(edge_dists)":
-        synthetic = dec.EdgeDistributions(probs=np.full((2, 4), 0.25), log_T=0.0)
-        return sampling.run_shots(inst, plan, 4, 0, edge_dists=synthetic)
-    return sampling.sample_outcomes(inst, (0, 0), plan, 0, 0)
+    synthetic = dec.EdgeDistributions(probs=np.full((2, 4), 0.25), log_T=0.0)
+    return sampling.run_shots(inst, plan, 4, 0, edge_dists=synthetic)
 
 
 class TestSetUpErrorOrder:
     # a non-finite family (exit 2) before a trace tensor that does not
     # factorize (exit 4) before a certificate witness (exit 3)
-    @pytest.mark.parametrize(
-        "name", ["edge_distribution", "run_shots", "run_shots(edge_dists)", "sample_outcomes"]
-    )
+    @pytest.mark.parametrize("name", ["edge_distribution", "run_shots", "run_shots(edge_dists)"])
     def test_non_finite_first(self, name):
         with pytest.raises(UsageError, match=r"^site 1: non-finite output operator$"):
             set_up(name, exit_order_instance(2.0**600))
@@ -681,9 +693,9 @@ class TestSetUpErrorOrder:
         with pytest.raises(NotFactorizableError, match=r"^site 0: non-positive output trace$"):
             set_up(name, exit_order_instance(1.0))
 
-    @pytest.mark.parametrize("name", ["run_shots(edge_dists)", "sample_outcomes"])
+    @pytest.mark.parametrize("name", ["run_shots(edge_dists)"])
     def test_witness_without_edges(self, name):
-        # edge distributions given or not needed: the scan's witness is the first error
+        # edge distributions given: the scan's witness is the first error
         with pytest.raises(PositivityViolationError) as err:
             set_up(name, exit_order_instance(1.0))
         assert (err.value.witness.site, err.value.witness.kind) == (0, "trace")
@@ -695,9 +707,9 @@ class TestDeterministicGivenLambda:
         inst = build(identity_bell_config)
         plan = sampling.MeasurementPlan.uniform(inst, "bell")
         for assignment in [(0, 0, 0), (1, 2, 3), (3, 3, 3)]:
-            first = sampling.sample_outcomes(inst, assignment, plan, seed=0, shot=0)
+            first = sample_given(inst, assignment, plan, seed=0, shot=0)
             for shot in range(1, 6):
-                again = sampling.sample_outcomes(inst, assignment, plan, seed=shot, shot=shot)
+                again = sample_given(inst, assignment, plan, seed=shot, shot=shot)
                 assert again.outcomes == first.outcomes
 
 
