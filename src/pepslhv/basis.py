@@ -20,6 +20,7 @@ from pepslhv import linalg
 from pepslhv.errors import UsageError
 
 GRAM_ATOL = 1e-10
+DECOMPOSITION_ATOL = 1e-10
 ANCHOR_STRICT_FLOOR = 1e-8
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

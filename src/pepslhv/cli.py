@@ -77,7 +77,7 @@ def cmd_basis_verify(args) -> int:
         report["anchor_min_overlap"] = float(overlaps.min())
         report["anchor_max_overlap"] = float(overlaps.max())
     _print(report)
-    return EXIT_OK if err <= 1e-10 else EXIT_CONFIG
+    return EXIT_OK if err <= basis_mod.DECOMPOSITION_ATOL else EXIT_CONFIG
 
 
 def cmd_dual_margin(args) -> int:
@@ -89,7 +89,7 @@ def cmd_dual_margin(args) -> int:
             "min_overlap": m.min_overlap,
             "max_overlap": m.max_overlap,
             "margin": m.margin,
-            "in_dual": m.in_dual(atol=1e-9),
+            "in_dual": m.in_dual(),
             "strictly_interior": m.strictly_interior,
             "worst_element": list(m.worst_element),
         }
@@ -190,7 +190,8 @@ def cmd_verify(args) -> int:
     if args.mode == "mixture":
         mix = oracle.mixture_joint_distribution(instance, plan)
         tv = oracle.tv_distance(mix, exact)
-        out = {"mode": "mixture", "tv": tv, "threshold": 1e-10, "pass": tv <= 1e-10}
+        tv_max = oracle.MIXTURE_TV_MAX
+        out = {"mode": "mixture", "tv": tv, "threshold": tv_max, "pass": tv <= tv_max}
     else:
         from pepslhv import sampling
 

@@ -138,8 +138,9 @@ def _named_basis(spec: str) -> basis_mod.OperatorBasis:
             raise UsageError(f"bad basis spec '{spec}': {exc}") from exc
         if D < 2:  # before the anchor, whose message would name the state
             raise UsageError(f"bond dimension must be >= 2, got {D}")
-        # its construction holds about five D^4-entry arrays at once (measured)
-        check_entries(f"basis aligned:{D}", 5 * D**4)
+        # its Gram-Schmidt: D^4 / 2 products of D x D matrices, D^7 / 2 multiply-adds,
+        # more at every D > 2 than the five D^4-entry arrays the construction holds
+        check_entries(f"basis aligned:{D}", D**7 // 2)
         return basis_mod.build_aligned_basis(D, parse_state(parts[2], dim=D))
     raise UsageError(f"unknown basis spec '{spec}'")
 

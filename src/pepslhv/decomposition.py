@@ -13,8 +13,8 @@ efficiently.
 
 `site_operator_family` is the one place the outputs are computed, all
 (D^2)^v of them per (degree, flags) in one stack; the certificate, trace
-tables and sampler CDF tables read these stacks one family at a time
-(_family_sites, _family_stack), and the oracle's exact mixture all at once.
+tables, sampler CDF tables and the oracle's exact mixture read these stacks
+one family at a time (_family_sites, _family_stack).
 `_scan_family` is the one positivity test, and `_edge_rows` the one
 reduction from the families' traces to edge distributions, for the
 certificate, `edge_distribution` and the sampler alike.
@@ -34,9 +34,9 @@ from pepslhv.basis import OperatorBasis, basis_products
 from pepslhv.construction import PepsInstance, SiteMap
 from pepslhv.errors import SCAN_BLOCK_ENTRIES, NotFactorizableError, UsageError, check_entries
 from pepslhv.lattice import site_groups
+from pepslhv.measurements import DUAL_ATOL
 
 TRACE_FLOOR = 1e-10
-DUAL_ATOL = 1e-9
 FACTOR_RESIDUAL_RTOL = 1e-8
 
 
@@ -336,19 +336,21 @@ def max_epsilon_search(make_instance: Callable[[float], PepsInstance], eps_hi: f
     pass/fail predicate down to EPSILON_BRACKET_WIDTH.  In the returned
     (lo, hi), lo is a point this search saw pass and hi one it saw fail.  If
     nothing fails below eps_hi the result is (eps_hi, inf).  Each point is
-    one make_instance call, judged by epsilon_probe.EpsilonProbe.
+    one make_instance call, whose instances may differ only in their site
+    maps, judged by one epsilon_probe.EpsilonProbe built from epsilon = 0.
     """
     if not 0 < eps_hi < math.inf:
         raise UsageError(f"eps_hi must be positive and finite, got {eps_hi}")
     # imported here: every other command would compile the probe for nothing
     from pepslhv.epsilon_probe import EpsilonProbe
 
-    probe = EpsilonProbe()
+    first = make_instance(0.0)
+    probe = EpsilonProbe(first)
 
     def passes(eps: float) -> bool:
         return probe(make_instance(eps))
 
-    if not passes(0.0):
+    if not probe(first):
         raise UsageError("epsilon = 0 instance must pass the positivity check")
     lo = 0.0
     hi = None

@@ -2,12 +2,12 @@
 
 `decomposition.max_epsilon_search` needs only pass or fail at each point
 it visits, and its instances differ only in their site maps.  So
-`EpsilonProbe` builds what does not depend on epsilon once per search,
-holds every operator in real Hermitian coordinates (half the inner
-dimension of the complex overlaps), and stops at the first failing row
-block.  The row rule is the certificate's (`decomposition._usable_traces`,
-`decomposition._row_rule`); the overlaps round differently, so the
-certificate and the sampler's tables keep their complex operands.
+`EpsilonProbe` resolves what does not depend on epsilon from the first,
+then reads only each instance's site maps, holds every operator in real
+Hermitian coordinates (half the inner dimension of the complex overlaps),
+and stops at the first failing row block.  The row rule is the
+certificate's (`decomposition._usable_traces`, `_row_rule`); the overlaps
+round differently, so the certificate and the sampler keep complex ones.
 """
 
 from __future__ import annotations
@@ -112,55 +112,50 @@ def _transposition(D: int, flags: np.ndarray):
 class EpsilonProbe:
     """rv_positivity_check(instance).passed, for the instances of one epsilon search.
 
-    The work that does not depend on epsilon is done once and kept while
-    the instances share their basis and measurement set objects: the basis
-    products of each degree (basis.basis_products, site_operator_family with
-    K = I and no transposed end) and the elements, both in real Hermitian
-    coordinates (_hermitian_coords).  The elements' coordinates are filled
-    one element block at a time, so their complex stack is never held.  A
-    family's products are a signed permutation of those coordinates
-    (_transposition), read one row block at a time.  Each probe builds one
-    map matrix per degree of its instance, and real products, one per row
-    block and slice of about SCAN_BLOCK_ENTRIES element coordinates, give
-    a family's overlaps with half the inner dimension of linalg.overlaps.
-    Blocks are judged by the row rule of _scan_family, and the probe stops
-    at the first slice that fails a row, trying the row block that failed
-    last first.  Overlaps may round differently from the certificate's; the
-    verdict is the same.  An instance whose outputs may overflow is judged by
-    rv_positivity_check itself, which raises for a non-finite family.
+    Built from the search's first instance, it resolves once what a search
+    holds fixed: each family's degree, transposition (_transposition) and
+    row blocks; the basis products of each degree (site_operator_family with
+    K = I and no transposed end) and the elements, in real Hermitian
+    coordinates (_hermitian_coords), the elements filled one element block
+    at a time; the column slices of the elements; one scratch buffer.  A
+    call reads only its instance's site maps: one map matrix per degree,
+    then real products per row block and column slice give a family's
+    overlaps with half the inner dimension of linalg.overlaps.  Blocks are
+    judged by _scan_family's row rule, and the call stops at the first slice
+    that fails a row, trying the row block that failed last first.  The
+    verdict is the certificate's, however the overlaps round.  An instance
+    whose outputs may overflow is judged by rv_positivity_check itself,
+    which raises for a non-finite family.
     """
 
-    def __init__(self):
-        self._basis = self._mset = None
-        self._products = {}  # v -> (coordinates, a column per index tuple; largest column 1-norm)
-        self._transpositions = {}  # flags -> _transposition
-        self._stack = None  # (d^2, n) element coordinates
-        self._last_fail = (0, 0)  # (family, block) of the last failing probe
-
-    def _family(self, instance: PepsInstance, site: int):
-        """(P, p_norm, source, sign): row r of site's family is sign * P[source, r]."""
-        v = int(instance.lattice.degrees[site])
-        if instance.basis is not self._basis:
-            self._basis, self._products, self._transpositions = instance.basis, {}, {}
-        if v not in self._products:
-            P = _hermitian_coords(basis_products(instance.basis, (False,) * v), 0.5)
-            self._products[v] = P, float(np.abs(P).sum(axis=0).max())
-        flags = ~instance.lattice.is_head[-v:, site]
-        if flags.tobytes() not in self._transpositions:
-            self._transpositions[flags.tobytes()] = _transposition(instance.D, flags)
-        return (*self._products[v], *self._transpositions[flags.tobytes()])
+    def __init__(self, instance: PepsInstance):
+        mset, lat = instance.measurement_set, instance.lattice
+        self._stack = np.empty((mset.dim**2, mset.n_elements))  # element coordinates
+        col = 0
+        for where, elements in mset.element_blocks():
+            self._stack[:, col : col + len(where)] = _hermitian_coords(elements, 1.0)
+            col += len(where)
+            del elements  # before the next block is built
+        # BLAS packs each product's slice, so a slice holds about SCAN_BLOCK_ENTRIES
+        # coordinates: epsilon-max on torus:3x3 peaks at 37.9 MB, 40.0 MB in one slice
+        self._cols = list(_row_blocks(mset.n_elements, mset.dim**2))
+        firsts, _ = _family_sites(instance)
+        products = {}  # v -> (coordinates, a column per index tuple; largest column 1-norm)
+        self._families = []  # (v, *products[v], *transposition, row blocks) per family
+        for s in firsts:
+            v = int(lat.degrees[s])
+            if v not in products:
+                P = _hermitian_coords(basis_products(instance.basis, (False,) * v), 0.5)
+                products[v] = P, float(np.abs(P).sum(axis=0).max())
+            P, p_norm = products[v]
+            source, sign = _transposition(instance.D, ~lat.is_head[-v:, s])
+            blocks = list(_row_blocks(P.shape[1], mset.n_elements))
+            self._families.append((v, P, p_norm, source, sign, blocks))
+        rows = max(b - a for *_, blocks in self._families for a, b in blocks)
+        self._out = np.empty((rows, max(q - p for p, q in self._cols)))
+        self._last_fail = (0, 0)  # (family, block) of the last failing call
 
     def __call__(self, instance: PepsInstance) -> bool:
-        if instance.measurement_set is not self._mset:
-            mset = instance.measurement_set
-            self._mset, self._stack = mset, np.empty((mset.dim**2, mset.n_elements))
-            col = 0
-            for where, elements in mset.element_blocks():
-                self._stack[:, col : col + len(where)] = _hermitian_coords(elements, 1.0)
-                col += len(where)
-                del elements  # before the next block is built
-        firsts, _ = _family_sites(instance)
-        degrees = instance.lattice.degrees
         maps = {}
         for v, m in instance.maps.items():
             M = _map_matrix(m.K)
@@ -168,27 +163,22 @@ class EpsilonProbe:
         # a coordinate is at most p_norm * top in size, and a trace sums d of
         # them.  Past the bound an output may not be finite: the certificate
         # then gives the verdict, and raises for the first non-finite family
-        for s in firsts:
-            M, top = maps[degrees[s]]
-            if not self._family(instance, s)[1] * top * len(M) <= _COORD_BOUND:
+        for v, _, p_norm, *_ in self._families:
+            M, top = maps[v]
+            if not p_norm * top * len(M) <= _COORD_BOUND:
                 return rv_positivity_check(instance).passed
-        # BLAS packs each product's slice of the coordinates, so a slice holds
-        # about SCAN_BLOCK_ENTRIES of them: epsilon-max on torus:3x3 peaks at
-        # 37.9 MB of RSS, 40.0 MB with every column in one product
-        cols = list(_row_blocks(self._stack.shape[1], self._stack.shape[0]))
         last_f, last_k = self._last_fail
-        for f in sorted(range(len(firsts)), key=lambda f: f != last_f):
-            M = maps[degrees[firsts[f]]][0]
-            P, _, source, sign = self._family(instance, firsts[f])
+        for f in sorted(range(len(self._families)), key=lambda f: f != last_f):
+            v, P, _, source, sign, blocks = self._families[f]
+            M = maps[v][0]
             ok, div = _usable_traces(_family_traces(P, source, sign, M))
-            blocks = list(enumerate(_row_blocks(P.shape[1], self._stack.shape[1])))
-            out = np.empty((max(b - a for _, (a, b) in blocks), max(q - p for p, q in cols)))
-            for k, (a, b) in sorted(blocks, key=lambda kb: (f, kb[0]) != (last_f, last_k)):
+            for k in sorted(range(len(blocks)), key=lambda k: (f, k) != (last_f, last_k)):
+                a, b = blocks[k]
                 rows = _family_rows(P, source, sign, a, b) @ M.T
                 lo, hi = np.inf, -np.inf
                 # a row failing on some columns fails on all of them
-                for p, q in cols:
-                    block = np.matmul(rows, self._stack[:, p:q], out=out[: b - a, : q - p])
+                for p, q in self._cols:
+                    block = np.matmul(rows, self._stack[:, p:q], out=self._out[: b - a, : q - p])
                     lo, hi = np.minimum(lo, block.min(axis=1)), np.maximum(hi, block.max(axis=1))
                     if _row_rule(lo, hi, ok[a:b], div[a:b])[1].any():
                         self._last_fail = (f, k)

@@ -24,6 +24,8 @@ POVM_PSD_ATOL = 1e-9
 POVM_SUM_ATOL = 1e-9
 STRICT_MARGIN_FLOOR = 1e-8
 ADMISSIBLE_ATOL = 1e-9
+# in the dual: every overlap in [-DUAL_ATOL, 1 + DUAL_ATOL] (in_dual, the certificate's row rule)
+DUAL_ATOL = 1e-9
 # complex entries in one block of a set's elements: 112 or 128 elements of noisy-pauli:4
 ELEMENT_BLOCK_ENTRIES = SCAN_BLOCK_ENTRIES // 4
 
@@ -146,8 +148,8 @@ class DualMargin:
     margin: float
     worst_element: Tuple[int, int]
 
-    def in_dual(self, atol: float = 0.0) -> bool:
-        return self.min_overlap >= -atol and self.max_overlap <= 1.0 + atol
+    def in_dual(self) -> bool:
+        return self.min_overlap >= -DUAL_ATOL and self.max_overlap <= 1.0 + DUAL_ATOL
 
     @property
     def strictly_interior(self) -> bool:

@@ -2,10 +2,10 @@
 
 Exact Born-rule joint distributions from the assembled state, the joint
 distributions of the separable mixture summed exactly over every edge
-assignment (one edge contraction), and total-variation comparison of
-sampler output against either.  Exact contraction of a PEPS is #P-hard in
-general, so all of it runs at desk scale only, and `verify` is the one
-command that imports this module.
+assignment (one edge contraction, one site family built at a time), and
+total-variation comparison of sampler output against either.  Exact
+contraction of a PEPS is #P-hard in general, so all of it runs at desk
+scale only, and `verify` is the one command that imports this module.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ MAX_OUTCOME_SPACE = 2**16
 # (d_2...d_N)^2 bra-ket entries each first-site outcome contracts, never held whole: work
 MAX_BORN_OPERATOR = 2**20
 DEFAULT_CONFIDENCE_K = 4.0
+# `verify --mode mixture` passes when the two exact distributions agree up to rounding
+MIXTURE_TV_MAX = 1e-10
 MIN_FREQUENCY_SHOTS = 1000
 
 
@@ -149,37 +151,33 @@ def born_joint_for_instance(instance: PepsInstance, plan: MeasurementPlan) -> Jo
 # ---------------------------------------------------------------------------
 # Exact mixture
 
-def site_families(instance: PepsInstance):
-    """(distinct output stacks, family index per site), every stack held at once.
-
-    A stack with a non-finite entry raises UsageError.  The mixture needs
-    every family together; the certificate and the sampler build one
-    family at a time (decomposition._family_sites, _family_stack).
-    """
-    firsts, site_family = _family_sites(instance)
-    return [_family_stack(instance, s) for s in firsts], site_family
-
-
 def _enumeration_guard(instance: PepsInstance):
     E = instance.lattice.n_edges
     check_entries("edge assignments of the mixture", (instance.D**2) ** E, MAX_ENUM_ASSIGNMENTS)
     check_entries("mixture's density matrix", math.prod(instance.physical_dims()) ** 2)
 
 
-def contract_mixture(instance: PepsInstance, site_rows):
-    """contract_edges over D^2 indices per edge, within the enumeration limits."""
-    _enumeration_guard(instance)
-    return contract_edges(instance.lattice, site_rows, instance.D**2)
-
-
 def mixture_joint_distribution(instance: PepsInstance, plan: MeasurementPlan) -> JointDistribution:
-    """sum_lambda p(lambda) prod_s tr(sigma_s X_{j_s}), i.e. prod_s tr(O_s X_{j_s}) normalized."""
+    """sum_lambda p(lambda) prod_s tr(sigma_s X_{j_s}), i.e. prod_s tr(O_s X_{j_s}) normalized.
+
+    Each site family is built, read for one table tr(O X) per POVM its sites
+    measure, and dropped before the next; contract_edges sums the tables.
+    """
     povms = plan.povms(instance)
     _check_outcome_space(povms)
     arities = [p.n_outcomes for p in povms]
-    families, site_family = site_families(instance)
-    tables = [linalg.overlaps(families[f], p.elements) for f, p in zip(site_family, povms)]
-    acc = np.clip(contract_mixture(instance, tables), 0.0, None)
+    firsts, site_family = _family_sites(instance)
+    pairs = list(zip(site_family.tolist(), plan.povm_indices))  # (family, POVM) per site
+    tables = {}
+    for f, s in enumerate(firsts):
+        ops = _family_stack(instance, s)
+        for pair, povm in zip(pairs, povms):
+            if pair[0] == f and pair not in tables:
+                tables[pair] = linalg.overlaps(ops, povm.elements)
+        del ops  # before the next family is built
+    _enumeration_guard(instance)
+    acc = contract_edges(instance.lattice, [tables[p] for p in pairs], instance.D**2)
+    acc = np.clip(acc, 0.0, None)
     return JointDistribution(arities=tuple(arities), probs=acc / acc.sum())
 
 

@@ -12,7 +12,14 @@ from pepslhv.construction import (
     _check_orthonormal,
     assemble_exact_state,
 )
-from pepslhv.decomposition import DUAL_ATOL, TRACE_FLOOR, PositivityWitness, operator_traces
+from pepslhv.decomposition import (
+    DUAL_ATOL,
+    TRACE_FLOOR,
+    PositivityWitness,
+    _family_sites,
+    _family_stack,
+    operator_traces,
+)
 from pepslhv.errors import ConstraintError, ConstructionError, UsageError
 from pepslhv.measurements import (
     _AXIS_STATES,
@@ -400,14 +407,25 @@ def contract_mixture(instance, site_rows, extra_axes=0, keep_edges=False):
     return contract_edges(instance.lattice, site_rows, instance.D**2, extra_axes, keep_edges)
 
 
+def site_families(instance):
+    """(distinct output stacks, family index per site), every stack held at once.
+
+    A stack with a non-finite entry raises UsageError.  The weights and the
+    density matrix below need every family together; the package builds one
+    family at a time (decomposition._family_sites, _family_stack).
+    """
+    firsts, site_family = _family_sites(instance)
+    return [_family_stack(instance, s) for s in firsts], site_family
+
+
 def mixture_weights(instance) -> np.ndarray:
     """prod_s tr(O_s) per edge assignment, shape (D^2,) * E; divide by T D^(2E) for p."""
     oracle._enumeration_guard(instance)
-    return _trace_weights(instance, *oracle.site_families(instance))
+    return _trace_weights(instance, *site_families(instance))
 
 
 def _trace_weights(instance, families: list, site_family: list) -> np.ndarray:
-    """mixture_weights from oracle.site_families(instance)."""
+    """mixture_weights from site_families(instance)."""
     traces = [operator_traces(ops) for ops in families]
     return contract_mixture(instance, [traces[f] for f in site_family], keep_edges=True)
 
@@ -423,7 +441,7 @@ def reconstruct_mixture(instance):
     Term lambda, prod_s tr(O_s) (x)_s O_s / tr(O_s), is just (x)_s O_s.
     """
     oracle._enumeration_guard(instance)  # before any site family is built
-    families, site_family = oracle.site_families(instance)
+    families, site_family = site_families(instance)
     weights = _trace_weights(instance, families, site_family).ravel()
     rho = contract_mixture(instance, [families[f] for f in site_family], extra_axes=2)
     dim, total = math.prod(instance.physical_dims()), weights.sum()

@@ -97,11 +97,11 @@ class TestInProcess:
         parse(spec)
 
     def test_aligned_basis_counts_its_construction(self, monkeypatch):
-        # five D^4 arrays at once: D = 42 is built and D = 43 is not
+        # the Gram-Schmidt's D^7 / 2 multiply-adds: D = 11 is built and D = 12 is not
         monkeypatch.setattr(basis_mod, "build_aligned_basis", lambda D, anchor: D)
-        assert configio.parse_basis("aligned:42:zero") == 42
-        with pytest.raises(UsageError, match="basis aligned:43: 17094005 entries"):
-            configio.parse_basis("aligned:43:zero")
+        assert configio.parse_basis("aligned:11:zero") == 11
+        with pytest.raises(UsageError, match="basis aligned:12: 17915904 entries"):
+            configio.parse_basis("aligned:12:zero")
 
     def test_basis_gen_counts_its_writer(self, tmp_path, monkeypatch):
         # 32 D^4 with the JSON lists: D = 27 is refused before the basis is built
@@ -192,6 +192,18 @@ def test_exit_code_and_one_line(case):
         proc = run_capped("-m", "pepslhv.cli", *argv_of(case, Path(tmp)), timeout=30)
     assert proc.returncode in (0, 2, 3, 4), proc.stderr
     assert proc.stderr.count("\n") <= 1 and "Traceback" not in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("D, code", [(11, 0), (12, 2)])
+def test_largest_aligned_basis_builds_within_a_minute(tmp_path, D, code):
+    # aligned:42:zero was once admitted and took 424 s to build; the largest
+    # admitted D builds in well under a second, and the next exits 2 with one line
+    argv = ["peps", "build", "--lattice", "chain:2", "--basis", f"aligned:{D}:zero",
+            "--measurements", "pauli:1", "--recipe", "1", "--psi", "plus-diag:1",
+            "--out", str(tmp_path / "inst.json")]
+    proc = run_capped("-m", "pepslhv.cli", *argv, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.count("\n") == code // 2 and "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_largest_products_peak_near_the_budget(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pepslhv import configio, epsilon_probe, oracle
+from pepslhv import configio, epsilon_probe
 from pepslhv import construction as con
 from pepslhv import decomposition as dec
 from pepslhv import cli, linalg, sampling
@@ -608,7 +608,7 @@ class TestBlockedScan:
         assert report_fields(dec.rv_positivity_check(inst)) == report_fields(
             self.full_scan_report(inst)
         )
-        families, _ = oracle.site_families(inst)
+        families, _ = reference.site_families(inst)
         mset = inst.measurement_set
         normed = dec._scan_family(inst, 0, families[0], mset.element_blocks(), mset.n_elements, keep=True)[0]
         assert normed.tobytes() == scan_family(inst, 0, families[0], mset.element_blocks())[0].tobytes()
@@ -789,7 +789,7 @@ class TestMixtureReconstruction:
 
         monkeypatch.setattr(con, "contract_edges", no_contraction)
         monkeypatch.setattr(reference, "contract_edges", no_contraction)
-        monkeypatch.setattr(oracle, "site_families", no_families)
+        monkeypatch.setattr(reference, "site_families", no_families)
         with pytest.raises(UsageError, match="assembled state: 2\\^64 or more entries"):
             con.assemble_exact_state(inst)
         with pytest.raises(UsageError, match="density matrix: 2\\^64 or more entries"):
@@ -798,14 +798,14 @@ class TestMixtureReconstruction:
             reference.mixture_weights(inst)
 
     def test_families_built_once(self, cycle3_instance, monkeypatch):
-        build_families = oracle.site_families
+        build_families = reference.site_families
         calls = []
 
         def counted(instance):
             calls.append(instance)
             return build_families(instance)
 
-        monkeypatch.setattr(oracle, "site_families", counted)
+        monkeypatch.setattr(reference, "site_families", counted)
         reference.reconstruct_mixture(cycle3_instance)
         assert len(calls) == 1
 
@@ -870,12 +870,12 @@ class TestMaxEpsilonSearch:
             measurement_set=mset,
         )
         stack, _ = element_stack(mset)
-        probe = epsilon_probe.EpsilonProbe()
-        probe(inst)
-        for s in dec._family_sites(inst)[0]:
+        probe = epsilon_probe.EpsilonProbe(inst)
+        firsts = dec._family_sites(inst)[0]
+        for s, (v, P, _, source, sign, _) in zip(firsts, probe._families, strict=True):
             ops = dec._family_stack(inst, s)
-            P, _, source, sign = probe._family(inst, s)
-            M = epsilon_probe._map_matrix(inst.maps[lat.degrees[s]].K)
+            assert v == lat.degrees[s]
+            M = epsilon_probe._map_matrix(inst.maps[v].K)
             coords = epsilon_probe._family_rows(P, source, sign, 0, len(ops)) @ M.T
             scale = np.abs(ops).max()
             assert np.allclose(
@@ -903,11 +903,49 @@ class TestMaxEpsilonSearch:
         near = np.linspace(max(0.0, lo - 1e-3), min(hi, eps_hi) + 1e-3, 16)
         points = list(dict.fromkeys([*visited, *np.linspace(0.0, eps_hi, 25), *near]))
         assert len(points) >= 40
-        probe = epsilon_probe.EpsilonProbe()
+        probe = epsilon_probe.EpsilonProbe(make(0.0))
         for eps in points:
             inst = make(float(eps))
             assert probe(inst) == dec.rv_positivity_check(inst).passed, eps
 
+    def test_torus3x3_search_resolves_its_fixed_parts_once(self, monkeypatch):
+        make = configio.instance_factory(scaled_config("torus:3x3", 4, 0.0))
+        families = len(dec._family_sites(make(0.0))[0])
+        counts = {"make": 0, "element_blocks": 0, "_transposition": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(
+            MeasurementSet, "element_blocks", counted("element_blocks", MeasurementSet.element_blocks)
+        )
+        monkeypatch.setattr(
+            epsilon_probe, "_transposition", counted("_transposition", epsilon_probe._transposition)
+        )
+        lo, hi = dec.max_epsilon_search(counted("make", make), 1.0)
+        assert (lo, hi) == (0.169921875, 0.16998291015625)
+        assert counts == {"make": 14, "element_blocks": 1, "_transposition": families}
+
+    def test_fresh_objects_per_epsilon_give_the_same_search(self):
+        # as perfbench's --trace 1 replay does: each epsilon's instance is
+        # built from the config anew, with its own lattice, basis and
+        # measurement set, equal to the last
+        config = scaled_config("torus:3x3", 4, 0.0)
+
+        def fresh(eps):
+            return build(dict(config, site_map=dict(config["site_map"], epsilon=eps)))
+
+        searches = []
+        for make in (configio.instance_factory(config), fresh):
+            visited = []
+            bracket = dec.max_epsilon_search(lambda eps: visited.append(eps) or make(eps), 1.0)
+            searches.append((bracket, visited))
+        assert searches[0] == searches[1]
+        assert searches[0][0] == (0.169921875, 0.16998291015625)
 
     def test_no_failure_below_cap(self):
         def make(eps):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import time
 import tracemalloc
@@ -11,12 +12,12 @@ from hypothesis import strategies as st
 
 from pepslhv import construction as con
 from pepslhv import decomposition as dec
-from pepslhv import configio, oracle, sampling
+from pepslhv import cli, configio, linalg, oracle, sampling
 from pepslhv.errors import UsageError
 from pepslhv.measurements import Povm, pauli_product_measurements
 
 from conftest import build, recipe2_config, run_capped
-from reference import born_joint_distribution, born_joint_full_operator
+from reference import born_joint_distribution, born_joint_full_operator, site_families
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -50,6 +51,15 @@ DESK_CYCLE6 = {
 }
 # sha256 of its Born probabilities under all:ZZ~0.5: any reordering of the sums moves it
 DESK_CYCLE6_SHA256 = "d385b14a0464849f4033ef44476bdf337a3330469cf6c3452bb598f66019913a"
+# `verify --mode mixture` on it under all:ZZ~0.5: the mixture's TV distance from the Born oracle
+DESK_CYCLE6_MIXTURE_STDOUT = """\
+{
+  "mode": "mixture",
+  "pass": true,
+  "threshold": 1e-10,
+  "tv": 2.1062490673014883e-16
+}
+"""
 
 
 class TestExactJointDistribution:
@@ -210,6 +220,32 @@ class TestMixtureJointDistribution:
         exact = oracle.born_joint_for_instance(inst, plan)
         assert np.max(np.abs(mix.probs - exact.probs)) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "labels",
+        [["ZZ~0.5"] * 4, ["XY~0.5", "ZZ~0.5", "ZZ~0.5", "YX~0.5"]],
+        ids=["uniform", "mixed"],
+    )
+    def test_one_family_at_a_time(self, monkeypatch, labels):
+        inst = build(recipe2_config(lattice="chain:4"))
+        plan = sampling.MeasurementPlan.from_labels(inst, labels)
+        build_family, calls = oracle._family_stack, []
+        monkeypatch.setattr(
+            oracle, "_family_stack", lambda instance, s: calls.append(s) or build_family(instance, s)
+        )
+        mix = oracle.mixture_joint_distribution(inst, plan)
+        assert calls == list(dec._family_sites(inst)[0])
+        # the bytes of the sum over every family held at once, one table per site
+        families, site_family = site_families(inst)
+        tables = [linalg.overlaps(families[f], p.elements) for f, p in zip(site_family, plan.povms(inst))]
+        acc = np.clip(con.contract_edges(inst.lattice, tables, inst.D**2), 0.0, None)
+        assert mix.probs.tobytes() == (acc / acc.sum()).tobytes()
+
+    def test_desk_verify_mixture_stdout(self, tmp_path, capsys):
+        path = tmp_path / "cycle6.json"
+        path.write_text(json.dumps(DESK_CYCLE6))
+        argv = ["verify", str(path), "--plan", "all:ZZ~0.5", "--mode", "mixture", "--workers", "1"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == DESK_CYCLE6_MIXTURE_STDOUT
 
     def test_large_plan_refused_at_once(self):
         # the exact integer product of 2^18 arities took 3.3 s

@@ -15,13 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pepslhv import cli, configio, linalg, oracle, sampling
+from pepslhv import cli, configio, linalg, sampling
 from pepslhv import construction as con
 from pepslhv import decomposition as dec
 from pepslhv.errors import NotFactorizableError, PositivityViolationError, UsageError
 from pepslhv.lattice import lattice_from_name
 
 from conftest import build, recipe2_config
+from reference import site_families
 
 
 @pytest.fixture(scope="module")
@@ -281,7 +282,7 @@ class TestStackedSiteTables:
         plan = sampling.MeasurementPlan.from_labels(inst, labels)
         batch = sampling.run_shots(inst, plan, 3000, 8, emit_hidden=True)
         u = sampling.shot_uniforms(8, 0, 3000, inst.lattice.n_sites, label="sites")
-        families, site_family = oracle.site_families(inst)
+        families, site_family = site_families(inst)
         povms = plan.povms(inst)
         for s in range(inst.lattice.n_sites):
             # the site's own Born CDF rows, built for this site alone
