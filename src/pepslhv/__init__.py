@@ -7,22 +7,9 @@ samples measurement outcomes classically through a per-edge product
 distribution over hidden edge indices.
 """
 
-from pepslhv.errors import (
-    ConstraintError,
-    DegenerateNormError,
-    NotFactorizableError,
-    PositivityViolationError,
-    StrictInteriorError,
-    UsageError,
-)
+from pepslhv.errors import NotFactorizableError, PositivityViolationError, UsageError
 
-__all__ = [
-    "ConstraintError",
-    "DegenerateNormError",
-    "NotFactorizableError",
-    "PositivityViolationError",
-    "StrictInteriorError",
-    "UsageError",
-]
+# one exception type per exit code of the CLI, in the order 2, 3, 4
+__all__ = ["UsageError", "PositivityViolationError", "NotFactorizableError"]
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from pepslhv.construction import (
     recipe1_maker,
     recipe2_maker,
 )
-from pepslhv.errors import ConstraintError, StrictInteriorError, UsageError, check_entries
+from pepslhv.errors import UsageError, check_entries
 from pepslhv.lattice import site_groups
 from pepslhv.measurements import dual_margin
 
@@ -206,7 +206,7 @@ def instance_factory(config: dict) -> Callable[[float], PepsInstance]:
             raise UsageError("recipe 1 needs an anchored basis")
         for v in degrees:
             if d < 2**v:
-                raise ConstraintError(f"physical dimension d={d} < 2^v = {2**v}")
+                raise UsageError(f"physical dimension d={d} < 2^v = {2**v}")
         _require_strict_interior(psi, mset)
 
     def site_map_maker(v: int) -> Callable[[float], SiteMap]:
@@ -255,9 +255,7 @@ def build_instance(config: dict) -> PepsInstance:
 def _require_strict_interior(psi, mset):
     margin = dual_margin(linalg.projector(psi), mset)
     if not margin.strictly_interior:
-        raise StrictInteriorError(
-            f"psi is not strictly inside the dual (margin {margin.margin:.3e})"
-        )
+        raise UsageError(f"psi is not strictly inside the dual (margin {margin.margin:.3e})")
 
 
 def load_instance(path: str) -> PepsInstance:

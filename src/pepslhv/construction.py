@@ -17,12 +17,7 @@ import numpy as np
 
 from pepslhv import linalg
 from pepslhv.basis import OperatorBasis
-from pepslhv.errors import (
-    ConstructionError,
-    DegenerateNormError,
-    UsageError,
-    check_entries,
-)
+from pepslhv.errors import UsageError, check_entries
 from pepslhv.lattice import Lattice, site_groups
 from pepslhv.measurements import MeasurementSet
 
@@ -141,7 +136,7 @@ def recipe1_maker(v: int, D: int, d: int, psi, anchor, seed: int) -> Callable[[f
             sv = np.linalg.svd(K, compute_uv=False)
             if sv[full - 1] > 1e-12 * sv[0]:
                 return SiteMap(v=v, D=D, d=d, K=K)
-        raise ConstructionError("could not reach full rank within retry budget")
+        raise UsageError("could not reach full rank within retry budget")
 
     return make
 
@@ -249,5 +244,5 @@ def assemble_exact_state(instance: PepsInstance):
         vec = vec.reshape(-1) / math.sqrt(D) ** E
         T = float(np.real(vec.conj() @ vec))
     if not 1e-14 < T < math.inf:
-        raise DegenerateNormError(f"assembled state has squared norm {T:.3e}")
+        raise UsageError(f"assembled state has squared norm {T:.3e}")
     return vec, T

@@ -43,11 +43,11 @@ FACTOR_RESIDUAL_RTOL = 1e-8
 def site_operator_family(
     site_map: SiteMap, op_basis: OperatorBasis, transposed_flags: Sequence[bool]
 ) -> np.ndarray:
-    """All (D^2)^v output operators in C-order over the index tuples, ((D^2)^v, d, d)."""
-    flags = tuple(transposed_flags)
-    if len(flags) != site_map.v:
-        raise UsageError(f"need {site_map.v} flags")
-    prod = basis_products(op_basis, flags)
+    """All (D^2)^v output operators in C-order over the index tuples, ((D^2)^v, d, d).
+
+    transposed_flags holds one flag per bond of the site map's degree v.
+    """
+    prod = basis_products(op_basis, transposed_flags)
     K = site_map.K
     # a Kraus operator near the float range overflows; _family_stack rejects
     # it.  K @ prod replaces prod before the second product is made, so at

@@ -16,18 +16,6 @@ def check_entries(array: str, entries: int, bound: int = MAX_ENTRIES) -> None:
         raise UsageError(f"{array}: {count} entries, more than {bound}")
 
 
-class ConstraintError(UsageError):
-    """The lattice/physical-dimension constraint d >= 2^v is violated."""
-
-
-class StrictInteriorError(UsageError):
-    """The chosen pure state is not strictly inside the measurement dual."""
-
-
-class DegenerateNormError(UsageError):
-    """The assembled state has (numerically) zero norm."""
-
-
 class NotFactorizableError(ValueError):
     """Site trace tensors do not factorize; per-edge sampling unsupported."""
 
@@ -44,6 +32,3 @@ class PositivityViolationError(ValueError):
         super().__init__(message)
         self.witness = witness
 
-
-class ConstructionError(UsageError):
-    """A randomized construction failed to reach full rank within retries."""

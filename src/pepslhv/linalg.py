@@ -47,11 +47,6 @@ def hermitian_stack(m, what: str) -> np.ndarray:
     return stack
 
 
-def check_hermitian(m) -> np.ndarray:
-    """One Hermitian matrix: the stack check on a stack of one."""
-    return hermitian_stack([m], "operator")[0]
-
-
 def as_state(v) -> np.ndarray:
     """Coerce to a normalized pure-state vector."""
     vec = np.asarray(v, dtype=complex).ravel()

@@ -23,8 +23,8 @@ from pepslhv.errors import SCAN_BLOCK_ENTRIES, UsageError, check_entries
 POVM_PSD_ATOL = 1e-9
 POVM_SUM_ATOL = 1e-9
 STRICT_MARGIN_FLOOR = 1e-8
-ADMISSIBLE_ATOL = 1e-9
-# in the dual: every overlap in [-DUAL_ATOL, 1 + DUAL_ATOL] (in_dual, the certificate's row rule)
+# in the dual: every overlap in [-DUAL_ATOL, 1 + DUAL_ATOL] (in_dual, the certificate's row rule,
+# admissible_povm)
 DUAL_ATOL = 1e-9
 # complex entries in one block of a set's elements: 112 or 128 elements of noisy-pauli:4
 ELEMENT_BLOCK_ENTRIES = SCAN_BLOCK_ENTRIES // 4
@@ -161,7 +161,7 @@ def dual_margin(O, mset: MeasurementSet) -> DualMargin:
 
     The worst element is the first (i, j) attaining the margin.
     """
-    op = linalg.check_hermitian(O)
+    op = linalg.hermitian_stack([O], "operator")[0]
     if op.shape[0] != mset.dim:
         raise UsageError(f"operator dim {op.shape[0]} != measurement dim {mset.dim}")
     where, t = [], []
@@ -260,16 +260,6 @@ def _pauli_set(n_qubits: int, eta=None) -> MeasurementSet:
     return MeasurementSet(povms=tuple(_PauliPovm(row, eta, label) for row, label in zip(axes, labels)))
 
 
-def pauli_product_measurements(n_qubits: int) -> MeasurementSet:
-    """All 3^n products of single-qubit X/Y/Z eigenbasis projectors."""
-    return _pauli_set(n_qubits)
-
-
-def noisy_pauli_product_measurements(n_qubits: int, eta: float) -> MeasurementSet:
-    """Every Pauli product projector X depolarized to eta X + (1 - eta) tr(X) I / d."""
-    return _pauli_set(n_qubits, eta)
-
-
 def bell_povm() -> Povm:
     """The four Bell projectors on two qubits."""
     phi = max_ent_state(2)
@@ -281,20 +271,21 @@ def bell_povm() -> Povm:
     return Povm(elements=tuple(elements), label="bell")
 
 
-def bell_measurement_set() -> MeasurementSet:
-    return MeasurementSet(povms=(bell_povm(),))
-
-
 def measurement_set_from_name(name: str) -> MeasurementSet:
-    """Named families: "pauli:n", "noisy-pauli:n:eta", "bell"."""
+    """The named set "pauli:n", "noisy-pauli:n:eta" or "bell"; the one constructor of each.
+
+    "pauli:n" holds all 3^n products of single-qubit X/Y/Z eigenbasis
+    projectors; "noisy-pauli:n:eta" depolarizes each projector X to
+    eta X + (1 - eta) tr(X) I / d; "bell" is the one Bell POVM.
+    """
     parts = name.split(":")
     try:
         if parts[0] == "pauli" and len(parts) == 2:
-            return pauli_product_measurements(int(parts[1]))
+            return _pauli_set(int(parts[1]))
         if parts[0] == "noisy-pauli" and len(parts) == 3:
-            return noisy_pauli_product_measurements(int(parts[1]), float(parts[2]))
+            return _pauli_set(int(parts[1]), float(parts[2]))
         if parts[0] == "bell" and len(parts) == 1:
-            return bell_measurement_set()
+            return MeasurementSet(povms=(bell_povm(),))
     except ValueError as exc:
         raise UsageError(f"bad measurement-set name '{name}': {exc}") from exc
     raise UsageError(f"unknown measurement-set name '{name}'")
@@ -334,7 +325,7 @@ def admissible_povm(povm: Povm, op_basis: OperatorBasis, flags: Sequence[bool]) 
     if excess[k] > 0.0:
         worst = (tuple(int(i) for i in k[:-1]), int(k[-1]), float(vals[k]))
     min_v, max_v = float(vals.min()), float(vals.max())
-    admissible = min_v >= -ADMISSIBLE_ATOL and max_v <= 1.0 + ADMISSIBLE_ATOL
+    admissible = min_v >= -DUAL_ATOL and max_v <= 1.0 + DUAL_ATOL
     return AdmissibilityReport(admissible=admissible, min_value=min_v, max_value=max_v, worst=worst)
 
 

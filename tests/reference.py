@@ -20,10 +20,9 @@ from pepslhv.decomposition import (
     _family_stack,
     operator_traces,
 )
-from pepslhv.errors import ConstraintError, ConstructionError, UsageError
+from pepslhv.errors import UsageError
 from pepslhv.measurements import (
     _AXIS_STATES,
-    ADMISSIBLE_ATOL,
     AdmissibilityReport,
     DualMargin,
     measurement_set_from_json,
@@ -92,7 +91,7 @@ def file_copy(mset):
 def dual_margin(O, mset) -> DualMargin:
     """measurements.dual_margin against the whole stack in one product: the first worst element wins."""
     stack, where = element_stack(mset)
-    t = linalg.overlaps(linalg.check_hermitian(O)[None], stack)[0]
+    t = linalg.overlaps(linalg.hermitian_stack([O], "operator"), stack)[0]
     slack = np.minimum(t, 1.0 - t)
     k = int(np.argmin(slack))
     return DualMargin(float(t.min()), float(t.max()), float(slack[k]), where[k])
@@ -186,7 +185,7 @@ def admissible_povm(povm, spaces) -> AdmissibilityReport:
     if excess[k] > 0.0:
         worst = (tuple(int(i) for i in k[:-1]), int(k[-1]), float(vals[k]))
     min_v, max_v = float(vals.min()), float(vals.max())
-    admissible = min_v >= -ADMISSIBLE_ATOL and max_v <= 1.0 + ADMISSIBLE_ATOL
+    admissible = min_v >= -DUAL_ATOL and max_v <= 1.0 + DUAL_ATOL
     return AdmissibilityReport(admissible=admissible, min_value=min_v, max_value=max_v, worst=worst)
 
 
@@ -304,7 +303,7 @@ def first_site_groups(columns) -> tuple:
 def recipe2_site_map(v: int, d: int, psi_y, epsilon: float) -> SiteMap:
     """construction.recipe2_maker's map, made and checked whole on every call."""
     if d < 2**v:
-        raise ConstraintError(f"physical dimension d={d} < 2^v = {2**v}")
+        raise UsageError(f"physical dimension d={d} < 2^v = {2**v}")
     if epsilon < 0:
         raise UsageError("epsilon must be >= 0")
     states = [linalg.as_state(p) for p in psi_y]
@@ -322,7 +321,7 @@ def recipe2_site_map(v: int, d: int, psi_y, epsilon: float) -> SiteMap:
 def recipe1_site_map(v: int, D: int, d: int, psi, anchor_states, epsilon: float, seed: int):
     """construction.recipe1_maker's map, made and checked whole on every call."""
     if d < 2**v:
-        raise ConstraintError(f"physical dimension d={d} < 2^v = {2**v}")
+        raise UsageError(f"physical dimension d={d} < 2^v = {2**v}")
     if epsilon < 0:
         raise UsageError("epsilon must be >= 0")
     vec = linalg.as_state(psi)
@@ -343,7 +342,7 @@ def recipe1_site_map(v: int, D: int, d: int, psi, anchor_states, epsilon: float,
         sv = np.linalg.svd(K, compute_uv=False)
         if sv[full - 1] > 1e-12 * sv[0]:
             return SiteMap(v=v, D=D, d=d, K=K)
-    raise ConstructionError("could not reach full rank within retry budget")
+    raise UsageError("could not reach full rank within retry budget")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from pepslhv.measurements import (
     admissible_povm,
     bell_povm,
     dual_margin,
-    noisy_pauli_product_measurements,
+    measurement_set_from_name,
 )
 
 import reference
@@ -193,7 +193,7 @@ def test_criterion_09_entanglement_certification():
         lattice=build_chain(2),
         maps={1: con.recipe2_maker(1, 2, KET0)(0.5)},
         basis=build_aligned_basis(2, KET0),
-        measurement_set=noisy_pauli_product_measurements(1, 0.5),
+        measurement_set=measurement_set_from_name("noisy-pauli:1:0.5"),
     )
     ents = reference.entanglement_certificate(inst)
     assert ents[0] == pytest.approx(0.32276, abs=1e-4)

@@ -16,12 +16,20 @@ A name that two classes share (`n_outcomes`, `to_json`, `dim`, `element`)
 or that numpy arrays also have (`T`) counts as called when any of them is
 read; the check catches a method whose name no program file reads, not one
 hidden behind a shared name.
+
+Every exception class the package defines is named in an except clause of
+cli.main, which maps it to one exit code, and pepslhv.__all__ is exactly
+those classes: a subclass that no handler names makes a distinction no
+command makes.
 """
 
 import ast
+import importlib
 import re
 from functools import lru_cache
 from pathlib import Path
+
+import pepslhv
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pepslhv"
@@ -152,3 +160,33 @@ def test_every_default_is_set_by_a_caller():
         and not any(n == name and sets(c, parameter, position) for n, c in program_calls())
     ]
     assert unset == []
+
+
+def package_exceptions():
+    """Names of the exception classes defined under src/pepslhv/."""
+    names = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = pepslhv if path.stem == "__init__" else importlib.import_module(f"pepslhv.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and issubclass(getattr(module, node.name), BaseException):
+                names.add(node.name)
+    return names
+
+
+def main_handled_names():
+    """Names in the except clauses of cli.main."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    names = set()
+    for handler in ast.walk(main):
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+            types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            names |= {t.id if isinstance(t, ast.Name) else t.attr for t in types}
+    return names
+
+
+def test_one_exception_type_per_exit_code():
+    # an exception class that cli.main does not name makes a distinction no command makes
+    exceptions = package_exceptions()
+    assert exceptions <= main_handled_names()
+    assert set(pepslhv.__all__) == exceptions

@@ -103,14 +103,19 @@ class TestInProcess:
         with pytest.raises(UsageError, match="basis aligned:12: 17915904 entries"):
             configio.parse_basis("aligned:12:zero")
 
-    def test_basis_gen_counts_its_writer(self, tmp_path, monkeypatch):
-        # 32 D^4 with the JSON lists: D = 27 is refused before the basis is built
-        def no_basis(spec):
+    def test_basis_gen_refused_by_the_basis_guard(self, tmp_path, monkeypatch, capsys):
+        # basis gen has no budget of its own: the spec's Gram-Schmidt count refuses D = 27
+        def no_basis(D, anchor):
             raise AssertionError("the basis was built past the budget")
 
-        monkeypatch.setattr(configio, "parse_basis", no_basis)
+        monkeypatch.setattr(basis_mod, "build_aligned_basis", no_basis)
         argv = ["basis", "gen", "--D", "27", "--anchor", "zero", "--out", str(tmp_path / "b.json")]
         assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: basis aligned:27: 5230176601 entries, more than 16777216"
+        ]
 
     def test_edge_tables_refused_before_any_table(self):
         # 2 E D^2 entries: cycle:524288 at D = 4 sits at the budget, one more edge is refused

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from pepslhv import basis as basis_mod
 from pepslhv import cli, configio, construction, linalg, measurements, oracle, sampling
-from pepslhv.errors import DegenerateNormError, UsageError
+from pepslhv.errors import UsageError
 
 from conftest import recipe2_config, run_capped
 from reference import lattice_to_json, measurement_set_to_json
@@ -402,6 +402,29 @@ class TestPepsCommands:
         path.write_text(json.dumps(cfg))
         assert run("peps", "check", str(path)) == 3
 
+    @pytest.mark.parametrize(
+        "lattice, measurements, psi, message",
+        [("cycle:3", "pauli:2", "zero:4", "psi is not strictly inside the dual (margin 0.000e+00)"),
+         ("torus:3x3", "noisy-pauli:2:0.5", "plus-diag:2", "physical dimension d=4 < 2^v = 16")],
+        ids=["psi-on-the-dual-boundary", "d-below-2^v"],
+    )
+    def test_build_refused_exit_2(self, tmp_path, capsys, lattice, measurements, psi, message):
+        # each is a UsageError, with the cause in its one line
+        path = tmp_path / "inst.json"
+        assert run(
+            "peps", "build",
+            "--lattice", lattice,
+            "--basis", "aligned:2:zero",
+            "--measurements", measurements,
+            "--recipe", "2",
+            "--psi", psi,
+            "--out", str(path),
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert not path.exists()
+
     def test_epsilon_max(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
         assert run(
@@ -610,9 +633,9 @@ def with_field(config, where, value):
     return config
 
 
-PAULI2_JSON = measurement_set_to_json(measurements.pauli_product_measurements(2))
+PAULI2_JSON = measurement_set_to_json(measurements.measurement_set_from_name("pauli:2"))
 NOISY_PAULI2_JSON = measurement_set_to_json(
-    measurements.noisy_pauli_product_measurements(2, 0.5)
+    measurements.measurement_set_from_name("noisy-pauli:2:0.5")
 )
 ALIGNED2_JSON = basis_mod.basis_to_json(configio.parse_basis("aligned:2:zero"))
 MALFORMED_FIELDS = [
@@ -1017,7 +1040,7 @@ class TestSampleAndVerify:
 
     def test_degenerate_norm_exit_2(self, instance_file, capsys, monkeypatch):
         def zero_norm(instance):
-            raise DegenerateNormError("assembled state has squared norm 0.000e+00")
+            raise UsageError("assembled state has squared norm 0.000e+00")
 
         monkeypatch.setattr(oracle, "assemble_exact_state", zero_norm)
         assert run("verify", str(instance_file), "--plan", "all:XY~0.5") == 2

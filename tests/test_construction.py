@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from pepslhv import configio
 from pepslhv import construction as con
 from pepslhv.basis import build_aligned_basis, phase_point_basis
-from pepslhv.errors import ConstraintError, UsageError
+from pepslhv.errors import UsageError
 from pepslhv.lattice import build_chain, build_cycle, lattice_from_name
-from pepslhv.measurements import bell_measurement_set, noisy_pauli_product_measurements
+from pepslhv.measurements import measurement_set_from_name
 
 from conftest import build, recipe2_config
 from reference import entanglement_certificate, kraus_rank, recipe1_site_map, recipe2_site_map
@@ -23,7 +23,7 @@ def chain2_recipe2(epsilon):
         lattice=build_chain(2),
         maps={1: con.recipe2_maker(1, 2, KET0)(epsilon)},
         basis=build_aligned_basis(2, KET0),
-        measurement_set=noisy_pauli_product_measurements(1, 0.5),
+        measurement_set=measurement_set_from_name("noisy-pauli:1:0.5"),
     )
 
 
@@ -32,7 +32,7 @@ def identity_cycle(n):
         lattice=build_cycle(n),
         maps={2: con.identity_site_map(2)},
         basis=phase_point_basis(),
-        measurement_set=bell_measurement_set(),
+        measurement_set=measurement_set_from_name("bell"),
     )
 
 
@@ -55,7 +55,7 @@ class TestRecipe2:
         # d = 2 < 2^v = 4 on cycle:3, refused once by the factory
         config = recipe2_config(measurements="noisy-pauli:1:0.5")
         config["psi"] = "plus-diag:1"
-        with pytest.raises(ConstraintError, match="d=2 < 2\\^v = 4"):
+        with pytest.raises(UsageError, match="d=2 < 2\\^v = 4"):
             build(config)
 
     def test_non_orthonormal_states_rejected(self):
@@ -142,7 +142,7 @@ class TestRecipe1:
     def test_constraint(self):
         config = recipe2_config(measurements="noisy-pauli:1:0.5")
         config["psi"], config["site_map"] = "plus-diag:1", {"recipe": 1, "epsilon": 0.1}
-        with pytest.raises(ConstraintError, match="d=2 < 2\\^v = 4"):
+        with pytest.raises(UsageError, match="d=2 < 2\\^v = 4"):
             build(config)
 
 
@@ -157,7 +157,7 @@ class TestIdentityMap:
             lattice=build_chain(2),
             maps={1: con.identity_site_map(1)},
             basis=phase_point_basis(),
-            measurement_set=noisy_pauli_product_measurements(1, 0.5),
+            measurement_set=measurement_set_from_name("noisy-pauli:1:0.5"),
         )
         state, T = con.assemble_exact_state(inst)
         phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -218,7 +218,7 @@ class TestEntanglementCertificate:
 
 
 class TestPepsInstanceValidation:
-    PHASE_POINT, BELL = phase_point_basis(), bell_measurement_set()
+    PHASE_POINT, BELL = phase_point_basis(), measurement_set_from_name("bell")
 
     def instance(self, lattice, maps):
         return con.PepsInstance(
@@ -232,7 +232,7 @@ class TestPepsInstanceValidation:
                 lattice=build_cycle(3),
                 maps={2: m},
                 basis=phase_point_basis(),
-                measurement_set=noisy_pauli_product_measurements(1, 0.5),
+                measurement_set=measurement_set_from_name("noisy-pauli:1:0.5"),
             )
 
     def test_measurement_dim_mismatch_rejected(self):
@@ -242,7 +242,7 @@ class TestPepsInstanceValidation:
                 lattice=build_cycle(3),
                 maps={2: m},
                 basis=phase_point_basis(),
-                measurement_set=noisy_pauli_product_measurements(1, 0.5),
+                measurement_set=measurement_set_from_name("noisy-pauli:1:0.5"),
             )
 
     # chain:4 has degrees 1, 2, 2, 1: site 0 is the first of degree 1, site 1 of degree 2

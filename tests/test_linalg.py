@@ -113,7 +113,7 @@ class TestEntanglementEntropy:
 class TestHermiticityPolicy:
     def test_non_hermitian_rejected_not_symmetrized(self):
         with pytest.raises(UsageError):
-            linalg.check_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+            linalg.hermitian_stack([np.array([[0, 1], [0, 0]], dtype=complex)], "operator")
 
     def test_state_norm_enforced(self):
         with pytest.raises(UsageError):

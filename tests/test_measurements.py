@@ -21,7 +21,7 @@ from reference import element_stack, measurement_set_to_json, tensor_product
 
 @pytest.fixture(scope="module")
 def pauli1():
-    return meas.pauli_product_measurements(1)
+    return meas.measurement_set_from_name("pauli:1")
 
 
 class TestPovmInvariants:
@@ -184,7 +184,7 @@ class TestHeldElementStack:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_blocks_are_rows_of_the_whole_stack(self, n):
         # each block is whole POVMs, in order, bit for bit the rows of the stack built at once
-        mset = meas.pauli_product_measurements(n)
+        mset = meas.measurement_set_from_name(f"pauli:{n}")
         d = 2**n
         blocks = list(mset.element_blocks())
         assert all(len(e) % d == 0 for _, e in blocks)
@@ -196,10 +196,10 @@ class TestHeldElementStack:
         # the set keeps axis rows and eta: no element is built until read.
         # It held its 5.06 MiB stack before, and 10.4 MiB with a depolarizing
         # sum and a concatenated copy of the stack
-        meas.noisy_pauli_product_measurements(2, 0.5)  # first-call imports are not the build's
+        meas.measurement_set_from_name("noisy-pauli:2:0.5")  # first-call imports are not the build's
         tracemalloc.start()
         try:
-            mset = meas.noisy_pauli_product_measurements(4, 0.5)
+            mset = meas.measurement_set_from_name("noisy-pauli:4:0.5")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -209,7 +209,7 @@ class TestHeldElementStack:
     def test_noisy_pauli_rejects_eta_outside_unit_interval(self):
         for eta in (-0.1, 1.5):
             with pytest.raises(UsageError, match="eta"):
-                meas.noisy_pauli_product_measurements(1, eta)
+                meas.measurement_set_from_name(f"noisy-pauli:1:{eta}")
 
 
 def _loop_dual_margin(O, mset):
@@ -277,7 +277,7 @@ class TestDualMargin:
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = m @ m.conj().T
         rho /= np.trace(rho).real
-        margin = meas.dual_margin(rho, meas.pauli_product_measurements(2))
+        margin = meas.dual_margin(rho, meas.measurement_set_from_name("pauli:2"))
         assert margin.min_overlap >= -1e-10
         assert margin.max_overlap <= 1 + 1e-10
 
@@ -289,7 +289,7 @@ class TestDualMargin:
         op = m + m.conj().T
         op /= np.trace(op).real if abs(np.trace(op).real) > 0.1 else 1.0
         op = op / np.trace(op).real
-        for povm in meas.pauli_product_measurements(1).povms:
+        for povm in meas.measurement_set_from_name("pauli:1").povms:
             total = sum(np.trace(op @ x).real for x in povm.elements)
             assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -319,9 +319,9 @@ class TestPauliFamilies:
     @pytest.mark.parametrize("eta", [None, 0.5])
     def test_batched_elements_bit_identical(self, n, eta):
         if eta is None:
-            mset = meas.pauli_product_measurements(n)
+            mset = meas.measurement_set_from_name(f"pauli:{n}")
         else:
-            mset = meas.noisy_pauli_product_measurements(n, eta)
+            mset = meas.measurement_set_from_name(f"noisy-pauli:{n}:{eta}")
         all_axes = list(itertools.product("XYZ", repeat=n))
         assert len(mset.povms) == len(all_axes)
         for axes, povm in zip(all_axes, mset.povms):
@@ -334,7 +334,7 @@ class TestPauliFamilies:
         assert all(p.n_outcomes == 2 for p in pauli1.povms)
 
     def test_two_qubit_count(self):
-        mset = meas.pauli_product_measurements(2)
+        mset = meas.measurement_set_from_name("pauli:2")
         assert len(mset.povms) == 9
         assert all(p.n_outcomes == 4 for p in mset.povms)
         for p in mset.povms:
@@ -343,12 +343,12 @@ class TestPauliFamilies:
                 assert np.linalg.matrix_rank(x, tol=1e-10) == 1
 
     def test_completeness(self):
-        for p in meas.pauli_product_measurements(2).povms:
+        for p in meas.measurement_set_from_name("pauli:2").povms:
             total = sum(p.elements)
             assert np.allclose(total, np.eye(4), atol=1e-12)
 
     def test_noisy_family_shrinks_overlap_spread(self, pauli1):
-        noisy = meas.noisy_pauli_product_measurements(1, 0.5)
+        noisy = meas.measurement_set_from_name("noisy-pauli:1:0.5")
         m = meas.dual_margin(np.diag([1.0, 0.0]), noisy)
         # depolarized elements pull every overlap toward tr(X)/d
         assert m.margin == pytest.approx(0.25, abs=1e-12)
@@ -429,7 +429,7 @@ class TestAdmissibility:
     def test_three_spaces_match_tensor_product_loop(self):
         b = build_aligned_basis(2, np.array([1, 0]))
         flags = (False, True, True)
-        _, povm = meas.pauli_product_measurements(3).by_label("XYZ")
+        _, povm = meas.measurement_set_from_name("pauli:3").by_label("XYZ")
         report = meas.admissible_povm(povm, b, flags)
         min_v, max_v, worst = np.inf, -np.inf, ((0, 0, 0), 0, 0.0)
         for tup in itertools.product(range(4), repeat=3):
@@ -489,7 +489,7 @@ class TestMarginConcavity:
     @settings(max_examples=20)
     def test_midpoint_margin(self, seed):
         rng = np.random.default_rng(seed)
-        mset = meas.pauli_product_measurements(1)
+        mset = meas.measurement_set_from_name("pauli:1")
 
         def herm():
             m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -504,7 +504,7 @@ class TestMarginConcavity:
 
 class TestJsonRoundTrip:
     def test_round_trip(self):
-        mset = meas.noisy_pauli_product_measurements(1, 0.5)
+        mset = meas.measurement_set_from_name("noisy-pauli:1:0.5")
         back = meas.measurement_set_from_json(measurement_set_to_json(mset))
         assert back.dim == mset.dim
         assert [p.label for p in back.povms] == [p.label for p in mset.povms]
@@ -513,7 +513,7 @@ class TestJsonRoundTrip:
                 assert np.allclose(x, y, atol=0)
 
     def test_dim_mismatch_detected(self):
-        obj = measurement_set_to_json(meas.bell_measurement_set())
+        obj = measurement_set_to_json(meas.measurement_set_from_name("bell"))
         obj["dim"] = 2
         with pytest.raises(UsageError):
             meas.measurement_set_from_json(obj)

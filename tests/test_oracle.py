@@ -14,7 +14,7 @@ from pepslhv import construction as con
 from pepslhv import decomposition as dec
 from pepslhv import cli, configio, linalg, oracle, sampling
 from pepslhv.errors import UsageError
-from pepslhv.measurements import Povm, pauli_product_measurements
+from pepslhv.measurements import Povm, measurement_set_from_name
 
 from conftest import build, recipe2_config, run_capped
 from reference import born_joint_distribution, born_joint_full_operator, site_families
@@ -23,7 +23,7 @@ BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
 def pauli1(label):
-    _, povm = pauli_product_measurements(1).by_label(label)
+    _, povm = measurement_set_from_name("pauli:1").by_label(label)
     return povm
 
 
