@@ -186,7 +186,6 @@ def main_handled_names():
 
 
 def test_one_exception_type_per_exit_code():
-    # an exception class that cli.main does not name makes a distinction no command makes
     exceptions = package_exceptions()
     assert exceptions <= main_handled_names()
     assert set(pepslhv.__all__) == exceptions
