@@ -1,23 +1,24 @@
 """The epsilon search's verdict: rv_positivity_check(instance).passed, in real coordinates.
 
-`decomposition.max_epsilon_search` needs only pass or fail at each point
-it visits, and its instances differ only in their site maps.  So
-`EpsilonProbe` resolves what does not depend on epsilon from the first,
-then reads only each instance's site maps, holds every operator in real
-Hermitian coordinates (half the inner dimension of the complex overlaps),
-and stops at the first failing row block.  The row rule is the
-certificate's (`decomposition._usable_traces`, `_row_rule`); the overlaps
-round differently, so the certificate and the sampler keep complex ones.
+`max_epsilon_search` needs only pass or fail per point, and its instances
+differ only in their site maps.  `EpsilonProbe` resolves the rest once, holds
+operators in real Hermitian coordinates (half the inner dimension of complex
+overlaps) and stops at the first row block failing the certificate's row
+rule.  No product of basis elements is built: over the generators G_a of one
+bond (`basis.hermitian_spanning_set`), a family's coordinates are one map per
+degree, over G_a1 (x) ... (x) G_av, contracted bond by bond with the basis's.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from pepslhv.basis import basis_products
-from pepslhv.construction import PepsInstance
+from pepslhv import linalg
+from pepslhv.basis import hermitian_spanning_set
+from pepslhv.construction import PepsInstance, SiteMap
 from pepslhv.decomposition import _family_sites, _row_blocks, _row_rule, _usable_traces
 from pepslhv.decomposition import rv_positivity_check
 
@@ -28,175 +29,113 @@ _COORD_BOUND = np.finfo(float).max / 4
 def _hermitian_coords(ops: np.ndarray, off: float) -> np.ndarray:
     """(m^2, n) real coordinates, one column per operator of an (n, m, m) stack.
 
-    A column holds the diagonal, then off times Re(X_ij + X_ji) and then off
-    times Im(X_ij - X_ji), over i < j in row-major order.  With off = 1/2
-    these are the coordinates of the Hermitian part of X over the
-    generators E_ii, E_ij + E_ji and i(E_ij - E_ji).  With off = 1 (the
-    measurement elements) the dot product with a Hermitian O's coordinates is
-    Re tr(O X^dag), the tr(O X) of linalg.overlaps.  Built one row of the
-    upper triangle at a time, so no temporary exceeds n * m entries.
+    A column holds the diagonal, then off times Re(X_ij + X_ji) and Im(X_ij - X_ji)
+    over i < j in row-major order: with off = 1/2, X's Hermitian part over
+    E_ii, E_ij + E_ji and i(E_ij - E_ji).  With off = 1 (the elements) its dot
+    product with a Hermitian O's is Re tr(O X^dag), the tr(O X) of linalg.overlaps.
     """
-    n, m = ops.shape[0], ops.shape[-1]
-    half = m * (m - 1) // 2
-    out = np.empty((m * m, n))
-    out[:m] = np.diagonal(ops, axis1=1, axis2=2).real.T
-    p = m
-    for i in range(m - 1):
-        upper, lower = ops[:, i, i + 1 :], ops[:, i + 1 :, i]
-        q = p + m - 1 - i
-        out[p:q] = (off * (upper.real + lower.real)).T
-        out[half + p : half + q] = (off * (upper.imag - lower.imag)).T
-        p = q
-    return out
+    i, j = np.triu_indices(ops.shape[-1], 1)
+    upper, lower = ops[:, i, j], ops[:, j, i]
+    diagonal = np.diagonal(ops, axis1=1, axis2=2).real
+    return np.concatenate([diagonal, off * (upper.real + lower.real), off * (upper.imag - lower.imag)], 1).T
 
 
-def _map_matrix(K: np.ndarray) -> np.ndarray:
-    """(d^2, D^2v) real matrix of H -> K H K^dag on _hermitian_coords (off = 1/2).
+def _product_map(site_map: SiteMap, work) -> np.ndarray:
+    """(d^2, D^2v) real map: column a holds _hermitian_coords (off = 1/2) of K (G_a1 (x) ... (x) G_av) K^dag.
 
-    Column a holds the coordinates of K G_a K^dag, G_a the a-th generator
-    (E_aa, then E_ab + E_ba, then i(E_ab - E_ba) over a < b), read off its
-    diagonal and upper triangle.  Built one generator row a at a time, as
-    _hermitian_coords is.  A Kraus operator near the float range gives
+    Tuples a in C-order.  T[x_1, y_1, ..., x_v, y_v, (i <= j)] = K[i, x] conj(K[j, y])
+    takes one real product per bond, in work's two buffers in turn (their
+    pages stay mapped): G_a is real, or i times a real matrix, so a tuple's
+    power of i comes last.  A Kraus operator near the float range gives
     non-finite entries, without a warning.
     """
-    d, n = K.shape
-    i, j = np.triu_indices(d, 1)
-    half = n * (n - 1) // 2
-    M = np.empty((d * d, n * n))
-    # real parts on the diagonal and the upper triangle, imaginary parts on the upper triangle
-    re, im = M[: d + len(i)], M[d + len(i) :]
-    # entry (rows[c], cols[c]) of K E_ab K^dag is left[c, a] * right[c, b]
-    left = K[np.concatenate([np.arange(d), i])]
-    right = K[np.concatenate([np.arange(d), j])].conj()
+    K, D, v, d = site_map.K, site_map.D, site_map.v, site_map.d
+    phase = np.where(np.arange(D * D) < D * (D + 1) // 2, 1.0, 1j)
+    g = np.ascontiguousarray((hermitian_spanning_set(D) / phase[:, None, None]).real.reshape(D * D, -1))
+    i, j = (np.concatenate([np.arange(d), t]) for t in np.triu_indices(d, 1))
+    T = work[0][: len(i) * D ** (2 * v)].reshape((D, D) * v + (len(i),))
     with np.errstate(over="ignore", invalid="ignore"):
-        x = left * right
-        re[:, :n], im[:, :n] = x.real, x[d:].imag
-        p = n
-        for a in range(n - 1):
-            q = p + n - 1 - a
-            x, y = left[:, a, None] * right[:, a + 1 :], left[:, a + 1 :] * right[:, a, None]
-            s = x + y
-            re[:, p:q], im[:, p:q] = s.real, s[d:].imag
-            s = x - y  # the image of i(E_ab - E_ba) is i s
-            re[:, half + p : half + q], im[:, half + p : half + q] = -s.imag, s[d:].real
-            p = q
-    return M
+        np.multiply(K[i].T.reshape((D, 1) * v + (-1,)), K[j].conj().T.reshape((1, D) * v + (-1,)), out=T)
+        for p in range(v):
+            A = T.view(float).reshape(D ** (2 * p), D * D, -1)
+            T = np.matmul(g, A, out=work[(p + 1) % 2].view(float)[: A.size].reshape(A.shape))
+        X = T.view(complex).reshape(D ** (2 * v), -1)
+        X *= functools.reduce(np.multiply.outer, [phase] * v).reshape(-1, 1)
+        return np.concatenate([X.real.T, X.imag[:, d:].T])
 
 
-def _transposition(D: int, flags: np.ndarray):
-    """(source, sign) with coords(X~) = sign * coords(X)[source] for every X, in _hermitian_coords.
+def _family_coords(M: np.ndarray, bonds: list, work):
+    """(coordinates, a row per index tuple in C-order; trace per row) of a family's outputs.
 
-    X~ is X on (C^D)^(x v) with its flagged factors transposed: entry
-    (l, m) of X~ is entry (a, b) of X, a and b being l and m with their
-    flagged digits swapped.  Its coordinate reads X at (a, b), or at the
-    mirror (b, a) when a > b, where an imaginary part changes sign.
+    M is the degree's _product_map, bonds one c per bond.  Each product
+    contracts the last a and puts its k first, in one of work's buffers.
     """
-    v, n = len(flags), D ** len(flags)
-    i, j = np.triu_indices(n, 1)
-    half = len(i)
-    # coordinate c sits at entry (rows[c], cols[c]) of the upper triangle
-    rows = np.concatenate([np.arange(n), i, i])
-    cols = np.concatenate([np.arange(n), j, j])
-    r, c = (np.array(np.unravel_index(x, (D,) * v)) for x in (rows, cols))
-    r[flags], c[flags] = c[flags], r[flags]
-    a, b = np.ravel_multi_index(r, (D,) * v), np.ravel_multi_index(c, (D,) * v)
-    index = np.zeros((n, n), dtype=np.intp)
-    index[range(n), range(n)] = range(n)
-    index[i, j] = range(n, n + half)
-    source = index[np.minimum(a, b), np.maximum(a, b)]
-    imag = np.arange(n * n) >= n + half
-    source[imag] += half
-    return source, np.where(imag & (a > b), -1.0, 1.0)
+    d2, n, X = M.shape[0], len(bonds[0]), M
+    for p, c in enumerate(reversed(bonds)):
+        X = np.matmul(c.T, X.reshape(-1, n).T, out=work[p % 2].view(float)[: M.size].reshape(n, -1))
+    X = X.reshape(-1, d2)
+    return X, X[:, : math.isqrt(d2)].sum(axis=1)
 
 
 class EpsilonProbe:
     """rv_positivity_check(instance).passed, for the instances of one epsilon search.
 
-    Built from the search's first instance, it resolves once what a search
-    holds fixed: each family's degree, transposition (_transposition) and
-    row blocks; the basis products of each degree (site_operator_family with
-    K = I and no transposed end) and the elements, in real Hermitian
-    coordinates (_hermitian_coords), the elements filled one element block
-    at a time; the column slices of the elements; one scratch buffer.  A
-    call reads only its instance's site maps: one map matrix per degree,
-    then real products per row block and column slice give a family's
-    overlaps with half the inner dimension of linalg.overlaps.  Blocks are
-    judged by _scan_family's row rule, and the call stops at the first slice
-    that fails a row, trying the row block that failed last first.  The
-    verdict is the certificate's, however the overlaps round.  An instance
-    whose outputs may overflow is judged by rv_positivity_check itself,
-    which raises for a non-finite family.
+    Built from the first instance: each family's degree, c per bond and row
+    blocks; the elements' coordinates (off = 1), one element block at a time;
+    the buffers.  A call makes one _product_map per degree and each family's
+    _family_coords when its turn comes, and stops at the first column slice
+    failing a row, trying the row block that failed last first.  An instance
+    whose outputs may overflow is judged by rv_positivity_check itself.
     """
 
     def __init__(self, instance: PepsInstance):
-        mset, lat = instance.measurement_set, instance.lattice
+        mset, lat, D = instance.measurement_set, instance.lattice, instance.D
         self._stack = np.empty((mset.dim**2, mset.n_elements))  # element coordinates
         col = 0
         for where, elements in mset.element_blocks():
             self._stack[:, col : col + len(where)] = _hermitian_coords(elements, 1.0)
             col += len(where)
             del elements  # before the next block is built
-        # BLAS packs each product's slice, so a slice holds about SCAN_BLOCK_ENTRIES
-        # coordinates: epsilon-max on torus:3x3 peaks at 37.9 MB, 40.0 MB in one slice
+        # BLAS packs each product's slice: a slice holds about SCAN_BLOCK_ENTRIES coordinates
         self._cols = list(_row_blocks(mset.n_elements, mset.dim**2))
-        firsts, _ = _family_sites(instance)
-        products = {}  # v -> (coordinates, a column per index tuple; largest column 1-norm)
-        self._families = []  # (v, *products[v], *transposition, row blocks) per family
-        for s in firsts:
+        # c[a, k] = tr(G_a C~_k) = tr(G_a^T C_k), and G_a^T = -G_a for the antisymmetric
+        # G_a: a tail end negates their rows.  C~_k = sum_a c[a, k] G_a
+        G = hermitian_spanning_set(D)
+        self._families = []  # (v, c per bond, row blocks) per family
+        for s in _family_sites(instance)[0]:
             v = int(lat.degrees[s])
-            if v not in products:
-                P = _hermitian_coords(basis_products(instance.basis, (False,) * v), 0.5)
-                products[v] = P, float(np.abs(P).sum(axis=0).max())
-            P, p_norm = products[v]
-            source, sign = _transposition(instance.D, ~lat.is_head[-v:, s])
-            blocks = list(_row_blocks(P.shape[1], mset.n_elements))
-            self._families.append((v, P, p_norm, source, sign, blocks))
+            bonds = [linalg.overlaps(G.transpose(0, 2, 1) if t else G, instance.basis.elements)
+                     for t in ~lat.is_head[-v:, s]]
+            self._families.append((v, bonds, list(_row_blocks((D * D) ** v, mset.n_elements))))
+        # a coordinate is at most the largest map entry times c_norm^v, the same for every c
+        self._c_norm = float(np.abs(bonds[0]).sum(axis=0).max())
+        n = mset.dim * (mset.dim + 1) // 2 * D ** (2 * max(v for v, *_ in self._families))
+        self._work = (np.empty(n, complex), np.empty(n, complex))
         rows = max(b - a for *_, blocks in self._families for a, b in blocks)
         self._out = np.empty((rows, max(q - p for p, q in self._cols)))
         self._last_fail = (0, 0)  # (family, block) of the last failing call
 
     def __call__(self, instance: PepsInstance) -> bool:
-        maps = {}
-        for v, m in instance.maps.items():
-            M = _map_matrix(m.K)
-            maps[v] = M, float(max(M.max(), -M.min()))  # nan or inf if M is not finite
-        # a coordinate is at most p_norm * top in size, and a trace sums d of
-        # them.  Past the bound an output may not be finite: the certificate
-        # then gives the verdict, and raises for the first non-finite family
-        for v, _, p_norm, *_ in self._families:
-            M, top = maps[v]
-            if not p_norm * top * len(M) <= _COORD_BOUND:
+        maps = {v: _product_map(m, self._work) for v, m in instance.maps.items()}
+        # a trace sums d coordinates.  Past the bound (nan for a non-finite
+        # map) an output may not be finite: the certificate then gives the
+        # verdict, and raises for the first non-finite family
+        for v, M in maps.items():
+            if not self._c_norm**v * float(np.abs(M).max()) * len(M) <= _COORD_BOUND:
                 return rv_positivity_check(instance).passed
         last_f, last_k = self._last_fail
         for f in sorted(range(len(self._families)), key=lambda f: f != last_f):
-            v, P, _, source, sign, blocks = self._families[f]
-            M = maps[v][0]
-            ok, div = _usable_traces(_family_traces(P, source, sign, M))
+            v, bonds, blocks = self._families[f]
+            coords, traces = _family_coords(maps[v], bonds, self._work)
+            ok, div = _usable_traces(traces)
             for k in sorted(range(len(blocks)), key=lambda k: (f, k) != (last_f, last_k)):
                 a, b = blocks[k]
-                rows = _family_rows(P, source, sign, a, b) @ M.T
                 lo, hi = np.inf, -np.inf
                 # a row failing on some columns fails on all of them
                 for p, q in self._cols:
-                    block = np.matmul(rows, self._stack[:, p:q], out=self._out[: b - a, : q - p])
+                    block = np.matmul(coords[a:b], self._stack[:, p:q], out=self._out[: b - a, : q - p])
                     lo, hi = np.minimum(lo, block.min(axis=1)), np.maximum(hi, block.max(axis=1))
                     if _row_rule(lo, hi, ok[a:b], div[a:b])[1].any():
                         self._last_fail = (f, k)
                         return False
         return True
-
-
-def _family_traces(P: np.ndarray, source: np.ndarray, sign: np.ndarray, M: np.ndarray):
-    """Real trace of each output of a family: _family_rows' coordinates, M = _map_matrix(K)."""
-    d = math.isqrt(len(M))
-    # the trace of row r is the sum over c of sign[c] P[source[c], r] M[:d, c].sum()
-    t = np.empty(len(P))
-    t[source] = sign * M[:d].sum(axis=0)
-    return t @ P
-
-
-def _family_rows(P: np.ndarray, source: np.ndarray, sign: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Rows [a, b) of a family's coordinates, (b - a, D^2v): column c is sign[c] * P[source[c]]."""
-    rows = P[source, a:b]
-    rows *= sign[:, None]
-    return rows.T

@@ -222,3 +222,15 @@ def test_largest_products_peak_near_the_budget(tmp_path):
     proc, peak = capped_peak("-m", "pepslhv.cli", "peps", "check", str(path))
     assert proc.returncode == 0, proc.stderr
     assert peak <= (1.25 * 256 + 45) * 2**20
+
+
+def test_largest_epsilon_search_builds_no_products(tmp_path):
+    # peps epsilon-max on the same instance: the probe works in product
+    # coordinates, d^2 x D^4 reals per map, so no product stack is built (it
+    # cached D^4 x D^4 coordinates of them and peaked at 419 MB)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(factorizable_cycle(3, 8)))
+    proc, peak = capped_peak("-m", "pepslhv.cli", "peps", "epsilon-max", str(path), "--eps-hi", "1.0")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"eps_pass": 0.01348876953125, "eps_fail": 0.0135498046875}
+    assert peak <= 100 * 2**20

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pepslhv import basis as basis_mod
 from pepslhv import configio, epsilon_probe
 from pepslhv import construction as con
 from pepslhv import decomposition as dec
 from pepslhv import cli, linalg, sampling
 from pepslhv.basis import basis_products, build_aligned_basis, phase_point_basis
 from pepslhv.errors import NotFactorizableError, UsageError
-from pepslhv.lattice import build_chain, build_cycle, lattice_from_name
+from pepslhv.lattice import Lattice, build_chain, build_cycle, lattice_from_name
 from pepslhv.measurements import (
     ELEMENT_BLOCK_ENTRIES,
     MeasurementSet,
@@ -426,7 +428,7 @@ class TestKrausScale:
         assert capsys.readouterr().err == ""
 
     @SCALED_CASES
-    @pytest.mark.parametrize("command", ["sample", "check", "verify"])
+    @pytest.mark.parametrize("command", ["sample", "check", "verify", "epsilon-max"])
     def test_cli_overflow_exit_2_one_line(
         self, tmp_path, capsys, lattice, qubits, epsilon, command
     ):
@@ -436,10 +438,49 @@ class TestKrausScale:
             "sample": ["sample", path, *plan, "--shots", "10", "--out", str(tmp_path / "s.jsonl")],
             "check": ["peps", "check", path],
             "verify": ["verify", path, *plan, "--mode", "mixture"],
+            "epsilon-max": ["peps", "epsilon-max", path, "--eps-hi", "1.0"],
         }[command]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        if command == "epsilon-max":
+            # the probe's map is not finite, so the certificate judges, and refuses the family
+            assert err == ["error: site 0: non-finite output operator"]
+
+    @SCALED_CASES
+    def test_cli_epsilon_max_bytes_unscaled(self, tmp_path, capsys, lattice, qubits, epsilon):
+        # x 2^511: the map is finite, but past the probe's bound the certificate judges
+        outputs = []
+        for p in (0, 300, -300, 511):
+            argv = ["peps", "epsilon-max", scaled_file(tmp_path, lattice, qubits, epsilon, p), "--eps-hi", "1.0"]
+            assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].err == "" and json.loads(outputs[0].out)["eps_pass"] == 1.0
+        assert outputs[1:] == outputs[:1] * 3
+
+    @SCALED_CASES
+    def test_probe_verdict_near_the_float_range(self, lattice, qubits, epsilon):
+        # x 2^500 to 2^520 crosses the probe's bound and the float range: its
+        # verdict, or the UsageError it raises, is the certificate's, and so
+        # are its warnings (on torus:3x3 at x 2^513 every entry is finite but
+        # the certificate's trace sums overflow)
+        inst = scaled_case(lattice, qubits, epsilon)
+        probe = epsilon_probe.EpsilonProbe(inst)
+        outcomes = []
+        for power in range(500, 521):
+            verdicts = []
+            for judge in (probe, lambda x: dec.rv_positivity_check(x).passed):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        verdict = judge(scaled(inst, 2.0**power))
+                    except UsageError as exc:
+                        verdict = str(exc)
+                verdicts.append((verdict, [str(w.message) for w in caught]))
+            assert verdicts[0] == verdicts[1], power
+            outcomes.append(verdicts[0])
+        assert outcomes[0] == (True, [])
+        assert outcomes[-1] == ("site 0: non-finite output operator", [])
 
     def test_cli_all_zero_kraus_exit_2(self, tmp_path, capsys):
         config = recipe2_config()
@@ -839,21 +880,48 @@ EPSILON_SEARCHES = {
 
 
 class TestMaxEpsilonSearch:
-    @pytest.mark.parametrize("D, v", [(2, 1), (2, 2), (2, 4), (3, 1), (3, 3)])
-    def test_transposition_is_the_einsum_with_transposed_ends(self, D, v):
+    @staticmethod
+    def assert_probe_families_match_the_family_stack(inst):
+        """Each family's _family_coords and traces, in the probe's buffers, against _family_stack."""
+        stack, _ = element_stack(inst.measurement_set)
+        probe = epsilon_probe.EpsilonProbe(inst)
+        firsts = dec._family_sites(inst)[0]
+        for s, (v, bonds, _) in zip(firsts, probe._families, strict=True):
+            ops = dec._family_stack(inst, s)
+            assert v == inst.lattice.degrees[s]
+            M = epsilon_probe._product_map(inst.maps[v], probe._work)
+            coords, traces = epsilon_probe._family_coords(M, bonds, probe._work)
+            scale = np.abs(ops).max()
+            assert np.allclose(
+                coords, epsilon_probe._hermitian_coords(ops, 0.5).T, rtol=0, atol=1e-14 * scale
+            )
+            assert np.allclose(traces, dec.operator_traces(ops), rtol=0, atol=1e-13 * scale)
+            assert np.allclose(
+                coords @ probe._stack, linalg.overlaps(ops, stack), rtol=0, atol=1e-13 * scale
+            )
+
+    @pytest.mark.parametrize("D, v", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+    def test_every_flag_pattern_matches_the_family_stack(self, D, v):
+        # a star whose centre has degree v and head flags ~flags, with random
+        # complex Kraus maps, whose K^dag K is not diagonal, for degrees v and 1
+        rng = np.random.default_rng(7)
+        mset = measurement_set_from_name("pauli:2")
         b = configio.parse_basis(f"aligned:{D}:zero")
-        unflagged = epsilon_probe._hermitian_coords(basis_products(b, (False,) * v), 0.5)
         for flags in itertools.product([False, True], repeat=v):
-            source, sign = epsilon_probe._transposition(D, np.array(flags))
-            direct = epsilon_probe._hermitian_coords(basis_products(b, flags), 0.5)
-            assert np.array_equal(unflagged[source] * sign[:, None], direct), flags
+            lat = Lattice(v + 1, [(p + 1, 0) if t else (0, p + 1) for p, t in enumerate(flags)])
+            assert np.array_equal(lat.is_head[-v:, 0], ~np.array(flags))
+            maps = {
+                w: con.SiteMap(w, D, 4, rng.normal(size=(4, D**w)) + 1j * rng.normal(size=(4, D**w)))
+                for w in {1, v}
+            }
+            inst = con.PepsInstance(lattice=lat, maps=maps, basis=b, measurement_set=mset)
+            self.assert_probe_families_match_the_family_stack(inst)
 
     @pytest.mark.parametrize("lattice, qubits", [("chain:4", 2), ("cycle:3", 2), ("torus:3x3", 4)])
     def test_probe_coordinates_match_the_family_stack(self, lattice, qubits):
-        # random complex Kraus maps, whose K^dag K is not diagonal, one per degree
+        # random complex Kraus maps, one per degree
         rng = np.random.default_rng(5)
         lat = lattice_from_name(lattice)
-        mset = measurement_set_from_name(f"noisy-pauli:{qubits}:0.5")
         d = 2**qubits
         maps = {
             v: con.SiteMap(v, 2, d, rng.normal(size=(d, 2**v)) + 1j * rng.normal(size=(d, 2**v)))
@@ -863,27 +931,9 @@ class TestMaxEpsilonSearch:
             lattice=lat,
             maps=maps,
             basis=build_aligned_basis(2, KET0),
-            measurement_set=mset,
+            measurement_set=measurement_set_from_name(f"noisy-pauli:{qubits}:0.5"),
         )
-        stack, _ = element_stack(mset)
-        probe = epsilon_probe.EpsilonProbe(inst)
-        firsts = dec._family_sites(inst)[0]
-        for s, (v, P, _, source, sign, _) in zip(firsts, probe._families, strict=True):
-            ops = dec._family_stack(inst, s)
-            assert v == lat.degrees[s]
-            M = epsilon_probe._map_matrix(inst.maps[v].K)
-            coords = epsilon_probe._family_rows(P, source, sign, 0, len(ops)) @ M.T
-            scale = np.abs(ops).max()
-            assert np.allclose(
-                coords, epsilon_probe._hermitian_coords(ops, 0.5).T, rtol=0, atol=1e-14 * scale
-            )
-            assert np.allclose(
-                epsilon_probe._family_traces(P, source, sign, M), dec.operator_traces(ops),
-                rtol=0, atol=1e-13 * scale,
-            )
-            assert np.allclose(
-                coords @ probe._stack, linalg.overlaps(ops, stack), rtol=0, atol=1e-13 * scale
-            )
+        self.assert_probe_families_match_the_family_stack(inst)
 
     @pytest.mark.parametrize("case", list(EPSILON_SEARCHES))
     def test_probe_verdict_is_the_certificate_verdict(self, case):
@@ -906,8 +956,7 @@ class TestMaxEpsilonSearch:
 
     def test_torus3x3_search_resolves_its_fixed_parts_once(self, monkeypatch):
         make = configio.instance_factory(scaled_config("torus:3x3", 4, 0.0))
-        families = len(dec._family_sites(make(0.0))[0])
-        counts = {"make": 0, "element_blocks": 0, "_transposition": 0}
+        counts = {"make": 0, "element_blocks": 0, "basis_products": 0}
 
         def counted(name, fn):
             def call(*args, **kwargs):
@@ -919,12 +968,12 @@ class TestMaxEpsilonSearch:
         monkeypatch.setattr(
             MeasurementSet, "element_blocks", counted("element_blocks", MeasurementSet.element_blocks)
         )
-        monkeypatch.setattr(
-            epsilon_probe, "_transposition", counted("_transposition", epsilon_probe._transposition)
-        )
+        # the probe works in product coordinates: no family and no product stack is built
+        for module in (basis_mod, dec):
+            monkeypatch.setattr(module, "basis_products", counted("basis_products", basis_products))
         lo, hi = dec.max_epsilon_search(counted("make", make), 1.0)
         assert (lo, hi) == (0.169921875, 0.16998291015625)
-        assert counts == {"make": 14, "element_blocks": 1, "_transposition": families}
+        assert counts == {"make": 14, "element_blocks": 1, "basis_products": 0}
 
     def test_fresh_objects_per_epsilon_give_the_same_search(self):
         # as perfbench's --trace 1 replay does: each epsilon's instance is
