@@ -50,8 +50,9 @@ def _product_map(site_map: SiteMap, work) -> np.ndarray:
     non-finite entries, without a warning.
     """
     K, D, v, d = site_map.K, site_map.D, site_map.v, site_map.d
-    phase = np.where(np.arange(D * D) < D * (D + 1) // 2, 1.0, 1j)
-    g = np.ascontiguousarray((hermitian_spanning_set(D) / phase[:, None, None]).real.reshape(D * D, -1))
+    G = hermitian_spanning_set(D)
+    g = (G.real + G.imag).reshape(D * D, -1)  # G_a = phase[a] g_a, each G_a real or imaginary
+    phase = np.where(G.imag.any(axis=(1, 2)), 1j, 1.0)
     i, j = (np.concatenate([np.arange(d), t]) for t in np.triu_indices(d, 1))
     T = work[0][: len(i) * D ** (2 * v)].reshape((D, D) * v + (len(i),))
     with np.errstate(over="ignore", invalid="ignore"):
