@@ -900,22 +900,51 @@ class TestMaxEpsilonSearch:
                 coords @ probe._stack, linalg.overlaps(ops, stack), rtol=0, atol=1e-13 * scale
             )
 
+    @staticmethod
+    def star_instance(D, flags, rng):
+        """A star whose centre, site 0, has degree v = len(flags) and head flags ~flags.
+
+        Random complex Kraus maps, whose K^dag K is not diagonal, for degrees v and 1.
+        """
+        v = len(flags)
+        lat = Lattice(v + 1, [(p + 1, 0) if t else (0, p + 1) for p, t in enumerate(flags)])
+        assert np.array_equal(lat.is_head[-v:, 0], ~np.array(flags))
+        maps = {
+            w: con.SiteMap(w, D, 4, rng.normal(size=(4, D**w)) + 1j * rng.normal(size=(4, D**w)))
+            for w in {1, v}
+        }
+        b = configio.parse_basis(f"aligned:{D}:zero")
+        mset = measurement_set_from_name("pauli:2")
+        return con.PepsInstance(lattice=lat, maps=maps, basis=b, measurement_set=mset)
+
+    @pytest.mark.parametrize("D, v", [(2, 1), (2, 2), (2, 4), (3, 1), (3, 3)])
+    def test_transposition_is_the_einsum_with_transposed_ends(self, D, v):
+        # the centre's c per bond, over the tuples G_a1 (x) ... (x) G_av, against
+        # the basis products with a transposed factor at each tail end
+        rng = np.random.default_rng(11)
+        G = basis_mod.hermitian_spanning_set(D)
+        antisymmetric = G.imag.any(axis=(1, 2))
+        tuples = functools.reduce(
+            lambda X, Y: np.einsum("aij,bkl->abikjl", X, Y).reshape(len(X) * len(Y), len(X[0]) * D, -1), [G] * v
+        )
+        unflagged = None
+        for flags in itertools.product([False, True], repeat=v):
+            inst = self.star_instance(D, flags, rng)
+            probe = epsilon_probe.EpsilonProbe(inst)
+            firsts = dec._family_sites(inst)[0]
+            [bonds] = [c for s, (_, c, _) in zip(firsts, probe._families, strict=True) if s == 0]
+            unflagged = bonds[0] if unflagged is None else unflagged
+            # a tail end negates the rows of the antisymmetric G_a, and only those
+            for c, t in zip(bonds, flags, strict=True):
+                assert np.array_equal(c, np.where(t & antisymmetric, -1.0, 1.0)[:, None] * unflagged), flags
+            direct = linalg.overlaps(tuples, basis_products(inst.basis, flags))
+            assert np.allclose(functools.reduce(np.kron, bonds), direct, rtol=0, atol=1e-13), flags
+
     @pytest.mark.parametrize("D, v", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
     def test_every_flag_pattern_matches_the_family_stack(self, D, v):
-        # a star whose centre has degree v and head flags ~flags, with random
-        # complex Kraus maps, whose K^dag K is not diagonal, for degrees v and 1
         rng = np.random.default_rng(7)
-        mset = measurement_set_from_name("pauli:2")
-        b = configio.parse_basis(f"aligned:{D}:zero")
         for flags in itertools.product([False, True], repeat=v):
-            lat = Lattice(v + 1, [(p + 1, 0) if t else (0, p + 1) for p, t in enumerate(flags)])
-            assert np.array_equal(lat.is_head[-v:, 0], ~np.array(flags))
-            maps = {
-                w: con.SiteMap(w, D, 4, rng.normal(size=(4, D**w)) + 1j * rng.normal(size=(4, D**w)))
-                for w in {1, v}
-            }
-            inst = con.PepsInstance(lattice=lat, maps=maps, basis=b, measurement_set=mset)
-            self.assert_probe_families_match_the_family_stack(inst)
+            self.assert_probe_families_match_the_family_stack(self.star_instance(D, flags, rng))
 
     @pytest.mark.parametrize("lattice, qubits", [("chain:4", 2), ("cycle:3", 2), ("torus:3x3", 4)])
     def test_probe_coordinates_match_the_family_stack(self, lattice, qubits):
