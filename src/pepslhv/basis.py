@@ -70,16 +70,14 @@ class OperatorBasis:
         return linalg.overlaps(self.elements, linalg.projector(state)[None])[:, 0]
 
     def anchor_overlaps(self) -> np.ndarray:
-        if self.anchor is None:
-            raise UsageError("basis has no anchor")
         return self.anchor_overlaps_of(self.anchor)
 
 
 def basis_products(op_basis: OperatorBasis, flags: Sequence[bool]) -> np.ndarray:
     """C~_{k_1} (x) ... (x) C~_{k_v} per index tuple, ((D^2)^v, D^v, D^v); C~ is C^T where flagged.
 
-    Index tuples in C-order.  The certificate's site families, the epsilon
-    probe and admissibility all read these products.
+    Index tuples in C-order.  The certificate's site families and
+    admissibility read these products.
     """
     v = len(flags)
     C = op_basis.elements
@@ -93,8 +91,6 @@ def basis_products(op_basis: OperatorBasis, flags: Sequence[bool]) -> np.ndarray
 
 def max_ent_state(D: int) -> np.ndarray:
     """(1/sqrt(D)) sum_j |jj> on two D-level systems."""
-    if D < 2:
-        raise UsageError(f"bond dimension must be >= 2, got {D}")
     vec = np.zeros(D * D, dtype=complex)
     vec[np.arange(D) * D + np.arange(D)] = 1.0 / np.sqrt(D)
     return vec
@@ -151,11 +147,7 @@ def build_aligned_basis(D: int, anchor) -> OperatorBasis:
     mixes with the Householder reflection sending e_1 to the uniform unit
     vector, so every C_k picks up the same 1/D weight on G_1.
     """
-    if D < 2:
-        raise UsageError(f"bond dimension must be >= 2, got {D}")
     phi = linalg.as_state(anchor)
-    if phi.size != D:
-        raise UsageError(f"anchor dimension {phi.size} != D = {D}")
     R = _householder_to_uniform(D**2)
     # C_k = sqrt(D) sum_l R[k, l] G_l, summed over l in order for every k at
     # once; the G_l are released before the basis is validated

@@ -103,8 +103,6 @@ def _named_state(spec: str, dim: int) -> np.ndarray:
         arg = int(args[0]) if args else None
     except ValueError as exc:
         raise UsageError(f"bad state spec '{spec}': {exc}") from exc
-    if dim < 1:
-        raise UsageError(f"state '{spec}' needs a positive dimension, got {dim}")
     if name in ("zero", "uniform"):
         if arg not in (None, dim):
             raise UsageError(f"state '{spec}' does not have dimension {dim}")

@@ -36,8 +36,6 @@ class SiteMap:
     K: np.ndarray  # (d x D^v)
 
     def __post_init__(self):
-        if self.v < 1 or self.D < 2 or self.d < 1:
-            raise UsageError(f"bad site map dimensions v={self.v}, D={self.D}, d={self.d}")
         K = linalg.as_matrix(self.K)
         if K.shape != (self.d, self.D**self.v):
             raise UsageError(f"Kraus shape {K.shape} != ({self.d}, {self.D**self.v})")
@@ -59,8 +57,6 @@ def complete_orthonormal(psi, count: int) -> list:
     over the computational basis."""
     vec = linalg.as_state(psi)
     d = vec.size
-    if count > d:
-        raise UsageError(f"cannot fit {count} orthonormal vectors in dimension {d}")
     out = [vec]
     for j in range(d):
         if len(out) == count:
@@ -143,8 +139,6 @@ def recipe1_maker(v: int, D: int, d: int, psi, anchor, seed: int) -> Callable[[f
 
 def identity_site_map(v: int) -> SiteMap:
     """Trivial projector: the physical particle is the 2^v virtual qubits."""
-    if v < 1:
-        raise UsageError("v must be >= 1")
     return SiteMap(v=v, D=2, d=2**v, K=np.eye(2**v, dtype=complex))
 
 

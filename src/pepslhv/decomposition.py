@@ -72,13 +72,15 @@ def _family_sites(instance: PepsInstance):
 
 
 def _family_stack(instance: PepsInstance, site: int) -> np.ndarray:
-    """site_operator_family of site's map and flags; a non-finite entry raises UsageError."""
+    """site_operator_family of site's map and flags; a non-finite entry or trace raises UsageError."""
     lat = instance.lattice
     v = lat.degrees[site]
     # head end keeps C; tail end gets the transpose
     ops = site_operator_family(instance.maps[v], instance.basis, ~lat.is_head[-v:, site])
-    if not np.all(np.isfinite(ops)):
-        raise UsageError(f"site {site}: non-finite output operator")
+    # finite entries near the float range can still sum to an infinite trace
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not (np.all(np.isfinite(ops)) and np.all(np.isfinite(operator_traces(ops)))):
+            raise UsageError(f"site {site}: non-finite output operator")
     return ops
 
 

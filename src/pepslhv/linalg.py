@@ -78,8 +78,6 @@ def overlaps(A, B) -> np.ndarray:
 
 def kron_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:
     vecs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
-    if not vecs:
-        raise UsageError("kron_vectors requires at least one factor")
     out = vecs[0]
     for v in vecs[1:]:
         out = np.kron(out, v)

@@ -312,11 +312,6 @@ def admissible_povm(povm: Povm, op_basis: OperatorBasis, flags: Sequence[bool]) 
     [0, 1].
     """
     flags = tuple(flags)
-    if not flags:
-        raise UsageError("need at least one virtual space")
-    dim = op_basis.D ** len(flags)
-    if povm.dim != dim:
-        raise UsageError(f"POVM dim {povm.dim} != product virtual dim {dim}")
     V = basis_products(op_basis, flags)
     vals = linalg.overlaps(V, povm.elements).reshape([op_basis.D**2] * len(flags) + [-1])
     excess = np.maximum(-vals, vals - 1.0)

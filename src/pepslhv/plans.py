@@ -35,8 +35,4 @@ class MeasurementPlan:
         )
 
     def povms(self, instance: PepsInstance) -> list:
-        povms = instance.measurement_set.povms
-        for idx in self.povm_indices:
-            if not 0 <= idx < len(povms):
-                raise UsageError(f"plan references POVM {idx} which does not exist")
-        return [povms[idx] for idx in self.povm_indices]
+        return [instance.measurement_set.povms[idx] for idx in self.povm_indices]

@@ -151,8 +151,6 @@ def shot_uniforms(
     4 * ceil(n_slots / 4) columns, the variates are drawn into it and a view
     is returned.
     """
-    if n_shots < 0 or n_slots < 1:
-        raise UsageError("bad uniform block shape")
     if not n_shots:
         # no rows to fill: build no generator (and import no numpy.random)
         return np.empty((0, n_slots)) if out is None else out[:0, :n_slots]
@@ -288,10 +286,8 @@ def _draw_sites(
     _draw(sites.table, row, u, out, idx.reshape(shape), entry.reshape(shape))
 
 
-def _set_up(
-    instance: PepsInstance, plan: MeasurementPlan, with_edges: bool
-) -> Tuple[Optional[EdgeDistributions], _SiteTables]:
-    """(edge distributions if with_edges else None, every site's Born CDF rows in one table).
+def _set_up(instance: PepsInstance, plan: MeasurementPlan) -> Tuple[EdgeDistributions, _SiteTables]:
+    """(edge distributions, every site's Born CDF rows in one table).
 
     One site family at a time is built, reduced to its traces and to the
     cumulative Born probabilities of its extreme index tuples, and dropped.
@@ -322,7 +318,7 @@ def _set_up(
             cdf = np.cumsum(np.clip(probs, 0.0, 1.0), axis=1)
             cdfs[b] = cdf / cdf[:, -1:]
         del ops  # before the next family is built
-    edges = _edge_rows(instance, firsts, site_family, traces) if with_edges else None
+    edges = _edge_rows(instance, firsts, site_family, traces)
     if witness is not None:
         raise PositivityViolationError(f"uncertified output: {witness}", witness=witness)
     table = _padded(cdfs)
@@ -346,13 +342,14 @@ def iter_shots(
     batches read only the tables, so the iterator holds no instance, plan
     or site family.  A block holds B shots, the last one fewer; zero shots yield one empty
     batch.  Each shot depends only on (seed, shot), so the bytes are the same
-    for any block size and worker count.
+    for any block size and worker count.  Given edge_dists replace the
+    instance's own in the draw only: the errors come in _set_up's order.
     """
     if n_shots < 0:
         raise UsageError("n_shots must be >= 0")
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
-    built, sites = _set_up(instance, plan, with_edges=edge_dists is None)
+    built, sites = _set_up(instance, plan)
     edge_dists = built if edge_dists is None else edge_dists
     # each edge's CDF without its last entry, one column per edge
     cdf_cols = np.cumsum(edge_dists.probs, axis=1)[:, :-1].T.copy()

@@ -59,10 +59,6 @@ class TestAlignedBasis:
         b = aligned(3, anchor)
         assert np.allclose(b.anchor_overlaps(), 1 / np.sqrt(3), atol=1e-10)
 
-    def test_rejects_D1(self):
-        with pytest.raises(UsageError):
-            basis.build_aligned_basis(1, np.array([1.0]))
-
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)
     def test_random_anchor_keeps_invariants(self, seed):

@@ -86,6 +86,15 @@ class TestBasisCommands:
         assert run("basis", "gen", "--phase-point", "--out", str(out)) == 0
         assert run("basis", "verify", str(out)) == 0
 
+    def test_verify_unanchored_reports_no_overlaps(self, tmp_path, capsys):
+        # the command reads the anchor's overlaps only when the file has one
+        obj = basis_mod.basis_to_json(configio.parse_basis("aligned:2:zero"))
+        del obj["anchor"]
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(obj))
+        assert run("basis", "verify", str(path)) == 0
+        assert set(json.loads(capsys.readouterr().out)) == {"D", "construction", "reconstruction_error"}
+
     def test_corrupted_file_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -197,12 +206,68 @@ class TestStateSpecs:
         assert capsys.readouterr().err == "error: state literal has dimension 2, not 4\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "spec, dim", [("plus-diag", 6), ("plus-diag", 1), ("zero", 0), ("uniform:-1", 2)]
-    )
+    @pytest.mark.parametrize("spec, dim", [("plus-diag", 6), ("plus-diag", 1), ("uniform:-1", 2)])
     def test_no_state_of_that_dimension(self, spec, dim):
         with pytest.raises(UsageError, match="dimension"):
             configio.parse_state(spec, dim)
+
+
+# the one refusal of each input that the code past it trusts: a basis of D >= 2
+# whose anchor has dimension D, a POVM dimension >= 1, a degree >= 1 at every
+# site, a state name of that dimension, a plan of the set's labels, shots >= 0
+ONE_BY_ONE = {"dim": 1, "re": [[1.0]], "im": [[0.0]]}
+BOUNDARY_REFUSALS = {
+    "basis-file-D-1": (
+        {"b.json": {"D": 1, "elements": [ONE_BY_ONE]}},
+        ["basis", "verify", "{tmp}/b.json"],
+        "bond dimension must be >= 2, got 1",
+    ),
+    "anchor-literal-dimension": (
+        {"phi.json": {"dim": 2, "re": [1.0, 0.0], "im": [0.0, 0.0]}},
+        ["basis", "gen", "--D", "3", "--anchor", "@{tmp}/phi.json", "--out", "{tmp}/out.json"],
+        "state literal has dimension 2, not 3",
+    ),
+    "measurements-dimension-0": (
+        {"m.json": {"povms": [{"label": "e", "elements": [{"dim": 0, "re": [], "im": []}]}]}},
+        ["peps", "build", "--lattice", "cycle:3", "--basis", "aligned:2:zero",
+         "--measurements", "@{tmp}/m.json", "--recipe", "2", "--psi", "zero", "--out", "{tmp}/out.json"],
+        "malformed measurement-set file: expected a 2-d matrix, got shape (0,)",
+    ),
+    "lattice-isolated-site": (
+        {"lat.json": {"n_sites": 4, "edges": [[0, 1], [1, 2], [2, 0]]}},
+        ["peps", "build", "--lattice", "@{tmp}/lat.json", "--basis", "phase-point",
+         "--measurements", "bell", "--recipe", "identity", "--out", "{tmp}/out.json"],
+        "malformed lattice file: every site must touch at least one edge",
+    ),
+    "psi-plus-diag-dimension-1": (
+        {"m.json": {"povms": [{"label": "one", "elements": [ONE_BY_ONE]}]}},
+        ["peps", "build", "--lattice", "cycle:3", "--basis", "aligned:2:zero",
+         "--measurements", "@{tmp}/m.json", "--recipe", "2", "--psi", "plus-diag", "--out", "{tmp}/out.json"],
+        "state 'plus-diag' does not have dimension 1",
+    ),
+    "plan-unknown-label": (
+        {},
+        ["sample", "{tmp}/inst.json", "--plan", "all:QQ", "--shots", "10", "--out", "{tmp}/out.json"],
+        "no POVM labelled 'QQ' in measurement set",
+    ),
+    "shots-negative": (
+        {},
+        ["sample", "{tmp}/inst.json", "--plan", "all:ZZ~0.5", "--shots", "-1", "--out", "{tmp}/out.json"],
+        "n_shots must be >= 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDARY_REFUSALS)
+def test_boundary_refusal_exit_2(instance_file, capsys, name):
+    files, argv, message = BOUNDARY_REFUSALS[name]
+    tmp = instance_file.parent
+    for file, obj in files.items():
+        (tmp / file).write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(*(a.format(tmp=tmp) for a in argv)) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp / "out.json").exists()
 
 
 @pytest.mark.parametrize("spec", [4, None, ["cycle:3"]], ids=["int", "null", "list"])

@@ -447,6 +447,22 @@ class TestKrausScale:
             # the probe's map is not finite, so the certificate judges, and refuses the family
             assert err == ["error: site 0: non-finite output operator"]
 
+    @pytest.mark.parametrize("command", ["check", "epsilon-max", "sample"])
+    def test_cli_trace_overflow_exit_2_one_line(self, tmp_path, capsys, command):
+        # torus:3x3 x 2^513: every entry is finite, but a trace overflows
+        path = scaled_file(tmp_path, "torus:3x3", 4, 0.1, 513)
+        argv = {
+            "check": ["peps", "check", path],
+            "epsilon-max": ["peps", "epsilon-max", path, "--eps-hi", "1.0"],
+            "sample": ["sample", path, "--plan", "all:ZZZZ~0.5", "--shots", "10",
+                       "--out", str(tmp_path / "s.jsonl")],
+        }[command]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr() == ("", "error: site 0: non-finite output operator\n")
+
     @SCALED_CASES
     def test_cli_epsilon_max_bytes_unscaled(self, tmp_path, capsys, lattice, qubits, epsilon):
         # x 2^511: the map is finite, but past the probe's bound the certificate judges
@@ -461,9 +477,9 @@ class TestKrausScale:
     @SCALED_CASES
     def test_probe_verdict_near_the_float_range(self, lattice, qubits, epsilon):
         # x 2^500 to 2^520 crosses the probe's bound and the float range: its
-        # verdict, or the UsageError it raises, is the certificate's, and so
-        # are its warnings (on torus:3x3 at x 2^513 every entry is finite but
-        # the certificate's trace sums overflow)
+        # verdict, or the UsageError it raises, is the certificate's, and
+        # neither warns (on torus:3x3 at x 2^513 every entry is finite but a
+        # trace is not, which the certificate refuses)
         inst = scaled_case(lattice, qubits, epsilon)
         probe = epsilon_probe.EpsilonProbe(inst)
         outcomes = []
@@ -478,6 +494,7 @@ class TestKrausScale:
                         verdict = str(exc)
                 verdicts.append((verdict, [str(w.message) for w in caught]))
             assert verdicts[0] == verdicts[1], power
+            assert verdicts[0][1] == [], power
             outcomes.append(verdicts[0])
         assert outcomes[0] == (True, [])
         assert outcomes[-1] == ("site 0: non-finite output operator", [])

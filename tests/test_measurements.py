@@ -476,13 +476,6 @@ class TestAdmissibility:
         b = basis()
         assert meas.admissible_povm(povm(), b, flags) == reference.admissible_povm(povm(), [(b, t) for t in flags])
 
-    def test_bad_flags_rejected(self):
-        b = phase_point_basis()
-        with pytest.raises(UsageError, match="at least one virtual space"):
-            meas.admissible_povm(meas.bell_povm(), b, ())
-        with pytest.raises(UsageError, match="POVM dim 4 != product virtual dim 8"):
-            meas.admissible_povm(meas.bell_povm(), b, (False, True, False))
-
 
 class TestMarginConcavity:
     @given(st.integers(0, 2**31 - 1))

@@ -501,7 +501,7 @@ class TestWideOutcomes:
         plan = sampling.MeasurementPlan.uniform(inst, "flat")
         batch = sampling.run_shots(inst, plan, 3000, 4, emit_hidden=True)
         assert batch.outcomes.max() >= 256
-        sites = sampling._set_up(inst, plan, with_edges=False)[1]
+        sites = sampling._set_up(inst, plan)[1]
         u = sampling.shot_uniforms(4, 0, 3000, inst.lattice.n_sites, label="sites")
         for s in range(inst.lattice.n_sites):
             # one edge per site, so the hidden index is the row in the site's block
@@ -683,23 +683,17 @@ def set_up(name, inst):
 
 class TestSetUpErrorOrder:
     # a non-finite family (exit 2) before a trace tensor that does not
-    # factorize (exit 4) before a certificate witness (exit 3)
+    # factorize (exit 4) before a certificate witness (exit 3), whether or
+    # not edge distributions are given
     @pytest.mark.parametrize("name", ["edge_distribution", "run_shots", "run_shots(edge_dists)"])
     def test_non_finite_first(self, name):
         with pytest.raises(UsageError, match=r"^site 1: non-finite output operator$"):
             set_up(name, exit_order_instance(2.0**600))
 
-    @pytest.mark.parametrize("name", ["edge_distribution", "run_shots"])
+    @pytest.mark.parametrize("name", ["edge_distribution", "run_shots", "run_shots(edge_dists)"])
     def test_not_factorizable_before_witness(self, name):
         with pytest.raises(NotFactorizableError, match=r"^site 0: non-positive output trace$"):
             set_up(name, exit_order_instance(1.0))
-
-    @pytest.mark.parametrize("name", ["run_shots(edge_dists)"])
-    def test_witness_without_edges(self, name):
-        # edge distributions given: the scan's witness is the first error
-        with pytest.raises(PositivityViolationError) as err:
-            set_up(name, exit_order_instance(1.0))
-        assert (err.value.witness.site, err.value.witness.kind) == (0, "trace")
 
 
 class TestDeterministicGivenLambda:
