@@ -191,10 +191,9 @@ def instance_factory(config: dict) -> Callable[[float], PepsInstance]:
     D, d = op_basis.D, mset.dim
     # distinct degrees in order of first appearance, as sites are scanned
     degrees = lat.degrees[site_groups(lat.degrees[None])[0]].tolist()
-    # before any map: each degree's site family (as large as its Choi matrix) and basis products
+    # before any map: each degree's site family, its coordinates as many as its Choi matrix's entries
     for v in degrees:
         check_entries(f"site family of degree {v}", D ** (2 * v) * d * d)
-        check_entries(f"basis products of degree {v}", D ** (4 * v))
 
     psi = parse_state(config["psi"], dim=d) if "psi" in config else None
     if recipe in (1, 2):

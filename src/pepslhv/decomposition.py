@@ -11,13 +11,13 @@ product of its normalized marginals, the joint distribution over edge
 indices is a product of per-edge categoricals and can be sampled
 efficiently.
 
-`site_operator_family` is the one place the outputs are computed, all
-(D^2)^v of them per (degree, flags) in one stack; the certificate, trace
-tables, sampler CDF tables and the oracle's exact mixture read these stacks
-one family at a time (_family_sites, _family_stack).
-`_scan_family` is the one positivity test, and `_edge_rows` the one
-reduction from the families' traces to edge distributions, for the
-certificate, `edge_distribution` and the sampler alike.
+The outputs are computed in one place, `_families`, as real Hermitian
+coordinates: one map per degree over products of a bond's canonical
+generators (`_product_map`), contracted bond by bond with each family's
+basis coordinates.  `_scan_family` is the one positivity test (for the
+certificate, the sampler's tables and, in its early-exit mode, the epsilon
+probe), and `_edge_rows` the one reduction from the families' traces to edge
+distributions.  `site_operator_family` is the oracle's complex reference.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from pepslhv import linalg
-from pepslhv.basis import OperatorBasis, basis_products
+from pepslhv.basis import OperatorBasis, basis_products, hermitian_spanning_set
 from pepslhv.construction import PepsInstance, SiteMap
 from pepslhv.errors import SCAN_BLOCK_ENTRIES, NotFactorizableError, UsageError, check_entries
 from pepslhv.lattice import site_groups
@@ -49,16 +49,12 @@ def site_operator_family(
     """
     prod = basis_products(op_basis, transposed_flags)
     K = site_map.K
-    # a Kraus operator near the float range overflows; _family_stack rejects
+    # a Kraus operator near the float range overflows; the oracle rejects
     # it.  K @ prod replaces prod before the second product is made, so at
     # most two family-sized arrays are alive at once
     with np.errstate(over="ignore", invalid="ignore"):
         prod = K @ prod
         return prod @ K.conj().T
-
-
-def operator_traces(ops: np.ndarray) -> np.ndarray:
-    return np.real(np.trace(ops, axis1=1, axis2=2))
 
 
 def _family_sites(instance: PepsInstance):
@@ -71,17 +67,109 @@ def _family_sites(instance: PepsInstance):
     return site_groups(np.vstack([lat.degrees, lat.is_head]))
 
 
-def _family_stack(instance: PepsInstance, site: int) -> np.ndarray:
-    """site_operator_family of site's map and flags; a non-finite entry or trace raises UsageError."""
-    lat = instance.lattice
-    v = lat.degrees[site]
-    # head end keeps C; tail end gets the transpose
-    ops = site_operator_family(instance.maps[v], instance.basis, ~lat.is_head[-v:, site])
-    # finite entries near the float range can still sum to an infinite trace
+def _hermitian_coords(ops: np.ndarray, off: float) -> np.ndarray:
+    """(m^2, n) real coordinates, one column per operator of an (n, m, m) stack.
+
+    A column holds the diagonal, then off times Re(X_ij + X_ji) and Im(X_ij - X_ji)
+    over i < j in row-major order: with off = 1/2, X's Hermitian part over
+    E_ii, E_ij + E_ji and i(E_ij - E_ji).  With off = 1 (the elements) its dot
+    product with a Hermitian O's is Re tr(O X^dag), the tr(O X) of linalg.overlaps.
+    """
+    m = ops.shape[-1]
+    re, im = ops.real, ops.imag
+    out = np.empty((len(ops), m * m))
+    out[:, :m] = np.diagonal(re, axis1=1, axis2=2)
+    # row i's upper part at once, so no fancy-indexed copy of the stack is made
+    a, half = m, m * (m - 1) // 2
+    for i in range(m - 1):
+        b = a + m - 1 - i
+        np.add(re[:, i, i + 1 :], re[:, i + 1 :, i], out=out[:, a:b])
+        np.subtract(im[:, i, i + 1 :], im[:, i + 1 :, i], out=out[:, half + a : half + b])
+        a = b
+    out[:, m:] *= off
+    return out.T
+
+
+def _element_coords(mset):
+    """(where, _hermitian_coords(elements, 1.0)) per block of mset.element_blocks(), as it is read."""
+    for where, elements in mset.element_blocks():
+        coords = _hermitian_coords(elements, 1.0)
+        del elements  # before the block is read
+        yield where, coords
+        del coords  # before the next block is built
+
+
+def _family_bonds(instance: PepsInstance) -> list:
+    """(first site, c per bond) of each site family, in site order.
+
+    c[a, k] = tr(G_a C~_k) over a bond's generators G_a (basis.hermitian_spanning_set),
+    so C~_k = sum_a c[a, k] G_a; a tail end negates the rows of the antisymmetric G_a.
+    """
+    lat, G = instance.lattice, hermitian_spanning_set(instance.D)
+    return [
+        (s, [linalg.overlaps(G.transpose(0, 2, 1) if t else G, instance.basis.elements)
+             for t in ~lat.is_head[-lat.degrees[s]:, s]])
+        for s in _family_sites(instance)[0]
+    ]
+
+
+def _work(instance: PepsInstance):
+    """The two complex buffers of _product_map and _families, for the instance's largest degree."""
+    d, v = instance.measurement_set.dim, int(instance.lattice.degrees.max())
+    n = d * (d + 1) // 2 * instance.D ** (2 * v)
+    return np.empty(n, complex), np.empty(n, complex)
+
+
+def _product_map(site_map: SiteMap, work) -> np.ndarray:
+    """(d^2, D^2v) real map: column a holds _hermitian_coords (off = 1/2) of K (G_a1 (x) ... (x) G_av) K^dag.
+
+    Tuples a in C-order.  T[x_1, y_1, ..., x_v, y_v, (i <= j)] = K[i, x] conj(K[j, y])
+    takes one real product per bond, in work's two buffers in turn (their
+    pages stay mapped): G_a is real, or i times a real matrix, so a tuple's
+    power of i comes last.  A Kraus operator near the float range gives
+    non-finite entries, without a warning.
+    """
+    K, D, v, d = site_map.K, site_map.D, site_map.v, site_map.d
+    G = hermitian_spanning_set(D)
+    g = (G.real + G.imag).reshape(D * D, -1)  # G_a = phase[a] g_a, each G_a real or imaginary
+    phase = np.where(G.imag.any(axis=(1, 2)), 1j, 1.0)
+    i, j = (np.concatenate([np.arange(d), t]) for t in np.triu_indices(d, 1))
+    T = work[0][: len(i) * D ** (2 * v)].reshape((D, D) * v + (len(i),))
     with np.errstate(over="ignore", invalid="ignore"):
-        if not (np.all(np.isfinite(ops)) and np.all(np.isfinite(operator_traces(ops)))):
-            raise UsageError(f"site {site}: non-finite output operator")
-    return ops
+        np.multiply(K[i].T.reshape((D, 1) * v + (-1,)), K[j].conj().T.reshape((1, D) * v + (-1,)), out=T)
+        for p in range(v):
+            A = T.view(float).reshape(D ** (2 * p), D * D, -1)
+            T = np.matmul(g, A, out=work[(p + 1) % 2].view(float)[: A.size].reshape(A.shape))
+        X = T.view(complex).reshape(D ** (2 * v), -1)
+        X *= functools.reduce(np.multiply.outer, [phase] * v).reshape(-1, 1)
+        # in C order, so that _families' first product reads it as a view
+        return np.concatenate([X.real.T, X.imag[:, d:].T], out=np.empty((d * d, len(X))))
+
+
+def _families(instance: PepsInstance, bonds=None, work=None):
+    """Yield (first site, coordinates, traces) of each site family in turn, in site order.
+
+    bonds and work (_family_bonds, _work) are what an epsilon search holds
+    fixed.  A family's coordinates, a row of d^2 per index tuple in C-order,
+    are its degree's _product_map contracted bond by bond, each product
+    taking the last a and putting its k first, in work until the next family
+    is made.  The first family with a non-finite coordinate or trace raises
+    UsageError.
+    """
+    bonds = _family_bonds(instance) if bonds is None else bonds
+    work = _work(instance) if work is None else work
+    for s, c in bonds:
+        # the map is made anew for each family and dropped before the family is read
+        X = _product_map(instance.maps[len(c)], work)
+        d2, n = X.shape[0], X.size
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, cp in enumerate(reversed(c)):
+                X = np.matmul(cp.T, X.reshape(-1, len(cp)).T, out=work[p % 2].view(float)[:n].reshape(len(cp), -1))
+            coords = X.reshape(-1, d2)
+            traces = coords[:, : math.isqrt(d2)].sum(axis=1)
+        if not (np.isfinite(coords).all() and np.isfinite(traces).all()):
+            raise UsageError(f"site {s}: non-finite output operator")
+        yield s, coords, traces
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +241,14 @@ def _row_rule(lo: np.ndarray, hi: np.ndarray, ok: np.ndarray, div: np.ndarray):
     return slack, ~ok | (slack < -DUAL_ATOL)
 
 
-def _scan_family(instance: PepsInstance, site: int, ops: np.ndarray, blocks, n_elements: int, keep=False):
-    """(normalized overlaps if keep else None, slack, min trace, witness or None) of site's family ops.
+def _scan_family(instance: PepsInstance, site: int, coords, traces, blocks, n_elements: int, keep=False, early=False):
+    """(normalized overlaps if keep else None, slack, min trace, witness or None) of one site family.
 
-    blocks yields the (where, elements) blocks of n_elements elements in all,
-    in order, where[k] = (POVM, element) of a block's row k, as
-    MeasurementSet.element_blocks does.  A row fails by the row rule
-    (_usable_traces, _row_rule) against every element.  The witness is the
-    first failing row, at its first worst element.
+    coords and traces are the family's (_families); blocks yields the (where,
+    element coordinates) blocks of n_elements elements in all, in order, as
+    _element_coords does.  A row fails by the row rule (_usable_traces,
+    _row_rule) against every element.  The witness is the first failing
+    row, at its first worst element.
 
     Each element block is read once: its overlaps with the family, a
     column slice of the (rows, elements) overlap matrix, are taken a block
@@ -169,20 +257,22 @@ def _scan_family(instance: PepsInstance, site: int, ops: np.ndarray, blocks, n_e
     already fails, so only there is it looked up, and an earlier block
     keeps it on a tie.  Memory is one element block and one block of
     overlaps, plus every normalized overlap when keep is set (the sampler's
-    tables).
+    tables).  With early set (the epsilon probe) the result is only whether
+    no row fails: False at the first block of overlaps that fails a row.
     """
-    traces = operator_traces(ops)
     ok, div = _usable_traces(traces)
-    lo, hi = np.full(len(ops), np.inf), np.full(len(ops), -np.inf)
+    if early and not ok.all():
+        return False
+    lo, hi = np.full(len(coords), np.inf), np.full(len(coords), -np.inf)
     # per row, at its worst element so far: min(x, 1 - x), x, and the element's index
-    worst, worst_x, worst_at = np.full(len(ops), np.inf), np.empty(len(ops)), np.empty(len(ops), np.intp)
+    worst, worst_x, worst_at = np.full(len(coords), np.inf), np.empty(len(coords)), np.empty(len(coords), np.intp)
     at = []  # (POVM, element) of every element read
-    normed = np.empty((len(ops), n_elements)) if keep else None
+    normed = np.empty((len(coords), n_elements)) if keep else None
     for where, elements in blocks:
         col = len(at)
         at += where
-        for a, b in _row_blocks(len(ops), len(where)):
-            block = linalg.overlaps(ops[a:b], elements)
+        for a, b in _row_blocks(len(coords), len(where)):
+            block = coords[a:b] @ elements
             block_lo, block_hi = block.min(axis=1), block.max(axis=1)
             np.minimum(lo[a:b], block_lo, out=lo[a:b])
             np.maximum(hi[a:b], block_hi, out=hi[a:b])
@@ -190,6 +280,8 @@ def _scan_family(instance: PepsInstance, site: int, ops: np.ndarray, blocks, n_e
                 np.divide(block, div[a:b, None], out=normed[a:b, col : len(at)])
             fail = np.flatnonzero(ok[a:b] & _row_rule(block_lo, block_hi, ok[a:b], div[a:b])[1])
             if fail.size:
+                if early:
+                    return False
                 x = block[fail] / div[a + fail, None]
                 m = np.minimum(x, 1.0 - x)
                 k = np.argmin(m, axis=1)
@@ -198,6 +290,8 @@ def _scan_family(instance: PepsInstance, site: int, ops: np.ndarray, blocks, n_e
                 r, i, k = a + fail[better], i[better], k[better]
                 worst[r], worst_x[r], worst_at[r] = m[i, k], x[i, k], col + k
         del elements, block  # before the next block is built
+    if early:
+        return True
     row_slack, bad = _row_rule(lo, hi, ok, div)
     witness = None
     if bad.any():
@@ -224,13 +318,12 @@ def rv_positivity_check(instance: PepsInstance) -> PositivityReport:
     failing site.
     """
     mset = instance.measurement_set
-    firsts, site_family = _family_sites(instance)
-    # one family at a time: each is built, scanned against every element block and dropped
+    # one family at a time: each is made, scanned against every element block and dropped
     scans = [
-        _scan_family(instance, s, _family_stack(instance, s), mset.element_blocks(), mset.n_elements)
-        for s in firsts
+        _scan_family(instance, s, coords, traces, _element_coords(mset), mset.n_elements)
+        for s, coords, traces in _families(instance)
     ]
-    per_site_slack = tuple(np.array([sc[1] for sc in scans])[site_family].tolist())
+    per_site_slack = tuple(np.array([sc[1] for sc in scans])[_family_sites(instance)[1]].tolist())
     # a family's witness is at its first site, so the least site is the first failure
     witness = min((sc[3] for sc in scans if sc[3] is not None), key=lambda w: w.site, default=None)
     return PositivityReport(
@@ -283,13 +376,13 @@ def edge_distribution(instance: PepsInstance) -> EdgeDistributions:
     log T = sum_e log Z_e + sum_s log S_s - 2E ln D; `T` is its exponential.
     """
     firsts, site_family = _family_sites(instance)
-    # one family at a time: each is built, so checked finite, and kept as its traces
-    traces = [operator_traces(_family_stack(instance, s)) for s in firsts]
+    # one family at a time: each is made, so checked finite, and kept as its traces
+    traces = [traces for _, _, traces in _families(instance)]
     return _edge_rows(instance, firsts, site_family, traces)
 
 
 def _edge_rows(instance: PepsInstance, firsts: list, site_family: np.ndarray, traces: list):
-    """EdgeDistributions from each family's operator_traces, family f first at site firsts[f].
+    """EdgeDistributions from each family's traces, family f first at site firsts[f].
 
     The first family, in site order, with a non-positive trace or a trace
     tensor that is not rank one raises NotFactorizableError.

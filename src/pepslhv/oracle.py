@@ -23,7 +23,7 @@ from pepslhv.construction import (
     assemble_exact_state,
     contract_edges,
 )
-from pepslhv.decomposition import _family_sites, _family_stack, _row_blocks
+from pepslhv.decomposition import _family_sites, _row_blocks, site_operator_family
 from pepslhv.errors import UsageError, check_entries
 from pepslhv.plans import MeasurementPlan
 
@@ -151,6 +151,19 @@ def born_joint_for_instance(instance: PepsInstance, plan: MeasurementPlan) -> Jo
 # ---------------------------------------------------------------------------
 # Exact mixture
 
+def _family_stack(instance: PepsInstance, site: int) -> np.ndarray:
+    """site_operator_family of site's map and flags; a non-finite entry or trace raises UsageError."""
+    lat = instance.lattice
+    v = lat.degrees[site]
+    # head end keeps C; tail end gets the transpose
+    ops = site_operator_family(instance.maps[v], instance.basis, ~lat.is_head[-v:, site])
+    # finite entries near the float range can still sum to an infinite trace
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not (np.isfinite(ops).all() and np.isfinite(np.trace(ops, axis1=1, axis2=2)).all()):
+            raise UsageError(f"site {site}: non-finite output operator")
+    return ops
+
+
 def _enumeration_guard(instance: PepsInstance):
     E = instance.lattice.n_edges
     check_entries("edge assignments of the mixture", (instance.D**2) ** E, MAX_ENUM_ASSIGNMENTS)
@@ -160,11 +173,14 @@ def _enumeration_guard(instance: PepsInstance):
 def mixture_joint_distribution(instance: PepsInstance, plan: MeasurementPlan) -> JointDistribution:
     """sum_lambda p(lambda) prod_s tr(sigma_s X_{j_s}), i.e. prod_s tr(O_s X_{j_s}) normalized.
 
-    Each site family is built, read for one table tr(O X) per POVM its sites
-    measure, and dropped before the next; contract_edges sums the tables.
+    Each site family is built (its basis products counted first), read for
+    one table tr(O X) per POVM its sites measure, and dropped before the
+    next; contract_edges sums the tables.
     """
     povms = plan.povms(instance)
     _check_outcome_space(povms)
+    for v in np.unique(instance.lattice.degrees).tolist():
+        check_entries(f"basis products of degree {v}", instance.D ** (4 * v))
     arities = [p.n_outcomes for p in povms]
     firsts, site_family = _family_sites(instance)
     pairs = list(zip(site_family.tolist(), plan.povm_indices))  # (family, POVM) per site

@@ -21,16 +21,16 @@ from pepslhv.construction import PepsInstance, derive_seed
 from pepslhv.decomposition import (
     EdgeDistributions,
     _edge_rows,
+    _families,
     _family_sites,
-    _family_stack,
+    _hermitian_coords,
     _scan_family,
-    operator_traces,
 )
 from pepslhv.errors import PositivityViolationError, UsageError
 from pepslhv.lattice import site_groups
 from pepslhv.plans import MeasurementPlan
 
-# shots per slab in perfbench's probe_rng, its only reader; ROADMAP item 8
+# shots per slab in perfbench's probe_rng, its only reader; ROADMAP item 2
 # deletes it once the benchmark changes
 DEFAULT_CHUNK = 1 << 16
 # float64/intp entries one block of shots holds: a row of uniforms per shot,
@@ -289,11 +289,11 @@ def _draw_sites(
 def _set_up(instance: PepsInstance, plan: MeasurementPlan) -> Tuple[EdgeDistributions, _SiteTables]:
     """(edge distributions, every site's Born CDF rows in one table).
 
-    One site family at a time is built, reduced to its traces and to the
+    One site family at a time is made, reduced to its traces and to the
     cumulative Born probabilities of its extreme index tuples, and dropped.
     Sites sharing (site map, flags, POVM) share one block of (D^2)^v rows.
     The errors come in statement order: a non-finite family raises
-    UsageError as it is built, then _edge_rows NotFactorizableError, then
+    UsageError as it is made, then _edge_rows NotFactorizableError, then
     the scan's witness for the least site PositivityViolationError.
     """
     povms = plan.povms(instance)
@@ -301,15 +301,14 @@ def _set_up(instance: PepsInstance, plan: MeasurementPlan) -> Tuple[EdgeDistribu
     # the first site of each (family, POVM) block, in site order, and each site's block
     block_site, site_block = site_groups(np.stack([site_family, plan.povm_indices]))
     traces, cdfs, witness = [], [None] * len(block_site), None
-    for f, first in enumerate(firsts):
-        ops = _family_stack(instance, first)
-        traces.append(operator_traces(ops))
+    for f, (_, coords, t) in enumerate(_families(instance)):
+        traces.append(t)
         for b, s in enumerate(block_site):
             if site_family[s] != f:
                 continue
             idx, n = plan.povm_indices[s], povms[s].n_outcomes
-            block = [(idx, j) for j in range(n)], povms[s].elements
-            probs, _, _, w = _scan_family(instance, s, ops, [block], n, keep=True)
+            block = [(idx, j) for j in range(n)], _hermitian_coords(povms[s].elements, 1.0)
+            probs, _, _, w = _scan_family(instance, s, coords, t, [block], n, keep=True)
             if w is not None:
                 # a refused block is never drawn from, so its CDF is not built
                 if witness is None or w.site < witness.site:
@@ -317,7 +316,6 @@ def _set_up(instance: PepsInstance, plan: MeasurementPlan) -> Tuple[EdgeDistribu
                 continue
             cdf = np.cumsum(np.clip(probs, 0.0, 1.0), axis=1)
             cdfs[b] = cdf / cdf[:, -1:]
-        del ops  # before the next family is built
     edges = _edge_rows(instance, firsts, site_family, traces)
     if witness is not None:
         raise PositivityViolationError(f"uncertified output: {witness}", witness=witness)

@@ -12,21 +12,20 @@ from pepslhv.construction import (
     _check_orthonormal,
     assemble_exact_state,
 )
-from pepslhv.decomposition import (
-    DUAL_ATOL,
-    TRACE_FLOOR,
-    PositivityWitness,
-    _family_sites,
-    _family_stack,
-    operator_traces,
-)
+from pepslhv.decomposition import DUAL_ATOL, TRACE_FLOOR, PositivityWitness, _families, _family_sites
 from pepslhv.errors import UsageError
+from pepslhv.oracle import _family_stack
 from pepslhv.measurements import (
     _AXIS_STATES,
     AdmissibilityReport,
     DualMargin,
     measurement_set_from_json,
 )
+
+
+def operator_traces(ops: np.ndarray) -> np.ndarray:
+    """The real traces of a (n, d, d) stack."""
+    return np.real(np.trace(ops, axis1=1, axis2=2))
 
 
 def tensor_product(factors) -> np.ndarray:
@@ -206,18 +205,30 @@ def born_joint_distribution(state, povms) -> np.ndarray:
     return probs
 
 
-def scan_family(instance, site: int, ops: np.ndarray, blocks, n_elements=None):
-    """decomposition._scan_family over the full (rows, elements) matrices at once, its blocks stacked.
+def scan_family(instance, site: int, coords, traces, blocks, n_elements=None):
+    """decomposition._scan_family over the full (rows, elements) overlap matrix at once, its blocks stacked.
 
+    blocks are (where, element coordinates) blocks, as _scan_family reads.
     n_elements is not read: the signature is _scan_family's, so a test can patch this in.
     """
+    blocks = list(blocks)
+    stack = np.concatenate([e for _, e in blocks], axis=1)
+    return _full_scan(instance, site, coords @ stack, traces, [w for where, _ in blocks for w in where])
+
+
+def complex_scan_family(instance, site: int, ops: np.ndarray, blocks):
+    """scan_family of a complex family ops against complex (where, elements) blocks, the oracle's operands."""
     stack, where = stacked(blocks)
-    traces = operator_traces(ops)
+    return _full_scan(instance, site, linalg.overlaps(ops, stack), operator_traces(ops), where)
+
+
+def _full_scan(instance, site, overlaps, traces, where):
+    """The scan's report from a family's whole (rows, elements) overlap matrix and its traces."""
     ok = (traces > 0) & (traces >= TRACE_FLOOR * traces.max())
-    normed = linalg.overlaps(ops, stack) / np.where(ok, traces, 1.0)[:, None]
+    normed = overlaps / np.where(ok, traces, 1.0)[:, None]
     slacks = np.minimum(normed, 1.0 - normed)
     worst = np.argmin(slacks, axis=1)
-    worst_slack = slacks[np.arange(len(ops)), worst]
+    worst_slack = slacks[np.arange(len(normed)), worst]
     slack = float(worst_slack[ok].min()) if ok.any() else math.inf
     bad = ~ok | (worst_slack < -DUAL_ATOL)
     witness = None
@@ -231,6 +242,11 @@ def scan_family(instance, site: int, ops: np.ndarray, blocks, n_elements=None):
             i, j = where[int(worst[r])]
             witness = PositivityWitness(site, tup, "dual", i, j, float(normed[r, worst[r]]))
     return normed, slack, float(traces.min()), witness
+
+
+def family_coords(instance):
+    """(coordinates, traces) of every site family, in site order, each coordinate array a copy."""
+    return [(coords.copy(), traces) for _, coords, traces in _families(instance)]
 
 
 def born_joint_full_operator(state, povms) -> np.ndarray:

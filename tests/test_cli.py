@@ -23,7 +23,7 @@ from reference import lattice_to_json, measurement_set_to_json
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-TORUS3X3_CHECK_SHA256 = "49c6d974c4beb933e2be120de596743030531550796fcea2871a2cfa19c603f1"
+TORUS3X3_CHECK_SHA256 = "b9091f4b2ee97595233122e457a775e27eb01de4ca2a91872cdafdff00e5c4c2"
 
 
 def run(*argv):

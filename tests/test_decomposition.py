@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pepslhv import basis as basis_mod
-from pepslhv import configio, epsilon_probe
+from pepslhv import configio, epsilon_probe, oracle
 from pepslhv import construction as con
 from pepslhv import decomposition as dec
 from pepslhv import cli, linalg, sampling
@@ -31,14 +31,44 @@ from pepslhv.measurements import (
 
 from conftest import build, recipe2_config
 import reference
-from reference import element_stack, file_copy, first_site_groups, scan_family, site_output_operator
+from reference import (
+    complex_scan_family,
+    element_stack,
+    family_coords,
+    file_copy,
+    first_site_groups,
+    scan_family,
+    site_output_operator,
+)
 
 KET0 = np.array([1, 0], dtype=complex)
 
 
 def trace_table(m, b, flags):
     """tr(O) over the index tuples of one site, shape (D^2,) * v."""
-    return dec.operator_traces(dec.site_operator_family(m, b, flags)).reshape((b.D**2,) * m.v)
+    return reference.operator_traces(dec.site_operator_family(m, b, flags)).reshape((b.D**2,) * m.v)
+
+
+def coords_of(ops):
+    """(real coordinates, traces) of a complex family, as decomposition._families gives them."""
+    coords = np.ascontiguousarray(dec._hermitian_coords(np.asarray(ops, dtype=complex), 0.5).T)
+    return coords, coords[:, : ops.shape[-1]].sum(axis=1)
+
+
+def coord_blocks(blocks):
+    """Complex (where, elements) blocks as the (where, element coordinates) blocks _scan_family reads."""
+    return [(where, dec._hermitian_coords(elements, 1.0)) for where, elements in blocks]
+
+
+def scan_ops(inst, site, ops, blocks, keep=False):
+    """decomposition._scan_family of a complex family against complex element blocks."""
+    blocks = coord_blocks(blocks)
+    return dec._scan_family(inst, site, *coords_of(ops), blocks, sum(len(w) for w, _ in blocks), keep=keep)
+
+
+def reference_scan(inst, site, ops, blocks):
+    """tests/reference.py's full-matrix scan_family of the same operands as scan_ops."""
+    return scan_family(inst, site, *coords_of(ops), coord_blocks(blocks))
 
 
 class TestSiteOutputOperator:
@@ -444,7 +474,7 @@ class TestKrausScale:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         if command == "epsilon-max":
-            # the probe's map is not finite, so the certificate judges, and refuses the family
+            # the probe's scan refuses the family as the certificate's does
             assert err == ["error: site 0: non-finite output operator"]
 
     @pytest.mark.parametrize("command", ["check", "epsilon-max", "sample"])
@@ -465,7 +495,7 @@ class TestKrausScale:
 
     @SCALED_CASES
     def test_cli_epsilon_max_bytes_unscaled(self, tmp_path, capsys, lattice, qubits, epsilon):
-        # x 2^511: the map is finite, but past the probe's bound the certificate judges
+        # x 2^511: every coordinate is finite, as are the traces
         outputs = []
         for p in (0, 300, -300, 511):
             argv = ["peps", "epsilon-max", scaled_file(tmp_path, lattice, qubits, epsilon, p), "--eps-hi", "1.0"]
@@ -476,10 +506,10 @@ class TestKrausScale:
 
     @SCALED_CASES
     def test_probe_verdict_near_the_float_range(self, lattice, qubits, epsilon):
-        # x 2^500 to 2^520 crosses the probe's bound and the float range: its
-        # verdict, or the UsageError it raises, is the certificate's, and
-        # neither warns (on torus:3x3 at x 2^513 every entry is finite but a
-        # trace is not, which the certificate refuses)
+        # x 2^500 to 2^520 crosses the float range: the probe's verdict, or
+        # the UsageError it raises, is the certificate's, and neither warns
+        # (on torus:3x3 at x 2^513 every coordinate is finite but a trace is
+        # not, which the scan refuses)
         inst = scaled_case(lattice, qubits, epsilon)
         probe = epsilon_probe.EpsilonProbe(inst)
         outcomes = []
@@ -520,7 +550,7 @@ class TestRelativeTraceFloor:
 
     def scan(self, traces):
         ops = np.asarray(traces)[:, None, None] * np.eye(2) / 2
-        return dec._scan_family(self.INSTANCE, 1, ops, [(self.WHERE, self.STACK)], len(self.WHERE))
+        return scan_ops(self.INSTANCE, 1, ops, [(self.WHERE, self.STACK)])
 
     @pytest.mark.parametrize("power", [0, -300])
     @pytest.mark.parametrize("low, passes", [(1e-11, False), (1e-9, True)])
@@ -609,10 +639,11 @@ class TestBlockedScan:
                     bloch[r] = (0.0, 0.0, 2.0)  # an overlap of 1: slack 0 up to rounding
             site_family.append(len(families))
             families.append(self.family(traces, bloch))
-        # the certificate builds one family at a time through these two
+        # the certificate makes one family at a time through these two
         firsts = [site_family.index(f) for f in range(len(families))]
+        made = [(s, *coords_of(families[site_family[s]])) for s in firsts]
         with mock.patch.object(dec, "_family_sites", lambda _: (firsts, site_family)), \
-                mock.patch.object(dec, "_family_stack", lambda _, s: families[site_family[s]]):
+                mock.patch.object(dec, "_families", lambda _: iter(made)):
             expected = self.full_scan_report(inst)
             n_elements = mset.n_elements
             with mock.patch.object(dec, "SCAN_BLOCK_ENTRIES", rows_per_block * n_elements):
@@ -625,9 +656,9 @@ class TestBlockedScan:
         inst = TestRelativeTraceFloor.INSTANCE
         stack, where = element_stack(inst.measurement_set)
         ops = self.family([1.0, 0.5, 0.3, 0.7], [(0, 0, 0), (1, 0, 0), (0, 0, 0), (0, 0, -2.5)])
-        expected = scan_family(inst, 1, ops, [(where, stack)])
+        expected = reference_scan(inst, 1, ops, [(where, stack)])
         with mock.patch.object(dec, "SCAN_BLOCK_ENTRIES", 2 * len(stack)):
-            got = dec._scan_family(inst, 1, ops, [(where, stack)], len(where), keep=True)
+            got = scan_ops(inst, 1, ops, [(where, stack)], keep=True)
         assert got[1:] == expected[1:]
         w = got[3]
         assert (w.indices, w.kind, w.povm_index, w.element_index) == ((3,), "dual", 2, 0)
@@ -648,8 +679,8 @@ class TestBlockedScan:
         stack, where = element_stack(mset)
         ops = self.family([1.0, 0.5, 0.25, 0.75], [(0, 0, 0), (0, 0, -2.5), (3, 3, 3), (1, 0, 0)])
         blocks = [(where[k : k + width], stack[k : k + width]) for k in range(0, len(where), width)]
-        got = dec._scan_family(inst, 1, ops, blocks, len(where), keep=True)
-        expected = scan_family(inst, 1, ops, [(where, stack)])
+        got = scan_ops(inst, 1, ops, blocks, keep=True)
+        expected = reference_scan(inst, 1, ops, [(where, stack)])
         assert got[1:] == expected[1:]
         w = got[3]
         assert (w.indices, w.kind, w.povm_index, w.element_index, w.value) == ((1,), "dual", 2, 0, -0.125)
@@ -659,13 +690,19 @@ class TestBlockedScan:
         # 11 element blocks of 112 or 128 columns per family, one (256, 128) product each,
         # far above BLAS's small-matrix sizes: the bytes of the whole (256, 1296) product
         inst = torus3x3_instance()
-        assert report_fields(dec.rv_positivity_check(inst)) == report_fields(
-            self.full_scan_report(inst)
-        )
-        families, _ = reference.site_families(inst)
+        report = dec.rv_positivity_check(inst)
+        assert report_fields(report) == report_fields(self.full_scan_report(inst))
         mset = inst.measurement_set
-        normed = dec._scan_family(inst, 0, families[0], mset.element_blocks(), mset.n_elements, keep=True)[0]
-        assert normed.tobytes() == scan_family(inst, 0, families[0], mset.element_blocks())[0].tobytes()
+        complex_families = reference.site_families(inst)[0]
+        for f, (s, (coords, traces)) in enumerate(zip(dec._family_sites(inst)[0], family_coords(inst))):
+            got = dec._scan_family(inst, s, coords, traces, dec._element_coords(mset), mset.n_elements, keep=True)
+            expected = scan_family(inst, s, coords, traces, dec._element_coords(mset))
+            assert got[1:] == expected[1:]
+            assert got[0].tobytes() == expected[0].tobytes()
+            # the oracle's complex operands agree to rounding
+            normed, slack, min_trace, _ = complex_scan_family(inst, s, complex_families[f], mset.element_blocks())
+            assert np.allclose(got[0], normed, rtol=1e-12, atol=1e-15)
+            assert got[1] == pytest.approx(slack, rel=1e-12) and got[2] == pytest.approx(min_trace, rel=1e-12)
 
     @pytest.mark.parametrize("n_rows, width", [(256, 1296), (16, 36), (5, 2**17), (1, 2**18), (4096, 16)])
     def test_row_blocks_cover_in_order(self, n_rows, width):
@@ -737,8 +774,8 @@ class TestBlockedScan:
         ops = rng.integers(2, 9, 256)[:, None, None] / 16 * np.eye(16) + (h + h.conj().transpose(0, 2, 1)) / 256
         base = torus3x3_instance()
         inst = con.PepsInstance(lattice=base.lattice, maps=base.maps, basis=base.basis, measurement_set=mset)
-        got = dec._scan_family(inst, 0, ops, mset.element_blocks(), mset.n_elements, keep=True)
-        expected = scan_family(inst, 0, ops, mset.element_blocks())
+        got = scan_ops(inst, 0, ops, mset.element_blocks(), keep=True)
+        expected = reference_scan(inst, 0, ops, mset.element_blocks())
         assert got[1:] == expected[1:]
         assert got[0].tobytes() == expected[0].tobytes()
         assert got[3] is not None and got[3].kind == "dual"
@@ -899,23 +936,19 @@ EPSILON_SEARCHES = {
 class TestMaxEpsilonSearch:
     @staticmethod
     def assert_probe_families_match_the_family_stack(inst):
-        """Each family's _family_coords and traces, in the probe's buffers, against _family_stack."""
+        """Each family's coordinates and traces, in the probe's buffers, against the oracle's _family_stack."""
         stack, _ = element_stack(inst.measurement_set)
         probe = epsilon_probe.EpsilonProbe(inst)
+        elements = np.concatenate([e for _, e in probe._blocks], axis=1)
         firsts = dec._family_sites(inst)[0]
-        for s, (v, bonds, _) in zip(firsts, probe._families, strict=True):
-            ops = dec._family_stack(inst, s)
-            assert v == inst.lattice.degrees[s]
-            M = epsilon_probe._product_map(inst.maps[v], probe._work)
-            coords, traces = epsilon_probe._family_coords(M, bonds, probe._work)
+        made = dec._families(inst, probe._bonds, probe._work)
+        for s, (t, coords, traces) in zip(firsts, made, strict=True):
+            ops = oracle._family_stack(inst, s)
+            assert t == s and coords.shape == (len(ops), inst.measurement_set.dim**2)
             scale = np.abs(ops).max()
-            assert np.allclose(
-                coords, epsilon_probe._hermitian_coords(ops, 0.5).T, rtol=0, atol=1e-14 * scale
-            )
-            assert np.allclose(traces, dec.operator_traces(ops), rtol=0, atol=1e-13 * scale)
-            assert np.allclose(
-                coords @ probe._stack, linalg.overlaps(ops, stack), rtol=0, atol=1e-13 * scale
-            )
+            assert np.allclose(coords, dec._hermitian_coords(ops, 0.5).T, rtol=0, atol=1e-14 * scale)
+            assert np.allclose(traces, reference.operator_traces(ops), rtol=0, atol=1e-13 * scale)
+            assert np.allclose(coords @ elements, linalg.overlaps(ops, stack), rtol=0, atol=1e-13 * scale)
 
     @staticmethod
     def star_instance(D, flags, rng):
@@ -947,9 +980,7 @@ class TestMaxEpsilonSearch:
         unflagged = None
         for flags in itertools.product([False, True], repeat=v):
             inst = self.star_instance(D, flags, rng)
-            probe = epsilon_probe.EpsilonProbe(inst)
-            firsts = dec._family_sites(inst)[0]
-            [bonds] = [c for s, (_, c, _) in zip(firsts, probe._families, strict=True) if s == 0]
+            [bonds] = [c for s, c in dec._family_bonds(inst) if s == 0]
             unflagged = bonds[0] if unflagged is None else unflagged
             # a tail end negates the rows of the antisymmetric G_a, and only those
             for c, t in zip(bonds, flags, strict=True):

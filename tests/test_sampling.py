@@ -22,7 +22,7 @@ from pepslhv.errors import NotFactorizableError, PositivityViolationError, Usage
 from pepslhv.lattice import lattice_from_name
 
 from conftest import build, recipe2_config
-from reference import site_families
+from reference import family_coords
 
 
 @pytest.fixture(scope="module")
@@ -282,13 +282,13 @@ class TestStackedSiteTables:
         plan = sampling.MeasurementPlan.from_labels(inst, labels)
         batch = sampling.run_shots(inst, plan, 3000, 8, emit_hidden=True)
         u = sampling.shot_uniforms(8, 0, 3000, inst.lattice.n_sites, label="sites")
-        families, site_family = site_families(inst)
+        families, site_family = family_coords(inst), dec._family_sites(inst)[1]
         povms = plan.povms(inst)
         for s in range(inst.lattice.n_sites):
             # the site's own Born CDF rows, built for this site alone
             where = [(plan.povm_indices[s], j) for j in range(povms[s].n_outcomes)]
-            ops = families[site_family[s]]
-            probs = dec._scan_family(inst, s, ops, [(where, povms[s].elements)], len(where), keep=True)[0]
+            block = where, dec._hermitian_coords(povms[s].elements, 1.0)
+            probs = dec._scan_family(inst, s, *families[site_family[s]], [block], len(where), keep=True)[0]
             cdf = np.cumsum(np.clip(probs, 0.0, 1.0), axis=1)
             cdf = cdf / cdf[:, -1:]
             row = np.zeros(3000, dtype=np.intp)
