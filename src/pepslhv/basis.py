@@ -76,8 +76,9 @@ class OperatorBasis:
 def basis_products(op_basis: OperatorBasis, flags: Sequence[bool]) -> np.ndarray:
     """C~_{k_1} (x) ... (x) C~_{k_v} per index tuple, ((D^2)^v, D^v, D^v); C~ is C^T where flagged.
 
-    Index tuples in C-order.  The certificate's site families and
-    admissibility read these products.
+    Index tuples in C-order.  The oracle's complex site families
+    (decomposition.site_operator_family) and measurements.admissible_povm
+    read these products; the pipeline builds none.
     """
     v = len(flags)
     C = op_basis.elements

@@ -6,14 +6,46 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pepslhv import basis as basis_mod
 from pepslhv import cli, configio, decomposition, linalg
 from pepslhv.errors import UsageError
 
-from conftest import capped_peak, run_capped
+from conftest import capped_peak
+
+# python -m pepslhv.cli argv[2:], writing to argv[1] the most entries that
+# errors.check_entries admitted against the entry budget
+_COUNTING_CLI = """
+import sys
+from pepslhv import errors
+check, path, counted = errors.check_entries, sys.argv[1], [0]
+def counting(array, entries, bound=errors.MAX_ENTRIES):
+    check(array, entries, bound)
+    if bound == errors.MAX_ENTRIES and entries > counted[0]:
+        counted[0] = entries
+        open(path, "w").write(str(entries))
+errors.check_entries = counting
+sys.argv[1:] = sys.argv[2:]
+from pepslhv.cli import entry
+entry()
+"""
+FLOOR = 45 * 2**20  # the interpreter's, numpy's and the package's RSS, about
+
+
+def run_counted(argv, record_property, timeout=30):
+    """The CLI with argv in a capped child: (process, its peak RSS, its budget in bytes).
+
+    The budget is twice the largest count check_entries admitted, at 16
+    bytes an entry, plus FLOOR.  The peak is recorded as a test property.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        count = Path(tmp) / "count"
+        proc, peak = capped_peak("-c", _COUNTING_CLI, str(count), *argv, timeout=timeout)
+        counted = int(count.read_text()) if count.exists() else 0
+    record_property("peak_rss_mb", round(peak / 2**20, 1))
+    return proc, peak, 2 * 16 * counted + FLOOR
 
 
 def star(v: int) -> dict:
@@ -185,43 +217,81 @@ def argv_of(case: tuple, tmp: Path) -> list:
     return ["peps", "check", str(path)]
 
 
-@settings(derandomize=True, deadline=None, max_examples=20)
+@settings(derandomize=True, deadline=None, max_examples=20, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=cases)
 @example(case=("instance", *K8))
 @example(case=("instance", *STAR30))
 @example(case=("basis", 45))  # admitted at D^4 <= 2^22: 153 s and 1.65 GB
 @example(case=("sample", 2**20, 8))  # edge tables of 512 MiB each: a MemoryError traceback
 @example(case=("sample", 2**17, 8))  # the largest cycle at D = 8: four tables of 64 MiB
-def test_exit_code_and_one_line(case):
+def test_exit_code_and_one_line(case, record_property):
     with tempfile.TemporaryDirectory() as tmp:
-        proc = run_capped("-m", "pepslhv.cli", *argv_of(case, Path(tmp)), timeout=30)
+        proc, peak, budget = run_counted(argv_of(case, Path(tmp)), record_property)
     assert proc.returncode in (0, 2, 3, 4), proc.stderr
     assert proc.stderr.count("\n") <= 1 and "Traceback" not in proc.stderr, proc.stderr
+    # an admitted input peaks within twice what the budget counted
+    assert proc.returncode == 2 or peak <= budget, (peak, budget)
 
 
 @pytest.mark.parametrize("D, code", [(11, 0), (12, 2)])
-def test_largest_aligned_basis_builds_within_a_minute(tmp_path, D, code):
+def test_largest_aligned_basis_builds_within_a_minute(tmp_path, record_property, D, code):
     # aligned:42:zero was once admitted and took 424 s to build; the largest
     # admitted D builds in well under a second, and the next exits 2 with one line
     argv = ["peps", "build", "--lattice", "chain:2", "--basis", f"aligned:{D}:zero",
             "--measurements", "pauli:1", "--recipe", "1", "--psi", "plus-diag:1",
             "--out", str(tmp_path / "inst.json")]
-    proc = run_capped("-m", "pepslhv.cli", *argv, timeout=60)
+    proc, peak, budget = run_counted(argv, record_property, timeout=60)
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.count("\n") == code // 2 and "Traceback" not in proc.stderr, proc.stderr
+    assert code == 2 or peak <= budget, (peak, budget)
 
 
-def test_largest_products_peak_near_the_budget(tmp_path):
-    # peps check on cycle:3 at D = 8: each degree-2 family reads 2^24 entries
-    # (256 MiB) of basis products, half of them with a transposed factor.
-    # Built in C order, their reshape is a view: the check peaks within a
-    # quarter of that budget entry beyond the interpreter's floor (it peaked
-    # at 546 MiB while the reshape copied the stack)
+@pytest.mark.parametrize("command", ["check", "sample"])
+def test_large_bond_dimension_peaks_on_the_floor(tmp_path, record_property, command):
+    # cycle:3 at D = 8: each degree-2 family is 8^4 rows of 16 real
+    # coordinates, and no basis product is built.  While a family was built
+    # from its 2^24 basis products (256 MiB), peps check peaked at 304.9 MB
+    # and sample --shots 1000 at 305.4 MB
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(factorizable_cycle(3, 8)))
-    proc, peak = capped_peak("-m", "pepslhv.cli", "peps", "check", str(path))
+    argv = {
+        "check": ["peps", "check", str(path)],
+        "sample": ["sample", str(path), "--plan", "all:ZZ", "--shots", "1000", "--out", str(tmp_path / "s.jsonl")],
+    }[command]
+    proc, peak, budget = run_counted(argv, record_property)
     assert proc.returncode == 0, proc.stderr
-    assert peak <= (1.25 * 256 + 45) * 2**20
+    assert peak <= min(60 * 2**20, budget)
+
+
+D3_TORUS = {
+    "lattice": "torus:3x3",
+    "basis": "aligned:3:uniform",
+    "measurements": "noisy-pauli:4:0.5",
+    "psi": "plus-diag:4",
+}
+
+
+@pytest.mark.parametrize("epsilon, slack", [(0.0, 0.032247), (0.01, 0.030942), (0.05, 0.016304)])
+def test_bond_dimension_3_torus_certifies(tmp_path, record_property, epsilon, slack):
+    # degree 4 at D = 3: 3^8 rows of 256 coordinates per family.  Its 3^16
+    # basis products per family were refused at load
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(dict(D3_TORUS, site_map={"recipe": 1, "epsilon": epsilon})))
+    proc, peak, budget = run_counted(["peps", "check", str(path)], record_property, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["passed"] and report["slack"] == pytest.approx(slack, abs=1e-6)
+    assert peak <= budget
+
+
+def test_bond_dimension_3_torus_oracle_refused(tmp_path, record_property):
+    # the oracles are desk-scale: verify exits 2 with one line, before any complex family
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(dict(D3_TORUS, site_map={"recipe": 1, "epsilon": 0.0})))
+    argv = ["verify", str(path), "--plan", "all:ZZZZ~0.5", "--mode", "mixture"]
+    proc, _, _ = run_counted(argv, record_property)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: "), proc.stderr
 
 
 def test_largest_epsilon_search_builds_no_products(tmp_path):

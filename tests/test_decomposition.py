@@ -17,6 +17,7 @@ from pepslhv import configio, epsilon_probe, oracle
 from pepslhv import construction as con
 from pepslhv import decomposition as dec
 from pepslhv import cli, linalg, sampling
+from pepslhv import measurements as meas_mod
 from pepslhv.basis import basis_products, build_aligned_basis, phase_point_basis
 from pepslhv.errors import NotFactorizableError, UsageError
 from pepslhv.lattice import Lattice, build_chain, build_cycle, lattice_from_name
@@ -814,6 +815,30 @@ class TestBlockedScan:
             tracemalloc.stop()
         assert report.passed
         assert peak < 1296 * 16 * 16 * np.dtype(complex).itemsize
+
+
+class TestOneArithmetic:
+    @pytest.mark.parametrize("command", ["check", "epsilon-max", "sample"])
+    def test_commands_build_no_complex_family(self, tmp_path, monkeypatch, capsys, command):
+        # the pipeline reads only real product coordinates: the oracle's
+        # complex family, and the basis products it is built from, are never made
+        def no_complex_family(*args, **kwargs):
+            raise AssertionError("a complex site family or basis product was built")
+
+        for module, name in [(oracle, "_family_stack"), (dec, "site_operator_family"),
+                             (dec, "basis_products"), (basis_mod, "basis_products"),
+                             (meas_mod, "basis_products")]:
+            monkeypatch.setattr(module, name, no_complex_family)
+        path = tmp_path / "torus3x3.json"
+        path.write_text(json.dumps(scaled_config("torus:3x3", 4, 0.1)))
+        argv = {
+            "check": ["peps", "check", str(path)],
+            "epsilon-max": ["peps", "epsilon-max", str(path), "--eps-hi", "1.0"],
+            "sample": ["sample", str(path), "--plan", "all:ZZZZ~0.5", "--shots", "100",
+                       "--out", str(tmp_path / "s.jsonl")],
+        }[command]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestMixtureReconstruction:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -17,7 +18,13 @@ from pepslhv.errors import UsageError
 from pepslhv.measurements import Povm, measurement_set_from_name
 
 from conftest import build, recipe2_config, run_capped
-from reference import born_joint_distribution, born_joint_full_operator, site_families
+from reference import (
+    born_joint_distribution,
+    born_joint_full_operator,
+    complex_scan_family,
+    operator_traces,
+    site_families,
+)
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -255,6 +262,74 @@ class TestMixtureJointDistribution:
         with pytest.raises(UsageError, match="joint outcome space too large"):
             oracle.mixture_joint_distribution(inst, plan)
         assert time.perf_counter() - start < 1.0
+
+
+def small_random_configs():
+    """The mixture = Born grid: three lattices, five bases, recipes 1 and 2, three epsilons."""
+    for lattice, basis, recipe, epsilon in itertools.product(
+        ["chain:2", "chain:3", "cycle:3"],
+        ["aligned:2:zero", "aligned:2:uniform", "phase-point", "aligned:3:zero", "aligned:3:uniform"],
+        [1, 2],
+        [0.0, 0.05, 0.2],
+    ):
+        yield {
+            "lattice": lattice,
+            "basis": basis,
+            "measurements": "noisy-pauli:2:0.5",
+            "psi": "plus-diag:2",
+            "site_map": {"recipe": recipe, "epsilon": epsilon},
+        }
+
+
+class TestPipelineAgainstOracle:
+    def test_small_random_instances(self):
+        # every admitted case (recipe 2 has D = 2 only): the paper's identity,
+        # mixture = Born, and the scan's real coordinates against the
+        # oracle's complex family, traces and normalized overlaps alike
+        admitted = 0
+        for config in small_random_configs():
+            try:
+                inst = build(config)
+            except UsageError:
+                continue
+            admitted += 1
+            plan = sampling.MeasurementPlan.uniform(inst, "XY~0.5")
+            mix = oracle.mixture_joint_distribution(inst, plan)
+            exact = oracle.born_joint_for_instance(inst, plan)
+            assert np.max(np.abs(mix.probs - exact.probs)) <= 1e-12, config
+            mset = inst.measurement_set
+            for s, coords, traces in dec._families(inst):
+                ops = oracle._family_stack(inst, s)
+                expected = operator_traces(ops)
+                assert np.max(np.abs(traces - expected)) <= 1e-12 * np.abs(expected).max(), config
+                blocks = dec._element_coords(mset)
+                normed = dec._scan_family(inst, s, coords, traces, blocks, mset.n_elements, keep=True)[0]
+                reference = complex_scan_family(inst, s, ops, mset.element_blocks())[0]
+                scale = np.abs(reference).max(axis=1, keepdims=True)
+                assert np.all(np.abs(normed - reference) <= 1e-12 * scale), config
+        assert admitted == 72
+
+
+class TestOracleBudget:
+    def test_basis_products_counted_before_any_family(self, monkeypatch):
+        # the complete graph on five sites at D = 3: each degree-4 family
+        # would be built from 3^16 basis products, where its 3^8 d^2
+        # coordinates pass the budget
+        rng = np.random.default_rng(3)
+        inst = con.PepsInstance(
+            lattice=configio.parse_lattice({"n_sites": 5, "edges": [[a, b] for a in range(5) for b in range(a + 1, 5)]}),
+            maps={4: con.SiteMap(4, 3, 2, rng.normal(size=(2, 81)) + 1j * rng.normal(size=(2, 81)))},
+            basis=configio.parse_basis("aligned:3:zero"),
+            measurement_set=measurement_set_from_name("pauli:1"),
+        )
+        plan = sampling.MeasurementPlan.uniform(inst, "Z")
+
+        def no_family(*args):
+            raise AssertionError("a site family was built past the budget")
+
+        monkeypatch.setattr(oracle, "_family_stack", no_family)
+        with pytest.raises(UsageError, match="basis products of degree 4: 43046721 entries"):
+            oracle.mixture_joint_distribution(inst, plan)
 
 
 class TestTvDistance:
