@@ -76,15 +76,14 @@ def _hermitian_coords(ops: np.ndarray, off: float) -> np.ndarray:
     product with a Hermitian O's is Re tr(O X^dag), the tr(O X) of linalg.overlaps.
     """
     m = ops.shape[-1]
-    re, im = ops.real, ops.imag
     out = np.empty((len(ops), m * m))
-    out[:, :m] = np.diagonal(re, axis1=1, axis2=2)
+    out[:, :m] = np.diagonal(ops.real, axis1=1, axis2=2)
     # row i's upper part at once, so no fancy-indexed copy of the stack is made
     a, half = m, m * (m - 1) // 2
     for i in range(m - 1):
         b = a + m - 1 - i
-        np.add(re[:, i, i + 1 :], re[:, i + 1 :, i], out=out[:, a:b])
-        np.subtract(im[:, i, i + 1 :], im[:, i + 1 :, i], out=out[:, half + a : half + b])
+        np.add(ops.real[:, i, i + 1 :], ops.real[:, i + 1 :, i], out=out[:, a:b])
+        np.subtract(ops.imag[:, i, i + 1 :], ops.imag[:, i + 1 :, i], out=out[:, half + a : half + b])
         a = b
     out[:, m:] *= off
     return out.T
@@ -99,25 +98,22 @@ def _element_coords(mset):
         del coords  # before the next block is built
 
 
-def _family_bonds(instance: PepsInstance) -> list:
-    """(first site, c per bond) of each site family, in site order.
+def _search_parts(instance: PepsInstance):
+    """(first site and c per bond of each site family, in site order; two work buffers).
 
-    c[a, k] = tr(G_a C~_k) over a bond's generators G_a (basis.hermitian_spanning_set),
-    so C~_k = sum_a c[a, k] G_a; a tail end negates the rows of the antisymmetric G_a.
+    What an epsilon search holds fixed.  c[a, k] = tr(G_a C~_k) over a bond's
+    generators G_a (basis.hermitian_spanning_set), so C~_k = sum_a c[a, k] G_a;
+    a tail end negates the rows of the antisymmetric G_a.  The complex buffers
+    of _product_map and _families hold the largest degree's map.
     """
-    lat, G = instance.lattice, hermitian_spanning_set(instance.D)
-    return [
+    lat, d, G = instance.lattice, instance.measurement_set.dim, hermitian_spanning_set(instance.D)
+    bonds = [
         (s, [linalg.overlaps(G.transpose(0, 2, 1) if t else G, instance.basis.elements)
              for t in ~lat.is_head[-lat.degrees[s]:, s]])
         for s in _family_sites(instance)[0]
     ]
-
-
-def _work(instance: PepsInstance):
-    """The two complex buffers of _product_map and _families, for the instance's largest degree."""
-    d, v = instance.measurement_set.dim, int(instance.lattice.degrees.max())
-    n = d * (d + 1) // 2 * instance.D ** (2 * v)
-    return np.empty(n, complex), np.empty(n, complex)
+    n = d * (d + 1) // 2 * instance.D ** (2 * int(lat.degrees.max()))
+    return bonds, (np.empty(n, complex), np.empty(n, complex))
 
 
 def _product_map(site_map: SiteMap, work) -> np.ndarray:
@@ -146,18 +142,17 @@ def _product_map(site_map: SiteMap, work) -> np.ndarray:
         return np.concatenate([X.real.T, X.imag[:, d:].T], out=np.empty((d * d, len(X))))
 
 
-def _families(instance: PepsInstance, bonds=None, work=None):
+def _families(instance: PepsInstance, parts=None):
     """Yield (first site, coordinates, traces) of each site family in turn, in site order.
 
-    bonds and work (_family_bonds, _work) are what an epsilon search holds
-    fixed.  A family's coordinates, a row of d^2 per index tuple in C-order,
+    parts defaults to _search_parts(instance), whose families may come in
+    any order.  A family's coordinates, a row of d^2 per index tuple in C-order,
     are its degree's _product_map contracted bond by bond, each product
     taking the last a and putting its k first, in work until the next family
     is made.  The first family with a non-finite coordinate or trace raises
     UsageError.
     """
-    bonds = _family_bonds(instance) if bonds is None else bonds
-    work = _work(instance) if work is None else work
+    bonds, work = _search_parts(instance) if parts is None else parts
     for s, c in bonds:
         # the map is made anew for each family and dropped before the family is read
         X = _product_map(instance.maps[len(c)], work)
@@ -220,19 +215,11 @@ def _row_blocks(n_rows: int, width: int):
     return zip(ends[:-1], ends[1:])
 
 
-def _usable_traces(traces: np.ndarray):
-    """(rows whose trace is positive and at least TRACE_FLOOR times the largest, divisor per row).
-
-    The first half of the row rule: other rows fail, and are divided by 1.
-    """
-    ok = (traces > 0) & (traces >= TRACE_FLOOR * traces.max())
-    return ok, np.where(ok, traces, 1.0)
-
-
 def _row_rule(lo: np.ndarray, hi: np.ndarray, ok: np.ndarray, div: np.ndarray):
-    """(slack, failing) of rows whose least and largest overlap are lo and hi, given their _usable_traces.
+    """(slack, failing) of rows whose least and largest overlap are lo and hi.
 
-    The second half of the row rule: a row also fails if
+    ok marks the rows whose trace is usable and div holds their trace (1 for
+    the others, which fail).  A row also fails if
     min(lo / tr, 1 - hi / tr) < -DUAL_ATOL.  Dividing by a positive trace and
     1 - x are monotone, so this is bit for bit the row's least
     min(tr(sigma X), 1 - tr(sigma X)).
@@ -246,9 +233,9 @@ def _scan_family(instance: PepsInstance, site: int, coords, traces, blocks, n_el
 
     coords and traces are the family's (_families); blocks yields the (where,
     element coordinates) blocks of n_elements elements in all, in order, as
-    _element_coords does.  A row fails by the row rule (_usable_traces,
-    _row_rule) against every element.  The witness is the first failing
-    row, at its first worst element.
+    _element_coords does.  A row fails if its trace is not positive or below
+    TRACE_FLOOR times the largest, or by _row_rule against any element.  The
+    witness is the first failing row, at its first worst element.
 
     Each element block is read once: its overlaps with the family, a
     column slice of the (rows, elements) overlap matrix, are taken a block
@@ -257,18 +244,20 @@ def _scan_family(instance: PepsInstance, site: int, coords, traces, blocks, n_el
     already fails, so only there is it looked up, and an earlier block
     keeps it on a tie.  Memory is one element block and one block of
     overlaps, plus every normalized overlap when keep is set (the sampler's
-    tables).  With early set (the epsilon probe) the result is only whether
-    no row fails: False at the first block of overlaps that fails a row.
+    tables).  With early set (the epsilon probe) the result is only where a
+    row fails: the index of the first element block whose overlaps fail a
+    row (0 for a failing trace), or None if no row fails.
     """
-    ok, div = _usable_traces(traces)
+    ok = (traces > 0) & (traces >= TRACE_FLOOR * traces.max())
+    div = np.where(ok, traces, 1.0)
     if early and not ok.all():
-        return False
+        return 0
     lo, hi = np.full(len(coords), np.inf), np.full(len(coords), -np.inf)
     # per row, at its worst element so far: min(x, 1 - x), x, and the element's index
     worst, worst_x, worst_at = np.full(len(coords), np.inf), np.empty(len(coords)), np.empty(len(coords), np.intp)
     at = []  # (POVM, element) of every element read
     normed = np.empty((len(coords), n_elements)) if keep else None
-    for where, elements in blocks:
+    for index, (where, elements) in enumerate(blocks):
         col = len(at)
         at += where
         for a, b in _row_blocks(len(coords), len(where)):
@@ -281,7 +270,7 @@ def _scan_family(instance: PepsInstance, site: int, coords, traces, blocks, n_el
             fail = np.flatnonzero(ok[a:b] & _row_rule(block_lo, block_hi, ok[a:b], div[a:b])[1])
             if fail.size:
                 if early:
-                    return False
+                    return index
                 x = block[fail] / div[a + fail, None]
                 m = np.minimum(x, 1.0 - x)
                 k = np.argmin(m, axis=1)
@@ -291,7 +280,7 @@ def _scan_family(instance: PepsInstance, site: int, coords, traces, blocks, n_el
                 worst[r], worst_x[r], worst_at[r] = m[i, k], x[i, k], col + k
         del elements, block  # before the next block is built
     if early:
-        return True
+        return None
     row_slack, bad = _row_rule(lo, hi, ok, div)
     witness = None
     if bad.any():

@@ -966,7 +966,7 @@ class TestMaxEpsilonSearch:
         probe = epsilon_probe.EpsilonProbe(inst)
         elements = np.concatenate([e for _, e in probe._blocks], axis=1)
         firsts = dec._family_sites(inst)[0]
-        made = dec._families(inst, probe._bonds, probe._work)
+        made = dec._families(inst, (probe._bonds, probe._work))
         for s, (t, coords, traces) in zip(firsts, made, strict=True):
             ops = oracle._family_stack(inst, s)
             assert t == s and coords.shape == (len(ops), inst.measurement_set.dim**2)
@@ -1005,7 +1005,7 @@ class TestMaxEpsilonSearch:
         unflagged = None
         for flags in itertools.product([False, True], repeat=v):
             inst = self.star_instance(D, flags, rng)
-            [bonds] = [c for s, c in dec._family_bonds(inst) if s == 0]
+            [bonds] = [c for s, c in dec._search_parts(inst)[0] if s == 0]
             unflagged = bonds[0] if unflagged is None else unflagged
             # a tail end negates the rows of the antisymmetric G_a, and only those
             for c, t in zip(bonds, flags, strict=True):
