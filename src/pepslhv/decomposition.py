@@ -12,7 +12,7 @@ indices is a product of per-edge categoricals and can be sampled
 efficiently.
 
 The outputs are computed in one place, `_families`, as real Hermitian
-coordinates: one map per degree over products of a bond's canonical
+coordinates: their degree's map over products of a bond's canonical
 generators (`_product_map`), contracted bond by bond with each family's
 basis coordinates.  `_scan_family` is the one positivity test (for the
 certificate, the sampler's tables and, in its early-exit mode, the epsilon
@@ -257,8 +257,9 @@ def _scan_family(instance: PepsInstance, site: int, coords, traces, blocks, n_el
     worst, worst_x, worst_at = np.full(len(coords), np.inf), np.empty(len(coords)), np.empty(len(coords), np.intp)
     at = []  # (POVM, element) of every element read
     normed = np.empty((len(coords), n_elements)) if keep else None
-    for index, (where, elements) in enumerate(blocks):
-        col = len(at)
+    index = -1  # not enumerate(blocks), whose result tuple keeps the last block while the next is made
+    for where, elements in blocks:
+        index, col = index + 1, len(at)
         at += where
         for a, b in _row_blocks(len(coords), len(where)):
             block = coords[a:b] @ elements
