@@ -26,8 +26,11 @@ class EpsilonProbe:
 
     def __init__(self, instance: PepsInstance):
         self._bonds, self._work = _search_parts(instance)
-        where, stack = zip(*_element_coords(instance.measurement_set))
-        where, stack = sum(where, []), np.concatenate(stack, axis=1)
+        mset, where = instance.measurement_set, []
+        stack = np.empty((mset.dim**2, mset.n_elements))
+        for w, coords in _element_coords(mset):
+            stack[:, len(where) : len(where) + len(w)] = coords
+            where += w
         self._blocks = [(where[p:q], stack[:, p:q]) for p, q in _row_blocks(len(where), len(stack))]
         self._last = (0, 0)
 
