@@ -67,13 +67,13 @@ def _family_sites(instance: PepsInstance):
     return site_groups(np.vstack([lat.degrees, lat.is_head]))
 
 
-def _hermitian_coords(ops: np.ndarray, off: float) -> np.ndarray:
-    """(m^2, n) real coordinates, one column per operator of an (n, m, m) stack.
+def _hermitian_coords(ops: np.ndarray) -> np.ndarray:
+    """(m^2, n) real coordinates, one column per operator X of an (n, m, m) stack.
 
-    A column holds the diagonal, then off times Re(X_ij + X_ji) and Im(X_ij - X_ji)
-    over i < j in row-major order: with off = 1/2, X's Hermitian part over
-    E_ii, E_ij + E_ji and i(E_ij - E_ji).  With off = 1 (the elements) its dot
-    product with a Hermitian O's is Re tr(O X^dag), the tr(O X) of linalg.overlaps.
+    A column holds the diagonal, then Re(X_ij + X_ji) and Im(X_ij - X_ji) over
+    i < j in row-major order.  Its dot product with a Hermitian O's
+    coordinates over E_ii, E_ij + E_ji and i(E_ij - E_ji) (_product_map) is
+    Re tr(O X^dag), the tr(O X) of linalg.overlaps.
     """
     m = ops.shape[-1]
     out = np.empty((len(ops), m * m))
@@ -85,14 +85,13 @@ def _hermitian_coords(ops: np.ndarray, off: float) -> np.ndarray:
         np.add(ops.real[:, i, i + 1 :], ops.real[:, i + 1 :, i], out=out[:, a:b])
         np.subtract(ops.imag[:, i, i + 1 :], ops.imag[:, i + 1 :, i], out=out[:, half + a : half + b])
         a = b
-    out[:, m:] *= off
     return out.T
 
 
 def _element_coords(mset):
-    """(where, _hermitian_coords(elements, 1.0)) per block of mset.element_blocks(), as it is read."""
+    """(where, _hermitian_coords(elements)) per block of mset.element_blocks(), as it is read."""
     for where, elements in mset.element_blocks():
-        coords = _hermitian_coords(elements, 1.0)
+        coords = _hermitian_coords(elements)
         del elements  # before the block is read
         yield where, coords
         del coords  # before the next block is built
@@ -117,7 +116,7 @@ def _search_parts(instance: PepsInstance):
 
 
 def _product_map(site_map: SiteMap, work) -> np.ndarray:
-    """(d^2, D^2v) real map: column a holds _hermitian_coords (off = 1/2) of K (G_a1 (x) ... (x) G_av) K^dag.
+    """(d^2, D^2v) real map: column a holds the Hermitian coordinates of K (G_a1 (x) ... (x) G_av) K^dag.
 
     Tuples a in C-order.  T[x_1, y_1, ..., x_v, y_v, (i <= j)] = K[i, x] conj(K[j, y])
     takes one real product per bond, in work's two buffers in turn (their
@@ -245,13 +244,11 @@ def _scan_family(instance: PepsInstance, site: int, coords, traces, blocks, n_el
     keeps it on a tie.  Memory is one element block and one block of
     overlaps, plus every normalized overlap when keep is set (the sampler's
     tables).  With early set (the epsilon probe) the result is only where a
-    row fails: the index of the first element block whose overlaps fail a
-    row (0 for a failing trace), or None if no row fails.
+    row fails: the index of the first element block in which one does, or
+    None if none does.
     """
     ok = (traces > 0) & (traces >= TRACE_FLOOR * traces.max())
     div = np.where(ok, traces, 1.0)
-    if early and not ok.all():
-        return 0
     lo, hi = np.full(len(coords), np.inf), np.full(len(coords), -np.inf)
     # per row, at its worst element so far: min(x, 1 - x), x, and the element's index
     worst, worst_x, worst_at = np.full(len(coords), np.inf), np.empty(len(coords)), np.empty(len(coords), np.intp)
@@ -268,10 +265,11 @@ def _scan_family(instance: PepsInstance, site: int, coords, traces, blocks, n_el
             np.maximum(hi[a:b], block_hi, out=hi[a:b])
             if keep:
                 np.divide(block, div[a:b, None], out=normed[a:b, col : len(at)])
-            fail = np.flatnonzero(ok[a:b] & _row_rule(block_lo, block_hi, ok[a:b], div[a:b])[1])
+            failing = _row_rule(block_lo, block_hi, ok[a:b], div[a:b])[1]
+            if early and failing.any():
+                return index
+            fail = np.flatnonzero(ok[a:b] & failing)
             if fail.size:
-                if early:
-                    return index
                 x = block[fail] / div[a + fail, None]
                 m = np.minimum(x, 1.0 - x)
                 k = np.argmin(m, axis=1)

@@ -307,7 +307,7 @@ def _set_up(instance: PepsInstance, plan: MeasurementPlan) -> Tuple[EdgeDistribu
             if site_family[s] != f:
                 continue
             idx, n = plan.povm_indices[s], povms[s].n_outcomes
-            block = [(idx, j) for j in range(n)], _hermitian_coords(povms[s].elements, 1.0)
+            block = [(idx, j) for j in range(n)], _hermitian_coords(povms[s].elements)
             probs, _, _, w = _scan_family(instance, s, coords, t, [block], n, keep=True)
             if w is not None:
                 # a refused block is never drawn from, so its CDF is not built

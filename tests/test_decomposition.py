@@ -51,14 +51,19 @@ def trace_table(m, b, flags):
 
 
 def coords_of(ops):
-    """(real coordinates, traces) of a complex family, as decomposition._families gives them."""
-    coords = np.ascontiguousarray(dec._hermitian_coords(np.asarray(ops, dtype=complex), 0.5).T)
+    """(real coordinates, traces) of a complex family, as decomposition._families gives them.
+
+    A family's off-diagonal coordinates are half an element's: the Hermitian
+    part over E_ij + E_ji and i(E_ij - E_ji).
+    """
+    coords = np.ascontiguousarray(dec._hermitian_coords(np.asarray(ops, dtype=complex)).T)
+    coords[:, ops.shape[-1] :] /= 2
     return coords, coords[:, : ops.shape[-1]].sum(axis=1)
 
 
 def coord_blocks(blocks):
     """Complex (where, elements) blocks as the (where, element coordinates) blocks _scan_family reads."""
-    return [(where, dec._hermitian_coords(elements, 1.0)) for where, elements in blocks]
+    return [(where, dec._hermitian_coords(elements)) for where, elements in blocks]
 
 
 def scan_ops(inst, site, ops, blocks, keep=False):
@@ -971,7 +976,7 @@ class TestMaxEpsilonSearch:
             ops = oracle._family_stack(inst, s)
             assert t == s and coords.shape == (len(ops), inst.measurement_set.dim**2)
             scale = np.abs(ops).max()
-            assert np.allclose(coords, dec._hermitian_coords(ops, 0.5).T, rtol=0, atol=1e-14 * scale)
+            assert np.allclose(coords, coords_of(ops)[0], rtol=0, atol=1e-14 * scale)
             assert np.allclose(traces, reference.operator_traces(ops), rtol=0, atol=1e-13 * scale)
             assert np.allclose(coords @ elements, linalg.overlaps(ops, stack), rtol=0, atol=1e-13 * scale)
 

@@ -287,7 +287,7 @@ class TestStackedSiteTables:
         for s in range(inst.lattice.n_sites):
             # the site's own Born CDF rows, built for this site alone
             where = [(plan.povm_indices[s], j) for j in range(povms[s].n_outcomes)]
-            block = where, dec._hermitian_coords(povms[s].elements, 1.0)
+            block = where, dec._hermitian_coords(povms[s].elements)
             probs = dec._scan_family(inst, s, *families[site_family[s]], [block], len(where), keep=True)[0]
             cdf = np.cumsum(np.clip(probs, 0.0, 1.0), axis=1)
             cdf = cdf / cdf[:, -1:]
