@@ -31,21 +31,21 @@ sys.argv[1:] = sys.argv[2:]
 from pepslhv.cli import entry
 entry()
 """
-FLOOR = 45 * 2**20  # the interpreter's, numpy's and the package's RSS, about
 
 
 def run_counted(argv, record_property, timeout=30):
     """The CLI with argv in a capped child: (process, its peak RSS, its budget in bytes).
 
     The budget is twice the largest count check_entries admitted, at 16
-    bytes an entry, plus FLOOR.  The peak is recorded as a test property.
+    bytes an entry, plus 45 MB, about the RSS of the interpreter, numpy and
+    the package.  The peak is recorded as a test property.
     """
     with tempfile.TemporaryDirectory() as tmp:
         count = Path(tmp) / "count"
         proc, peak = capped_peak("-c", _COUNTING_CLI, str(count), *argv, timeout=timeout)
         counted = int(count.read_text()) if count.exists() else 0
     record_property("peak_rss_mb", round(peak / 2**20, 1))
-    return proc, peak, 2 * 16 * counted + FLOOR
+    return proc, peak, 2 * 16 * counted + 45 * 2**20
 
 
 def star(v: int) -> dict:
@@ -282,6 +282,17 @@ def test_bond_dimension_3_torus_certifies(tmp_path, record_property, epsilon, sl
     report = json.loads(proc.stdout)
     assert report["passed"] and report["slack"] == pytest.approx(slack, abs=1e-6)
     assert peak <= budget
+
+
+def test_largest_torus_family_certifies_near_the_budget(tmp_path, record_property):
+    # at D = 4 a torus family is 4^8 rows of 256 coordinates, 2^24, the
+    # budget itself: admitted, and it peaks within twice that, at 16 bytes an entry
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(dict(D3_TORUS, basis="aligned:4:uniform", site_map={"recipe": 1, "epsilon": 0.0})))
+    proc, peak, budget = run_counted(["peps", "check", str(path)], record_property, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert budget == 2 * 16 * 2**24 + 45 * 2**20 and peak <= budget
+    assert json.loads(proc.stdout)["slack"] == pytest.approx(0.032247, abs=1e-6)
 
 
 def test_bond_dimension_3_torus_oracle_refused(tmp_path, record_property):
