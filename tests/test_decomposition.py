@@ -330,8 +330,9 @@ class TestEdgeDistribution:
             dec.edge_distribution(inst)
 
     def test_memory_is_one_family(self):
-        # one 1 MiB family at a time, built (with K @ prod) and kept as its
-        # 256 traces; holding the three families first took 4.0 MiB
+        # one family at a time, its coordinates in two 0.53 MiB buffers and
+        # its 0.5 MiB map, kept as its 256 traces: 1.58 MiB; the complex
+        # families took 2.0 MiB one at a time and 4.0 MiB held together
         inst = torus3x3_instance()
         dec.edge_distribution(inst)
         tracemalloc.start()
@@ -721,10 +722,11 @@ class TestBlockedScan:
         assert max(sizes) * width <= max(dec.SCAN_BLOCK_ENTRIES, 3 * width)
 
     def test_memory_is_families_and_one_block(self):
-        # one 1 MiB family at a time: its build holds it and K @ prod, and its
-        # scan holds it, one 512 KiB block of elements and one (256, 128)
-        # block of overlaps; 2.0 MiB in all, 2.7 MiB with (86, 1296) overlap
-        # blocks.  Building the three families first took 5.0 MiB, and the
+        # one family's coordinates at a time, in two 0.53 MiB buffers, and
+        # while a 512 KiB block of elements is built and converted, one
+        # (256, 128) block of overlaps: 1.98 MiB in all (2.0 MiB for one
+        # complex 1 MiB family, 2.7 MiB with (86, 1296) overlap blocks).
+        # Building the three complex families first took 5.0 MiB, and the
         # full (rows, elements) matrices with a copied element stack 21.7 MB.
         inst = torus3x3_instance()
         dec.rv_positivity_check(inst)
